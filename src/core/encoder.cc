@@ -255,6 +255,56 @@ LecaEncoder::backwardSoft(const Tensor &grad_out)
 // Hard / Noisy modality: the analog circuit model of Sec. 3.4 / 5.3.
 // ---------------------------------------------------------------------
 
+namespace {
+
+/** Raw-domain taps per output element (the 4x4 Bayer block). */
+constexpr int kTaps = 16;
+
+} // namespace
+
+/**
+ * One (kernel, tap) cap-DAC setting. It depends only on the weights,
+ * so forwardHard/backwardHard build the table once per call instead of
+ * re-quantizing every tap for every output element.
+ */
+struct LecaEncoder::TapCode
+{
+    double cap;    //!< sampling capacitance unit * mag (fF)
+    double dcapDw; //!< STE slope d cap / d w_tap over the code rounding
+    int wIndex;    //!< flat index of the tap's weight within the tensor
+    int mag;       //!< cap-DAC magnitude code, 0..dacSteps
+    bool neg;      //!< the tap charges the minus o-buffer
+};
+
+void
+LecaEncoder::tapCodesInto(TapCode *codes) const
+{
+    const int nch = _config.nch;
+    const int steps = _circuit.dacSteps();
+    const float wscale = _weightScale;
+    const double unit = _circuit.unitCapFf();
+    const auto &taps = rawTaps();
+    const float *wv = _weight.value.data();
+    const int kstride = static_cast<int>(_weight.value.numel()) / nch;
+    for (int kch = 0; kch < nch; ++kch) {
+        for (int t = 0; t < kTaps; ++t) {
+            const Tap &tap = taps[static_cast<std::size_t>(t)];
+            const int wi =
+                kch * kstride + (tap.channel * 2 + tap.py) * 2 + tap.px;
+            const float w_tap = wv[wi] * tap.factor;
+            int mag = roundToInt(std::abs(w_tap) / wscale * steps);
+            mag = std::clamp(mag, 0, steps);
+            const bool neg = w_tap < 0.0f;
+            // cap = unit * round(|w_tap|/wscale * steps); the STE
+            // passes the gradient straight over the rounding.
+            codes[kch * kTaps + t] = {
+                unit * mag, (neg ? -1.0 : 1.0) * unit * steps / wscale, wi,
+                mag, neg};
+        }
+    }
+}
+
+// leca-analyze: entry
 Tensor
 LecaEncoder::forwardHard(const Tensor &x, Mode mode, bool noisy)
 {
@@ -269,97 +319,113 @@ LecaEncoder::forwardHard(const Tensor &x, Mode mode, bool noisy)
     const int n = x.size(0), h = x.size(2), w = x.size(3);
     const int oh = h / 2, ow = w / 2;
     const int nch = _config.nch;
-    const int steps = _circuit.dacSteps();
-    const float wscale = _weightScale;
-    const double unit = _circuit.unitCapFf();
-    const double vcm = _circuit.vCm;
     const int levels = _config.qbits.levels();
     const float fs = std::max(_outScale.value[0], 0.02f);
+    const double vcm = _circuit.vCm;
 
     const SourceFollower psf(_circuit.psf);
     const SourceFollower fvf(_circuit.fvf);
     const auto &taps = rawTaps();
 
-    const std::size_t elems =
-        static_cast<std::size_t>(n) * nch * oh * ow;
+    const std::size_t plane = static_cast<std::size_t>(h) * w;
+    const std::size_t in_sz = 3 * plane;
+    const std::size_t ohow = static_cast<std::size_t>(oh) * ow;
+    const std::size_t elems = static_cast<std::size_t>(n) * nch * ohow;
     const bool cache = mode == Mode::Train;
     if (cache) {
-        _stepVin.assign(elems * 16, 0.0f);
-        _stepVprev.assign(elems * 16, 0.0f);
-        _stepCap.assign(elems * 16, 0.0f);
+        _stepVin.assign(elems * kTaps, 0.0f);
+        _stepVprev.assign(elems * kTaps, 0.0f);
         _diff.assign(elems, 0.0f);
         _inShape = x.shape();
     }
 
-    Tensor features({n, nch, oh, ow});
+    Arena &arena = Arena::local();
+    Arena::Scope scope;
+    TapCode *codes = arena.allocArray<TapCode>(
+        static_cast<std::size_t>(nch) * kTaps);
+    tapCodesInto(codes);
+    // Offset of each tap's pixel from its block's top-left pixel.
+    std::size_t tap_off[kTaps];
+    for (int t = 0; t < kTaps; ++t) {
+        const Tap &tap = taps[static_cast<std::size_t>(t)];
+        tap_off[t] = static_cast<std::size_t>(tap.channel) * plane
+                     + static_cast<std::size_t>(tap.py) * w + tap.px;
+    }
     // One pre-split noise stream per image (forked before the parallel
     // region), so noise draws depend only on the image index and the
     // output is bit-identical at every thread count.
-    std::vector<Rng> noise_rngs;
-    if (noisy)
-        noise_rngs = Rng::split(*_noiseRng, static_cast<std::size_t>(n));
+    Rng *noise_rngs = nullptr;
+    if (noisy) {
+        noise_rngs = arena.allocArray<Rng>(static_cast<std::size_t>(n));
+        Rng::splitInto(*_noiseRng, noise_rngs, static_cast<std::size_t>(n));
+    }
+
+    Tensor features({n, nch, oh, ow});
+    float *feat = features.data();
     parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
     for (int i = static_cast<int>(n0); i < n1; ++i) {
-        Rng *rng = noisy ? &noise_rngs[static_cast<std::size_t>(i)] : nullptr;
-        // Element index derived from the loop indices, not a running
-        // counter, so images write disjoint cache slices.
-        std::size_t e = static_cast<std::size_t>(i) * nch * oh * ow;
+        Rng *rng = noisy ? &noise_rngs[i] : nullptr;
+        // The PSF transfer of every pixel of this image, computed once
+        // and read by all nch kernels: the linear model in Hard mode
+        // (vin itself), the LUT mean and disturbance sigma of vin in
+        // Noisy mode.
+        Arena::Scope image_scope;
+        const float *xi = x.data() + static_cast<std::size_t>(i) * in_sz;
+        Arena &worker_arena = Arena::local();
+        double *vin_mean = worker_arena.allocArray<double>(in_sz);
+        double *vin_sigma =
+            noisy ? worker_arena.allocArray<double>(in_sz) : nullptr;
+        for (std::size_t p = 0; p < in_sz; ++p) {
+            const double vpix =
+                _sensor.digitalToVoltage(static_cast<double>(xi[p]));
+            if (noisy) {
+                vin_mean[p] = _noiseModel.psf.meanTransfer(vpix);
+                vin_sigma[p] = _noiseModel.psf.sigma(vpix);
+            } else {
+                vin_mean[p] = psf.linearModel(vpix);
+            }
+        }
         for (int kch = 0; kch < nch; ++kch) {
+            const TapCode *code = codes + kch * kTaps;
+            // Element index derived from the loop indices, not a
+            // running counter, so images write disjoint cache slices.
+            std::size_t e = (static_cast<std::size_t>(i) * nch + kch) * ohow;
             for (int by = 0; by < oh; ++by) {
                 for (int bx = 0; bx < ow; ++bx, ++e) {
+                    const std::size_t block =
+                        static_cast<std::size_t>(2 * by) * w + 2 * bx;
                     double v_plus = vcm, v_minus = vcm;
-                    for (int t = 0; t < 16; ++t) {
-                        const Tap &tap = taps[static_cast<std::size_t>(t)];
-                        const float w_tap =
-                            _weight.value.at(kch, tap.channel, tap.py,
-                                             tap.px) * tap.factor;
-                        int mag = roundToInt(
-                            std::abs(w_tap) / wscale * steps);
-                        mag = std::clamp(mag, 0, steps);
-                        const bool neg = w_tap < 0.0f;
-                        const double cap = unit * mag;
-
-                        const double x_val =
-                            x.at(i, tap.channel, 2 * by + tap.py,
-                                 2 * bx + tap.px);
-                        const double vpix =
-                            _sensor.digitalToVoltage(x_val);
-                        double vin;
-                        if (noisy) {
-                            vin = rng->gaussian(
-                                _noiseModel.psf.meanTransfer(vpix),
-                                _noiseModel.psf.sigma(vpix));
-                        } else {
-                            vin = psf.linearModel(vpix);
-                        }
-
-                        double &rail = neg ? v_minus : v_plus;
+                    for (int t = 0; t < kTaps; ++t) {
+                        const TapCode &c = code[t];
+                        const std::size_t px = block + tap_off[t];
+                        const double vin =
+                            noisy
+                                ? rng->gaussian(vin_mean[px], vin_sigma[px])
+                                : vin_mean[px];
+                        double &rail = c.neg ? v_minus : v_plus;
                         if (cache) {
-                            _stepVin[e * 16 + t] =
+                            _stepVin[e * kTaps + t] =
                                 static_cast<float>(vin);
-                            _stepVprev[e * 16 + t] =
+                            _stepVprev[e * kTaps + t] =
                                 static_cast<float>(rail);
-                            _stepCap[e * 16 + t] =
-                                static_cast<float>(cap);
                         }
-                        if (mag > 0) {
+                        if (c.mag > 0) {
                             double next = ScMultiplier::idealStep(
-                                _circuit, rail, vin, cap);
+                                _circuit, rail, vin, c.cap);
                             if (noisy) {
                                 // Fine-grained eps(V_in, code) surface
                                 // when extracted; per-code mean
                                 // otherwise (Sec. 5.3, item 2).
+                                const auto mag =
+                                    static_cast<std::size_t>(c.mag);
                                 const double eps_mean =
                                     _noiseModel.scm.epsSurface.empty()
-                                        ? _noiseModel.scm.epsMean[
-                                              static_cast<std::size_t>(
-                                                  mag)]
+                                        ? _noiseModel.scm.epsMean[mag]
                                         : _noiseModel.scm.epsSurface(
-                                              vin, mag);
+                                              vin, c.mag);
                                 next -= rng->gaussian(
                                     eps_mean,
-                                    _noiseModel.scm.epsSigma[
-                                        static_cast<std::size_t>(mag)]);
+                                    _noiseModel.scm.epsSigma[mag]);
                             }
                             rail = next;
                         }
@@ -381,11 +447,10 @@ LecaEncoder::forwardHard(const Tensor &x, Mode mode, bool noisy)
                         diff += rng->gaussian(
                             0.0, _noiseModel.adcOffsetSigma);
                     }
-                    const int code = quantizeCode(
+                    const int q = quantizeCode(
                         static_cast<float>(diff), -fs, fs, levels);
-                    features.at(i, kch, by, bx) =
-                        2.0f * static_cast<float>(code)
-                        / static_cast<float>(levels - 1) - 1.0f;
+                    feat[e] = 2.0f * static_cast<float>(q)
+                              / static_cast<float>(levels - 1) - 1.0f;
                     if (cache)
                         _diff[e] = static_cast<float>(diff);
                 }
@@ -396,6 +461,7 @@ LecaEncoder::forwardHard(const Tensor &x, Mode mode, bool noisy)
     return features;
 }
 
+// leca-analyze: entry
 Tensor
 LecaEncoder::backwardHard(const Tensor &grad_out)
 {
@@ -403,108 +469,99 @@ LecaEncoder::backwardHard(const Tensor &grad_out)
     const int n = _inShape[0];
     const int oh = _inShape[2] / 2, ow = _inShape[3] / 2;
     const int nch = _config.nch;
-    const int steps = _circuit.dacSteps();
-    const float wscale = _weightScale;
-    const double unit = _circuit.unitCapFf();
+    LECA_CHECK(grad_out.dim() == 4 && grad_out.size(0) == n
+                   && grad_out.size(1) == nch && grad_out.size(2) == oh
+                   && grad_out.size(3) == ow,
+               "hard encoder grad shape ",
+               detail::formatShape(grad_out.shape()));
     const double cout = _circuit.cOutFf;
     const double vcm = _circuit.vCm;
     const float fs = std::max(_outScale.value[0], 0.02f);
     const double fvf_gain = _circuit.fvf.gain;
     const auto &taps = rawTaps();
 
+    const std::size_t ohow = static_cast<std::size_t>(oh) * ow;
     const std::size_t elems = _diff.size();
-    // Per-element gradient contributions, computed in parallel and
-    // folded serially below in exactly the order the serial loop used
-    // (ascending element, descending tap), so the accumulated weight
-    // and scale gradients stay bit-identical at every thread count.
-    std::vector<float> tap_grads(elems * 16, 0.0f);
-    std::vector<double> fs_grads(elems, 0.0);
+    const float *go = grad_out.data();
+    float *gw = _weight.grad.data();
 
-    parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-    for (int i = static_cast<int>(n0); i < n1; ++i) {
-        std::size_t e = static_cast<std::size_t>(i) * nch * oh * ow;
-        for (int kch = 0; kch < nch; ++kch) {
-            for (int by = 0; by < oh; ++by) {
-                for (int bx = 0; bx < ow; ++bx, ++e) {
-                    const float g_feat = grad_out.at(i, kch, by, bx);
-                    if (g_feat == 0.0f)
-                        continue;
-                    const double diff = _diff[e];
-                    if (diff < -fs || diff > fs)
-                        continue; // clipped STE region
-                    // feature ~= diff / fs under the STE.
-                    const double g_diff = g_feat / fs;
-                    fs_grads[e] = g_feat * (-diff / (fs * fs));
+    Arena &arena = Arena::local();
+    Arena::Scope scope;
+    TapCode *codes = arena.allocArray<TapCode>(
+        static_cast<std::size_t>(nch) * kTaps);
+    tapCodesInto(codes);
+    // Per-element output-scale gradients, summed serially below in
+    // ascending element order.
+    double *fs_grads = arena.allocArray<double>(elems);
+    // One kernel per task: a kernel's weight gradients accumulate only
+    // from its own elements, in ascending element then descending tap
+    // order — the serial loop's order — so the accumulated weight and
+    // scale gradients are bit-identical at every thread count.
+    parallelFor(0, nch, 1, [&](std::int64_t k0, std::int64_t k1) {
+    for (int kch = static_cast<int>(k0); kch < k1; ++kch) {
+        const TapCode *code = codes + kch * kTaps;
+        for (int i = 0; i < n; ++i) {
+            const std::size_t e0 =
+                (static_cast<std::size_t>(i) * nch + kch) * ohow;
+            for (std::size_t e = e0; e < e0 + ohow; ++e) {
+                fs_grads[e] = 0.0;
+                const float g_feat = go[e];
+                if (g_feat == 0.0f)
+                    continue;
+                const double diff = _diff[e];
+                if (diff < -fs || diff > fs)
+                    continue; // clipped STE region
+                // feature ~= diff / fs under the STE.
+                const double g_diff = g_feat / fs;
+                fs_grads[e] = g_feat * (-diff / (fs * fs));
 
-                    double g_plus = g_diff * fvf_gain;
-                    double g_minus = -g_diff * fvf_gain;
+                double g_plus = g_diff * fvf_gain;
+                double g_minus = -g_diff * fvf_gain;
 
-                    // Reverse the 16-step recurrence.
-                    for (int t = 15; t >= 0; --t) {
-                        const Tap &tap =
-                            taps[static_cast<std::size_t>(t)];
-                        const float w_rgb = _weight.value.at(
-                            kch, tap.channel, tap.py, tap.px);
-                        const float w_tap = w_rgb * tap.factor;
-                        const bool neg = w_tap < 0.0f;
-                        double &g_rail = neg ? g_minus : g_plus;
-                        const double cap = _stepCap[e * 16 + t];
-                        const double vin = _stepVin[e * 16 + t];
-                        const double v_prev = _stepVprev[e * 16 + t];
+                // Reverse the 16-step recurrence. The step state is
+                // read back as the float the forward cached, the
+                // capacitance likewise.
+                for (int t = kTaps - 1; t >= 0; --t) {
+                    const TapCode &c = code[t];
+                    double &g_rail = c.neg ? g_minus : g_plus;
+                    const double cap = static_cast<float>(c.cap);
+                    const double vin = _stepVin[e * kTaps + t];
+                    const double v_prev = _stepVprev[e * kTaps + t];
 
-                        double g_cap;
-                        if (cap > 0.0) {
-                            const double denom = cout + cap;
-                            const double v_after =
-                                (cap * (2.0 * vcm - vin)
-                                 + cout * v_prev) / denom;
-                            g_cap = g_rail
-                                    * ((2.0 * vcm - vin) - v_after)
-                                    / denom;
-                            g_rail = g_rail * cout / denom;
-                        } else {
-                            // STE through the zero code: gradient of
-                            // the limit cap -> 0+ keeps dead taps
-                            // trainable.
-                            g_cap = g_rail
-                                    * ((2.0 * vcm - vin) - v_prev)
-                                    / cout;
-                        }
-                        // cap = unit * round(|w_tap|/wscale * steps);
-                        // STE over the rounding.
-                        const double dcap_dwtap =
-                            (neg ? -1.0 : 1.0) * unit * steps / wscale;
-                        const double g_wtap = g_cap * dcap_dwtap;
-                        tap_grads[e * 16 + static_cast<std::size_t>(t)] =
-                            static_cast<float>(g_wtap * tap.factor);
+                    double g_cap;
+                    if (cap > 0.0) {
+                        const double denom = cout + cap;
+                        const double v_after =
+                            (cap * (2.0 * vcm - vin) + cout * v_prev)
+                            / denom;
+                        g_cap = g_rail * ((2.0 * vcm - vin) - v_after)
+                                / denom;
+                        g_rail = g_rail * cout / denom;
+                    } else {
+                        // STE through the zero code: gradient of the
+                        // limit cap -> 0+ keeps dead taps trainable.
+                        g_cap = g_rail * ((2.0 * vcm - vin) - v_prev)
+                                / cout;
                     }
+                    const float g = static_cast<float>(
+                        g_cap * c.dcapDw
+                        * taps[static_cast<std::size_t>(t)].factor);
+                    if (g != 0.0f)
+                        gw[c.wIndex] += g;
                 }
             }
         }
     }
     });
 
-    // Serial fold in the serial loop's accumulation order.
     double g_fs_total = 0.0;
-    for (std::size_t e = 0; e < elems; ++e) {
+    for (std::size_t e = 0; e < elems; ++e)
         g_fs_total += fs_grads[e];
-        const int kch = static_cast<int>(e / (static_cast<std::size_t>(oh)
-                                              * ow))
-                        % nch;
-        for (int t = 15; t >= 0; --t) {
-            const float g = tap_grads[e * 16 + static_cast<std::size_t>(t)];
-            if (g == 0.0f)
-                continue;
-            const Tap &tap = taps[static_cast<std::size_t>(t)];
-            _weight.grad.at(kch, tap.channel, tap.py, tap.px) += g;
-        }
-    }
     _outScale.grad[0] += static_cast<float>(g_fs_total);
 
     _diff.clear();
     _stepVin.clear();
     _stepVprev.clear();
-    _stepCap.clear();
     return Tensor(_inShape);
 }
 

@@ -115,7 +115,6 @@ class LecaEncoder : public Layer
     // ---- Hard/Noisy-mode cache (per output element, 16 steps) ----
     std::vector<float> _stepVin;   //!< PSF output per step
     std::vector<float> _stepVprev; //!< rail value before the step
-    std::vector<float> _stepCap;   //!< effective capacitance (fF)
     std::vector<float> _diff;      //!< FVF differential per element
 
     Tensor forwardSoft(const Tensor &x, Mode mode);
@@ -131,6 +130,12 @@ class LecaEncoder : public Layer
         float factor;  //!< 1 for R/B, 0.5 for the duplicated G
     };
     static const std::array<Tap, 16> &rawTaps();
+
+    /** Per-(kernel, tap) cap-DAC setting; see encoder.cc. */
+    struct TapCode;
+
+    /** Fill @p codes ([Nch][16]) from the current weights. */
+    void tapCodesInto(TapCode *codes) const;
 };
 
 } // namespace leca

@@ -34,6 +34,7 @@ BatchNorm2d::forward(const Tensor &x, Mode mode)
     if (mode == Mode::Train && _refresh)
         ++_refreshCount;
     if (mode == Mode::Train) {
+        _fwdFrozen = frozen();
         _xhat = Tensor(x.shape());
         _batchStd.assign(static_cast<std::size_t>(c), 0.0f);
         // Channels are independent (stats, running buffers, outputs all
@@ -110,6 +111,8 @@ Tensor
 BatchNorm2d::backward(const Tensor &grad_out)
 {
     LECA_CHECK(_xhat.numel() > 0, "BatchNorm2d backward without forward");
+    LECA_CHECK(frozen() == _fwdFrozen, "BatchNorm2d frozen state changed "
+                                       "between forward and backward");
     LECA_CHECK_SAME_SHAPE(grad_out, _xhat);
     const int n = grad_out.size(0), c = grad_out.size(1);
     const int h = grad_out.size(2), w = grad_out.size(3);
@@ -132,10 +135,12 @@ BatchNorm2d::backward(const Tensor &grad_out)
                 sum_dy_xhat += static_cast<double>(dy[p]) * xh[p];
             }
         }
-        _gamma.grad[static_cast<std::size_t>(ch)] +=
-            static_cast<float>(sum_dy_xhat);
-        _beta.grad[static_cast<std::size_t>(ch)] +=
-            static_cast<float>(sum_dy);
+        if (!_fwdFrozen) {
+            _gamma.grad[static_cast<std::size_t>(ch)] +=
+                static_cast<float>(sum_dy_xhat);
+            _beta.grad[static_cast<std::size_t>(ch)] +=
+                static_cast<float>(sum_dy);
+        }
 
         const float mean_dy = static_cast<float>(sum_dy / count);
         const float mean_dy_xhat = static_cast<float>(sum_dy_xhat / count);

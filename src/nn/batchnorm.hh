@@ -14,7 +14,8 @@ namespace leca {
 
 /**
  * BatchNorm2d with learnable affine (gamma, beta) and running statistics
- * for evaluation mode.
+ * for evaluation mode. A layer whose Params were both frozen at its
+ * Train forward computes dX only and leaves gamma/beta grads untouched.
  */
 class BatchNorm2d : public Layer
 {
@@ -61,6 +62,9 @@ class BatchNorm2d : public Layer
     // Forward cache (training mode).
     Tensor _xhat;
     std::vector<float> _batchStd; // per-channel sqrt(var + eps)
+    bool _fwdFrozen = false;      // both Params frozen at the forward
+
+    bool frozen() const { return _gamma.frozen && _beta.frozen; }
 };
 
 } // namespace leca

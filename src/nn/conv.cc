@@ -67,16 +67,24 @@ Conv2d::forward(const Tensor &x, Mode mode)
             conv2dImageInto(x, i, wmat, _hasBias ? _bias.value : no_bias,
                             _k, _k, _stride, _pad, y);
     });
-    if (mode == Mode::Train)
-        _input = x;
+    if (mode == Mode::Train) {
+        _inN = n;
+        _inH = h;
+        _inW = w;
+        _fwdFrozen = frozen();
+        if (!_fwdFrozen)
+            _input = x;
+    }
     return y;
 }
 
 Tensor
 Conv2d::backward(const Tensor &grad_out)
 {
-    LECA_CHECK(_input.numel() > 0, "Conv2d backward without cached forward");
-    const int n = _input.size(0), h = _input.size(2), w = _input.size(3);
+    LECA_CHECK(_inN > 0, "Conv2d backward without cached forward");
+    LECA_CHECK(frozen() == _fwdFrozen,
+               "Conv2d frozen state changed between forward and backward");
+    const int n = _inN, h = _inH, w = _inW;
     const int oh = grad_out.size(2), ow = grad_out.size(3);
     LECA_CHECK(grad_out.size(0) == n && grad_out.size(1) == _cout,
                "Conv2d grad shape ", detail::formatShape(grad_out.shape()),
@@ -91,8 +99,7 @@ Conv2d::backward(const Tensor &grad_out)
     const int grows = kdim + (_hasBias ? 1 : 0);
     const std::int64_t ohow = static_cast<std::int64_t>(oh) * ow;
     const std::size_t in_sz = static_cast<std::size_t>(_cin) * h * w;
-    const Tensor wmat = _weight.value.reshape({_cout, kdim});
-    Tensor dwmat({_cout, kdim});
+    const float *wmat = _weight.value.data(); // [cout, kdim] row-major
     Tensor dx({n, _cin, h, w});
 
     // Per-image gradient partials live in one arena slab owned by the
@@ -101,47 +108,58 @@ Conv2d::backward(const Tensor &grad_out)
     // the float summation order matches the serial loop bit for bit,
     // and nothing in this pass touches the heap.
     Arena::Scope scope;
-    float *partials = Arena::local().alloc(
-        static_cast<std::size_t>(n) * _cout * grows);
+    float *partials = nullptr;
+    if (!_fwdFrozen)
+        partials = Arena::local().alloc(
+            static_cast<std::size_t>(n) * _cout * grows);
     parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
         for (int i = static_cast<int>(n0); i < n1; ++i) {
             const float *dy =
                 grad_out.data() + static_cast<std::size_t>(i) * _cout * ohow;
-            float *dw = partials
-                        + static_cast<std::size_t>(i) * _cout * grows;
             Arena::Scope image_scope;
-            // Recompute this image's column matrix into arena scratch.
-            float *cols = Arena::local().alloc(
-                static_cast<std::size_t>(grows) * ohow);
-            im2colRaw(_input.data() + static_cast<std::size_t>(i) * in_sz,
-                      _cin, h, w, _k, _k, _stride, _pad, cols);
-            if (_hasBias) {
-                float *ones = cols + static_cast<std::size_t>(kdim) * ohow;
-                for (std::int64_t p = 0; p < ohow; ++p)
-                    ones[p] = 1.0f;
+            if (!_fwdFrozen) {
+                float *dw = partials
+                            + static_cast<std::size_t>(i) * _cout * grows;
+                // Recompute this image's column matrix into arena
+                // scratch.
+                float *cols = Arena::local().alloc(
+                    static_cast<std::size_t>(grows) * ohow);
+                im2colRaw(
+                    _input.data() + static_cast<std::size_t>(i) * in_sz,
+                    _cin, h, w, _k, _k, _stride, _pad, cols);
+                if (_hasBias) {
+                    float *ones =
+                        cols + static_cast<std::size_t>(kdim) * ohow;
+                    for (std::int64_t p = 0; p < ohow; ++p)
+                        ones[p] = 1.0f;
+                }
+                // dW_i^T (with db_i fused as the last row) = cols * dY^T.
+                // Same operand pairs and the same ascending-p fma chain
+                // per element as dY * cols^T — bit-identical — but this
+                // orientation packs the big column matrix along its
+                // storage rows instead of transposing it, and only the
+                // small dY block goes through the transpose pack.
+                gemmBlocked(grows, _cout, ohow, cols, ohow, false, dy, ohow,
+                            true, dw, _cout, false);
             }
-            // dW_i^T (with db_i fused as the last row) = cols * dY^T.
-            // Same operand pairs and the same ascending-p fma chain per
-            // element as dY * cols^T — bit-identical — but this
-            // orientation packs the big column matrix along its storage
-            // rows instead of transposing it, and only the small dY
-            // block goes through the transpose pack.
-            gemmBlocked(grows, _cout, ohow, cols, ohow, false, dy, ohow,
-                        true, dw, _cout, false);
             // dX = col2im(W^T * dY); images write disjoint slabs, and
             // col2imRaw accumulates straight into the zero-initialised
             // dx slab.
             float *dcols = Arena::local().alloc(
                 static_cast<std::size_t>(kdim) * ohow);
-            gemmBlocked(kdim, ohow, _cout, wmat.data(), kdim, true, dy,
-                        ohow, false, dcols, ohow, false);
+            gemmBlocked(kdim, ohow, _cout, wmat, kdim, true, dy, ohow,
+                        false, dcols, ohow, false);
             col2imRaw(dcols, _cin, h, w, _k, _k, _stride, _pad,
                       dx.data() + static_cast<std::size_t>(i) * in_sz);
         }
     });
+    _inN = 0;
+    if (_fwdFrozen)
+        return dx;
     // Each image's partial is stored transposed ([grows, cout]); the
     // fold still adds one value per (co, q) element per image in
     // ascending image order, so the summation chains are unchanged.
+    Tensor dwmat({_cout, kdim});
     float *dwp = dwmat.data();
     for (int i = 0; i < n; ++i) {
         const float *dw =

@@ -22,7 +22,9 @@ namespace leca {
  * im2col per image and produces dW = dY * cols^T (with db fused as the
  * trailing GEMM column), and dX via col2im of W^T * dY — all scratch
  * and gradient partials live in the thread-local Arena, so a warm
- * train step performs zero heap allocation inside this layer.
+ * train step performs zero heap allocation inside this layer. A layer
+ * whose Params were all frozen at its Train forward skips the dW half
+ * (im2col, GEMM, fold) and computes dX only.
  */
 class Conv2d : public Layer
 {
@@ -92,9 +94,19 @@ class Conv2d : public Layer
     QuantTensor _qweightHwc; //!< resident layout; see prepareResident
     Tensor _dqweight; //!< fp32 execution copy; see preparePlainFp32
 
-    // Forward cache: the input itself (K*K smaller than the column
-    // matrices the backward pass recomputes from it).
+    // Train-forward record: the input extents (_inN == 0 when no
+    // backward is pending), whether every Param was frozen, and — only
+    // when not — the input itself (K*K smaller than the column matrices
+    // the dW pass recomputes from it; dX needs only dY and W).
+    int _inN = 0, _inH = 0, _inW = 0;
+    bool _fwdFrozen = false;
     Tensor _input;
+
+    bool
+    frozen() const
+    {
+        return _weight.frozen && (!_hasBias || _bias.frozen);
+    }
 };
 
 } // namespace leca

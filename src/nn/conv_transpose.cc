@@ -59,27 +59,34 @@ ConvTranspose2d::forward(const Tensor &x, Mode mode)
                 }
         }
     });
-    if (mode == Mode::Train)
-        _input = x;
+    if (mode == Mode::Train) {
+        _inN = n;
+        _inH = h;
+        _inW = w;
+        _fwdFrozen = frozen();
+        if (!_fwdFrozen)
+            _input = x;
+    }
     return y;
 }
 
 Tensor
 ConvTranspose2d::backward(const Tensor &grad_out)
 {
-    LECA_CHECK(_input.numel() > 0,
-               "ConvTranspose2d backward without cached forward");
+    LECA_CHECK(_inN > 0, "ConvTranspose2d backward without cached forward");
+    LECA_CHECK(frozen() == _fwdFrozen,
+               "ConvTranspose2d frozen state changed between forward and "
+               "backward");
     LECA_CHECK(grad_out.dim() == 4 && grad_out.size(1) == _cout,
                "ConvTranspose2d grad shape ",
                detail::formatShape(grad_out.shape()));
-    const int n = _input.size(0), h = _input.size(2), w = _input.size(3);
+    const int n = _inN, h = _inH, w = _inW;
     const int oh = grad_out.size(2), ow = grad_out.size(3);
 
     const int krows = _cout * _k * _k;
     const std::int64_t hw = static_cast<std::int64_t>(h) * w;
     const std::int64_t go_sz = static_cast<std::int64_t>(_cout) * oh * ow;
-    const Tensor wmat = _weight.value.reshape({_cin, krows});
-    Tensor dwmat({_cin, krows});
+    const float *wmat = _weight.value.data(); // [cin, krows] row-major
     Tensor dx({n, _cin, h, w});
 
     // Per-image gradient partials (dW, then db when learned) live in
@@ -91,23 +98,26 @@ ConvTranspose2d::backward(const Tensor &grad_out)
     const std::size_t per = wsz + static_cast<std::size_t>(
                                       _hasBias ? _cout : 0);
     Arena::Scope scope;
-    float *partials = Arena::local().alloc(
-        static_cast<std::size_t>(n) * per);
+    float *partials = nullptr;
+    if (!_fwdFrozen)
+        partials = Arena::local().alloc(static_cast<std::size_t>(n) * per);
     parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
         for (int i = static_cast<int>(n0); i < n1; ++i) {
             const float *dy =
                 grad_out.data() + static_cast<std::size_t>(i) * go_sz;
-            float *dw = partials + static_cast<std::size_t>(i) * per;
             Arena::Scope image_scope;
             // dcols = im2col(dY) : [Cout*K*K, H*W]
             float *dcols = Arena::local().alloc(
                 static_cast<std::size_t>(krows) * hw);
             im2colRaw(dy, _cout, oh, ow, _k, _k, _stride, 0, dcols);
             // dX = W * dcols : [Cin, H*W], written straight to its slab.
-            gemmBlocked(_cin, hw, krows, wmat.data(), krows, false, dcols,
-                        hw, false,
+            gemmBlocked(_cin, hw, krows, wmat, krows, false, dcols, hw,
+                        false,
                         dx.data() + static_cast<std::size_t>(i) * _cin * hw,
                         hw, false);
+            if (_fwdFrozen)
+                continue;
+            float *dw = partials + static_cast<std::size_t>(i) * per;
             // dW_i^T = dcols * X^T : [Cout*K*K, Cin]. Same operand
             // pairs and the same ascending-p fma chain per element as
             // X * dcols^T — bit-identical — but this orientation packs
@@ -129,9 +139,13 @@ ConvTranspose2d::backward(const Tensor &grad_out)
             }
         }
     });
+    _inN = 0;
+    if (_fwdFrozen)
+        return dx;
     // Each image's dW partial is stored transposed ([Cout*K*K, Cin]);
     // the fold still adds one value per element per image in ascending
     // image order, so the summation chains are unchanged.
+    Tensor dwmat({_cin, krows});
     float *dwp = dwmat.data();
     for (int i = 0; i < n; ++i) {
         const float *dw = partials + static_cast<std::size_t>(i) * per;

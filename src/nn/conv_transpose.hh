@@ -19,7 +19,8 @@ namespace leca {
  * stride s and no padding: output extent = (in - 1) * s + K.
  *
  * Forward: cols = W^T x  folded with col2im.
- * Backward: dX = W * im2col(dY), dW = X * im2col(dY)^T.
+ * Backward: dX = W * im2col(dY), dW = X * im2col(dY)^T; a layer whose
+ * Params were all frozen at its Train forward computes dX only.
  */
 class ConvTranspose2d : public Layer
 {
@@ -39,7 +40,18 @@ class ConvTranspose2d : public Layer
     Param _weight;
     Param _bias;
 
-    Tensor _input; // cached for dW
+    // Train-forward record: the input extents (_inN == 0 when no
+    // backward is pending), whether every Param was frozen, and — only
+    // when not — the input itself, which only dW reads.
+    int _inN = 0, _inH = 0, _inW = 0;
+    bool _fwdFrozen = false;
+    Tensor _input;
+
+    bool
+    frozen() const
+    {
+        return _weight.frozen && (!_hasBias || _bias.frozen);
+    }
 };
 
 } // namespace leca

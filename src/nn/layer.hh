@@ -53,7 +53,10 @@ class Layer
 
     /**
      * Propagate @p grad_out (dL/d output) backwards, accumulating
-     * parameter gradients and returning dL/d input.
+     * parameter gradients and returning dL/d input. A layer whose
+     * parameters were all frozen at the Train-mode forward returns
+     * dL/d input only and writes no gradient; a freeze() between the
+     * forward and this call is a CheckError.
      */
     virtual Tensor backward(const Tensor &grad_out) = 0;
 

@@ -35,31 +35,39 @@ Linear::forward(const Tensor &x, Mode mode)
     for (int i = 0; i < n; ++i)
         for (int j = 0; j < _out; ++j)
             y.at(i, j) += _bias.value[static_cast<std::size_t>(j)];
-    if (mode == Mode::Train)
-        _input = x;
+    if (mode == Mode::Train) {
+        _inN = n;
+        _fwdFrozen = frozen();
+        if (!_fwdFrozen)
+            _input = x;
+    }
     return y;
 }
 
 Tensor
 Linear::backward(const Tensor &grad_out)
 {
-    LECA_CHECK(_input.numel() > 0, "Linear backward without forward");
+    LECA_CHECK(_inN > 0, "Linear backward without forward");
+    LECA_CHECK(frozen() == _fwdFrozen,
+               "Linear frozen state changed between forward and backward");
     LECA_CHECK(grad_out.dim() == 2 && grad_out.size(1) == _out
-                   && grad_out.size(0) == _input.size(0),
+                   && grad_out.size(0) == _inN,
                "Linear grad shape ", detail::formatShape(grad_out.shape()));
-    // dW = dY^T * X  -> [out, in]
-    _weight.grad += matmulTransA(grad_out, _input);
-    const int n = grad_out.size(0);
-    for (int j = 0; j < _out; ++j) {
-        float acc = 0.0f;
-        for (int i = 0; i < n; ++i)
-            acc += grad_out.at(i, j);
-        _bias.grad[static_cast<std::size_t>(j)] += acc;
+    _inN = 0;
+    if (!_fwdFrozen) {
+        // dW = dY^T * X  -> [out, in]
+        _weight.grad += matmulTransA(grad_out, _input);
+        const int n = grad_out.size(0);
+        for (int j = 0; j < _out; ++j) {
+            float acc = 0.0f;
+            for (int i = 0; i < n; ++i)
+                acc += grad_out.at(i, j);
+            _bias.grad[static_cast<std::size_t>(j)] += acc;
+        }
+        _input = Tensor();
     }
     // dX = dY * W
-    Tensor dx = matmul(grad_out, _weight.value);
-    _input = Tensor();
-    return dx;
+    return matmul(grad_out, _weight.value);
 }
 
 void

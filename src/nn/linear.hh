@@ -12,7 +12,10 @@
 
 namespace leca {
 
-/** y = x W^T + b with x [N, in], W [out, in], b [out]. */
+/**
+ * y = x W^T + b with x [N, in], W [out, in], b [out]. A layer whose
+ * Params were all frozen at its Train forward computes dX only.
+ */
 class Linear : public Layer
 {
   public:
@@ -32,7 +35,15 @@ class Linear : public Layer
     Param _weight;
     Param _bias;
     QuantTensor _qweight; //!< int8 weights; empty until quantizeWeights
+
+    // Train-forward record: the batch size (_inN == 0 when no backward
+    // is pending), whether every Param was frozen, and — only when not
+    // — the input itself, which only dW reads.
+    int _inN = 0;
+    bool _fwdFrozen = false;
     Tensor _input;
+
+    bool frozen() const { return _weight.frozen && _bias.frozen; }
 };
 
 } // namespace leca

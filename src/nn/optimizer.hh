@@ -3,9 +3,11 @@
  * Optimizers. The paper trains LeCA with Adam (Sec. 5.2); SGD with
  * momentum is used for backbone pre-training.
  *
- * Both honour Param::frozen: frozen parameters receive gradients during
- * backpropagation (so upstream layers can learn) but are never updated,
- * exactly reproducing the paper's frozen-backbone joint training.
+ * Both honour Param::frozen: frozen parameters are never updated. Their
+ * layers still pass gradients through to upstream layers (so those can
+ * learn) but compute no gradient for the frozen parameters themselves
+ * (nn/param.hh), exactly reproducing the paper's frozen-backbone joint
+ * training.
  */
 
 #ifndef LECA_NN_OPTIMIZER_HH

@@ -14,10 +14,14 @@ namespace leca {
 /**
  * A learnable tensor with its gradient.
  *
- * `frozen` reproduces the paper's frozen-backbone training: gradients
- * still flow *through* the parameter's layer during backpropagation, but
- * optimizers skip the update (Sec. 3.4, "Joint training with backbone
- * DNN").
+ * `frozen` reproduces the paper's frozen-backbone training (Sec. 3.4,
+ * "Joint training with backbone DNN"): gradients still flow *through*
+ * the parameter's layer to the layers before it, but a frozen
+ * parameter's own gradient is never computed — a layer whose Params
+ * are all frozen at its Train-mode forward computes dL/d input only
+ * and leaves every `grad` untouched — and optimizers skip its update.
+ * Change `frozen` between train steps, not between a forward and its
+ * backward (the backward throws CheckError).
  */
 struct Param
 {

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
+#include "util/arena.hh"
 #include "util/parallel.hh"
 
 namespace leca {
@@ -28,11 +28,13 @@ PixelNoiseModel::apply(const Tensor &image, Rng &rng) const
     const std::int64_t rows = image.dim() >= 1 ? image.size(0) : 1;
     const std::size_t per_row =
         image.numel() / static_cast<std::size_t>(rows);
-    std::vector<Rng> row_rngs =
-        Rng::split(rng, static_cast<std::size_t>(rows));
+    Arena::Scope scope;
+    Rng *row_rngs =
+        Arena::local().allocArray<Rng>(static_cast<std::size_t>(rows));
+    Rng::splitInto(rng, row_rngs, static_cast<std::size_t>(rows));
     parallelFor(0, rows, 1, [&](std::int64_t r0, std::int64_t r1) {
         for (std::int64_t r = r0; r < r1; ++r) {
-            Rng &row_rng = row_rngs[static_cast<std::size_t>(r)];
+            Rng &row_rng = row_rngs[r];
             const std::size_t base = static_cast<std::size_t>(r) * per_row;
             for (std::size_t i = 0; i < per_row; ++i)
                 out[base + i] = sampleIntensity(image[base + i], row_rng);

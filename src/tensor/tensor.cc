@@ -82,12 +82,13 @@ class BufferPool
     }
 
     /**
-     * Best-fit buffer with capacity >= n (moved out of the pool), or
-     * an empty vector when nothing fits — the caller's assign/resize
-     * then allocates exactly as it would have without the pool.
+     * Move the best-fit buffer with capacity >= n out of the pool into
+     * @p out (freeing what @p out held); leaves @p out alone when
+     * nothing fits — the caller's assign then allocates exactly as it
+     * would have without the pool.
      */
-    std::vector<T>
-    acquire(std::size_t n)
+    void
+    acquireInto(std::vector<T> &out, std::size_t n)
     {
         std::size_t best = _count;
         for (std::size_t i = 0; i < _count; ++i) {
@@ -98,11 +99,10 @@ class BufferPool
                 best = i;
         }
         if (best == _count)
-            return {};
-        std::vector<T> out = std::move(_slots[best]);
-        _totalElems -= out.capacity();
+            return;
+        _totalElems -= _slots[best].capacity();
+        out = std::move(_slots[best]);
         _slots[best] = std::move(_slots[--_count]);
-        return out;
     }
 
     /** Donate a buffer; drops it (normal free) when the pool is full
@@ -155,11 +155,8 @@ void
 pooledAssign(std::vector<T> &out, std::size_t n, T value)
 {
     if (poolEnabled() && out.capacity() < n) {
-        if (BufferPool<T> *pool = localPool<T>()) {
-            std::vector<T> buffer = pool->acquire(n);
-            if (buffer.capacity() >= n)
-                out = std::move(buffer);
-        }
+        if (BufferPool<T> *pool = localPool<T>())
+            pool->acquireInto(out, n);
     }
     out.assign(n, value);
 }
@@ -171,11 +168,8 @@ pooledCopy(std::vector<T> &out, const T *first, const T *last)
 {
     const std::size_t n = static_cast<std::size_t>(last - first);
     if (poolEnabled() && out.capacity() < n) {
-        if (BufferPool<T> *pool = localPool<T>()) {
-            std::vector<T> buffer = pool->acquire(n);
-            if (buffer.capacity() >= n)
-                out = std::move(buffer);
-        }
+        if (BufferPool<T> *pool = localPool<T>())
+            pool->acquireInto(out, n);
     }
     out.assign(first, last);
 }

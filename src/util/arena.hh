@@ -32,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 namespace leca {
@@ -58,6 +59,22 @@ class Arena
     void *allocBytes(std::size_t bytes)
     {
         return alloc((bytes + sizeof(float) - 1) / sizeof(float));
+    }
+
+    /**
+     * Typed view of allocBytes() for trivially copyable scratch
+     * (double tables, pre-split Rng streams): room for @p n objects,
+     * uninitialised, 64-byte aligned, same lifetime rules.
+     */
+    template <typename T>
+    T *
+    allocArray(std::size_t n)
+    {
+        static_assert(std::is_trivially_copyable_v<T>
+                          && alignof(T) <= 16 * sizeof(float),
+                      "arena scratch holds aligned trivially copyable "
+                      "objects");
+        return static_cast<T *>(allocBytes(n * sizeof(T)));
     }
 
     /** Floats currently handed out (rounded sizes). */

@@ -1,6 +1,7 @@
 #include "rng.hh"
 
 #include <cmath>
+#include <memory>
 
 namespace leca {
 
@@ -125,6 +126,13 @@ Rng::split(Rng &parent, std::size_t count)
     for (std::size_t i = 0; i < count; ++i)
         streams.push_back(parent.fork());
     return streams;
+}
+
+void
+Rng::splitInto(Rng &parent, Rng *out, std::size_t count)
+{
+    for (std::size_t i = 0; i < count; ++i)
+        std::construct_at(out + i, parent.fork());
 }
 
 } // namespace leca

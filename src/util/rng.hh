@@ -69,6 +69,13 @@ class Rng
      */
     static std::vector<Rng> split(Rng &parent, std::size_t count);
 
+    /**
+     * split() into caller-owned storage: constructs the same @p count
+     * child streams at @p out, uninitialised room for @p count Rng
+     * objects (e.g. Arena::allocArray<Rng>), without touching the heap.
+     */
+    static void splitInto(Rng &parent, Rng *out, std::size_t count);
+
   private:
     std::array<std::uint64_t, 4> _state;
     double _cachedGaussian = 0.0;

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "core/decoder.hh"
 #include "core/encoder.hh"
@@ -397,6 +399,71 @@ TEST_F(PipelineTest, UnfreezeBackboneAblation)
     opts.batchSize = 16;
     trainer.train(_train, _val, opts);
     EXPECT_NE(bb_param->value[0], before);
+}
+
+/** Every grad of @p params, concatenated. */
+std::vector<float>
+gradsOf(const std::vector<Param *> &params)
+{
+    std::vector<float> out;
+    for (const Param *p : params)
+        out.insert(out.end(), p->grad.data(),
+                   p->grad.data() + p->grad.numel());
+    return out;
+}
+
+TEST(PipelineFrozen, BackboneFreezeLeavesEncoderDecoderGradsUnchanged)
+{
+    // A frozen backbone computes dX only; the encoder and decoder
+    // gradients that flow through it are bit-identical to the same step
+    // with the backbone unfrozen, and no backbone grad is written.
+    SyntheticVision::Config dcfg;
+    dcfg.resolution = 16;
+    dcfg.numClasses = 4;
+    dcfg.seed = 5;
+    const Dataset batch = SyntheticVision(dcfg).generate(6, 1);
+    for (EncoderModality m : {EncoderModality::Soft, EncoderModality::Hard}) {
+        Rng rng(3);
+        LecaPipeline::Options options;
+        options.leca = tinyConfig(4, 3.0);
+        options.seed = 21;
+        LecaPipeline pipe(options,
+                          makeBackbone(BackboneStyle::Proxy, 3, 4, rng));
+        pipe.setModality(m);
+        std::vector<Param *> trained = pipe.encoder().params();
+        for (Param *p : pipe.decoder().params())
+            trained.push_back(p);
+        SoftmaxCrossEntropy loss;
+        const auto step = [&] {
+            for (Param *p : pipe.allParams())
+                p->zeroGrad();
+            const Tensor logits = pipe.forward(batch.images, Mode::Train);
+            loss.forward(logits, batch.labels);
+            pipe.backward(loss.backward());
+        };
+
+        step(); // the backbone is frozen on construction
+        const std::vector<float> frozen = gradsOf(trained);
+        const std::vector<float> bb = gradsOf(pipe.backbone().params());
+        const std::vector<float> zeros(bb.size(), 0.0f);
+        EXPECT_EQ(std::memcmp(bb.data(), zeros.data(),
+                              bb.size() * sizeof(float)),
+                  0)
+            << "a frozen backbone grad was written";
+        pipe.setBackboneFrozen(false);
+        step();
+        const std::vector<float> live = gradsOf(trained);
+
+        ASSERT_EQ(frozen.size(), live.size());
+        EXPECT_EQ(std::memcmp(frozen.data(), live.data(),
+                              live.size() * sizeof(float)),
+                  0)
+            << "modality " << static_cast<int>(m);
+        bool any_backbone_grad = false;
+        for (float g : gradsOf(pipe.backbone().params()))
+            any_backbone_grad = any_backbone_grad || g != 0.0f;
+        EXPECT_TRUE(any_backbone_grad);
+    }
 }
 
 TEST(EncoderScale, ModalitySwitchReseedsScale)

@@ -1,13 +1,17 @@
 /**
  * @file
  * Behavioural tests for the nn framework: layer semantics, optimizer
- * updates, frozen parameters, quantizer levels, and a tiny end-to-end
- * training run that must fit a toy problem.
+ * updates, frozen parameters (a frozen layer's backward is dX only),
+ * quantizer levels, and a tiny end-to-end training run that must fit a
+ * toy problem.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <memory>
 
 #include "nn/activation.hh"
 #include "nn/batchnorm.hh"
@@ -20,6 +24,7 @@
 #include "nn/quantize.hh"
 #include "nn/sequential.hh"
 #include "tensor/ops.hh"
+#include "util/check.hh"
 #include "util/rng.hh"
 
 namespace leca {
@@ -287,6 +292,95 @@ TEST(Freeze, MarksAllParams)
     seq.freeze(false);
     for (Param *p : seq.params())
         EXPECT_FALSE(p->frozen);
+}
+
+/** A fresh layer and an input it accepts. */
+struct FrozenCase
+{
+    const char *name;
+    std::function<LayerPtr(Rng &)> make;
+    std::vector<int> inShape;
+};
+
+std::vector<FrozenCase>
+frozenCases()
+{
+    return {
+        {"Conv2d bias s2 p1", [](Rng &r) -> LayerPtr {
+             return std::make_unique<Conv2d>(3, 5, 3, 2, 1, true, r);
+         }, {2, 3, 7, 7}},
+        {"Conv2d no-bias s2 p1", [](Rng &r) -> LayerPtr {
+             return std::make_unique<Conv2d>(3, 5, 3, 2, 1, false, r);
+         }, {2, 3, 7, 7}},
+        {"ConvTranspose2d", [](Rng &r) -> LayerPtr {
+             return std::make_unique<ConvTranspose2d>(4, 3, 2, 2, true, r);
+         }, {2, 4, 5, 5}},
+        {"Linear", [](Rng &r) -> LayerPtr {
+             return std::make_unique<Linear>(6, 4, r);
+         }, {3, 6}},
+        {"BatchNorm2d", [](Rng &) -> LayerPtr {
+             return std::make_unique<BatchNorm2d>(3);
+         }, {2, 3, 4, 4}},
+        {"ResidualBlock projection", [](Rng &r) -> LayerPtr {
+             return std::make_unique<ResidualBlock>(3, 6, 2, r);
+         }, {2, 3, 8, 8}},
+        {"ResidualBlock identity", [](Rng &r) -> LayerPtr {
+             return std::make_unique<ResidualBlock>(4, 4, 1, r);
+         }, {2, 4, 6, 6}},
+    };
+}
+
+TEST(Freeze, FrozenBackwardIsDxOnly)
+{
+    // A layer whose Params are all frozen returns the unfrozen layer's
+    // dX bit for bit and writes no gradient.
+    for (const FrozenCase &fc : frozenCases()) {
+        Rng init(40);
+        LayerPtr layer = fc.make(init);
+        Rng data(41);
+        const Tensor x = randomTensor(fc.inShape, data);
+        const Tensor dy = randomTensor(layer->forward(x, Mode::Eval).shape(),
+                                       data);
+
+        layer->forward(x, Mode::Train);
+        const Tensor dx_live = layer->backward(dy);
+        for (Param *p : layer->params())
+            p->zeroGrad();
+
+        layer->freeze(true);
+        layer->forward(x, Mode::Train);
+        const Tensor dx_frozen = layer->backward(dy);
+        ASSERT_EQ(dx_frozen.shape(), dx_live.shape()) << fc.name;
+        EXPECT_EQ(std::memcmp(dx_frozen.data(), dx_live.data(),
+                              dx_live.numel() * sizeof(float)),
+                  0)
+            << fc.name << ": frozen dX differs";
+        for (Param *p : layer->params()) {
+            const Tensor zero = Tensor::zeros(p->grad.shape());
+            EXPECT_EQ(std::memcmp(p->grad.data(), zero.data(),
+                                  zero.numel() * sizeof(float)),
+                      0)
+                << fc.name << ": a frozen grad was written";
+        }
+    }
+}
+
+TEST(Freeze, ToggleBetweenForwardAndBackwardThrows)
+{
+    for (const FrozenCase &fc : frozenCases()) {
+        for (bool frozen_at_forward : {false, true}) {
+            Rng init(42);
+            LayerPtr layer = fc.make(init);
+            Rng data(43);
+            const Tensor x = randomTensor(fc.inShape, data);
+            layer->freeze(frozen_at_forward);
+            const Tensor y = layer->forward(x, Mode::Train);
+            layer->freeze(!frozen_at_forward);
+            EXPECT_THROW(layer->backward(randomTensor(y.shape(), data)),
+                         CheckError)
+                << fc.name << " frozen at forward: " << frozen_at_forward;
+        }
+    }
 }
 
 TEST(Training, LinearModelFitsSeparableToy)

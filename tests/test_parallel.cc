@@ -2,8 +2,9 @@
  * @file
  * The deterministic parallel execution context: pool basics (coverage,
  * exceptions, nesting, reconfiguration) and the repo-wide determinism
- * policy — bit-identical logits, gradients, compressed outputs and
- * noisy captures for LECA_THREADS = 1, 2 and 8 on fixed-seed
+ * policy — bit-identical logits, gradients, compressed outputs, noisy
+ * captures and hard/noisy encoder features and gradients for
+ * LECA_THREADS = 1, 2 and 8 (1, 2 and 4 for the encoder) on fixed-seed
  * pipelines (extends the seed-determinism regression from
  * tests/test_check.cc).
  */
@@ -12,11 +13,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
 #include <vector>
 
 #include "compression/compressive_sensing.hh"
 #include "compression/microshift.hh"
+#include "core/encoder.hh"
 #include "data/backbone.hh"
 #include "data/dataset.hh"
 #include "hw/sensor_chip.hh"
@@ -134,11 +137,12 @@ TEST_F(ParallelTest, ReduceMatchesSerialBitwise)
 /** Runs fn under each thread count and asserts identical float output. */
 template <typename Fn>
 void
-expectInvariant(const Fn &fn, const char *what)
+expectInvariant(const Fn &fn, const char *what,
+                std::initializer_list<int> thread_counts = {2, 8})
 {
     setThreadCount(1);
     const std::vector<float> reference = fn();
-    for (int threads : {2, 8}) {
+    for (int threads : thread_counts) {
         setThreadCount(threads);
         const std::vector<float> got = fn();
         ASSERT_EQ(got.size(), reference.size()) << what;
@@ -244,6 +248,38 @@ TEST_F(ParallelTest, NoisyChipCaptureInvariantAcrossThreadCounts)
             chip.encodeFrame(scene, PeMode::RealNoisy, frame_rng, true);
         return toVec(codes);
     }, "noisy chip capture");
+}
+
+TEST_F(ParallelTest, HardAndNoisyEncoderInvariantAcrossThreadCounts)
+{
+    // The circuit-model encoder splits the forward by image (one
+    // pre-split noise stream each) and the backward by kernel; features
+    // and both parameter gradients must not depend on the split.
+    for (EncoderModality m : {EncoderModality::Hard, EncoderModality::Noisy}) {
+        expectInvariant([m] {
+            LecaConfig cfg;
+            cfg.nch = 4;
+            Rng init(7);
+            LecaEncoder enc(cfg, CircuitConfig{}, SensorConfig{}, init);
+            Rng mc(3);
+            enc.setNoiseModel(extractNoiseModel(CircuitConfig{}, 50, mc));
+            Rng noise(5);
+            enc.setNoiseRng(&noise);
+            enc.setModality(m);
+            Tensor x = randomTensor({5, 3, 12, 12}, 31);
+            for (std::size_t i = 0; i < x.numel(); ++i)
+                x[i] = 0.5f + 0.45f * x[i];
+            const Tensor features = enc.forward(x, Mode::Train);
+            enc.backward(randomTensor(features.shape(), 37));
+
+            std::vector<float> out = toVec(features);
+            const std::vector<float> gw = toVec(enc.weight().grad);
+            out.insert(out.end(), gw.begin(), gw.end());
+            out.push_back(enc.outScale().grad[0]);
+            return out;
+        }, m == EncoderModality::Hard ? "hard encoder" : "noisy encoder",
+           {2, 4});
+    }
 }
 
 } // namespace

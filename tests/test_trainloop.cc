@@ -4,7 +4,8 @@
  * (prefetch on/off bit-identity at several thread counts), the
  * recompute-based conv/conv-transpose backward passes against retained
  * naive references, the arena zero-allocation guarantee on warm train
- * steps, and the borrowed-slab evaluation path.
+ * steps (backbone alone and the whole LeCA pipeline in every encoder
+ * modality), and the borrowed-slab evaluation path.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <numeric>
 #include <vector>
 
+#include "core/pipeline.hh"
 #include "data/augment.hh"
 #include "data/backbone.hh"
 #include "data/dataset.hh"
@@ -443,6 +445,51 @@ TEST_F(TrainLoopTest, WarmTrainStepRunsUnderDenyAllocScope)
         step();
     EXPECT_EQ(deny.violations(), 0u)
         << "warm train step allocated on the heap";
+}
+
+TEST_F(TrainLoopTest, WarmPipelineStepRunsUnderDenyAllocScope)
+{
+    // The same contract for a whole LeCA train step against a frozen
+    // backbone, in every encoder modality: the hard/noisy circuit model
+    // keeps its per-call tables and per-image noise streams in arena
+    // scratch, the pixel-noise model likewise.
+    if (!allocGuardEnabled())
+        GTEST_SKIP() << "built without LECA_ALLOC_GUARD";
+    setThreadCount(2);
+    Rng init(3);
+    LecaPipeline::Options options;
+    options.leca.nch = 4;
+    options.leca.decoderDncnnLayers = 1;
+    options.leca.decoderFilters = 8;
+    LecaPipeline pipe(options, makeBackbone(BackboneStyle::Proxy, 3, 3, init));
+    Adam adam(pipe.allParams(), 1e-3);
+    SoftmaxCrossEntropy loss;
+    Tensor x = randomTensor({8, 3, 16, 16}, 47);
+    for (std::size_t i = 0; i < x.numel(); ++i)
+        x[i] = 0.5f + 0.4f * x[i];
+    const std::vector<int> labels = {0, 1, 2, 0, 1, 2, 0, 1};
+
+    for (EncoderModality m :
+         {EncoderModality::Soft, EncoderModality::Hard,
+          EncoderModality::Noisy}) {
+        pipe.setModality(m);
+        const auto step = [&] {
+            adam.zeroGrad();
+            const Tensor logits = pipe.forward(x, Mode::Train);
+            loss.forward(logits, labels);
+            pipe.backward(loss.backward());
+            adam.step();
+        };
+        for (int i = 0; i < 3; ++i)
+            step();
+        warmPoolArenas();
+        DenyAllocScope deny;
+        for (int i = 0; i < 3; ++i)
+            step();
+        EXPECT_EQ(deny.violations(), 0u)
+            << "warm modality " << static_cast<int>(m)
+            << " pipeline step allocated on the heap";
+    }
 }
 
 // ---------------------------------------------------------------------
