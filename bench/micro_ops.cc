@@ -433,12 +433,12 @@ compareQuantKernels(leca::bench::JsonReport &report)
 
 /**
  * Per-layer-shape conv comparison at every Full-backbone conv shape
- * (the 48x48 serving geometry): fp32 packed conv vs the per-patch int8
- * path (gather + requantize every patch, PR 8) vs the resident int8
- * path (codes in, codes out, PR 9). The resident column times
+ * (the 48x48 serving geometry): the fp32 packed conv vs the resident
+ * int8 conv (codes in, codes out). The resident column times
  * convForwardResident with quantize-on-exit from an already-resident
- * input — the mid-chain steady state — so the three columns are the
- * three ways the serving pipeline could run that layer.
+ * input — the mid-chain steady state — so the two columns are the two
+ * ways the serving pipeline can run that layer (a quantized conv off
+ * the resident path runs the fp32 conv over its dequantized codes).
  */
 void
 compareConvPaths(leca::bench::JsonReport &report)
@@ -451,10 +451,10 @@ compareConvPaths(leca::bench::JsonReport &report)
         int cin, cout, k, stride, pad, hw;
     };
     // One row per distinct conv shape in the Full backbone at 48x48,
-    // plus the decoder's 64->3 head (the worst per-patch offender:
-    // 576-wide gathers amortised over 3 dot rows).
+    // plus the decoder's 64->3 head (576-wide patches over 3 output
+    // channels).
     const Shape shapes[] = {
-        {"conv_3x48_c32", 3, 32, 3, 1, 1, 48},      // stem (per-patch only)
+        {"conv_3x48_c32", 3, 32, 3, 1, 1, 48},      // stem (runs fp32)
         {"conv_32x48_c32", 32, 32, 3, 1, 1, 48},    // rb1
         {"conv_32x48_c64_s2", 32, 64, 3, 2, 1, 48}, // rb2.conv1
         {"conv_64x24_c64", 64, 64, 3, 1, 1, 24},    // rb2.conv2 / rb3
@@ -466,40 +466,22 @@ compareConvPaths(leca::bench::JsonReport &report)
     const int batch = 8; // the serving maxBatch
     const int reps = 6;
 
-    Table table({"shape", "fp32 ms", "patch i8 ms", "resident ms",
-                 "res/fp32", "res/patch"});
+    Table table({"shape", "fp32 ms", "resident ms", "res/fp32"});
     for (const Shape &s : shapes) {
         const Tensor x = randomTensor({batch, s.cin, s.hw, s.hw}, 21);
         const Tensor w = randomTensor({s.cout, s.cin, s.k, s.k}, 22);
         const Tensor b = randomTensor({s.cout}, 23);
         const int oh = convOutSize(s.hw, s.k, s.stride, s.pad);
         const std::int64_t ohow = static_cast<std::int64_t>(oh) * oh;
-        const std::size_t in_sz =
-            static_cast<std::size_t>(s.cin) * s.hw * s.hw;
-        const std::size_t out_sz =
-            static_cast<std::size_t>(s.cout) * ohow;
 
         const double f32_ms = timeWallMs([&] {
             Tensor y = conv2d(x, w, b, s.stride, s.pad);
             benchmark::DoNotOptimize(y.data());
         }, reps);
 
+        // Resident: codes in, codes out, bias epilogue fused.
         const QuantTensor wq = quantizeRowMajor(
             w, s.cout, static_cast<std::int64_t>(s.cin) * s.k * s.k);
-        Tensor y({batch, s.cout, oh, oh});
-        const double patch_ms = timeWallMs([&] {
-            parallelFor(0, batch, 1, [&](std::int64_t n0, std::int64_t n1) {
-                for (std::int64_t i = n0; i < n1; ++i)
-                    convForwardQuant(
-                        x.data() + static_cast<std::size_t>(i) * in_sz,
-                        s.cin, s.hw, s.hw, s.k, s.k, s.stride, s.pad, wq,
-                        b.data(),
-                        y.data() + static_cast<std::size_t>(i) * out_sz);
-            });
-            benchmark::DoNotOptimize(y.data());
-        }, reps);
-
-        // Resident: codes in, codes out, bias epilogue fused.
         const QuantTensor wq_hwc =
             quantizeConvWeightsHwc(wq, s.cin, s.k, s.k);
         const std::int64_t in_rows =
@@ -527,12 +509,9 @@ compareConvPaths(leca::bench::JsonReport &report)
             benchmark::DoNotOptimize(o_q.data());
         }, reps);
 
-        table.addRow({s.name, Table::num(f32_ms, 3),
-                      Table::num(patch_ms, 3), Table::num(res_ms, 3),
-                      Table::num(f32_ms / res_ms, 2) + "x",
-                      Table::num(patch_ms / res_ms, 2) + "x"});
+        table.addRow({s.name, Table::num(f32_ms, 3), Table::num(res_ms, 3),
+                      Table::num(f32_ms / res_ms, 2) + "x"});
         report.add(std::string(s.name) + "_f32", f32_ms, 0.0);
-        report.add(std::string(s.name) + "_patch_i8", patch_ms, 0.0);
         report.add(std::string(s.name) + "_resident_i8", res_ms, 0.0);
     }
     printBanner(std::cout,

@@ -5,9 +5,6 @@
 
 #include "analog/buffers.hh"
 #include "analog/scm.hh"
-#include "nn/init.hh"
-#include "tensor/kernels.hh"
-#include "tensor/ops.hh"
 #include "util/arena.hh"
 #include "util/check.hh"
 #include "util/logging.hh"
@@ -16,26 +13,39 @@
 
 namespace leca {
 
-LecaEncoder::LecaEncoder(const LecaConfig &config,
-                         const CircuitConfig &circuit,
-                         const SensorConfig &sensor, Rng &init_rng)
-    : _config(config), _circuit(circuit), _sensor(sensor),
-      _weight(Tensor({config.nch, config.inChannels, config.kernel,
-                      config.kernel})),
-      _outScale(Tensor({1}))
+namespace {
+
+/**
+ * @p config after validating it and @p circuit. Runs first in the
+ * member-init list, so a bad config fails before the conv is sized
+ * from it.
+ */
+const LecaConfig &
+validated(const LecaConfig &config, const CircuitConfig &circuit)
 {
     config.validate();
     circuit.validate();
-    kaimingInit(_weight.value,
-                config.inChannels * config.kernel * config.kernel,
-                init_rng);
+    return config;
+}
+
+} // namespace
+
+LecaEncoder::LecaEncoder(const LecaConfig &config,
+                         const CircuitConfig &circuit,
+                         const SensorConfig &sensor, Rng &init_rng)
+    : _config(validated(config, circuit)), _circuit(circuit),
+      _sensor(sensor),
+      _conv(config.inChannels, config.nch, config.kernel, config.kernel, 0,
+            false, init_rng),
+      _outScale(Tensor({1}))
+{
     _outScale.value[0] = 1.0f;
 }
 
 std::vector<Param *>
 LecaEncoder::params()
 {
-    return {&_weight, &_outScale};
+    return {&_conv.weight(), &_outScale};
 }
 
 void
@@ -43,14 +53,8 @@ LecaEncoder::quantizeWeights(std::vector<QuantStat> &stats)
 {
     if (_modality != EncoderModality::Soft)
         return; // hard/noisy forwards are the circuit model, not a GEMM
-    const int kdim =
-        _config.inChannels * _config.kernel * _config.kernel;
-    _qweight = quantizeRowMajor(_weight.value, _config.nch, kdim);
-    stats.push_back({"Encoder conv " + std::to_string(_config.inChannels)
-                         + "->" + std::to_string(_config.nch) + " k"
-                         + std::to_string(_config.kernel),
-                     _qweight.fp32Bytes(), _qweight.quantBytes(),
-                     quantMaxAbsError(_weight.value, _qweight)});
+    _conv.quantizeWeights(stats);
+    stats.back().name.insert(0, "Encoder ");
 }
 
 void
@@ -121,42 +125,7 @@ LecaEncoder::backward(const Tensor &grad_out)
 Tensor
 LecaEncoder::forwardSoft(const Tensor &x, Mode mode)
 {
-    LECA_CHECK(x.dim() == 4 && x.size(1) == _config.inChannels,
-               "soft encoder expects [N,", _config.inChannels,
-               ",H,W] input, got ", detail::formatShape(x.shape()));
-    const int n = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
-    const int k = _config.kernel;
-    const int oh = h / k, ow = w / k;
-    const int nch = _config.nch;
-
-    _inShape = x.shape();
-
-    Tensor pre({n, nch, oh, ow});
-    if (!_qweight.empty()) {
-        LECA_CHECK(mode == Mode::Eval,
-                   "quantized encoder cannot run a Train-mode forward");
-        const std::size_t in_sz = static_cast<std::size_t>(c) * h * w;
-        const std::size_t out_sz =
-            static_cast<std::size_t>(nch) * oh * ow;
-        parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-            for (std::int64_t i = n0; i < n1; ++i)
-                convForwardQuant(
-                    x.data() + static_cast<std::size_t>(i) * in_sz, c, h,
-                    w, k, k, k, 0, _qweight, nullptr,
-                    pre.data() + static_cast<std::size_t>(i) * out_sz);
-        });
-    } else {
-        const Tensor wmat = _weight.value.reshape({nch, c * k * k});
-        const Tensor no_bias;
-        // Every image packs straight into arena scratch
-        // (conv2dImageInto): no column matrix, no per-image allocation.
-        // Backward recomputes the im2col it needs from the cached input.
-        parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-            for (int i = static_cast<int>(n0); i < n1; ++i)
-                conv2dImageInto(x, i, wmat, no_bias, k, k, k, 0, pre);
-        });
-    }
-
+    Tensor pre = _conv.forward(x, mode);
     const float s = std::max(_outScale.value[0], 0.05f);
     const int levels = _config.qbits.levels();
     Tensor features(pre.shape());
@@ -168,24 +137,15 @@ LecaEncoder::forwardSoft(const Tensor &x, Mode mode)
                         fp[i] =
                             quantizeUniform(pp[i] / s, -1.0f, 1.0f, levels);
                 });
-    if (mode == Mode::Train) {
-        _softInput = x;
+    if (mode == Mode::Train)
         _softPre = std::move(pre);
-    }
     return features;
 }
 
 Tensor
 LecaEncoder::backwardSoft(const Tensor &grad_out)
 {
-    LECA_CHECK(_softPre.numel() > 0,
-                "soft encoder backward without forward");
-    const int n = _inShape[0], c = _inShape[1];
-    const int h = _inShape[2], w = _inShape[3];
-    const int k = _config.kernel;
-    const int nch = _config.nch;
-    const int oh = h / k, ow = w / k;
-
+    LECA_CHECK(_softPre.numel() > 0, "soft encoder backward without forward");
     const float s = std::max(_outScale.value[0], 0.05f);
 
     // STE through the quantizer and scale division. The g_s summation
@@ -205,50 +165,8 @@ LecaEncoder::backwardSoft(const Tensor &grad_out)
         }
     }
     _outScale.grad[0] += static_cast<float>(g_s);
-
-    const int kdim = c * k * k;
-    const std::int64_t ohow = static_cast<std::int64_t>(oh) * ow;
-    const std::size_t in_sz = static_cast<std::size_t>(c) * h * w;
-    Tensor dwmat({nch, kdim});
-    // Per-image dW partials in one arena slab owned by the calling
-    // thread's scope, folded serially in ascending image order: the
-    // same per-image matrices the serial loop added, in the same order,
-    // with zero heap allocation.
-    Arena::Scope scope;
-    float *partials = Arena::local().alloc(
-        static_cast<std::size_t>(n) * nch * kdim);
-    parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-        for (int i = static_cast<int>(n0); i < n1; ++i) {
-            // dW_i = dY * cols^T, reading the contiguous [nch, OH*OW]
-            // slab of g_pre in place and recomputing this image's
-            // column matrix into arena scratch.
-            const float *dy =
-                g_pre.data() + static_cast<std::size_t>(i) * nch * ohow;
-            float *dw = partials + static_cast<std::size_t>(i) * nch * kdim;
-            Arena::Scope image_scope;
-            float *cols = Arena::local().alloc(
-                static_cast<std::size_t>(kdim) * ohow);
-            im2colRaw(_softInput.data()
-                          + static_cast<std::size_t>(i) * in_sz,
-                      c, h, w, k, k, k, 0, cols);
-            gemmBlocked(nch, kdim, ohow, dy, ohow, false, cols, ohow, true,
-                        dw, kdim, false);
-        }
-    });
-    float *dwp = dwmat.data();
-    for (int i = 0; i < n; ++i) {
-        const float *dw =
-            partials + static_cast<std::size_t>(i) * nch * kdim;
-        for (std::size_t e = 0;
-             e < static_cast<std::size_t>(nch) * kdim; ++e)
-            dwp[e] += dw[e];
-    }
-    _weight.grad += dwmat.reshape({nch, c, k, k});
-
-    _softInput = Tensor();
     _softPre = Tensor();
-    // The encoder is the first pipeline stage; no upstream gradient.
-    return Tensor(_inShape);
+    return _conv.backward(g_pre);
 }
 
 // ---------------------------------------------------------------------
@@ -284,8 +202,9 @@ LecaEncoder::tapCodesInto(TapCode *codes) const
     const float wscale = _weightScale;
     const double unit = _circuit.unitCapFf();
     const auto &taps = rawTaps();
-    const float *wv = _weight.value.data();
-    const int kstride = static_cast<int>(_weight.value.numel()) / nch;
+    const Tensor &weight = _conv.weight().value;
+    const float *wv = weight.data();
+    const int kstride = static_cast<int>(weight.numel()) / nch;
     for (int kch = 0; kch < nch; ++kch) {
         for (int t = 0; t < kTaps; ++t) {
             const Tap &tap = taps[static_cast<std::size_t>(t)];
@@ -483,7 +402,7 @@ LecaEncoder::backwardHard(const Tensor &grad_out)
     const std::size_t ohow = static_cast<std::size_t>(oh) * ow;
     const std::size_t elems = _diff.size();
     const float *go = grad_out.data();
-    float *gw = _weight.grad.data();
+    float *gw = _conv.weight().grad.data();
 
     Arena &arena = Arena::local();
     Arena::Scope scope;

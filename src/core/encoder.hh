@@ -17,8 +17,9 @@
  *           per-code SCM step error, ADC offset).
  *
  * The single weight tensor [Nch, 3, K, K] is shared by all modalities;
- * hard/noisy require K = 2 (the Bayer flattening), matching the
- * hardware choice of Sec. 3.3.
+ * it belongs to the soft modality's Conv2d (K×K, stride K, no pad, no
+ * bias), which Hard and Noisy read. Hard/noisy require K = 2 (the
+ * Bayer flattening), matching the hardware choice of Sec. 3.3.
  */
 
 #ifndef LECA_CORE_ENCODER_HH
@@ -30,9 +31,8 @@
 #include "analog/circuit_config.hh"
 #include "analog/mismatch.hh"
 #include "core/leca_config.hh"
-#include "nn/layer.hh"
+#include "nn/conv.hh"
 #include "sensor/sensor_config.hh"
-#include "tensor/quant.hh"
 #include "util/rng.hh"
 
 namespace leca {
@@ -55,13 +55,17 @@ class LecaEncoder : public Layer
     std::vector<Param *> params() override;
 
     /**
-     * Quantize the conv weight for int8 serving. Soft modality only:
-     * the hard/noisy forward is the per-tap circuit recurrence, not a
-     * GEMM, so there is nothing for int8 kernels to accelerate there
-     * (and the cap-DAC already quantizes the weights in its own way).
+     * Quantize the soft conv's weight for int8 serving; the quantized
+     * soft forward then runs the conv over the dequantized codes
+     * (Conv2d's rule). Soft modality only: the hard/noisy forward is
+     * the per-tap circuit recurrence, not a GEMM (and the cap-DAC
+     * already quantizes the weights in its own way).
      */
     void quantizeWeights(std::vector<QuantStat> &stats) override;
-    std::vector<QuantTensor *> quantTensors() override { return {&_qweight}; }
+    std::vector<QuantTensor *> quantTensors() override
+    {
+        return _conv.quantTensors();
+    }
 
     /** Switch forward model; resets the output scale to a sane value. */
     void setModality(EncoderModality modality);
@@ -78,7 +82,7 @@ class LecaEncoder : public Layer
     void setNoiseRng(Rng *rng) { _noiseRng = rng; }
 
     /** Trained convolution weight [Nch, 3, K, K]. */
-    Param &weight() { return _weight; }
+    Param &weight() { return _conv.weight(); }
 
     /**
      * Trainable output scale: the conv-output clip range in Soft mode,
@@ -99,20 +103,17 @@ class LecaEncoder : public Layer
     EncoderModality _modality = EncoderModality::Soft;
     float _weightScale = 1.0f;
 
-    Param _weight;
+    Conv2d _conv; //!< the soft conv; owns the weight every modality reads
     Param _outScale;
-    QuantTensor _qweight; //!< int8 weights; empty until quantizeWeights
 
     AnalogNoiseModel _noiseModel;
     bool _hasNoiseModel = false;
     Rng *_noiseRng = nullptr;
 
-    // ---- Soft-mode cache ----
-    Tensor _softInput; //!< forward input; backward recomputes im2col
-    Tensor _softPre;   //!< conv output before scaling/quantization
-    std::vector<int> _inShape;
+    Tensor _softPre; //!< soft conv output before scaling/quantization
 
     // ---- Hard/Noisy-mode cache (per output element, 16 steps) ----
+    std::vector<int> _inShape;
     std::vector<float> _stepVin;   //!< PSF output per step
     std::vector<float> _stepVprev; //!< rail value before the step
     std::vector<float> _diff;      //!< FVF differential per element

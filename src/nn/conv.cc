@@ -28,44 +28,37 @@ Conv2d::forward(const Tensor &x, Mode mode)
     LECA_CHECK(x.dim() == 4 && x.size(1) == _cin, "Conv2d(", _cin, " -> ",
                _cout, ", k=", _k, ") input shape ",
                detail::formatShape(x.shape()));
+    LECA_CHECK(_qweight.empty() || mode == Mode::Eval,
+               "quantized Conv2d cannot run a Train-mode forward");
     const int n = x.size(0), h = x.size(2), w = x.size(3);
     const int oh = convOutSize(h, _k, _stride, _pad);
     const int ow = convOutSize(w, _k, _stride, _pad);
 
     Tensor y({n, _cout, oh, ow});
-    if (!_qweight.empty() && _dqweight.numel() == 0) {
-        LECA_CHECK(mode == Mode::Eval,
-                   "quantized Conv2d cannot run a Train-mode forward");
-        const std::size_t in_sz = static_cast<std::size_t>(_cin) * h * w;
-        const std::size_t out_sz =
-            static_cast<std::size_t>(_cout) * oh * ow;
-        const float *bias = _hasBias ? _bias.value.data() : nullptr;
-        parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-            for (std::int64_t i = n0; i < n1; ++i)
-                convForwardQuant(
-                    x.data() + static_cast<std::size_t>(i) * in_sz, _cin,
-                    h, w, _k, _k, _stride, _pad, _qweight, bias,
-                    y.data() + static_cast<std::size_t>(i) * out_sz);
-        });
-        return y;
-    }
-    // Quantized convs planned Plain-fp32 (preparePlainFp32) run the
-    // same packed conv as unquantized ones, just over the dequantized
-    // weight copy; Train mode stays restricted to real fp32 weights.
-    LECA_CHECK(_dqweight.numel() == 0 || mode == Mode::Eval,
-               "quantized Conv2d cannot run a Train-mode forward");
-    const Tensor &wsrc =
-        _dqweight.numel() != 0 ? _dqweight : _weight.value;
-    const Tensor wmat = wsrc.reshape({_cout, _cin * _k * _k});
-    const Tensor no_bias;
-    // Both modes pack the image straight into arena scratch
-    // (conv2dImageInto): no column matrix is ever materialised, so
+    // A quantized conv runs the same packed fp32 conv as an fp32 one,
+    // over its codes dequantized into arena scratch (the exact
+    // products q·s) on every call, so no weight copy can go stale
+    // after a restore. Each image packs straight into arena scratch
+    // (convForwardPacked): no column matrix is ever materialised, so
     // steady-state forwards allocate nothing per image. Backward
     // recomputes the packed im2col from the cached input.
+    Arena::Scope scope;
+    const float *wmat = _weight.value.data();
+    if (!_qweight.empty()) {
+        float *dq = Arena::local().alloc(
+            static_cast<std::size_t>(_qweight.rows * _qweight.cols));
+        dequantizeRowsInto(_qweight, dq);
+        wmat = dq;
+    }
+    const float *bias = _hasBias ? _bias.value.data() : nullptr;
+    const std::size_t in_sz = static_cast<std::size_t>(_cin) * h * w;
+    const std::size_t out_sz = static_cast<std::size_t>(_cout) * oh * ow;
     parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-        for (int i = static_cast<int>(n0); i < n1; ++i)
-            conv2dImageInto(x, i, wmat, _hasBias ? _bias.value : no_bias,
-                            _k, _k, _stride, _pad, y);
+        for (std::int64_t i = n0; i < n1; ++i)
+            convForwardPacked(
+                x.data() + static_cast<std::size_t>(i) * in_sz, _cin, h, w,
+                _k, _k, _stride, _pad, wmat, _cout, bias,
+                y.data() + static_cast<std::size_t>(i) * out_sz);
     });
     if (mode == Mode::Train) {
         _inN = n;
@@ -195,22 +188,11 @@ Conv2d::prepareResident()
     _qweightHwc = quantizeConvWeightsHwc(_qweight, _cin, _k, _k);
 }
 
-// leca-analyze: cold — plan-time weight materialisation
-void
-Conv2d::preparePlainFp32()
-{
-    LECA_CHECK(!_qweight.empty(),
-               "Conv2d::preparePlainFp32 before quantizeWeights");
-    _dqweight = dequantizeRowMajor(_qweight);
-}
-
 void
 Conv2d::quantizeWeights(std::vector<QuantStat> &stats)
 {
     _qweight = quantizeRowMajor(_weight.value, _cout,
                                 static_cast<std::int64_t>(_cin) * _k * _k);
-    // Any fp32 execution copy is now stale; the planner rebuilds it.
-    _dqweight = Tensor();
     stats.push_back({"Conv2d " + std::to_string(_cin) + "->"
                          + std::to_string(_cout) + " k"
                          + std::to_string(_k),

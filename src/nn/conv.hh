@@ -25,6 +25,13 @@ namespace leca {
  * train step performs zero heap allocation inside this layer. A layer
  * whose Params were all frozen at its Train forward skips the dW half
  * (im2col, GEMM, fold) and computes dX only.
+ *
+ * Once quantized, forward is Eval-only and runs the same packed fp32
+ * conv over the stored int8 codes, dequantized into arena scratch on
+ * every call. A planned Sequential may instead run a wide quantized
+ * conv (cin >= kResidentMinCin) as the resident int8 conv over
+ * qweightHwc() (DESIGN.md §13); that path is reachable only through
+ * the plan.
  */
 class Conv2d : public Layer
 {
@@ -48,6 +55,7 @@ class Conv2d : public Layer
     std::vector<QuantTensor *> quantTensors() override { return {&_qweight}; }
 
     Param &weight() { return _weight; }
+    const Param &weight() const { return _weight; }
     Param &bias() { return _bias; }
     bool hasBias() const { return _hasBias; }
     int stride() const { return _stride; }
@@ -72,19 +80,6 @@ class Conv2d : public Layer
      */
     void prepareResident();
 
-    /**
-     * Switch this quantized conv's execution to the fp32 packed conv
-     * over a weight copy dequantized from the stored CODES (DESIGN.md
-     * §13). For narrow inputs (cin < kResidentMinCin) the int8 block
-     * padding inflates every patch dot to quantPadded(cin)/cin times
-     * its real MACs, so evaluating the same quantized weight VALUES
-     * through the fp32 conv is strictly faster and changes nothing the
-     * codes don't already carry. Deriving the copy from the codes keeps
-     * quantize() and loadQuantized() pipelines bit-identical. Called at
-     * plan time; always rebuilds (restore-over-quantized safety).
-     */
-    void preparePlainFp32();
-
   private:
     int _cin, _cout, _k, _stride, _pad;
     bool _hasBias;
@@ -92,7 +87,6 @@ class Conv2d : public Layer
     Param _bias;
     QuantTensor _qweight; //!< int8 weights; empty until quantizeWeights
     QuantTensor _qweightHwc; //!< resident layout; see prepareResident
-    Tensor _dqweight; //!< fp32 execution copy; see preparePlainFp32
 
     // Train-forward record: the input extents (_inN == 0 when no
     // backward is pending), whether every Param was frozen, and — only

@@ -81,8 +81,11 @@ class Layer
     /**
      * Convert this layer's GEMM/conv weights to block-quantized int8
      * (tensor/quant.hh), appending one QuantStat per converted tensor.
-     * After conversion, evaluation-mode forwards run the int8 kernels;
-     * training-mode forwards are a checked error (the fp32 weights are
+     * After conversion, evaluation-mode forwards compute with the
+     * quantized weights — Linear through the int8 kernels, Conv2d
+     * through the fp32 conv over its dequantized codes unless a
+     * planned Sequential runs it resident (DESIGN.md §13); training-
+     * mode forwards are a checked error (the fp32 weights are
      * retained for checkpointing, but gradients would no longer match
      * what inference computes). Layers without dense weights (ReLU,
      * batch-norm, pooling) keep the default no-op.

@@ -124,12 +124,6 @@ Sequential::planQuantized()
         }
         QuantStep st;
         st.layer = l;
-        if (auto *conv = dynamic_cast<Conv2d *>(l);
-            conv != nullptr && conv->quantized())
-            // Narrow conv (cin < kResidentMinCin): block padding makes
-            // the per-patch int8 path a net loss, so run it as the fp32
-            // packed conv over weights dequantized from the codes.
-            conv->preparePlainFp32();
         if (auto *mp = dynamic_cast<MaxPool2d *>(l)) {
             st.kind = QuantStep::Kind::PoolMax;
             st.poolK = mp->kernel();
@@ -420,6 +414,11 @@ ResidualBlock::ResidualBlock(int cin, int cout, int stride, Rng &rng)
 bool
 ResidualBlock::planResident()
 {
+    // Plan the children first, whatever the block decides: a block
+    // that does not run resident forwards through them, and on the
+    // loadQuantized path this is their only planner.
+    _main.planQuantized();
+    _proj.planQuantized();
     _resident = false;
     if (!_conv1->quantized() || !_conv2->quantized())
         return false;
@@ -431,10 +430,6 @@ ResidualBlock::planResident()
     _conv2->prepareResident();
     if (_hasProj)
         _projConv->prepareResident();
-    // Keep the child plans fresh too (used by the non-resident forward
-    // fallback); on the loadQuantized path this is their only planner.
-    _main.planQuantized();
-    _proj.planQuantized();
     _resident = true;
     return true;
 }

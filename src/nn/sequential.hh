@@ -22,9 +22,10 @@ struct QuantActivation;
 /**
  * Smallest input-channel count for which a quantized conv consumes
  * resident int8 codes (DESIGN.md §13). Below it (e.g. the 3-channel
- * backbone stem and the decoder's DnCNN stack) block padding inflates
- * the patch MACs so much that the per-patch path stays faster, so those
- * convs keep their plain quantized forward.
+ * backbone stem and the decoder's 3-channel convs) block padding
+ * inflates the patch MACs so much that the fp32 packed conv over the
+ * dequantized codes is faster, so those convs run their own forward as
+ * Plain steps.
  */
 inline constexpr int kResidentMinCin = 16;
 

@@ -53,8 +53,10 @@ Tensor conv2d(const Tensor &x, const Tensor &weight, const Tensor &bias,
               int stride, int pad);
 
 /**
- * The one shared im2col+GEMM kernel behind every convolution forward
- * (ops.cc conv2d, nn/conv.cc Conv2d, core/encoder.cc LecaEncoder).
+ * The reference im2col+GEMM convolution of one batch item. Every
+ * convolution forward (ops.cc conv2d; nn/conv.cc Conv2d, which the
+ * soft LecaEncoder runs) computes the same bits through the packed
+ * form below.
  *
  * Computes y[item] = wmat * im2col(x[item]) (+ bias added in-place per
  * output channel) for a single batch item, reading straight from the

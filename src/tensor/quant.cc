@@ -93,11 +93,7 @@ dequantizeRowMajor(const QuantTensor &qt)
 {
     LECA_CHECK(!qt.empty(), "dequantizeRowMajor: empty QuantTensor");
     Tensor w(qt.shape);
-    const simd::DequantizeRowFn dequant = activeKernels().dequantizeRow;
-    float *dst = w.data();
-    for (std::int64_t i = 0; i < qt.rows; ++i)
-        dequant(qt.q.data() + i * qt.nb * kQuantBlock,
-                qt.scales.data() + i * qt.nb, qt.cols, dst + i * qt.cols);
+    dequantizeRowsInto(qt, w.data());
     return w;
 }
 
@@ -127,6 +123,16 @@ quantizeRowsInto(const float *src, std::int64_t m, std::int64_t cols,
     for (std::int64_t i = 0; i < m; ++i)
         quantize_row(src + i * cols, cols, q + i * nb * kQuantBlock,
                  scales + i * nb);
+}
+
+// leca-analyze: entry
+void
+dequantizeRowsInto(const QuantTensor &qt, float *dst)
+{
+    const simd::DequantizeRowFn dequant = activeKernels().dequantizeRow;
+    for (std::int64_t i = 0; i < qt.rows; ++i)
+        dequant(qt.q.data() + i * qt.nb * kQuantBlock,
+                qt.scales.data() + i * qt.nb, qt.cols, dst + i * qt.cols);
 }
 
 // leca-analyze: entry
@@ -185,85 +191,6 @@ gemmQ8(std::int64_t m, std::int64_t n, std::int64_t nb,
             }
         }
     });
-}
-
-// leca-analyze: entry
-void
-convForwardQuant(const float *image, int cin, int h, int w, int kh, int kw,
-                 int stride, int pad, const QuantTensor &wq,
-                 const float *bias, float *dst)
-{
-    const int oh = (h + 2 * pad - kh) / stride + 1;
-    const int ow = (w + 2 * pad - kw) / stride + 1;
-    const std::int64_t kdim = static_cast<std::int64_t>(cin) * kh * kw;
-    const std::int64_t n = static_cast<std::int64_t>(oh) * ow;
-    LECA_CHECK(oh > 0 && ow > 0, "convForwardQuant output ", oh, "x", ow,
-               " for input ", h, "x", w, " kernel ", kh, "x", kw);
-    LECA_CHECK(wq.rows > 0 && wq.cols == kdim, "convForwardQuant: weight ",
-               wq.rows, "x", wq.cols, " vs patch length ", kdim);
-    const std::int64_t nb = wq.nb;
-    Arena::Scope scope;
-    Arena &arena = Arena::local();
-    std::int8_t *qx = static_cast<std::int8_t *>(arena.allocBytes(
-        static_cast<std::size_t>(n * nb * kQuantBlock)));
-    float *sx = arena.alloc(static_cast<std::size_t>(n * nb));
-    // Gather + quantize each im2col patch (one column of the virtual
-    // column matrix) as a contiguous row. Serial under an outer batch
-    // parallelFor (nested regions degrade, like every kernel here);
-    // parallel across patches when this image is the whole workload.
-    const std::int64_t patch_grain =
-        std::max<std::int64_t>(1, (1 << 14) / std::max<std::int64_t>(1, kdim));
-    parallelFor(0, n, patch_grain, [&](std::int64_t p0, std::int64_t p1) {
-        Arena::Scope worker_scope;
-        const simd::QuantizeRowFn quantize_row = activeKernels().quantizeRow;
-        float *rowbuf =
-            Arena::local().alloc(static_cast<std::size_t>(kdim));
-        for (std::int64_t p = p0; p < p1; ++p) {
-            const int oy = static_cast<int>(p / ow);
-            const int ox = static_cast<int>(p % ow);
-            const int y0 = oy * stride - pad;
-            const int x0 = ox * stride - pad;
-            // The valid kx span is the same for every (ch, ky) of the
-            // patch; hoisting it (and the per-ky row test) keeps the
-            // copy loop branch-free so it vectorises. Edge patches
-            // zero the whole buffer first and fill only the valid
-            // spans; interior patches (the vast majority) skip the
-            // memset because every element is written.
-            const int kx0 = x0 < 0 ? -x0 : 0;
-            const int kx1 = x0 + kw > w ? w - x0 : kw;
-            if (kx0 > 0 || kx1 < kw || y0 < 0 || y0 + kh > h)
-                std::memset(rowbuf, 0,
-                            static_cast<std::size_t>(kdim)
-                                * sizeof(float));
-            for (int ch = 0; ch < cin; ++ch) {
-                const float *plane =
-                    image + static_cast<std::size_t>(ch) * h * w;
-                float *dst_ch =
-                    rowbuf + static_cast<std::int64_t>(ch) * kh * kw;
-                for (int ky = 0; ky < kh; ++ky) {
-                    const int iy = y0 + ky;
-                    if (iy < 0 || iy >= h)
-                        continue;
-                    const float *src_row =
-                        plane + static_cast<std::size_t>(iy) * w + x0;
-                    float *dst_row = dst_ch + ky * kw;
-                    for (int kx = kx0; kx < kx1; ++kx)
-                        dst_row[kx] = src_row[kx];
-                }
-            }
-            quantize_row(rowbuf, kdim, qx + p * nb * kQuantBlock, sx + p * nb);
-        }
-    });
-    gemmQ8(wq.rows, n, nb, wq.q.data(), wq.scales.data(), qx, sx, dst, n);
-    if (bias) {
-        // Second in-place pass, matching convForwardPacked.
-        for (std::int64_t co = 0; co < wq.rows; ++co) {
-            const float b = bias[co];
-            float *drow = dst + co * n;
-            for (std::int64_t p = 0; p < n; ++p)
-                drow[p] += b;
-        }
-    }
 }
 
 void

@@ -110,6 +110,13 @@ void quantizeRowsInto(const float *src, std::int64_t m, std::int64_t cols,
                       std::int8_t *q, float *scales);
 
 /**
+ * Dequantize every row of @p qt into @p dst (rows × cols floats,
+ * row-major) through the dispatched dequantizeRow kernel: each value
+ * is the exact product q·s, the same floats dequantizeRowMajor holds.
+ */
+void dequantizeRowsInto(const QuantTensor &qt, float *dst);
+
+/**
  * C (m×n) = Aq · Bqᵀ over block-quantized operands: row i of Aq dotted
  * against every row j of Bq (both rows × nb blocks). Parallelised over
  * A rows through the deterministic pool; the dotQ8Row kernel pointer is
@@ -121,17 +128,6 @@ void gemmQ8(std::int64_t m, std::int64_t n, std::int64_t nb,
             const std::int8_t *qa, const float *sa,
             const std::int8_t *qb, const float *sb, float *c,
             std::int64_t ldc);
-
-/**
- * Quantized convolution forward for one [cin, h, w] image against
- * block-quantized weights @p wq (rows = cout, cols = cin*kh*kw):
- * im2col patches are gathered and quantized on the fly into arena
- * scratch, then gemmQ8 produces dst [cout, OH*OW]. @p bias (or
- * nullptr) is added in a second pass, matching convForwardPacked.
- */
-void convForwardQuant(const float *image, int cin, int h, int w, int kh,
-                      int kw, int stride, int pad, const QuantTensor &wq,
-                      const float *bias, float *dst);
 
 /**
  * Quantized linear forward: y (m×out) = quant(x) · Wqᵀ + bias for

@@ -26,6 +26,7 @@
 #include "hw/weights.hh"
 #include "nn/loss.hh"
 #include "tensor/ops.hh"
+#include "tensor/quant.hh"
 #include "util/check.hh"
 
 namespace leca {
@@ -107,6 +108,32 @@ TEST(Encoder, SoftOutputIsQuantized)
         const float idx = (f[i] + 1.0f) / 2.0f * 3.0f;
         EXPECT_NEAR(idx, std::round(idx), 1e-4f);
     }
+}
+
+TEST(Encoder, QuantizedSoftForwardIsConvOverDequantizedCodes)
+{
+    // The quantized soft encoder runs its conv over the dequantized
+    // int8 codes: its features are bit-identical to an fp32 encoder
+    // whose weight holds those codes' values.
+    const LecaConfig cfg = tinyConfig(8, 3.0);
+    Rng rng(41);
+    LecaEncoder enc(cfg, CircuitConfig{}, SensorConfig{}, rng);
+    Tensor x({2, 3, 48, 48});
+    Rng scene(43);
+    for (std::size_t i = 0; i < x.numel(); ++i)
+        x[i] = static_cast<float>(scene.uniform());
+    std::vector<QuantStat> stats;
+    enc.quantizeWeights(stats);
+    ASSERT_EQ(stats.size(), 1u);
+    const Tensor got = enc.forward(x, Mode::Eval);
+
+    Rng other(47);
+    LecaEncoder ref(cfg, CircuitConfig{}, SensorConfig{}, other);
+    ref.weight().value = dequantizeRowMajor(*enc.quantTensors()[0]);
+    const Tensor want = ref.forward(x, Mode::Eval);
+    ASSERT_EQ(got.numel(), want.numel());
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             want.numel() * sizeof(float)));
 }
 
 TEST(Encoder, HardRequiresK2)

@@ -119,8 +119,9 @@ TEST_F(QuantTest, CodesStayInSymmetricRangeAndPaddingIsZero)
             const std::int8_t code =
                 qt.q[static_cast<std::size_t>(i * qt.nb * kQuantBlock + j)];
             EXPECT_NE(code, -128) << "row " << i << " lane " << j;
-            if (j >= qt.cols)
+            if (j >= qt.cols) {
                 EXPECT_EQ(code, 0) << "padding lane " << j << " not zero";
+            }
         }
 }
 
@@ -273,6 +274,17 @@ TEST_F(QuantTest, QuantizedConvForwardTracksFp32)
     ASSERT_EQ(y8.numel(), y32.numel());
     for (std::size_t i = 0; i < y8.numel(); ++i)
         EXPECT_NEAR(y8[i], y32[i], 0.15) << "element " << i;
+
+    // A quantized conv's own forward IS the fp32 conv over its codes:
+    // bit-identical to an fp32 conv whose weights are the dequantized
+    // codes.
+    Rng rng2(18);
+    Conv2d ref(8, 12, 3, 1, 1, true, rng2);
+    ref.weight().value = dequantizeRowMajor(*conv.quantTensors()[0]);
+    const Tensor yref = ref.forward(x, Mode::Eval);
+    ASSERT_EQ(yref.numel(), y8.numel());
+    EXPECT_EQ(0, std::memcmp(y8.data(), yref.data(),
+                             y8.numel() * sizeof(float)));
 }
 
 TEST_F(QuantTest, QuantizedLinearForwardTracksFp32)
@@ -371,25 +383,11 @@ TEST_F(QuantTest, WarmQuantizedForwardRunsUnderDenyAllocScope)
     Tensor xl = Tensor::fromData({4, 64},
                                  randomVec(static_cast<std::size_t>(4) * 64,
                                            62));
-    const std::int64_t kdim = 8 * 3 * 3, n_out = 12 * 12;
-    const std::int64_t nb = quantBlocks(kdim);
-    std::vector<float> dst(static_cast<std::size_t>(16 * n_out));
+    // Warm: fill the arenas and the recycled tensor pool the returned
+    // outputs draw from.
     for (int i = 0; i < 3; ++i) {
         conv.forward(xc, Mode::Eval);
         fc.forward(xl, Mode::Eval);
-    }
-    (void)nb;
-    // Tensors returned by forward() heap-allocate their storage by
-    // design, so the deny window covers the raw serving entry points
-    // (arena scratch only) rather than the Tensor factory.
-    const float *img = xc.data();
-    const QuantTensor &wq = *conv.quantTensors()[0];
-    const QuantTensor &wql = *fc.quantTensors()[0];
-    std::vector<float> yl(static_cast<std::size_t>(4) * 8);
-    for (int i = 0; i < 3; ++i) {
-        convForwardQuant(img, 8, 12, 12, 3, 3, 1, 1, wq, nullptr,
-                         dst.data());
-        linearForwardQuant(xl.data(), 4, wql, nullptr, yl.data());
     }
     // Deterministically warm every pool worker's arena: a worker that
     // slept through the warm-up would otherwise grow its cold arena on
@@ -398,15 +396,14 @@ TEST_F(QuantTest, WarmQuantizedForwardRunsUnderDenyAllocScope)
     {
         DenyAllocScope deny;
         for (int i = 0; i < 5; ++i)
-            convForwardQuant(img, 8, 12, 12, 3, 3, 1, 1, wq, nullptr,
-                             dst.data());
+            conv.forward(xc, Mode::Eval);
         EXPECT_EQ(deny.violations(), 0u)
             << "warm quantized conv forward allocated on the heap";
     }
     {
         DenyAllocScope deny;
         for (int i = 0; i < 5; ++i)
-            linearForwardQuant(xl.data(), 4, wql, nullptr, yl.data());
+            fc.forward(xl, Mode::Eval);
         EXPECT_EQ(deny.violations(), 0u)
             << "warm quantized linear forward allocated on the heap";
     }

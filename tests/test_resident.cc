@@ -166,7 +166,8 @@ TEST_F(ResidentTest, ResidentConvTracksFp32Conv)
     (void)epi;
     ASSERT_EQ(y8.numel(), y32.numel());
     // Both weights AND activations carry code error here, so the band
-    // is wider than the weight-only per-patch path's.
+    // is wider than a quantized conv's own forward needs (fp32 over the
+    // weight codes; test_quant.cc).
     for (std::size_t i = 0; i < y8.numel(); ++i)
         EXPECT_NEAR(y8[i], y32[i], 0.25) << "element " << i;
 }
@@ -318,8 +319,8 @@ TEST_F(ResidentTest, PoolWithoutResidentProducerStaysPlain)
 {
     Rng rng(151);
     Sequential net;
-    // The narrow stem stays per-patch (cin < kResidentMinCin), so the
-    // pool behind it must NOT expect codes.
+    // The narrow stem (cin < kResidentMinCin) runs its own fp32 forward
+    // over its codes, so the pool behind it must NOT expect codes.
     net.emplace<Conv2d>(3, 24, 3, 1, 1, false, rng);
     net.emplace<MaxPool2d>(2);
     net.emplace<Conv2d>(24, 24, 3, 1, 1, false, rng);
@@ -453,37 +454,61 @@ TEST_F(ResidentTest, PlannedForwardBitIdenticalAcrossThreadCounts)
     }
 }
 
+/**
+ * A backbone whose first residual block cannot run resident (its conv1
+ * reads the 8-channel stem) though its conv2 and the next block are
+ * wide enough: the block's own children still need a plan.
+ */
+std::unique_ptr<Sequential>
+makeNarrowEntryBackbone(Rng &rng)
+{
+    auto net = std::make_unique<Sequential>();
+    net->emplace<Conv2d>(3, 8, 3, 1, 1, false, rng);
+    net->emplace<BatchNorm2d>(8);
+    net->emplace<Relu>();
+    net->emplace<ResidualBlock>(8, 16, 1, rng);
+    net->emplace<ResidualBlock>(16, 32, 2, rng);
+    net->emplace<GlobalAvgPool>();
+    net->emplace<Linear>(32, 5, rng);
+    return net;
+}
+
 TEST_F(ResidentTest, QuantizeAndLoadQuantizedInferIdentically)
 {
-    const auto make = [] {
-        LecaConfig cfg;
-        cfg.nch = 4;
-        Rng rng(7);
-        auto bb = makeBackbone(BackboneStyle::Proxy, 3, 5, rng);
-        LecaPipeline::Options options;
-        options.leca = cfg;
-        options.seed = 11;
-        return std::make_unique<LecaPipeline>(options, std::move(bb));
-    };
     Tensor x({2, 3, 32, 32});
     const std::vector<float> v =
         randomVec(static_cast<std::size_t>(2) * 3 * 32 * 32, 179);
     std::memcpy(x.data(), v.data(), v.size() * sizeof(float));
-
-    auto original = make();
-    original->quantize();
-    const Tensor want = original->forward(x, Mode::Eval);
-
     const std::string path =
         ::testing::TempDir() + "/leca_resident_pipeline.ckpt";
-    original->saveQuantized(path);
-    auto restored = make();
-    ASSERT_TRUE(restored->loadQuantized(path));
-    const Tensor got = restored->forward(x, Mode::Eval);
-    ASSERT_EQ(got.numel(), want.numel());
-    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
-                             want.numel() * sizeof(float)))
-        << "loadQuantized inference differs from the quantize()d one";
+    for (const bool narrow_entry : {false, true}) {
+        SCOPED_TRACE(narrow_entry ? "narrow-entry backbone"
+                                  : "Proxy backbone");
+        const auto make = [narrow_entry] {
+            LecaConfig cfg;
+            cfg.nch = 4;
+            Rng rng(7);
+            auto bb = narrow_entry
+                          ? makeNarrowEntryBackbone(rng)
+                          : makeBackbone(BackboneStyle::Proxy, 3, 5, rng);
+            LecaPipeline::Options options;
+            options.leca = cfg;
+            options.seed = 11;
+            return std::make_unique<LecaPipeline>(options, std::move(bb));
+        };
+        auto original = make();
+        original->quantize();
+        const Tensor want = original->forward(x, Mode::Eval);
+
+        original->saveQuantized(path);
+        auto restored = make();
+        ASSERT_TRUE(restored->loadQuantized(path));
+        const Tensor got = restored->forward(x, Mode::Eval);
+        ASSERT_EQ(got.numel(), want.numel());
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 want.numel() * sizeof(float)))
+            << "loadQuantized inference differs from the quantize()d one";
+    }
 }
 
 TEST_F(ResidentTest, WarmPlannedForwardRunsUnderDenyAllocScope)

@@ -628,38 +628,50 @@ encoderCodes(LecaPipeline &pipeline, const Tensor &frame)
     return codes;
 }
 
+/** The fp32 backend, or the int8 one (which quantize()s @p pipeline). */
+Server::Backend
+backendFor(LecaPipeline &pipeline, bool int8)
+{
+    return int8 ? quantizedPipelineBackend(pipeline)
+                : pipelineBackend(pipeline);
+}
+
 TEST(Serve, WirePayloadDecodesToEncoderCodes)
 {
-    auto pipeline = makeTinyPipeline();
-    ServerOptions options;
-    options.queueCapacity = 16;
-    options.maxBatch = 1;
-    options.maxWaitMicros = 0;
-    options.wirePayload = true;
-    Server server(pipelineBackend(*pipeline), {3, kHw, kHw}, options,
-                  pipelineWireEncoder(*pipeline));
-    Session session = server.openSession();
+    for (const bool int8 : {false, true}) {
+        SCOPED_TRACE(int8 ? "int8 pipeline" : "fp32 pipeline");
+        auto pipeline = makeTinyPipeline();
+        ServerOptions options;
+        options.queueCapacity = 16;
+        options.maxBatch = 1;
+        options.maxWaitMicros = 0;
+        options.wirePayload = true;
+        Server server(backendFor(*pipeline, int8), {3, kHw, kHw}, options,
+                      pipelineWireEncoder(*pipeline));
+        Session session = server.openSession();
 
-    FrameTicket ticket;
-    for (int f = 0; f < 4; ++f) {
-        const Tensor frame = makeFrame(0, static_cast<std::uint64_t>(f));
-        server.submit(session, frame, ticket);
-        const FrameResult &r = ticket.wait();
-        ASSERT_EQ(r.status, ServeStatus::Ok);
-        ASSERT_FALSE(r.wire.empty());
+        FrameTicket ticket;
+        for (int f = 0; f < 4; ++f) {
+            const Tensor frame =
+                makeFrame(0, static_cast<std::uint64_t>(f));
+            server.submit(session, frame, ticket);
+            const FrameResult &r = ticket.wait();
+            ASSERT_EQ(r.status, ServeStatus::Ok);
+            ASSERT_FALSE(r.wire.empty());
 
-        // The payload is a leca::bitstream container that decodes
-        // bit-exactly to the encoder's integer feature codes...
-        const std::vector<std::uint8_t> expected =
-            encoderCodes(*pipeline, frame);
-        const std::vector<std::uint8_t> decoded =
-            bitstream::decodeByteStream(r.wire.data(), r.wire.size());
-        EXPECT_EQ(decoded, expected);
-        // ...and it is entropy-coded: the 3-bit codes cost less on the
-        // wire than one byte per symbol.
-        EXPECT_LT(r.wire.size(), expected.size());
+            // The payload is a leca::bitstream container that decodes
+            // bit-exactly to the encoder's integer feature codes...
+            const std::vector<std::uint8_t> expected =
+                encoderCodes(*pipeline, frame);
+            const std::vector<std::uint8_t> decoded =
+                bitstream::decodeByteStream(r.wire.data(), r.wire.size());
+            EXPECT_EQ(decoded, expected);
+            // ...and it is entropy-coded: the 3-bit codes cost less on
+            // the wire than one byte per symbol.
+            EXPECT_LT(r.wire.size(), expected.size());
+        }
+        server.stop();
     }
-    server.stop();
 }
 
 TEST(Serve, WirePayloadIsInvariantToBatchComposition)
@@ -668,38 +680,41 @@ TEST(Serve, WirePayloadIsInvariantToBatchComposition)
     // differs (serial singles vs full batches); every frame's wire
     // bytes must match exactly — batch composition cannot leak into
     // the payload.
-    auto pipeline = makeTinyPipeline();
-    const auto collect = [&](int max_batch, std::int64_t wait_micros) {
-        ServerOptions options;
-        options.queueCapacity = 32;
-        options.maxBatch = max_batch;
-        options.maxWaitMicros = wait_micros;
-        options.wirePayload = true;
-        Server server(pipelineBackend(*pipeline), {3, kHw, kHw}, options,
-                      pipelineWireEncoder(*pipeline));
-        Session session = server.openSession();
+    for (const bool int8 : {false, true}) {
+        SCOPED_TRACE(int8 ? "int8 pipeline" : "fp32 pipeline");
+        auto pipeline = makeTinyPipeline();
+        const auto collect = [&](int max_batch, std::int64_t wait_micros) {
+            ServerOptions options;
+            options.queueCapacity = 32;
+            options.maxBatch = max_batch;
+            options.maxWaitMicros = wait_micros;
+            options.wirePayload = true;
+            Server server(backendFor(*pipeline, int8), {3, kHw, kHw},
+                          options, pipelineWireEncoder(*pipeline));
+            Session session = server.openSession();
 
-        constexpr int kFrames = 8;
-        std::vector<FrameTicket> tickets(kFrames);
-        for (int f = 0; f < kFrames; ++f)
-            server.submit(session,
-                          makeFrame(0, static_cast<std::uint64_t>(f)),
-                          tickets[static_cast<std::size_t>(f)]);
-        std::vector<std::vector<std::uint8_t>> wires;
-        for (auto &ticket : tickets) {
-            const FrameResult &r = ticket.wait();
-            EXPECT_EQ(r.status, ServeStatus::Ok);
-            wires.push_back(r.wire);
+            constexpr int kFrames = 8;
+            std::vector<FrameTicket> tickets(kFrames);
+            for (int f = 0; f < kFrames; ++f)
+                server.submit(session,
+                              makeFrame(0, static_cast<std::uint64_t>(f)),
+                              tickets[static_cast<std::size_t>(f)]);
+            std::vector<std::vector<std::uint8_t>> wires;
+            for (auto &ticket : tickets) {
+                const FrameResult &r = ticket.wait();
+                EXPECT_EQ(r.status, ServeStatus::Ok);
+                wires.push_back(r.wire);
+            }
+            server.stop();
+            return wires;
+        };
+
+        const auto singles = collect(1, 0);
+        const auto batched = collect(8, 2000);
+        ASSERT_EQ(singles.size(), batched.size());
+        for (std::size_t f = 0; f < singles.size(); ++f) {
+            EXPECT_EQ(singles[f], batched[f]) << "frame " << f;
         }
-        server.stop();
-        return wires;
-    };
-
-    const auto singles = collect(1, 0);
-    const auto batched = collect(8, 2000);
-    ASSERT_EQ(singles.size(), batched.size());
-    for (std::size_t f = 0; f < singles.size(); ++f) {
-        EXPECT_EQ(singles[f], batched[f]) << "frame " << f;
     }
 }
 

@@ -262,9 +262,10 @@ RULE_ONLY_PATHS = {
     "serve-detached-thread": re.compile(r"^src/serve/.*$"),
     # The quantized Eval executors and the serving layer: the files
     # where a stray dequantize would silently re-materialise fp32
-    # planes mid-chain. The implementation TU (tensor/quant.cc) and
-    # plan-time weight handling (nn/conv.cc) are out of scope — they
-    # define the boundary machinery rather than consume it.
+    # planes mid-chain. The implementation TU (tensor/quant.cc) and a
+    # quantized conv's per-call weight dequantize (nn/conv.cc) are out
+    # of scope — they define the boundary machinery or touch weights,
+    # not activations.
     "precision-boundary": re.compile(
         r"^src/(nn/sequential\.cc|core/pipeline\.cc|serve/.*\.cc)$"),
     # The wire-format subsystem parses untrusted bytes; every raw read
