@@ -4,15 +4,9 @@
 
 namespace leca {
 
-VariableResolutionAdc::VariableResolutionAdc(const CircuitConfig &config)
-    : _config(config)
-{
-}
-
 VariableResolutionAdc::VariableResolutionAdc(const CircuitConfig &config,
                                              Rng &mc_rng)
-    : _config(config),
-      _offset(mc_rng.gaussian(0.0, config.adcOffsetSigma))
+    : _offset(mc_rng.gaussian(0.0, config.adcOffsetSigma))
 {
 }
 
@@ -30,13 +24,11 @@ VariableResolutionAdc::configure(QBits qbits, double full_scale)
 }
 
 int
-VariableResolutionAdc::convert(double v_diff, Rng *noise_rng) const
+VariableResolutionAdc::convert(double v_diff) const
 {
     double v = v_diff;
     if (!_calibrated)
         v += _offset;
-    if (noise_rng)
-        v += noise_rng->gaussian(0.0, _config.adcNoiseSigma);
     return quantizeCode(static_cast<float>(v),
                         static_cast<float>(-_fullScale),
                         static_cast<float>(_fullScale), levels());

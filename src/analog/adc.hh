@@ -29,7 +29,7 @@ class VariableResolutionAdc
 {
   public:
     /** Nominal (offset-free) converter. */
-    explicit VariableResolutionAdc(const CircuitConfig &config);
+    VariableResolutionAdc() = default;
 
     /** Instance with Monte-Carlo sampled comparator offset. */
     VariableResolutionAdc(const CircuitConfig &config, Rng &mc_rng);
@@ -41,10 +41,11 @@ class VariableResolutionAdc
     void calibrate() { _calibrated = true; }
 
     /**
-     * Convert a differential voltage to a code in [0, levels).
-     * @param noise_rng add conversion noise when non-null.
+     * Convert a differential voltage to a code in [0, levels). The
+     * static comparator offset applies until calibrate(); per-sample
+     * conversion noise is the chain's ADC input stage (analog/chain.hh).
      */
-    int convert(double v_diff, Rng *noise_rng = nullptr) const;
+    int convert(double v_diff) const;
 
     /** Voltage corresponding to a code (uniform reconstruction). */
     double dequantize(int code) const;
@@ -56,7 +57,6 @@ class VariableResolutionAdc
     double fullScale() const { return _fullScale; }
 
   private:
-    CircuitConfig _config;
     QBits _qbits{4.0};
     double _fullScale = 0.5;
     double _offset = 0.0;

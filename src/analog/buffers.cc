@@ -22,30 +22,9 @@ SourceFollower::transfer(double vin) const
 }
 
 double
-SourceFollower::transferNoisy(double vin, Rng &noise_rng) const
-{
-    return transfer(vin) + noise_rng.gaussian(0.0, _params.noiseSigma);
-}
-
-double
 SourceFollower::linearModel(double vin) const
 {
     return _params.gain * vin + _params.offset;
-}
-
-double
-SourceFollower::derivative(double vin) const
-{
-    const double d = vin - _params.center;
-    return _params.gain + _gainDelta + 3.0 * _params.cubic * d * d;
-}
-
-Lut1d
-tabulateTransfer(const SourceFollower &buffer, double lo, double hi,
-                 int samples)
-{
-    return Lut1d(lo, hi, samples,
-                 [&buffer](double v) { return buffer.transfer(v); });
 }
 
 } // namespace leca

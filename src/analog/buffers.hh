@@ -3,15 +3,15 @@
  * Analog buffer models: the PMOS source follower (PSF) that drives the
  * SCM input and the flipped voltage follower (FVF) that drives the SAR
  * ADC (Fig. 7). Both are modelled as a mildly nonlinear transfer
- * function with per-instance mismatch and per-sample thermal noise
- * (Sec. 5.3, items 1 and 3).
+ * function with per-instance mismatch; their per-sample thermal noise
+ * (BufferParams::noiseSigma, Sec. 5.3, items 1 and 3) is drawn by the
+ * chain's DieDevice (analog/chain.hh).
  */
 
 #ifndef LECA_ANALOG_BUFFERS_HH
 #define LECA_ANALOG_BUFFERS_HH
 
 #include "analog/circuit_config.hh"
-#include "analog/lut.hh"
 #include "util/rng.hh"
 
 namespace leca {
@@ -33,17 +33,8 @@ class SourceFollower
     /** Deterministic transfer including this instance's mismatch. */
     double transfer(double vin) const;
 
-    /** Transfer with thermal noise added. */
-    double transferNoisy(double vin, Rng &noise_rng) const;
-
     /** The nominal linear model used in hard training: a*v + b. */
     double linearModel(double vin) const;
-
-    /** d(transfer)/d(vin) at @p vin — used for backpropagation. */
-    double derivative(double vin) const;
-
-    /** Per-sample noise sigma (V). */
-    double noiseSigma() const { return _params.noiseSigma; }
 
     const BufferParams &params() const { return _params; }
 
@@ -52,10 +43,6 @@ class SourceFollower
     double _gainDelta = 0.0;
     double _offsetDelta = 0.0;
 };
-
-/** Build a LUT of a buffer's transfer over the given voltage range. */
-Lut1d tabulateTransfer(const SourceFollower &buffer, double lo, double hi,
-                       int samples = 256);
 
 } // namespace leca
 

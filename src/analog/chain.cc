@@ -1,7 +1,6 @@
 #include "chain.hh"
 
 #include "util/check.hh"
-#include "util/parallel.hh"
 
 namespace leca {
 
@@ -9,8 +8,8 @@ AnalogChain
 AnalogChain::nominal(const CircuitConfig &config)
 {
     return AnalogChain{SourceFollower(config.psf), ScMultiplier(config),
-                       SourceFollower(config.fvf),
-                       VariableResolutionAdc(config), config};
+                       SourceFollower(config.fvf), VariableResolutionAdc(),
+                       config};
 }
 
 AnalogChain
@@ -22,53 +21,23 @@ AnalogChain::sample(const CircuitConfig &config, Rng &mc_rng)
                        VariableResolutionAdc(config, mc_rng), config};
 }
 
-double
-AnalogChain::analogOutput(const std::vector<double> &v_pixels,
-                          const std::vector<ScmWeight> &weights, bool ideal,
-                          Rng *noise_rng) const
-{
-    LECA_CHECK(v_pixels.size() == weights.size(), "chain input mismatch: ",
-               v_pixels.size(), " pixels vs ", weights.size(), " weights");
-    std::vector<double> v_in(v_pixels.size());
-    if (noise_rng && !ideal) {
-        // The noisy path consumes a single noise stream in column
-        // order, so it must stay serial to remain deterministic.
-        for (std::size_t i = 0; i < v_pixels.size(); ++i)
-            v_in[i] = psf.transferNoisy(v_pixels[i], *noise_rng);
-    } else {
-        // Per-column PSF transfers are independent const lookups.
-        const auto n = static_cast<std::int64_t>(v_pixels.size());
-        parallelFor(0, n, 64, [&](std::int64_t i0, std::int64_t i1) {
-            for (std::int64_t i = i0; i < i1; ++i) {
-                const std::size_t c = static_cast<std::size_t>(i);
-                v_in[c] = ideal ? psf.linearModel(v_pixels[c])
-                                : psf.transfer(v_pixels[c]);
-            }
-        });
-    }
-    const DiffBuffer buffer =
-        scm.runSequence(v_in, weights, ideal, ideal ? nullptr : noise_rng);
-    double plus = buffer.vPlus, minus = buffer.vMinus;
-    if (ideal) {
-        plus = fvf.linearModel(plus);
-        minus = fvf.linearModel(minus);
-    } else if (noise_rng) {
-        plus = fvf.transferNoisy(plus, *noise_rng);
-        minus = fvf.transferNoisy(minus, *noise_rng);
-    } else {
-        plus = fvf.transfer(plus);
-        minus = fvf.transfer(minus);
-    }
-    return plus - minus;
-}
-
 int
 AnalogChain::encode(const std::vector<double> &v_pixels,
                     const std::vector<ScmWeight> &weights, bool ideal,
                     Rng *noise_rng) const
 {
-    const double diff = analogOutput(v_pixels, weights, ideal, noise_rng);
-    return adc.convert(diff, ideal ? nullptr : noise_rng);
+    LECA_CHECK(v_pixels.size() == weights.size(), "chain input mismatch: ",
+               v_pixels.size(), " pixels vs ", weights.size(), " weights");
+    return withDevice(ideal, noise_rng, [&](const auto &dev) {
+        DiffBuffer buffer(config.vCm);
+        accumulateTaps(
+            dev, weights.data(), static_cast<int>(weights.size()),
+            [&](int i) {
+                return dev.psf(v_pixels[static_cast<std::size_t>(i)]);
+            },
+            buffer);
+        return adc.convert(readOut(dev, buffer));
+    });
 }
 
 } // namespace leca

@@ -7,18 +7,6 @@
 
 namespace leca {
 
-Lut1d::Lut1d(double lo, double hi, int samples,
-             const std::function<double(double)> &fn)
-    : _lo(lo), _hi(hi)
-{
-    LECA_CHECK(samples >= 2 && hi > lo, "bad LUT domain");
-    _values.resize(static_cast<std::size_t>(samples));
-    for (int i = 0; i < samples; ++i) {
-        const double x = lo + (hi - lo) * i / (samples - 1);
-        _values[static_cast<std::size_t>(i)] = fn(x);
-    }
-}
-
 Lut1d::Lut1d(double lo, double hi, std::vector<double> values)
     : _lo(lo), _hi(hi), _values(std::move(values))
 {

@@ -23,10 +23,6 @@ class Lut1d
   public:
     Lut1d() = default;
 
-    /** Tabulate @p fn at @p samples points across [lo, hi]. */
-    Lut1d(double lo, double hi, int samples,
-          const std::function<double(double)> &fn);
-
     /** Construct directly from sampled values. */
     Lut1d(double lo, double hi, std::vector<double> values);
 

@@ -36,8 +36,9 @@ struct ScmErrorModel
     std::vector<double> epsSigma; //!< step-error sigma per cap code
     /**
      * Fine-grained error surface eps(V_in, code) (the paper's
-     * "stage-wise, fine-grained look-up-tables", Sec. 4.4); falls back
-     * to the per-code means when empty.
+     * "stage-wise, fine-grained look-up-tables", Sec. 4.4): the mean
+     * step error the noisy modality draws around. extractNoiseModel
+     * always fills it.
      */
     Lut2d epsSurface;
 };

@@ -4,40 +4,48 @@
 
 namespace leca {
 
-ScMultiplier::ScMultiplier(const CircuitConfig &config) : _config(config)
+namespace {
+
+/**
+ * Effective sampling cap per code: the thermometer DAC connects unit caps
+ * 0..code-1, each with its mismatch (from @p mc_rng in unit order, else
+ * zero); incomplete charge transfer scales the total.
+ */
+std::vector<double>
+effectiveCaps(const CircuitConfig &config, Rng *mc_rng)
 {
     config.validate();
-    _capDeltas.assign(static_cast<std::size_t>(config.dacSteps()), 0.0);
+    const int steps = config.dacSteps();
+    std::vector<double> caps(static_cast<std::size_t>(steps) + 1, 0.0);
+    double cap = 0.0;
+    for (int u = 0; u < steps; ++u) {
+        const double delta =
+            mc_rng ? mc_rng->gaussian(0.0, config.capMismatchSigma) : 0.0;
+        cap += config.unitCapFf() * (1.0 + delta);
+        caps[static_cast<std::size_t>(u) + 1] =
+            cap * config.chargeTransferEta;
+    }
+    return caps;
+}
+
+} // namespace
+
+ScMultiplier::ScMultiplier(const CircuitConfig &config)
+    : _config(config), _capEff(effectiveCaps(config, nullptr))
+{
 }
 
 ScMultiplier::ScMultiplier(const CircuitConfig &config, Rng &mc_rng)
-    : _config(config)
+    : _config(config), _capEff(effectiveCaps(config, &mc_rng))
 {
-    config.validate();
-    _capDeltas.resize(static_cast<std::size_t>(config.dacSteps()));
-    for (double &d : _capDeltas)
-        d = mc_rng.gaussian(0.0, config.capMismatchSigma);
 }
 
 double
-ScMultiplier::idealCapFf(int magnitude) const
+ScMultiplier::effectiveCapFf(int magnitude) const
 {
     LECA_CHECK(magnitude >= 0 && magnitude <= _config.dacSteps(), "cap code ",
                magnitude, " outside [0, ", _config.dacSteps(), "]");
-    return _config.unitCapFf() * magnitude;
-}
-
-double
-ScMultiplier::capFf(int magnitude) const
-{
-    LECA_CHECK(magnitude >= 0 && magnitude <= _config.dacSteps(), "cap code ",
-               magnitude, " outside [0, ", _config.dacSteps(), "]");
-    // Thermometer-coded DAC: unit caps 0..magnitude-1 are connected.
-    double cap = 0.0;
-    for (int u = 0; u < magnitude; ++u)
-        cap += _config.unitCapFf()
-               * (1.0 + _capDeltas[static_cast<std::size_t>(u)]);
-    return cap;
+    return _capEff[static_cast<std::size_t>(magnitude)];
 }
 
 double
@@ -56,36 +64,11 @@ ScMultiplier::step(double v_prev, double v_in, int magnitude,
 {
     if (magnitude == 0)
         return v_prev;
-    // Incomplete transfer reduces the effective sampling capacitance.
-    const double cs_eff = capFf(magnitude) * _config.chargeTransferEta;
-    double v = idealStep(_config, v_prev, v_in, cs_eff);
+    double v = idealStep(_config, v_prev, v_in, effectiveCapFf(magnitude));
     v += _config.injectionOffsetV;
     if (noise_rng)
         v += noise_rng->gaussian(0.0, _config.scmNoiseSigma);
     return v;
-}
-
-DiffBuffer
-ScMultiplier::runSequence(const std::vector<double> &v_in,
-                          const std::vector<ScmWeight> &weights, bool ideal,
-                          Rng *noise_rng) const
-{
-    LECA_CHECK(v_in.size() == weights.size(), "MAC sequence length mismatch: ",
-               v_in.size(), " inputs vs ", weights.size(), " weights");
-    DiffBuffer buffer(_config.vCm);
-    for (std::size_t i = 0; i < v_in.size(); ++i) {
-        const ScmWeight &w = weights[i];
-        if (w.magnitude == 0)
-            continue;
-        double &target = w.negative ? buffer.vMinus : buffer.vPlus;
-        if (ideal) {
-            target = idealStep(_config, target, v_in[i],
-                               idealCapFf(w.magnitude));
-        } else {
-            target = step(target, v_in[i], w.magnitude, noise_rng);
-        }
-    }
-    return buffer;
 }
 
 } // namespace leca

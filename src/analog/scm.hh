@@ -39,22 +39,11 @@ struct ScmWeight
     }
 };
 
-/** State of the differential o-buffer pair during a MAC sequence. */
-struct DiffBuffer
-{
-    double vPlus;
-    double vMinus;
-
-    explicit DiffBuffer(double v_cm) : vPlus(v_cm), vMinus(v_cm) {}
-
-    /** Differential output seen by the ADC. */
-    double diff() const { return vPlus - vMinus; }
-};
-
 /**
  * One SCM instance. Constructing with a Monte-Carlo stream samples the
- * per-code capacitor mismatch of this die; the default constructor
- * yields the nominal device (used as the analytical model in training).
+ * per-unit-cap mismatch of this die; the nominal constructor yields the
+ * mismatch-free device. The MAC sequence over signed weights is
+ * accumulateTaps() in analog/chain.hh.
  */
 class ScMultiplier
 {
@@ -65,11 +54,11 @@ class ScMultiplier
     /** Device instance with Monte-Carlo sampled cap mismatch. */
     ScMultiplier(const CircuitConfig &config, Rng &mc_rng);
 
-    /** Nominal DAC capacitance for a magnitude code (fF). */
-    double idealCapFf(int magnitude) const;
-
-    /** This instance's actual capacitance for a magnitude code (fF). */
-    double capFf(int magnitude) const;
+    /**
+     * This instance's effective sampling cap for a magnitude code (fF):
+     * its connected unit caps times the charge-transfer fraction.
+     */
+    double effectiveCapFf(int magnitude) const;
 
     /**
      * Ideal analytic recurrence, Eq. (3), with explicit capacitance.
@@ -86,25 +75,9 @@ class ScMultiplier
     double step(double v_prev, double v_in, int magnitude,
                 Rng *noise_rng) const;
 
-    /**
-     * Execute a full MAC sequence on a differential o-buffer pair:
-     * each (v_in, weight) pair updates the buffer selected by the
-     * weight's sign. Zero-magnitude weights are skipped (no charge
-     * moves).
-     *
-     * @param ideal  when true, use the analytic Eq. (3) with nominal
-     *               caps (the "hard" training model); otherwise use the
-     *               real device behaviour.
-     */
-    DiffBuffer runSequence(const std::vector<double> &v_in,
-                           const std::vector<ScmWeight> &weights,
-                           bool ideal, Rng *noise_rng) const;
-
-    const CircuitConfig &config() const { return _config; }
-
   private:
     CircuitConfig _config;
-    std::vector<double> _capDeltas; //!< per-unit-cap relative mismatch
+    std::vector<double> _capEff; //!< effectiveCapFf per code, 0..steps
 };
 
 } // namespace leca

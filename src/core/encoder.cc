@@ -1,14 +1,13 @@
 #include "encoder.hh"
 
 #include <algorithm>
-#include <cmath>
+#include <type_traits>
 
-#include "analog/buffers.hh"
-#include "analog/scm.hh"
+#include "analog/chain.hh"
+#include "hw/weights.hh"
 #include "util/arena.hh"
 #include "util/check.hh"
 #include "util/logging.hh"
-#include "util/numeric.hh"
 #include "util/parallel.hh"
 
 namespace leca {
@@ -78,22 +77,13 @@ LecaEncoder::setModality(EncoderModality modality)
 void
 LecaEncoder::setNoiseModel(AnalogNoiseModel model)
 {
+    LECA_CHECK(!model.scm.epsSurface.empty()
+                   && model.scm.epsSigma.size()
+                          > static_cast<std::size_t>(_circuit.dacSteps()),
+               "noise model lacks the SCM step-error surface or a step "
+               "sigma for every cap code 0..", _circuit.dacSteps());
     _noiseModel = std::move(model);
     _hasNoiseModel = true;
-}
-
-const std::array<LecaEncoder::Tap, 16> &
-LecaEncoder::rawTaps()
-{
-    // Raw-domain 4x4 block in row-major order; RGGB with duplicated
-    // green (Fig. 5(a)). Channel indices: 0 = R, 1 = G, 2 = B.
-    static const std::array<Tap, 16> taps = {{
-        {0, 0, 0, 1.0f}, {1, 0, 0, 0.5f}, {0, 0, 1, 1.0f}, {1, 0, 1, 0.5f},
-        {1, 0, 0, 0.5f}, {2, 0, 0, 1.0f}, {1, 0, 1, 0.5f}, {2, 0, 1, 1.0f},
-        {0, 1, 0, 1.0f}, {1, 1, 0, 0.5f}, {0, 1, 1, 1.0f}, {1, 1, 1, 0.5f},
-        {1, 1, 0, 0.5f}, {2, 1, 0, 1.0f}, {1, 1, 1, 0.5f}, {2, 1, 1, 1.0f},
-    }};
-    return taps;
 }
 
 Tensor
@@ -170,7 +160,7 @@ LecaEncoder::backwardSoft(const Tensor &grad_out)
 }
 
 // ---------------------------------------------------------------------
-// Hard / Noisy modality: the analog circuit model of Sec. 3.4 / 5.3.
+// Hard / Noisy modality: analog/chain.hh over Ideal / Extracted devices.
 // ---------------------------------------------------------------------
 
 namespace {
@@ -178,50 +168,16 @@ namespace {
 /** Raw-domain taps per output element (the 4x4 Bayer block). */
 constexpr int kTaps = 16;
 
-} // namespace
-
-/**
- * One (kernel, tap) cap-DAC setting. It depends only on the weights,
- * so forwardHard/backwardHard build the table once per call instead of
- * re-quantizing every tap for every output element.
- */
-struct LecaEncoder::TapCode
+/** One (kernel, tap)'s constants for the hand-derived backward. */
+struct TapGrad
 {
-    double cap;    //!< sampling capacitance unit * mag (fF)
-    double dcapDw; //!< STE slope d cap / d w_tap over the code rounding
-    int wIndex;    //!< flat index of the tap's weight within the tensor
-    int mag;       //!< cap-DAC magnitude code, 0..dacSteps
-    bool neg;      //!< the tap charges the minus o-buffer
+    double cap;     //!< capacitance unit * mag, as the float cached (fF)
+    double dwSlope; //!< d cap / d w: the STE slope times the Bayer factor
+    int wIndex;     //!< flat index of the tap's weight within the tensor
+    bool neg;       //!< the tap charges the minus o-buffer
 };
 
-void
-LecaEncoder::tapCodesInto(TapCode *codes) const
-{
-    const int nch = _config.nch;
-    const int steps = _circuit.dacSteps();
-    const float wscale = _weightScale;
-    const double unit = _circuit.unitCapFf();
-    const auto &taps = rawTaps();
-    const Tensor &weight = _conv.weight().value;
-    const float *wv = weight.data();
-    const int kstride = static_cast<int>(weight.numel()) / nch;
-    for (int kch = 0; kch < nch; ++kch) {
-        for (int t = 0; t < kTaps; ++t) {
-            const Tap &tap = taps[static_cast<std::size_t>(t)];
-            const int wi =
-                kch * kstride + (tap.channel * 2 + tap.py) * 2 + tap.px;
-            const float w_tap = wv[wi] * tap.factor;
-            int mag = roundToInt(std::abs(w_tap) / wscale * steps);
-            mag = std::clamp(mag, 0, steps);
-            const bool neg = w_tap < 0.0f;
-            // cap = unit * round(|w_tap|/wscale * steps); the STE
-            // passes the gradient straight over the rounding.
-            codes[kch * kTaps + t] = {
-                unit * mag, (neg ? -1.0 : 1.0) * unit * steps / wscale, wi,
-                mag, neg};
-        }
-    }
-}
+} // namespace
 
 // leca-analyze: entry
 Tensor
@@ -240,11 +196,6 @@ LecaEncoder::forwardHard(const Tensor &x, Mode mode, bool noisy)
     const int nch = _config.nch;
     const int levels = _config.qbits.levels();
     const float fs = std::max(_outScale.value[0], 0.02f);
-    const double vcm = _circuit.vCm;
-
-    const SourceFollower psf(_circuit.psf);
-    const SourceFollower fvf(_circuit.fvf);
-    const auto &taps = rawTaps();
 
     const std::size_t plane = static_cast<std::size_t>(h) * w;
     const std::size_t in_sz = 3 * plane;
@@ -260,13 +211,16 @@ LecaEncoder::forwardHard(const Tensor &x, Mode mode, bool noisy)
 
     Arena &arena = Arena::local();
     Arena::Scope scope;
-    TapCode *codes = arena.allocArray<TapCode>(
-        static_cast<std::size_t>(nch) * kTaps);
-    tapCodesInto(codes);
+    // The cap codes the chip would be programmed with, once per call.
+    ScmWeight *taps =
+        arena.allocArray<ScmWeight>(static_cast<std::size_t>(nch) * kTaps);
+    for (int kch = 0; kch < nch; ++kch)
+        flattenKernelInto(_conv.weight().value, kch, _weightScale,
+                          _circuit.dacSteps(), taps + kch * kTaps);
     // Offset of each tap's pixel from its block's top-left pixel.
     std::size_t tap_off[kTaps];
     for (int t = 0; t < kTaps; ++t) {
-        const Tap &tap = taps[static_cast<std::size_t>(t)];
+        const BayerTap &tap = kBayerTaps[static_cast<std::size_t>(t)];
         tap_off[t] = static_cast<std::size_t>(tap.channel) * plane
                      + static_cast<std::size_t>(tap.py) * w + tap.px;
     }
@@ -281,91 +235,34 @@ LecaEncoder::forwardHard(const Tensor &x, Mode mode, bool noisy)
 
     Tensor features({n, nch, oh, ow});
     float *feat = features.data();
-    parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-    for (int i = static_cast<int>(n0); i < n1; ++i) {
-        Rng *rng = noisy ? &noise_rngs[i] : nullptr;
+    auto encodeImage = [&](int i, const auto &dev) {
+        using Level = typename std::decay_t<decltype(dev)>::Level;
         // The PSF transfer of every pixel of this image, computed once
-        // and read by all nch kernels: the linear model in Hard mode
-        // (vin itself), the LUT mean and disturbance sigma of vin in
-        // Noisy mode.
+        // and read by all nch kernels.
         Arena::Scope image_scope;
         const float *xi = x.data() + static_cast<std::size_t>(i) * in_sz;
-        Arena &worker_arena = Arena::local();
-        double *vin_mean = worker_arena.allocArray<double>(in_sz);
-        double *vin_sigma =
-            noisy ? worker_arena.allocArray<double>(in_sz) : nullptr;
-        for (std::size_t p = 0; p < in_sz; ++p) {
-            const double vpix =
-                _sensor.digitalToVoltage(static_cast<double>(xi[p]));
-            if (noisy) {
-                vin_mean[p] = _noiseModel.psf.meanTransfer(vpix);
-                vin_sigma[p] = _noiseModel.psf.sigma(vpix);
-            } else {
-                vin_mean[p] = psf.linearModel(vpix);
-            }
-        }
+        Level *level = Arena::local().allocArray<Level>(in_sz);
+        for (std::size_t p = 0; p < in_sz; ++p)
+            level[p] = dev.psf(
+                _sensor.digitalToVoltage(static_cast<double>(xi[p])));
         for (int kch = 0; kch < nch; ++kch) {
-            const TapCode *code = codes + kch * kTaps;
+            const ScmWeight *kernel = taps + kch * kTaps;
             // Element index derived from the loop indices, not a
             // running counter, so images write disjoint cache slices.
             std::size_t e = (static_cast<std::size_t>(i) * nch + kch) * ohow;
             for (int by = 0; by < oh; ++by) {
                 for (int bx = 0; bx < ow; ++bx, ++e) {
-                    const std::size_t block =
-                        static_cast<std::size_t>(2 * by) * w + 2 * bx;
-                    double v_plus = vcm, v_minus = vcm;
-                    for (int t = 0; t < kTaps; ++t) {
-                        const TapCode &c = code[t];
-                        const std::size_t px = block + tap_off[t];
-                        const double vin =
-                            noisy
-                                ? rng->gaussian(vin_mean[px], vin_sigma[px])
-                                : vin_mean[px];
-                        double &rail = c.neg ? v_minus : v_plus;
-                        if (cache) {
-                            _stepVin[e * kTaps + t] =
-                                static_cast<float>(vin);
-                            _stepVprev[e * kTaps + t] =
-                                static_cast<float>(rail);
-                        }
-                        if (c.mag > 0) {
-                            double next = ScMultiplier::idealStep(
-                                _circuit, rail, vin, c.cap);
-                            if (noisy) {
-                                // Fine-grained eps(V_in, code) surface
-                                // when extracted; per-code mean
-                                // otherwise (Sec. 5.3, item 2).
-                                const auto mag =
-                                    static_cast<std::size_t>(c.mag);
-                                const double eps_mean =
-                                    _noiseModel.scm.epsSurface.empty()
-                                        ? _noiseModel.scm.epsMean[mag]
-                                        : _noiseModel.scm.epsSurface(
-                                              vin, c.mag);
-                                next -= rng->gaussian(
-                                    eps_mean,
-                                    _noiseModel.scm.epsSigma[mag]);
-                            }
-                            rail = next;
-                        }
-                    }
-                    double p, m;
-                    if (noisy) {
-                        p = rng->gaussian(
-                            _noiseModel.fvf.meanTransfer(v_plus),
-                            _noiseModel.fvf.sigma(v_plus));
-                        m = rng->gaussian(
-                            _noiseModel.fvf.meanTransfer(v_minus),
-                            _noiseModel.fvf.sigma(v_minus));
-                    } else {
-                        p = fvf.linearModel(v_plus);
-                        m = fvf.linearModel(v_minus);
-                    }
-                    double diff = p - m;
-                    if (noisy) {
-                        diff += rng->gaussian(
-                            0.0, _noiseModel.adcOffsetSigma);
-                    }
+                    const Level *block =
+                        level + static_cast<std::size_t>(2 * by) * w + 2 * bx;
+                    DiffBuffer rails(_circuit.vCm);
+                    accumulateTaps(
+                        dev, kernel, kTaps,
+                        [&](int t) -> const Level & {
+                            return block[tap_off[t]];
+                        },
+                        rails, cache ? &_stepVin[e * kTaps] : nullptr,
+                        cache ? &_stepVprev[e * kTaps] : nullptr);
+                    const double diff = readOut(dev, rails);
                     const int q = quantizeCode(
                         static_cast<float>(diff), -fs, fs, levels);
                     feat[e] = 2.0f * static_cast<float>(q)
@@ -375,7 +272,15 @@ LecaEncoder::forwardHard(const Tensor &x, Mode mode, bool noisy)
                 }
             }
         }
-    }
+    };
+    parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
+        for (int i = static_cast<int>(n0); i < n1; ++i) {
+            if (noisy)
+                encodeImage(i, ExtractedDevice(_noiseModel, _circuit,
+                                               noise_rngs[i]));
+            else
+                encodeImage(i, IdealDevice(_circuit));
+        }
     });
     return features;
 }
@@ -397,7 +302,6 @@ LecaEncoder::backwardHard(const Tensor &grad_out)
     const double vcm = _circuit.vCm;
     const float fs = std::max(_outScale.value[0], 0.02f);
     const double fvf_gain = _circuit.fvf.gain;
-    const auto &taps = rawTaps();
 
     const std::size_t ohow = static_cast<std::size_t>(oh) * ow;
     const std::size_t elems = _diff.size();
@@ -406,9 +310,25 @@ LecaEncoder::backwardHard(const Tensor &grad_out)
 
     Arena &arena = Arena::local();
     Arena::Scope scope;
-    TapCode *codes = arena.allocArray<TapCode>(
-        static_cast<std::size_t>(nch) * kTaps);
-    tapCodesInto(codes);
+    // Per-(kernel, tap) constants, once per call, from the cap codes.
+    const std::size_t ntaps = static_cast<std::size_t>(nch) * kTaps;
+    const double unit = _circuit.unitCapFf();
+    ScmWeight *taps = arena.allocArray<ScmWeight>(ntaps);
+    TapGrad *tap_grads = arena.allocArray<TapGrad>(ntaps);
+    for (int kch = 0; kch < nch; ++kch)
+        flattenKernelInto(_conv.weight().value, kch, _weightScale,
+                          _circuit.dacSteps(), taps + kch * kTaps);
+    // The STE passes the gradient straight over the code rounding:
+    // d cap / d w_tap = +-unit * steps / wscale.
+    const double dcap_dw = unit * _circuit.dacSteps() / _weightScale;
+    for (std::size_t j = 0; j < ntaps; ++j) {
+        const ScmWeight q = taps[j];
+        const BayerTap &tap = kBayerTaps[j % kTaps];
+        tap_grads[j] = {static_cast<float>(unit * q.magnitude),
+                        (q.negative ? -dcap_dw : dcap_dw) * tap.factor,
+                        static_cast<int>(j / kTaps) * 12 + tap.weightOffset(),
+                        q.negative};
+    }
     // Per-element output-scale gradients, summed serially below in
     // ascending element order.
     double *fs_grads = arena.allocArray<double>(elems);
@@ -418,7 +338,7 @@ LecaEncoder::backwardHard(const Tensor &grad_out)
     // scale gradients are bit-identical at every thread count.
     parallelFor(0, nch, 1, [&](std::int64_t k0, std::int64_t k1) {
     for (int kch = static_cast<int>(k0); kch < k1; ++kch) {
-        const TapCode *code = codes + kch * kTaps;
+        const TapGrad *code = tap_grads + kch * kTaps;
         for (int i = 0; i < n; ++i) {
             const std::size_t e0 =
                 (static_cast<std::size_t>(i) * nch + kch) * ohow;
@@ -441,9 +361,9 @@ LecaEncoder::backwardHard(const Tensor &grad_out)
                 // read back as the float the forward cached, the
                 // capacitance likewise.
                 for (int t = kTaps - 1; t >= 0; --t) {
-                    const TapCode &c = code[t];
+                    const TapGrad &c = code[t];
                     double &g_rail = c.neg ? g_minus : g_plus;
-                    const double cap = static_cast<float>(c.cap);
+                    const double cap = c.cap;
                     const double vin = _stepVin[e * kTaps + t];
                     const double v_prev = _stepVprev[e * kTaps + t];
 
@@ -462,9 +382,7 @@ LecaEncoder::backwardHard(const Tensor &grad_out)
                         g_cap = g_rail * ((2.0 * vcm - vin) - v_prev)
                                 / cout;
                     }
-                    const float g = static_cast<float>(
-                        g_cap * c.dcapDw
-                        * taps[static_cast<std::size_t>(t)].factor);
+                    const float g = static_cast<float>(g_cap * c.dwSlope);
                     if (g != 0.0f)
                         gw[c.wIndex] += g;
                 }

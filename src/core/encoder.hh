@@ -5,16 +5,15 @@
  *
  *  - Soft:  a plain strided convolution followed by an STE quantizer —
  *           no hardware effects.
- *  - Hard:  the analytical circuit model in the forward path: raw-
- *           domain kernel flattening (Fig. 5(a)), PSF linear transfer,
- *           the exact SCM charge-redistribution recurrence of Eq. (3)
- *           on differential o-buffers with 4-bit+sign cap codes (STE),
- *           FVF linear transfer, and an ADC with a *trainable*
- *           quantization boundary. The backward pass is derived by
- *           hand through the recurrence.
- *  - Noisy: the hard model plus the extracted Monte-Carlo noise model
- *           of Sec. 5.3 (LUT mean transfers + Gaussian disturbances,
- *           per-code SCM step error, ADC offset).
+ *  - Hard:  the analytical circuit model in the forward path: the
+ *           chip's raw-domain kernel flattening (Fig. 5(a)) to 4-bit+sign
+ *           cap codes (hw/weights, STE), the chip's analog chain
+ *           (analog/chain.hh) over its IdealDevice, and an ADC with a
+ *           *trainable* quantization boundary — so it computes the
+ *           chip's Ideal codes by construction. The backward pass is
+ *           derived by hand through the Eq. (3) recurrence.
+ *  - Noisy: the same chain over the ExtractedDevice, the Monte-Carlo
+ *           noise model of Sec. 5.3.
  *
  * The single weight tensor [Nch, 3, K, K] is shared by all modalities;
  * it belongs to the soft modality's Conv2d (K×K, stride K, no pad, no
@@ -25,7 +24,6 @@
 #ifndef LECA_CORE_ENCODER_HH
 #define LECA_CORE_ENCODER_HH
 
-#include <array>
 #include <vector>
 
 #include "analog/circuit_config.hh"
@@ -75,7 +73,7 @@ class LecaEncoder : public Layer
     void setQbits(QBits qbits) { _config.qbits = qbits; }
     QBits qbits() const { return _config.qbits; }
 
-    /** Install the extracted noise model used by the Noisy modality. */
+    /** Install the Noisy modality's extracted model; rejects a partial one. */
     void setNoiseModel(AnalogNoiseModel model);
 
     /** Noise stream for the Noisy modality (owned by the caller). */
@@ -122,21 +120,6 @@ class LecaEncoder : public Layer
     Tensor backwardSoft(const Tensor &grad_out);
     Tensor forwardHard(const Tensor &x, Mode mode, bool noisy);
     Tensor backwardHard(const Tensor &grad_out);
-
-    /** Raw-domain tap description for hard mode. */
-    struct Tap
-    {
-        int channel;   //!< RGB channel the tap reads
-        int py, px;    //!< pixel within the 2x2 RGB block
-        float factor;  //!< 1 for R/B, 0.5 for the duplicated G
-    };
-    static const std::array<Tap, 16> &rawTaps();
-
-    /** Per-(kernel, tap) cap-DAC setting; see encoder.cc. */
-    struct TapCode;
-
-    /** Fill @p codes ([Nch][16]) from the current weights. */
-    void tapCodesInto(TapCode *codes) const;
 };
 
 } // namespace leca

@@ -1,8 +1,23 @@
 #include "pe.hh"
 
+#include <type_traits>
+
 #include "util/check.hh"
 
 namespace leca {
+
+namespace {
+
+/** The noise stream the chain's device draws from in @p mode. */
+Rng *
+modeStream(PeMode mode, Rng *noise_rng)
+{
+    LECA_CHECK(mode != PeMode::RealNoisy || noise_rng,
+               "RealNoisy mode needs a noise stream");
+    return mode == PeMode::RealNoisy ? noise_rng : nullptr;
+}
+
+} // namespace
 
 Pe::Pe(const CircuitConfig &config)
     : _chain(AnalogChain::nominal(config)),
@@ -57,80 +72,43 @@ Pe::loadWeights(const std::vector<FlatKernel> &kernels, int kernel_base,
     _stats.globalSramReadBits += 16 * 5;
 }
 
-double
-Pe::applyPsf(double v_pixel, PeMode mode, Rng *noise_rng) const
-{
-    switch (mode) {
-      case PeMode::Ideal:
-        return _chain.psf.linearModel(v_pixel);
-      case PeMode::Real:
-        return _chain.psf.transfer(v_pixel);
-      case PeMode::RealNoisy:
-        LECA_CHECK(noise_rng, "RealNoisy mode needs a noise stream");
-        return _chain.psf.transferNoisy(v_pixel, *noise_rng);
-    }
-    return v_pixel;
-}
-
 void
 Pe::processRow(int kernel_count, PeMode mode, Rng *noise_rng)
 {
     LECA_CHECK(kernel_count >= 1 && kernel_count <= 4,
                 "bad kernel count");
-    // Kernels consecutively, i-buffer entries cyclically (Fig. 5(c)).
-    for (int k = 0; k < kernel_count; ++k) {
-        DiffBuffer &obuf = _oBuffers[static_cast<std::size_t>(k)];
-        for (int c = 0; c < 4; ++c) {
-            const ScmWeight &w =
-                _localSram[static_cast<std::size_t>(k) * 4 + c];
-            _stats.localSramReadBits += 5;
-            ++_stats.macOps;
-            if (w.magnitude == 0)
-                continue;
-            const double v_in =
-                applyPsf(_iBuffer[static_cast<std::size_t>(c)], mode,
-                         noise_rng);
-            double &rail = w.negative ? obuf.vMinus : obuf.vPlus;
-            if (mode == PeMode::Ideal) {
-                rail = ScMultiplier::idealStep(
-                    _chain.config, rail, v_in,
-                    _chain.scm.idealCapFf(w.magnitude));
-            } else {
-                rail = _chain.scm.step(
-                    rail, v_in, w.magnitude,
-                    mode == PeMode::RealNoisy ? noise_rng : nullptr);
-            }
+    Rng *const stream = modeStream(mode, noise_rng);
+    _chain.withDevice(mode == PeMode::Ideal, stream, [&](const auto &dev) {
+        // Each i-buffer entry's PSF transfer, shared by all kernels.
+        std::array<typename std::decay_t<decltype(dev)>::Level, 4> level{};
+        for (std::size_t c = 0; c < level.size(); ++c)
+            level[c] = dev.psf(_iBuffer[c]);
+        // Kernels consecutively, i-buffer entries cyclically (Fig. 5(c)).
+        for (int k = 0; k < kernel_count; ++k) {
+            accumulateTaps(
+                dev, &_localSram[static_cast<std::size_t>(k) * 4], 4,
+                [&](int c) -> const auto & {
+                    return level[static_cast<std::size_t>(c)];
+                },
+                _oBuffers[static_cast<std::size_t>(k)]);
         }
-    }
+    });
+    _stats.localSramReadBits += 5 * 4 * kernel_count;
+    _stats.macOps += 4 * kernel_count;
 }
 
 std::vector<int>
 Pe::readOfmap(int kernel_count, PeMode mode, Rng *noise_rng)
 {
     std::vector<int> codes(static_cast<std::size_t>(kernel_count));
-    for (int k = 0; k < kernel_count; ++k) {
-        const DiffBuffer &obuf = _oBuffers[static_cast<std::size_t>(k)];
-        double plus = obuf.vPlus, minus = obuf.vMinus;
-        switch (mode) {
-          case PeMode::Ideal:
-            plus = _chain.fvf.linearModel(plus);
-            minus = _chain.fvf.linearModel(minus);
-            break;
-          case PeMode::Real:
-            plus = _chain.fvf.transfer(plus);
-            minus = _chain.fvf.transfer(minus);
-            break;
-          case PeMode::RealNoisy:
-            LECA_CHECK(noise_rng, "RealNoisy mode needs a noise stream");
-            plus = _chain.fvf.transferNoisy(plus, *noise_rng);
-            minus = _chain.fvf.transferNoisy(minus, *noise_rng);
-            break;
+    Rng *const stream = modeStream(mode, noise_rng);
+    _chain.withDevice(mode == PeMode::Ideal, stream, [&](const auto &dev) {
+        for (int k = 0; k < kernel_count; ++k) {
+            codes[static_cast<std::size_t>(k)] = _chain.adc.convert(
+                readOut(dev, _oBuffers[static_cast<std::size_t>(k)]));
+            ++_stats.adcConversions[_chain.adc.qbits().bits()];
         }
-        codes[static_cast<std::size_t>(k)] = _chain.adc.convert(
-            plus - minus,
-            mode == PeMode::RealNoisy ? noise_rng : nullptr);
-        ++_stats.adcConversions[_chain.adc.qbits().bits()];
-    }
+    });
     return codes;
 }
 

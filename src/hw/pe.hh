@@ -89,8 +89,6 @@ class Pe
     std::array<ScmWeight, 16> _localSram{}; //!< [kernel][column]
     std::vector<DiffBuffer> _oBuffers;
     ChipStats _stats;
-
-    double applyPsf(double v_pixel, PeMode mode, Rng *noise_rng) const;
 };
 
 } // namespace leca

@@ -34,6 +34,14 @@ void
 LecaSensorChip::loadKernels(std::vector<FlatKernel> kernels)
 {
     LECA_CHECK(!kernels.empty(), "need at least one kernel");
+    const int steps = _config.circuit.dacSteps();
+    for (const FlatKernel &kernel : kernels) {
+        LECA_CHECK(kernel.taps.size() == 16, "a kernel has 16 taps, got ",
+                   kernel.taps.size());
+        for (const ScmWeight &w : kernel.taps)
+            LECA_CHECK(w.magnitude >= 0 && w.magnitude <= steps, "cap code ",
+                       w.magnitude, " outside [0, ", steps, "]");
+    }
     _kernels = std::move(kernels);
     // Programming the encoder writes Nch x 16 x 5 bits of global SRAM.
     _chipStats.globalSramWriteBits +=

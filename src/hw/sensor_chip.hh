@@ -44,7 +44,7 @@ class LecaSensorChip
   public:
     explicit LecaSensorChip(const ChipConfig &config);
 
-    /** Program the encoder kernels (global SRAM). */
+    /** Program the encoder kernels (global SRAM); checks their codes. */
     void loadKernels(std::vector<FlatKernel> kernels);
 
     /** Number of programmed output channels. */

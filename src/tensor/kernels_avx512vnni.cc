@@ -35,7 +35,14 @@
 
 #if defined(__AVX512F__) && defined(__AVX512VNNI__) && defined(__AVX512VL__)
 
+// GCC bug 105593: avx512fintrin.h raises a false -Wmaybe-uninitialized
+// once inlined; silence it for the header only (Clang lacks the group).
+#pragma GCC diagnostic push
+#ifndef __clang__
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 
 #include "tensor/simd.hh"
 

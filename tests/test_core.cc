@@ -150,49 +150,71 @@ TEST(Encoder, HardRequiresK2)
     }
 }
 
+TEST(Encoder, SetNoiseModelRejectsIncompleteModel)
+{
+    // The noisy modality reads the eps(V_in, code) surface and a step
+    // sigma for every cap code the circuit can program.
+    Rng rng(7);
+    LecaEncoder enc(tinyConfig(), CircuitConfig{}, SensorConfig{}, rng);
+    EXPECT_THROW(enc.setNoiseModel(AnalogNoiseModel{}), CheckError);
+
+    CircuitConfig three_bit;
+    three_bit.weightMagBits = 3;
+    Rng mc(3);
+    EXPECT_THROW(enc.setNoiseModel(extractNoiseModel(three_bit, 10, mc)),
+                 CheckError);
+}
+
 TEST(Encoder, HardMatchesSensorChip)
 {
     // THE central consistency check of the repository: the hard
     // training model must produce bit-identical codes to the
-    // cycle-level sensor chip simulation in ideal mode.
-    Rng rng(11);
-    LecaConfig cfg = tinyConfig(4, 3.0);
-    LecaEncoder enc(cfg, CircuitConfig{}, SensorConfig{}, rng);
-    enc.setModality(EncoderModality::Hard);
-    const float fs = enc.outScale().value[0];
+    // cycle-level sensor chip simulation in ideal mode — also when the
+    // cap DAC is not the default 4-bit one.
+    for (const int weight_bits : {4, 3, 5}) {
+        SCOPED_TRACE("weightMagBits = " + std::to_string(weight_bits));
+        CircuitConfig circuit;
+        circuit.weightMagBits = weight_bits;
+        Rng rng(11);
+        LecaConfig cfg = tinyConfig(4, 3.0);
+        LecaEncoder enc(cfg, circuit, SensorConfig{}, rng);
+        enc.setModality(EncoderModality::Hard);
+        const float fs = enc.outScale().value[0];
 
-    ChipConfig chip_cfg;
-    chip_cfg.rgbHeight = 16;
-    chip_cfg.rgbWidth = 16;
-    chip_cfg.qbits = QBits(3.0);
-    chip_cfg.adcFullScale = fs;
-    chip_cfg.monteCarlo = false;
-    LecaSensorChip chip(chip_cfg);
-    chip.loadKernels(flattenKernels(enc.weight().value,
-                                    enc.weightScale()));
+        ChipConfig chip_cfg;
+        chip_cfg.rgbHeight = 16;
+        chip_cfg.rgbWidth = 16;
+        chip_cfg.circuit = circuit;
+        chip_cfg.qbits = QBits(3.0);
+        chip_cfg.adcFullScale = fs;
+        chip_cfg.monteCarlo = false;
+        LecaSensorChip chip(chip_cfg);
+        chip.loadKernels(flattenKernels(enc.weight().value,
+                                        enc.weightScale(), enc.circuit()));
 
-    Tensor rgb({3, 16, 16});
-    Rng scene_rng(13);
-    for (std::size_t i = 0; i < rgb.numel(); ++i)
-        rgb[i] = static_cast<float>(scene_rng.uniform());
+        Tensor rgb({3, 16, 16});
+        Rng scene_rng(13);
+        for (std::size_t i = 0; i < rgb.numel(); ++i)
+            rgb[i] = static_cast<float>(scene_rng.uniform());
 
-    Rng frame_rng(1);
-    const Tensor codes =
-        chip.encodeFrame(rgb, PeMode::Ideal, frame_rng, false);
-    const Tensor chip_features = chip.codesToFeatures(codes);
+        Rng frame_rng(1);
+        const Tensor codes =
+            chip.encodeFrame(rgb, PeMode::Ideal, frame_rng, false);
+        const Tensor chip_features = chip.codesToFeatures(codes);
 
-    const Tensor batch = rgb.reshape({1, 3, 16, 16});
-    const Tensor train_features = enc.forward(batch, Mode::Eval);
+        const Tensor batch = rgb.reshape({1, 3, 16, 16});
+        const Tensor train_features = enc.forward(batch, Mode::Eval);
 
-    ASSERT_EQ(chip_features.numel(), train_features.numel());
-    int mismatches = 0;
-    for (int k = 0; k < 4; ++k)
-        for (int y = 0; y < 8; ++y)
-            for (int x = 0; x < 8; ++x)
-                if (std::abs(chip_features.at(k, y, x)
-                             - train_features.at(0, k, y, x)) > 1e-6f)
-                    ++mismatches;
-    EXPECT_EQ(mismatches, 0);
+        ASSERT_EQ(chip_features.numel(), train_features.numel());
+        int mismatches = 0;
+        for (int k = 0; k < 4; ++k)
+            for (int y = 0; y < 8; ++y)
+                for (int x = 0; x < 8; ++x)
+                    if (std::abs(chip_features.at(k, y, x)
+                                 - train_features.at(0, k, y, x)) > 1e-6f)
+                        ++mismatches;
+        EXPECT_EQ(mismatches, 0);
+    }
 }
 
 TEST(Encoder, NoisyDiffersFromHardButCorrelated)

@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "hw/pe.hh"
 #include "hw/sensor_chip.hh"
 #include "hw/timing.hh"
 #include "hw/weights.hh"
 #include "sensor/bayer.hh"
+#include "util/check.hh"
 #include "util/rng.hh"
 
 namespace leca {
@@ -36,6 +39,31 @@ TEST(Weights, QuantizeClampsBeyondScale)
 {
     EXPECT_EQ(quantizeWeight(7.0f, 1.0f).magnitude, 15);
     EXPECT_EQ(quantizeWeight(-7.0f, 1.0f).magnitude, 15);
+    // Far beyond the scale, |w| / scale * steps overflows an int; the
+    // weight still maps to the full code with its sign.
+    for (const float w : {1e10f, -1e10f}) {
+        const ScmWeight q = quantizeWeight(w, 1.0f);
+        EXPECT_EQ(q.magnitude, 15) << w;
+        EXPECT_EQ(q.negative, w < 0.0f) << w;
+    }
+}
+
+TEST(Weights, QuantizeRejectsNonFinite)
+{
+    // A non-finite weight has no cap-DAC code: it must not silently
+    // become a dead tap.
+    for (const float w : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+        try {
+            quantizeWeight(w, 1.0f);
+            ADD_FAILURE() << "expected CheckError for weight " << w;
+        } catch (const CheckError &err) {
+            EXPECT_NE(std::string(err.what()).find("not finite"),
+                      std::string::npos)
+                << err.what();
+        }
+    }
 }
 
 TEST(Weights, DequantizeRoundTripWithinHalfStep)
@@ -206,43 +234,71 @@ TEST_F(ChipTest, IdealEncodeDeterministic)
 TEST_F(ChipTest, EncodeMatchesChainReference)
 {
     // Whole-chip consistency: every ofmap element must equal the flat
-    // chain encode of its raw 4x4 block.
-    LecaSensorChip chip(smallChip(2));
-    Rng rng(13);
-    const auto ks = kernels(2, rng);
-    chip.loadKernels(ks);
+    // chain encode of its raw 4x4 block — Ideal mode on a nominal chip
+    // against an independent nominal chain, and Real mode on a
+    // Monte-Carlo chip against the chain of the PE that computed it.
+    struct Case
+    {
+        bool monteCarlo;
+        PeMode mode;
+    };
+    for (const Case c : {Case{false, PeMode::Ideal},
+                         Case{true, PeMode::Real}}) {
+        SCOPED_TRACE(c.monteCarlo ? "Real, Monte-Carlo" : "Ideal, nominal");
+        ChipConfig cfg = smallChip(2);
+        cfg.monteCarlo = c.monteCarlo;
+        LecaSensorChip chip(cfg);
+        Rng rng(13);
+        const auto ks = kernels(2, rng);
+        chip.loadKernels(ks);
 
-    Tensor rgb({3, 16, 16});
-    for (std::size_t i = 0; i < rgb.numel(); ++i)
-        rgb[i] = static_cast<float>(rng.uniform(0.0, 1.0));
+        Tensor rgb({3, 16, 16});
+        for (std::size_t i = 0; i < rgb.numel(); ++i)
+            rgb[i] = static_cast<float>(rng.uniform(0.0, 1.0));
 
-    Rng frame_rng(1);
-    const Tensor codes = chip.encodeFrame(rgb, PeMode::Ideal, frame_rng,
-                                          false);
+        Rng frame_rng(1);
+        const Tensor codes = chip.encodeFrame(rgb, c.mode, frame_rng,
+                                              false);
 
-    const Tensor raw = mosaic(rgb);
-    CircuitConfig ccfg;
-    AnalogChain chain = AnalogChain::nominal(ccfg);
-    chain.adc.configure(QBits(3.0), 0.35);
-    SensorConfig scfg;
-    for (int by = 0; by < 8; ++by) {
-        for (int bx = 0; bx < 8; ++bx) {
-            std::vector<double> pixels(16);
-            for (int r = 0; r < 4; ++r)
-                for (int c = 0; c < 4; ++c)
-                    pixels[static_cast<std::size_t>(4 * r + c)] =
-                        scfg.digitalToVoltage(
-                            raw.at(4 * by + r, 4 * bx + c));
-            for (int k = 0; k < 2; ++k) {
-                const int expect = chain.encode(
-                    pixels, ks[static_cast<std::size_t>(k)].taps, true,
-                    nullptr);
-                EXPECT_EQ(codes.at(k, by, bx),
-                          static_cast<float>(expect))
-                    << "block " << by << "," << bx << " kernel " << k;
+        const Tensor raw = mosaic(rgb);
+        CircuitConfig ccfg;
+        AnalogChain nominal = AnalogChain::nominal(ccfg);
+        nominal.adc.configure(QBits(3.0), 0.35);
+        SensorConfig scfg;
+        for (int by = 0; by < 8; ++by) {
+            for (int bx = 0; bx < 8; ++bx) {
+                std::vector<double> pixels(16);
+                for (int r = 0; r < 4; ++r)
+                    for (int col = 0; col < 4; ++col)
+                        pixels[static_cast<std::size_t>(4 * r + col)] =
+                            scfg.digitalToVoltage(
+                                raw.at(4 * by + r, 4 * bx + col));
+                const AnalogChain &chain = c.mode == PeMode::Ideal
+                                               ? nominal
+                                               : chip.pe(bx).chain();
+                for (int k = 0; k < 2; ++k) {
+                    const int expect = chain.encode(
+                        pixels, ks[static_cast<std::size_t>(k)].taps,
+                        c.mode == PeMode::Ideal, nullptr);
+                    EXPECT_EQ(codes.at(k, by, bx),
+                              static_cast<float>(expect))
+                        << "block " << by << "," << bx << " kernel " << k;
+                }
             }
         }
     }
+}
+
+TEST_F(ChipTest, LoadKernelsRejectsCodesBeyondTheDac)
+{
+    // Codes flattened for a 4-bit DAC do not fit a 3-bit one.
+    ChipConfig cfg = smallChip(1);
+    cfg.circuit.weightMagBits = 3;
+    LecaSensorChip chip(cfg);
+    const Tensor w = Tensor::full({1, 3, 2, 2}, 0.9f);
+    EXPECT_THROW(chip.loadKernels(flattenKernels(w, 1.0f)), CheckError);
+    EXPECT_NO_THROW(chip.loadKernels(flattenKernels(w, 1.0f, cfg.circuit)));
+    EXPECT_THROW(chip.loadKernels({FlatKernel{}}), CheckError);
 }
 
 TEST_F(ChipTest, RepetitiveReadoutDoublesPixelReads)

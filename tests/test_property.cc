@@ -314,8 +314,7 @@ class AdcResolution : public ::testing::TestWithParam<double>
 
 TEST_P(AdcResolution, FullScaleSweepCoversAllCodes)
 {
-    CircuitConfig cfg;
-    VariableResolutionAdc adc(cfg);
+    VariableResolutionAdc adc;
     adc.configure(QBits(GetParam()), 0.4);
     std::vector<bool> seen(static_cast<std::size_t>(adc.levels()), false);
     for (double v = -0.45; v <= 0.45; v += 0.001)
@@ -326,8 +325,7 @@ TEST_P(AdcResolution, FullScaleSweepCoversAllCodes)
 
 TEST_P(AdcResolution, DequantizeRoundTripOnGrid)
 {
-    CircuitConfig cfg;
-    VariableResolutionAdc adc(cfg);
+    VariableResolutionAdc adc;
     adc.configure(QBits(GetParam()), 0.4);
     for (int code = 0; code < adc.levels(); ++code)
         EXPECT_EQ(adc.convert(adc.dequantize(code)), code);
