@@ -185,21 +185,50 @@ BM_ChipFrameEncode64(benchmark::State &state)
 }
 BENCHMARK(BM_ChipFrameEncode64);
 
+/**
+ * The int8 GEMM shape (A: 256x1024, B: 256x1024) as the production
+ * int8 driver runs it: a 1x1 resident conv over 256 pixel rows of 1024
+ * channels into 256 output channels, no epilogue, fp32 rows out. A 1x1
+ * HWC relayout leaves codes and scales unchanged, so run() computes
+ * exactly Aq · Bqᵀ.
+ */
+struct Conv1x1Gemm
+{
+    static constexpr std::int64_t m = 256, n = 256, k = 1024;
+    static_assert(m == 16 * 16, "A rows are a 16x16 image's pixels");
+    QuantTensor qa;
+    QuantTensor wq_hwc;
+
+    Conv1x1Gemm(const Tensor &a, const Tensor &b)
+        : qa(quantizeRowMajor(a, m, k)),
+          wq_hwc(quantizeConvWeightsHwc(quantizeRowMajor(b, n, k),
+                                        static_cast<int>(k), 1, 1))
+    {
+    }
+
+    /** C (m x n, row-major) = Aq · Bqᵀ. */
+    void
+    run(float *c)
+    {
+        const QuantActivation act{1, static_cast<int>(k), 16, 16,
+                                  qa.q.data(), qa.scales.data()};
+        convForwardResident(act, 1, 1, 1, 0, wq_hwc, ResidentEpilogue{},
+                            nullptr, nullptr, c, nullptr);
+    }
+};
+
 void
 BM_GemmQ8_256x1024(benchmark::State &state)
 {
-    const std::int64_t m = 256, n = 256, k = 1024;
-    const Tensor a = randomTensor({(int)m, (int)k}, 11);
-    const Tensor b = randomTensor({(int)n, (int)k}, 12);
-    const QuantTensor qa = quantizeRowMajor(a, m, k);
-    const QuantTensor qb = quantizeRowMajor(b, n, k);
-    std::vector<float> c(static_cast<std::size_t>(m * n));
+    using G = Conv1x1Gemm;
+    G gemm(randomTensor({(int)G::m, (int)G::k}, 11),
+           randomTensor({(int)G::n, (int)G::k}, 12));
+    std::vector<float> c(static_cast<std::size_t>(G::m * G::n));
     for (auto _ : state) {
-        gemmQ8(m, n, qa.nb, qa.q.data(), qa.scales.data(), qb.q.data(),
-               qb.scales.data(), c.data(), n);
+        gemm.run(c.data());
         benchmark::DoNotOptimize(c.data());
     }
-    state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
+    state.SetItemsProcessed(state.iterations() * 2 * G::m * G::n * G::k);
 }
 BENCHMARK(BM_GemmQ8_256x1024);
 
@@ -336,19 +365,21 @@ estimateClockGhz()
  * int8 quantized kernels vs the fp32 blocked GEMM at the serving
  * shape, plus a roofline: measured GFLOP/s (fp32) and GOP/s (int8,
  * 2 ops per MAC) against the dispatched KernelSet's theoretical
- * per-cycle peak x estimated clock x worker threads.
+ * per-cycle peak x estimated clock x worker threads. The int8 side is
+ * the resident conv driver (Conv1x1Gemm).
  */
 void
 compareQuantKernels(leca::bench::JsonReport &report)
 {
     using leca::bench::timeWallMs;
-    const std::int64_t m = 256, n = 256, k = 1024;
+    const std::int64_t m = Conv1x1Gemm::m, n = Conv1x1Gemm::n,
+                       k = Conv1x1Gemm::k;
     const double ops = 2.0 * static_cast<double>(m) * n * k;
 
     const Tensor a = randomTensor({(int)m, (int)k}, 11);
     const Tensor b = randomTensor({(int)n, (int)k}, 12);
-    const QuantTensor qa = quantizeRowMajor(a, m, k);
-    const QuantTensor qb = quantizeRowMajor(b, n, k);
+    Conv1x1Gemm gemm(a, b);
+    const QuantTensor &qa = gemm.qa;
     std::vector<float> c(static_cast<std::size_t>(m * n));
 
     const double f32_ms = timeWallMs([&] {
@@ -357,8 +388,7 @@ compareQuantKernels(leca::bench::JsonReport &report)
         benchmark::DoNotOptimize(c.data());
     }, 20);
     const double i8_ms = timeWallMs([&] {
-        gemmQ8(m, n, qa.nb, qa.q.data(), qa.scales.data(), qb.q.data(),
-               qb.scales.data(), c.data(), n);
+        gemm.run(c.data());
         benchmark::DoNotOptimize(c.data());
     }, 20);
     const double f32_gfs = ops / f32_ms / 1e6;

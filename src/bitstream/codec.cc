@@ -13,94 +13,78 @@ namespace leca::bitstream {
 
 namespace {
 
-// Section ids shared by every container kind.
-constexpr std::uint32_t kSecMeta = 1;
+// The one section of a byte-stream container.
 constexpr std::uint32_t kSecCodes = 2;
-constexpr std::uint32_t kSecScales = 3;
 
 struct CodedSection
 {
-    Coder coder = Coder::Raw;
+    Coder coder = Coder::Packed;
     Predictor predictor = Predictor::None;
     std::uint16_t aux = 0;
     std::uint64_t predStride = 0;
     std::vector<std::uint8_t> payload;
 };
 
-/** Fixed-width bit width of the largest symbol in @p data. */
-int
-packedWidth(const std::uint8_t *data, std::size_t n)
+/** Bit-pack @p data at the width of its largest symbol (-> @p width). */
+std::vector<std::uint8_t>
+codePacked(const std::uint8_t *data, std::size_t n, std::uint16_t &width)
 {
     std::uint8_t mx = 0;
     for (std::size_t i = 0; i < n; ++i)
         mx = data[i] > mx ? data[i] : mx;
-    int width = 0;
+    width = 0;
     while ((1u << width) <= mx)
         ++width;
-    return width;
+    BitWriter bw;
+    for (std::size_t i = 0; i < n; ++i)
+        bw.put(data[i], width);
+    return bw.finish();
 }
 
-/** Code @p data with one concrete coder; payload appended to fresh vec. */
+/** Frequency table + interleaved rANS stream over @p data (n > 0). */
 std::vector<std::uint8_t>
-codeWith(Coder coder, const std::uint8_t *data, std::size_t n,
-         std::uint16_t &aux)
+codeRans(const std::uint8_t *data, std::size_t n)
 {
+    std::array<std::uint64_t, 256> counts{};
+    for (std::size_t i = 0; i < n; ++i)
+        ++counts[data[i]];
+    const RansFreqTable table = normalizeFreqs(counts, n);
     std::vector<std::uint8_t> payload;
-    aux = 0;
-    switch (coder) {
-    case Coder::Raw:
-        payload.assign(data, data + n);
-        break;
-    case Coder::Packed: {
-        const int width = packedWidth(data, n);
-        aux = static_cast<std::uint16_t>(width);
-        BitWriter bw;
-        for (std::size_t i = 0; i < n; ++i)
-            bw.put(data[i], width);
-        payload = bw.finish();
-        break;
-    }
-    case Coder::Rans: {
-        std::array<std::uint64_t, 256> counts{};
-        for (std::size_t i = 0; i < n; ++i)
-            ++counts[data[i]];
-        const RansFreqTable table = normalizeFreqs(counts, n);
-        appendFreqTable(table, payload);
-        ransEncode(data, n, table, payload);
-        break;
-    }
-    }
+    appendFreqTable(table, payload);
+    ransEncode(data, n, table, payload);
     return payload;
 }
 
 /**
  * Pick predictor and coder for @p data deterministically: candidates
  * run in a fixed order (predictor None before Delta, coder Rans before
- * Packed before Raw) and only a STRICTLY smaller payload displaces the
- * incumbent, so ties always resolve to the earlier candidate.
+ * Packed) and only a STRICTLY smaller payload displaces the incumbent,
+ * so ties always resolve to the earlier candidate. Packing never
+ * exceeds the raw bytes (width <= 8), so no section is coded Raw.
  */
 CodedSection
-codeBytes(const std::uint8_t *data, std::size_t n, std::uint64_t stride,
-          const BitstreamOptions &opts)
+codeBytes(const std::uint8_t *data, std::size_t n, std::uint64_t stride)
 {
     CodedSection best;
     bool have_best = false;
+    const auto offer = [&](Coder coder, Predictor pred, std::uint16_t aux,
+                           std::vector<std::uint8_t> payload) {
+        if (have_best && payload.size() >= best.payload.size())
+            return;
+        best.coder = coder;
+        best.predictor = pred;
+        best.aux = aux;
+        best.predStride = pred == Predictor::Delta ? stride : 0;
+        best.payload = std::move(payload);
+        have_best = true;
+    };
 
     std::vector<std::uint8_t> residual;
-    const bool try_none = opts.predictor != PredictorChoice::Delta;
-    const bool try_delta =
-        stride > 0 && opts.predictor != PredictorChoice::None;
-    LECA_CHECK(try_none || try_delta,
-               "delta predictor requested with stride 0");
-
-    for (int p = 0; p < 2; ++p) {
-        const Predictor pred = p == 0 ? Predictor::None : Predictor::Delta;
-        if (pred == Predictor::None && !try_none)
-            continue;
-        if (pred == Predictor::Delta && !try_delta)
-            continue;
+    for (const Predictor pred : {Predictor::None, Predictor::Delta}) {
         const std::uint8_t *src = data;
         if (pred == Predictor::Delta) {
+            if (stride == 0)
+                break;
             residual.resize(n);
             for (std::size_t i = 0; i < n; ++i)
                 residual[i] = i < stride
@@ -109,29 +93,12 @@ codeBytes(const std::uint8_t *data, std::size_t n, std::uint64_t stride,
                                         data[i] - data[i - stride]);
             src = residual.data();
         }
-        for (const Coder coder : {Coder::Rans, Coder::Packed, Coder::Raw}) {
-            if (opts.coder == CoderChoice::Rans && coder != Coder::Rans)
-                continue;
-            if (opts.coder == CoderChoice::Packed && coder != Coder::Packed)
-                continue;
-            if (opts.coder == CoderChoice::Raw && coder != Coder::Raw)
-                continue;
-            if (coder == Coder::Rans && n == 0)
-                continue;  // no histogram to model
-            std::uint16_t aux = 0;
-            std::vector<std::uint8_t> payload = codeWith(coder, src, n, aux);
-            if (!have_best || payload.size() < best.payload.size()) {
-                best.coder = coder;
-                best.predictor = pred;
-                best.aux = aux;
-                best.predStride = pred == Predictor::Delta ? stride : 0;
-                best.payload = std::move(payload);
-                have_best = true;
-            }
-        }
+        if (n > 0)  // an empty stream has no histogram to model
+            offer(Coder::Rans, pred, 0, codeRans(src, n));
+        std::uint16_t width = 0;
+        std::vector<std::uint8_t> packed = codePacked(src, n, width);
+        offer(Coder::Packed, pred, width, std::move(packed));
     }
-    LECA_CHECK(have_best, "no admissible coder for section of ", n,
-               " bytes (coder choice too restrictive for empty input?)");
     return best;
 }
 
@@ -193,315 +160,18 @@ decodeSectionInto(const Section &s, const std::uint8_t *payload,
     }
 }
 
-void
-addCoded(ContainerWriter &cw, std::uint32_t id, CodedSection coded,
-         std::uint64_t rawLen)
-{
-    cw.addSection(id, coded.coder, coded.predictor, coded.aux,
-                  coded.predStride, rawLen, std::move(coded.payload));
-}
-
-/** Scales (and other fp32 metadata) travel as raw checksummed bytes. */
-void
-addRawSection(ContainerWriter &cw, std::uint32_t id, const void *bytes,
-              std::size_t count)
-{
-    const auto *p = static_cast<const std::uint8_t *>(bytes);
-    cw.addSection(id, Coder::Raw, Predictor::None, 0, 0, count,
-                  std::vector<std::uint8_t>(p, p + count));
-}
-
-/** Fetch a required section or throw. */
-const Section &
-requireSection(const ContainerReader &cr, std::uint32_t id)
-{
-    const Section *s = cr.findSection(id);
-    LECA_CHECK(s != nullptr, "corrupt bitstream: missing section ", id);
-    return *s;
-}
-
-std::int64_t
-loadI64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return static_cast<std::int64_t>(v);
-}
-
-std::int32_t
-loadI32(const std::uint8_t *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return static_cast<std::int32_t>(v);
-}
-
-void
-appendI64(std::vector<std::uint8_t> &out, std::int64_t value)
-{
-    const std::uint64_t v = static_cast<std::uint64_t>(value);
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-appendI32(std::vector<std::uint8_t> &out, std::int32_t value)
-{
-    const std::uint32_t v = static_cast<std::uint32_t>(value);
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
 } // namespace
-
-// ---- QuantTensor ----------------------------------------------------
-
-std::vector<std::uint8_t>
-encodeBitstream(const QuantTensor &qt, const BitstreamOptions &opts)
-{
-    LECA_CHECK(qt.nb == quantBlocks(qt.cols), "QuantTensor nb ", qt.nb,
-               " inconsistent with cols ", qt.cols);
-    ContainerWriter cw(kKindQuantTensor);
-
-    std::vector<std::uint8_t> meta;
-    meta.reserve(4 + 16 + 4 * qt.shape.size());
-    appendI32(meta, static_cast<std::int32_t>(qt.shape.size()));
-    appendI64(meta, qt.rows);
-    appendI64(meta, qt.cols);
-    for (int d : qt.shape)
-        appendI32(meta, d);
-    addRawSection(cw, kSecMeta, meta.data(), meta.size());
-
-    // Codes: our own int8 buffer viewed as bytes (mod-256 bijection;
-    // the delta predictor and coders are byte-domain either way).
-    const auto *codes =  // leca-lint: bitstream-validated
-        reinterpret_cast<const std::uint8_t *>(qt.q.data());
-    const std::uint64_t row_stride =
-        static_cast<std::uint64_t>(qt.nb) * kQuantBlock;
-    addCoded(cw, kSecCodes, codeBytes(codes, qt.q.size(), row_stride, opts),
-             qt.q.size());
-
-    addRawSection(cw, kSecScales, qt.scales.data(),
-                  qt.scales.size() * sizeof(float));
-    return cw.finish();
-}
-
-QuantTensor
-decodeBitstreamTensor(const std::uint8_t *data, std::size_t size)
-{
-    ContainerReader cr(data, size);
-    LECA_CHECK(cr.kind() == kKindQuantTensor,
-               "bitstream kind ", cr.kind(), " is not a QuantTensor (",
-               kKindQuantTensor, ")");
-
-    const Section &meta_s = requireSection(cr, kSecMeta);
-    LECA_CHECK(meta_s.coder == Coder::Raw
-                   && meta_s.predictor == Predictor::None,
-               "corrupt bitstream: QuantTensor meta section must be raw");
-    LECA_CHECK(meta_s.rawLen >= 20,
-               "corrupt bitstream: QuantTensor meta truncated");
-    const std::uint8_t *meta = nullptr;
-    for (std::size_t i = 0; i < cr.sectionCount(); ++i)
-        if (cr.section(i).id == kSecMeta)
-            meta = cr.payload(i);
-    const std::int32_t ndim = loadI32(meta);
-    LECA_CHECK(ndim >= 1 && ndim <= 8,
-               "corrupt bitstream: QuantTensor rank ", ndim);
-    LECA_CHECK(meta_s.rawLen == 20 + 4 * static_cast<std::uint64_t>(ndim),
-               "corrupt bitstream: QuantTensor meta is ", meta_s.rawLen,
-               " bytes for rank ", ndim);
-
-    QuantTensor qt;
-    qt.rows = loadI64(meta + 4);
-    qt.cols = loadI64(meta + 12);
-    LECA_CHECK(qt.rows >= 0 && qt.rows <= (1 << 30),
-               "corrupt bitstream: QuantTensor rows ", qt.rows);
-    LECA_CHECK(qt.cols >= 0 && qt.cols <= (1 << 30),
-               "corrupt bitstream: QuantTensor cols ", qt.cols);
-    qt.nb = quantBlocks(qt.cols);
-    qt.shape.resize(static_cast<std::size_t>(ndim));
-    std::int64_t numel = 1;
-    for (std::int32_t i = 0; i < ndim; ++i) {
-        const std::int32_t d = loadI32(meta + 20 + 4 * i);
-        LECA_CHECK(d >= 0 && d <= (1 << 30),
-                   "corrupt bitstream: QuantTensor dim ", i, " = ", d);
-        qt.shape[static_cast<std::size_t>(i)] = d;
-        numel *= d;
-        LECA_CHECK(numel <= (std::int64_t{1} << 40),
-                   "corrupt bitstream: QuantTensor numel overflows");
-    }
-    LECA_CHECK(numel == qt.rows * qt.cols,
-               "corrupt bitstream: QuantTensor shape has ", numel,
-               " elements but the view is ", qt.rows, "x", qt.cols);
-
-    const std::uint64_t ncodes =
-        static_cast<std::uint64_t>(qt.rows) * qt.nb * kQuantBlock;
-    const Section &codes_s = requireSection(cr, kSecCodes);
-    LECA_CHECK(codes_s.rawLen == ncodes,
-               "corrupt bitstream: QuantTensor codes section is ",
-               codes_s.rawLen, " bytes, expected ", ncodes);
-    const Section &scales_s = requireSection(cr, kSecScales);
-    const std::uint64_t nscales =
-        static_cast<std::uint64_t>(qt.rows) * qt.nb;
-    LECA_CHECK(scales_s.rawLen == nscales * sizeof(float),
-               "corrupt bitstream: QuantTensor scales section is ",
-               scales_s.rawLen, " bytes, expected ",
-               nscales * sizeof(float));
-
-    qt.q.resize(static_cast<std::size_t>(ncodes));
-    qt.scales.resize(static_cast<std::size_t>(nscales));
-    for (std::size_t i = 0; i < cr.sectionCount(); ++i) {
-        const Section &s = cr.section(i);
-        if (s.id == kSecCodes) {
-            // Destination sized from the validated meta section above.
-            auto *dst =  // leca-lint: bitstream-validated
-                reinterpret_cast<std::uint8_t *>(qt.q.data());
-            decodeSectionInto(s, cr.payload(i), dst);
-        } else if (s.id == kSecScales) {
-            LECA_CHECK(s.coder == Coder::Raw
-                           && s.predictor == Predictor::None
-                           && s.encLen == s.rawLen,
-                       "corrupt bitstream: scales section must be raw");
-            // Length pinned to rows*nb floats by the checks above (and
-            // may be zero for an empty tensor — scales.data() is null
-            // then, so the copy must not run).
-            if (s.rawLen != 0) {
-                // leca-lint: bitstream-validated
-                std::memcpy(qt.scales.data(), cr.payload(i),
-                            static_cast<std::size_t>(s.rawLen));
-            }
-        }
-    }
-    return qt;
-}
-
-// ---- QuantActivation ------------------------------------------------
-
-std::vector<std::uint8_t>
-encodeBitstream(const QuantActivation &act, const BitstreamOptions &opts)
-{
-    LECA_CHECK(act.n >= 0 && act.c >= 0 && act.h >= 0 && act.w >= 0,
-               "QuantActivation with negative shape ", act.n, "x", act.c,
-               "x", act.h, "x", act.w);
-    LECA_CHECK(!act.empty() || act.rows() * quantPadded(act.c) == 0,
-               "QuantActivation with null buffers but non-empty shape");
-    ContainerWriter cw(kKindQuantActivation);
-
-    std::vector<std::uint8_t> meta;
-    meta.reserve(16);
-    appendI32(meta, act.n);
-    appendI32(meta, act.c);
-    appendI32(meta, act.h);
-    appendI32(meta, act.w);
-    addRawSection(cw, kSecMeta, meta.data(), meta.size());
-
-    const std::size_t ncodes =
-        static_cast<std::size_t>(act.rows()) * quantPadded(act.c);
-    const auto *codes =  // leca-lint: bitstream-validated
-        reinterpret_cast<const std::uint8_t *>(act.q);
-    // Pixel-major rows: delta against the previous pixel's channel
-    // vector (stride = padded channel extent) models the spatial
-    // smoothness of feature maps.
-    addCoded(cw, kSecCodes,
-             codeBytes(codes, ncodes,
-                       static_cast<std::uint64_t>(quantPadded(act.c)),
-                       opts),
-             ncodes);
-
-    const std::size_t nscales =
-        static_cast<std::size_t>(act.rows()) * act.nbc();
-    addRawSection(cw, kSecScales, act.scales, nscales * sizeof(float));
-    return cw.finish();
-}
-
-OwnedActivation
-decodeBitstreamActivation(const std::uint8_t *data, std::size_t size)
-{
-    ContainerReader cr(data, size);
-    LECA_CHECK(cr.kind() == kKindQuantActivation,
-               "bitstream kind ", cr.kind(), " is not a QuantActivation (",
-               kKindQuantActivation, ")");
-
-    const Section &meta_s = requireSection(cr, kSecMeta);
-    LECA_CHECK(meta_s.coder == Coder::Raw
-                   && meta_s.predictor == Predictor::None
-                   && meta_s.rawLen == 16,
-               "corrupt bitstream: QuantActivation meta must be 16 raw "
-               "bytes, got ",
-               meta_s.rawLen);
-
-    OwnedActivation out;
-    for (std::size_t i = 0; i < cr.sectionCount(); ++i) {
-        if (cr.section(i).id != kSecMeta)
-            continue;
-        const std::uint8_t *meta = cr.payload(i);
-        out.n = loadI32(meta);
-        out.c = loadI32(meta + 4);
-        out.h = loadI32(meta + 8);
-        out.w = loadI32(meta + 12);
-    }
-    LECA_CHECK(out.n >= 0 && out.c >= 0 && out.h >= 0 && out.w >= 0,
-               "corrupt bitstream: QuantActivation shape ", out.n, "x",
-               out.c, "x", out.h, "x", out.w);
-    const std::int64_t rows =
-        static_cast<std::int64_t>(out.n) * out.h * out.w;
-    LECA_CHECK(rows <= (1 << 30) && out.c <= (1 << 20),
-               "corrupt bitstream: QuantActivation too large (", rows,
-               " pixel rows, ", out.c, " channels)");
-
-    const std::uint64_t ncodes =
-        static_cast<std::uint64_t>(rows) * quantPadded(out.c);
-    const std::uint64_t nscales =
-        static_cast<std::uint64_t>(rows) * quantBlocks(out.c);
-    const Section &codes_s = requireSection(cr, kSecCodes);
-    LECA_CHECK(codes_s.rawLen == ncodes,
-               "corrupt bitstream: QuantActivation codes section is ",
-               codes_s.rawLen, " bytes, expected ", ncodes);
-    const Section &scales_s = requireSection(cr, kSecScales);
-    LECA_CHECK(scales_s.rawLen == nscales * sizeof(float),
-               "corrupt bitstream: QuantActivation scales section is ",
-               scales_s.rawLen, " bytes, expected ",
-               nscales * sizeof(float));
-
-    out.q.resize(static_cast<std::size_t>(ncodes));
-    out.scales.resize(static_cast<std::size_t>(nscales));
-    for (std::size_t i = 0; i < cr.sectionCount(); ++i) {
-        const Section &s = cr.section(i);
-        if (s.id == kSecCodes) {
-            // Destination sized from the validated meta section above.
-            auto *dst =  // leca-lint: bitstream-validated
-                reinterpret_cast<std::uint8_t *>(out.q.data());
-            decodeSectionInto(s, cr.payload(i), dst);
-        } else if (s.id == kSecScales) {
-            LECA_CHECK(s.coder == Coder::Raw
-                           && s.predictor == Predictor::None
-                           && s.encLen == s.rawLen,
-                       "corrupt bitstream: scales section must be raw");
-            // Length pinned to rows*nbc floats by the checks above (and
-            // may be zero for an empty activation — scales.data() is
-            // null then, so the copy must not run).
-            if (s.rawLen != 0) {
-                // leca-lint: bitstream-validated
-                std::memcpy(out.scales.data(), cr.payload(i),
-                            static_cast<std::size_t>(s.rawLen));
-            }
-        }
-    }
-    return out;
-}
-
-// ---- Raw symbol streams ---------------------------------------------
 
 std::vector<std::uint8_t>
 encodeByteStream(const std::uint8_t *data, std::size_t n,
-                 std::uint64_t predStride, const BitstreamOptions &opts)
+                 std::uint64_t predStride)
 {
     LECA_CHECK(data != nullptr || n == 0,
                "encodeByteStream over null data of size ", n);
+    CodedSection coded = codeBytes(data, n, predStride);
     ContainerWriter cw(kKindByteStream);
-    addCoded(cw, kSecCodes, codeBytes(data, n, predStride, opts), n);
+    cw.addSection(kSecCodes, coded.coder, coded.predictor, coded.aux,
+                  coded.predStride, n, std::move(coded.payload));
     return cw.finish();
 }
 
@@ -511,11 +181,13 @@ decodeByteStream(const std::uint8_t *data, std::size_t size)
     ContainerReader cr(data, size);
     LECA_CHECK(cr.kind() == kKindByteStream, "bitstream kind ", cr.kind(),
                " is not a byte stream (", kKindByteStream, ")");
-    const Section &s = requireSection(cr, kSecCodes);
-    std::vector<std::uint8_t> out(static_cast<std::size_t>(s.rawLen));
+    const Section *s = cr.findSection(kSecCodes);
+    LECA_CHECK(s != nullptr, "corrupt bitstream: missing section ",
+               kSecCodes);
+    std::vector<std::uint8_t> out(static_cast<std::size_t>(s->rawLen));
     for (std::size_t i = 0; i < cr.sectionCount(); ++i)
         if (cr.section(i).id == kSecCodes)
-            decodeSectionInto(s, cr.payload(i), out.data());
+            decodeSectionInto(*s, cr.payload(i), out.data());
     return out;
 }
 

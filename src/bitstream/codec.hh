@@ -1,20 +1,19 @@
 /**
  * @file
- * Entropy-coded wire format for quantized LeCA data (DESIGN.md §14).
+ * Entropy-coded wire format for LeCA byte streams (DESIGN.md §14).
  *
- * encodeBitstream turns a QuantTensor / QuantActivation / raw code
- * byte stream into a self-describing container (container.hh): codes
- * go through an optional per-row delta predictor and the smallest of
- * the rANS / bit-packed / raw coders; scales and shape metadata ride
- * along as raw checksummed sections. decodeBitstream* reverses it
- * bit-exactly — the decoded codes memcmp-equal the input, so the
- * resident int8 inference path is untouched by a wire round-trip.
+ * The sensor sends one thing off-chip per frame: the encoder's Q_bit
+ * feature codes. encodeByteStream turns such a code stream (or any
+ * compression baseline's wire symbols) into a self-describing
+ * container (container.hh) with one codes section: the bytes go
+ * through an optional delta predictor and the smaller of the rANS /
+ * bit-packed coders. decodeByteStream reverses it bit-exactly.
  *
- * Coder and predictor selection under Auto is deterministic (fixed
- * candidate order, strictly-smaller wins), and every coder is serial
- * integer math, so encoded bytes are identical across LECA_THREADS,
- * LECA_ISA, and hosts. All decode paths go through ContainerReader's
- * up-front validation and throw leca::CheckError on any corruption.
+ * The encoder runs one deterministic policy (fixed candidate order,
+ * strictly-smaller wins), and every coder is serial integer math, so
+ * encoded bytes are identical across LECA_THREADS, LECA_ISA, and
+ * hosts. Decoding goes through ContainerReader's up-front validation
+ * and throws leca::CheckError on any corruption.
  */
 
 #ifndef LECA_BITSTREAM_CODEC_HH
@@ -24,65 +23,10 @@
 #include <cstdint>
 #include <vector>
 
-#include "tensor/quant.hh"
-
 namespace leca::bitstream {
 
-/** Container kinds (the codec-level analogue of serialize v2 kinds). */
-inline constexpr std::uint32_t kKindQuantTensor = 1;
-inline constexpr std::uint32_t kKindQuantActivation = 2;
+/** Container kind of an encoded byte stream. */
 inline constexpr std::uint32_t kKindByteStream = 3;
-
-/** Entropy-coder selection; Auto picks the smallest deterministically. */
-enum class CoderChoice { Auto, Rans, Packed, Raw };
-
-/** Predictor selection; Auto tries both and keeps the smaller result. */
-enum class PredictorChoice { Auto, None, Delta };
-
-struct BitstreamOptions
-{
-    CoderChoice coder = CoderChoice::Auto;
-    PredictorChoice predictor = PredictorChoice::Auto;
-};
-
-// ---- QuantTensor ----------------------------------------------------
-
-/** Encode a quantized weight tensor (codes + scales + shape). */
-std::vector<std::uint8_t> encodeBitstream(const QuantTensor &qt,
-                                          const BitstreamOptions &opts = {});
-
-/** Decode a kKindQuantTensor container; CheckError on corruption. */
-QuantTensor decodeBitstreamTensor(const std::uint8_t *data,
-                                  std::size_t size);
-
-// ---- QuantActivation ------------------------------------------------
-
-/**
- * Owning storage for a decoded resident activation; QuantActivation
- * itself is a non-owning view, so the wire decoder hands back the
- * buffers plus a view() factory over them.
- */
-struct OwnedActivation
-{
-    int n = 0, c = 0, h = 0, w = 0;
-    std::vector<std::int8_t> q;
-    std::vector<float> scales;
-
-    QuantActivation view()
-    {
-        return QuantActivation{n, c, h, w, q.data(), scales.data()};
-    }
-};
-
-/** Encode a resident activation (pixel-major codes + scales + shape). */
-std::vector<std::uint8_t> encodeBitstream(const QuantActivation &act,
-                                          const BitstreamOptions &opts = {});
-
-/** Decode a kKindQuantActivation container; CheckError on corruption. */
-OwnedActivation decodeBitstreamActivation(const std::uint8_t *data,
-                                          std::size_t size);
-
-// ---- Raw symbol streams (serve payloads, baseline wire symbols) -----
 
 /**
  * Encode an arbitrary byte-symbol stream (e.g. the per-pixel code
@@ -92,8 +36,7 @@ OwnedActivation decodeBitstreamActivation(const std::uint8_t *data,
  */
 std::vector<std::uint8_t> encodeByteStream(const std::uint8_t *data,
                                            std::size_t n,
-                                           std::uint64_t predStride,
-                                           const BitstreamOptions &opts = {});
+                                           std::uint64_t predStride);
 
 /** Decode a kKindByteStream container; CheckError on corruption. */
 std::vector<std::uint8_t> decodeByteStream(const std::uint8_t *data,

@@ -1,7 +1,8 @@
 /**
  * @file
  * Versioned, checksummed container for entropy-coded payloads
- * (DESIGN.md §14) — the wire-format sibling of serialize v2.
+ * (DESIGN.md §14): the framing around every byte stream the sensor
+ * sends off-chip (codec.hh).
  *
  * Layout (all fields little-endian):
  *
@@ -30,6 +31,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "util/fnv1a.hh"
 
 namespace leca::bitstream {
 
@@ -66,26 +69,6 @@ struct Section
     std::uint64_t rawLen = 0;     //!< decoded payload length
     std::uint64_t encLen = 0;     //!< stored payload length
     std::uint64_t checksum = 0;   //!< FNV-1a over the stored payload
-};
-
-/** FNV-1a, identical constants to serialize v2's checkpoint hash. */
-class Fnv1a
-{
-  public:
-    void
-    update(const void *bytes, std::size_t count)
-    {
-        const auto *p = static_cast<const unsigned char *>(bytes);
-        for (std::size_t i = 0; i < count; ++i) {
-            _state ^= p[i];
-            _state *= 0x100000001B3ULL;
-        }
-    }
-
-    std::uint64_t digest() const { return _state; }
-
-  private:
-    std::uint64_t _state = 0xCBF29CE484222325ULL;
 };
 
 /** Accumulates sections, then emits the framed container bytes. */

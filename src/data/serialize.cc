@@ -7,6 +7,7 @@
 #include "nn/layer.hh"
 #include "tensor/quant.hh"
 #include "util/check.hh"
+#include "util/fnv1a.hh"
 #include "util/logging.hh"
 
 namespace leca {
@@ -19,26 +20,6 @@ constexpr std::uint32_t kVersion = 2;
 constexpr std::uint32_t kKindParams = 1;
 constexpr std::uint32_t kKindLayerState = 2;
 constexpr std::uint32_t kKindQuantState = 3;
-
-/** FNV-1a over every byte written/read after the magic word. */
-class Fnv1a
-{
-  public:
-    void
-    update(const void *bytes, std::size_t count)
-    {
-        const auto *p = static_cast<const unsigned char *>(bytes);
-        for (std::size_t i = 0; i < count; ++i) {
-            _state ^= p[i];
-            _state *= 0x100000001B3ULL;
-        }
-    }
-
-    std::uint64_t digest() const { return _state; }
-
-  private:
-    std::uint64_t _state = 0xCBF29CE484222325ULL;
-};
 
 /** Write @p count bytes, folding them into the checksum. */
 void
@@ -291,9 +272,11 @@ saveQuantizedState(Layer &layer, const std::string &path)
 bool
 loadQuantizedState(Layer &layer, const std::string &path)
 {
-    std::ifstream is(path, std::ios::binary);
+    std::ifstream is(path, std::ios::binary | std::ios::ate);
     if (!is)
         return false;
+    const std::uint64_t file_bytes = static_cast<std::uint64_t>(is.tellg());
+    is.seekg(0);
     std::uint32_t magic = 0;
     is.read(reinterpret_cast<char *>(&magic), sizeof(magic));
     LECA_CHECK(is && is.gcount() == sizeof(magic), "corrupt checkpoint ",
@@ -351,8 +334,36 @@ loadQuantizedState(Layer &layer, const std::string &path)
         std::uint64_t rows = 0, cols = 0;
         readHashed(is, hash, &rows, sizeof(rows), path);
         readHashed(is, hash, &cols, sizeof(cols), path);
-        if (rows == 0)
+        if (ndim == 0) {
+            LECA_CHECK(rows == 0 && cols == 0, "corrupt checkpoint ", path,
+                       ": empty quantized tensor claims ", rows, "x", cols);
             continue; // empty slot round-trips as empty
+        }
+        // The checksum is only verified at the end, so bound the header
+        // by the bytes left in the file before sizing anything from it:
+        // a flipped bit here must not turn into a huge allocation.
+        const std::uint64_t left =
+            file_bytes - static_cast<std::uint64_t>(is.tellg());
+        std::uint64_t numel = 1;
+        for (const int extent : qt.shape) {
+            LECA_CHECK(extent > 0
+                           && static_cast<std::uint64_t>(extent)
+                                  <= left / numel,
+                       "corrupt checkpoint ", path,
+                       ": quantized tensor dim ", extent);
+            numel *= static_cast<std::uint64_t>(extent);
+        }
+        LECA_CHECK(rows > 0 && numel % rows == 0 && numel / rows == cols,
+                   "corrupt checkpoint ", path, ": quantized tensor view ",
+                   rows, "x", cols, " does not cover its ", numel,
+                   " elements");
+        const std::uint64_t need =
+            rows * static_cast<std::uint64_t>(quantBlocks(
+                       static_cast<std::int64_t>(cols)))
+            * (kQuantBlock + sizeof(float));
+        LECA_CHECK(need <= left, "corrupt checkpoint ", path,
+                   ": quantized tensor needs ", need, " bytes, ", left,
+                   " left");
         qt.rows = static_cast<std::int64_t>(rows);
         qt.cols = static_cast<std::int64_t>(cols);
         qt.nb = quantBlocks(qt.cols);

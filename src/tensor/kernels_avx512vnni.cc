@@ -29,8 +29,8 @@
  * xor, dpbusd, cvt, and the fused multiply-add the contract pins.
  * (A pre-expanded 16-float-per-pair scale table was tried and is
  * faster in an L1-resident standalone loop, but its 8x staging store
- * traffic loses more than the hot loop gains once gemmQ8 re-stages
- * per panel visit.)
+ * traffic loses more than the hot loop gains once the resident conv
+ * re-stages per panel visit.)
  */
 
 #if defined(__AVX512F__) && defined(__AVX512VNNI__) && defined(__AVX512VL__)
@@ -157,8 +157,8 @@ constexpr std::int64_t kChunkPairs = 256;
  * the loop stops being latency-bound. The A block pair and its negated
  * correction are computed on the fly once per pair — amortized over
  * the eight rows they cost well under one op per pairStep, and going
- * table-free keeps this call cheap enough for gemmQ8's panel x tile
- * loop to issue it once per (A row, B tile).
+ * table-free keeps this call cheap enough for the resident conv's
+ * panel x tile loop to issue it once per (patch row, weight tile).
  */
 template <bool kPreBiased>
 void

@@ -15,17 +15,17 @@ namespace leca {
 namespace {
 
 /**
- * A rows per L1-ish panel in gemmQ8: a panel's codes stay hot while it
- * sweeps every B tile, so B is re-streamed once per panel instead of
- * once per row.
+ * Patch rows per L1-ish panel in the resident conv: a panel's codes
+ * stay hot while it sweeps every weight tile, so the weights are
+ * re-streamed once per panel instead of once per patch row.
  */
 constexpr std::int64_t kPanelRowsQ8 = 16;
 
 /**
- * A-row chunk size for gemmQ8: whole panels, and enough MACs to
- * amortise a pool dispatch (~512 KMAC). Depends only on the problem
- * shape, so the decomposition — and therefore every output bit — is
- * independent of LECA_THREADS.
+ * Patch-row chunk size for the resident conv: whole panels, and enough
+ * MACs to amortise a pool dispatch (~512 KMAC). Depends only on the
+ * problem shape, so the decomposition — and therefore every output
+ * bit — is independent of LECA_THREADS.
  */
 std::int64_t
 chunkRowsQ8(std::int64_t n, std::int64_t nb)
@@ -133,64 +133,6 @@ dequantizeRowsInto(const QuantTensor &qt, float *dst)
     for (std::int64_t i = 0; i < qt.rows; ++i)
         dequant(qt.q.data() + i * qt.nb * kQuantBlock,
                 qt.scales.data() + i * qt.nb, qt.cols, dst + i * qt.cols);
-}
-
-// leca-analyze: entry
-void
-gemmQ8(std::int64_t m, std::int64_t n, std::int64_t nb,
-       const std::int8_t *qa, const float *sa, const std::int8_t *qb,
-       const float *sb, float *c, std::int64_t ldc)
-{
-    const simd::DotQ8RowFn dot = activeKernels().dotQ8Row;
-    const simd::DotQ8RowUBFn dot_ub = activeKernels().dotQ8RowUB;
-    const std::int64_t row_bytes = nb * kQuantBlock;
-    // Every B row is reused by all m A rows, so when the active ISA
-    // wants an unsigned B operand (VNNI), bias the whole matrix once
-    // here — one streaming XOR pass — instead of per (block, row)
-    // inside the dot. Same bytes reach the multiplier either way, so
-    // results are bit-identical to the plain-dot path.
-    Arena::Scope scope;
-    const std::uint8_t *qb_ub = nullptr;
-    if (dot_ub != nullptr && m > 1) {
-        std::uint8_t *ub = static_cast<std::uint8_t *>(
-            Arena::local().allocBytes(
-                static_cast<std::size_t>(n * row_bytes)));
-        const std::uint8_t *src =
-            reinterpret_cast<const std::uint8_t *>(qb);
-        const std::int64_t total = n * row_bytes;
-        for (std::int64_t i = 0; i < total; ++i)
-            ub[i] = static_cast<std::uint8_t>(src[i] ^ 0x80u);
-        qb_ub = ub;
-    }
-    // Block for locality in both operands: a B tile's code rows stay
-    // L1-resident while an A panel's rows re-stream them, and the
-    // panel itself stays near-L1 across its sweep of every tile, so B
-    // is re-streamed once per 16-row panel instead of once per A row
-    // (without this the dot kernel is memory-bound long before its
-    // arithmetic peak). Pure partition of independent outputs: each
-    // c[i][j] is still one dot() in pinned order, so the blocking
-    // (like the thread count) can never change a bit of the result.
-    std::int64_t tile = (32 << 10) / row_bytes;
-    tile = std::max<std::int64_t>(8, tile & ~std::int64_t(7));
-    parallelFor(0, m, chunkRowsQ8(n, nb),
-                [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t ip = i0; ip < i1; ip += kPanelRowsQ8) {
-            const std::int64_t ie = std::min(i1, ip + kPanelRowsQ8);
-            for (std::int64_t j0 = 0; j0 < n; j0 += tile) {
-                const std::int64_t jn = std::min(tile, n - j0);
-                for (std::int64_t i = ip; i < ie; ++i) {
-                    if (qb_ub != nullptr)
-                        dot_ub(qa + i * row_bytes, sa + i * nb,
-                               qb_ub + j0 * row_bytes, sb + j0 * nb, nb,
-                               jn, c + i * ldc + j0);
-                    else
-                        dot(qa + i * row_bytes, sa + i * nb,
-                            qb + j0 * row_bytes, sb + j0 * nb, nb, jn,
-                            c + i * ldc + j0);
-                }
-            }
-        }
-    });
 }
 
 void
@@ -386,8 +328,11 @@ convForwardResident(const QuantActivation &in, int kh, int kw, int stride,
     LECA_CHECK(epi.a == nullptr || epi.b != nullptr,
                "convForwardResident: affine epilogue needs both a and b");
 
-    // gemmQ8's shape-only tiling rules, verbatim: B tile sized to stay
-    // L1-ish, panel chunks in whole multiples of kPanelRowsQ8.
+    // Shape-only tiling: a weight tile sized to stay L1-ish while each
+    // panel re-streams it, panel chunks in whole multiples of
+    // kPanelRowsQ8. Pure partition of independent outputs: each output
+    // is still one dot() in pinned order, so neither the blocking nor
+    // the thread count can change a bit of the result.
     std::int64_t tile = (32 << 10) / row_bytes;
     tile = std::max<std::int64_t>(8, tile & ~std::int64_t(7));
     const std::int64_t chunk = chunkRowsQ8(cout, row_blocks);
@@ -397,7 +342,7 @@ convForwardResident(const QuantActivation &in, int kh, int kw, int stride,
     const simd::DotQ8RowUBFn dot_ub = activeKernels().dotQ8RowUB;
     const simd::QuantizeRowFn quantize_row = activeKernels().quantizeRow;
     const simd::AffineReluRowFn affine = activeKernels().affineReluRow;
-    // The pre-biased weight codes replace gemmQ8's per-call XOR pass;
+    // The pre-biased weight codes spare the dot its per-block XOR;
     // only usable when BOTH the cache and the UB dot exist (a
     // ScopedKernelOverride can remove the latter mid-process). Either
     // operand form feeds the multiplier the same bytes, so results are

@@ -15,9 +15,9 @@
  * GEMM (Linear: [out, in]; Conv/Encoder: [cout, cin*kh*kw]) — per-row
  * blocking then matches the dot direction exactly.
  *
- * Determinism: quantization and the int8 GEMM both route through the
+ * Determinism: quantization and the int8 dots both route through the
  * dispatched KernelSet (tensor/isa.hh), every variant of which is
- * bit-identical to the scalar reference, and gemmQ8's work
+ * bit-identical to the scalar reference, and the resident conv's work
  * decomposition depends only on the problem shape — so quantized
  * inference is bit-identical across LECA_THREADS, batch split, and ISA.
  */
@@ -60,8 +60,8 @@ struct QuantTensor
      * Derived cache, never serialized: the same codes biased by +128
      * (q XOR 0x80), the unsigned operand layout the VNNI dot wants.
      * Built once by buildPreBiased() when the active kernel set has a
-     * dotQ8RowUB slot, so resident convs skip the per-call XOR pass
-     * gemmQ8 performs. Empty means "use the signed codes".
+     * dotQ8RowUB slot, so resident convs feed the VNNI dot without a
+     * per-call XOR pass. Empty means "use the signed codes".
      */
     std::vector<std::uint8_t> qub;
 
@@ -115,19 +115,6 @@ void quantizeRowsInto(const float *src, std::int64_t m, std::int64_t cols,
  * is the exact product q·s, the same floats dequantizeRowMajor holds.
  */
 void dequantizeRowsInto(const QuantTensor &qt, float *dst);
-
-/**
- * C (m×n) = Aq · Bqᵀ over block-quantized operands: row i of Aq dotted
- * against every row j of Bq (both rows × nb blocks). Parallelised over
- * A rows through the deterministic pool; the dotQ8Row kernel pointer is
- * snapshotted before the parallel region.
- *
- * @param c   m×n output, row stride @p ldc, overwritten
- */
-void gemmQ8(std::int64_t m, std::int64_t n, std::int64_t nb,
-            const std::int8_t *qa, const float *sa,
-            const std::int8_t *qb, const float *sb, float *c,
-            std::int64_t ldc);
 
 /**
  * Quantized linear forward: y (m×out) = quant(x) · Wqᵀ + bias for
@@ -239,9 +226,10 @@ void quantizeActivationNchw(const float *x, int n, int c, int h, int w,
  * int8 codes — each patch row is kh·kw code/scale span copies gathered
  * straight into a 16-row panel (the gather IS the panel packing; no
  * fp32 materialisation, no requantization) — dotted against HWC-laid
- * weight rows (gemmQ8's tiling; the cached pre-biased codes feed the
- * VNNI dot when available), then the epilogue and ONE of three exits
- * per output pixel row while it is still panel-hot:
+ * weight rows (each panel sweeps L1-sized weight tiles; the cached
+ * pre-biased codes feed the VNNI dot when available), then the
+ * epilogue and ONE of three exits per output pixel row while it is
+ * still panel-hot:
  *
  *   - out_q/out_s: quantize once into a resident activation
  *     (rows = n·oh·ow, channel extent = wq_hwc.rows);

@@ -81,8 +81,8 @@ using DotQ8RowFn = void (*)(const std::int8_t *qa, const float *sa,
  * (b XOR 0x80, i.e. reinterpreted as the unsigned operand VPDPBUSD
  * wants). Bit-identical results to DotQ8RowFn on the un-biased bytes —
  * it merely skips the per-(block, row) XOR, which matters because
- * gemmQ8 reuses every B row across all m A rows and can hoist the
- * bias to one pass over B. Optional: only ISAs whose int8 kernel
+ * the resident conv reuses every weight row across all patch rows and
+ * caches the biased weights once per plan. Optional: only ISAs whose int8 kernel
  * needs an unsigned operand (VNNI) provide it; a null slot means
  * "no benefit here, use dotQ8Row".
  */

@@ -1,23 +1,25 @@
 /**
  * @file
  * The entropy-coded wire format's contract (DESIGN.md §14): bit I/O
- * and rANS primitives round-trip exactly; QuantTensor/QuantActivation/
- * byte-stream containers decode memcmp-equal to their inputs at
- * adversarial shapes (narrow channels, non-multiple-of-32 blocks,
- * empty tensors); entropy coding beats the raw 8-bit baseline on
- * skewed data; encoded bytes are identical across thread counts and
- * every compiled ISA variant; and EVERY corruption — truncation at
- * each byte boundary, random bit flips, oversized length fields, bad
- * magic/version/kind — raises leca::CheckError, never an out-of-bounds
- * read (this file runs under the ASan CI job).
+ * and rANS primitives round-trip exactly; byte-stream containers
+ * decode equal to their inputs at adversarial lengths and alphabets,
+ * with and without delta prediction, under every coder a container
+ * may name; entropy coding beats 8 bits per code on skewed codes;
+ * encoded bytes are identical across thread counts and every compiled
+ * ISA variant, and equal to pinned golden digests from one commit to
+ * the next; and EVERY corruption — truncation at each byte boundary,
+ * random bit flips, oversized length fields, bad magic/version/kind —
+ * raises leca::CheckError, never an out-of-bounds read (this file runs
+ * under the ASan CI job).
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <set>
 #include <vector>
 
 #include "bitstream/bitio.hh"
@@ -25,9 +27,8 @@
 #include "bitstream/container.hh"
 #include "bitstream/rans.hh"
 #include "tensor/isa.hh"
-#include "tensor/quant.hh"
-#include "tensor/tensor.hh"
 #include "util/check.hh"
+#include "util/fnv1a.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
 
@@ -35,15 +36,11 @@ namespace leca {
 namespace {
 
 using bitstream::BitReader;
-using bitstream::BitstreamOptions;
 using bitstream::BitWriter;
 using bitstream::Coder;
-using bitstream::CoderChoice;
 using bitstream::ContainerReader;
 using bitstream::ContainerWriter;
-using bitstream::OwnedActivation;
 using bitstream::Predictor;
-using bitstream::PredictorChoice;
 using bitstream::RansFreqTable;
 
 /** Restores the ambient thread count after each test. */
@@ -80,38 +77,45 @@ skewedBytes(std::size_t n, std::uint64_t seed)
     return v;
 }
 
-QuantTensor
-randomQuantTensor(std::int64_t rows, std::int64_t cols, std::uint64_t seed)
+/**
+ * @p n symbols from an alphabet of @p alphabet values, skewed toward 0
+ * (symbol = alphabet·u³), so long streams favour rANS and short or
+ * tiny-alphabet ones favour bit packing.
+ */
+std::vector<std::uint8_t>
+alphabetBytes(std::size_t n, int alphabet, std::uint64_t seed)
 {
     Rng rng(seed);
-    Tensor w({static_cast<int>(rows), static_cast<int>(cols)});
-    for (std::size_t i = 0; i < static_cast<std::size_t>(w.numel()); ++i)
-        w.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
-    return quantizeRowMajor(w, rows, cols);
+    std::vector<std::uint8_t> v(n);
+    for (auto &b : v) {
+        const double u = rng.uniform();
+        const int s = static_cast<int>(alphabet * u * u * u);
+        b = static_cast<std::uint8_t>(s < alphabet ? s : alphabet - 1);
+    }
+    return v;
 }
 
-struct ActBuffers
-{
-    std::vector<std::int8_t> q;
-    std::vector<float> scales;
-    QuantActivation act;
-};
-
-ActBuffers
-randomActivation(int n, int c, int h, int w, std::uint64_t seed)
+/** A smooth image-like stream: rows of @p w codes along a gradient. */
+std::vector<std::uint8_t>
+gradientBytes(int h, int w, std::uint64_t seed)
 {
     Rng rng(seed);
-    std::vector<float> planes(static_cast<std::size_t>(n) * c * h * w);
-    for (auto &x : planes)
-        x = static_cast<float>(rng.uniform(-2.0, 2.0));
-    ActBuffers out;
-    const std::int64_t rows = static_cast<std::int64_t>(n) * h * w;
-    out.q.resize(static_cast<std::size_t>(rows * quantPadded(c)));
-    out.scales.resize(static_cast<std::size_t>(rows * quantBlocks(c)));
-    quantizeActivationNchw(planes.data(), n, c, h, w, out.q.data(),
-                           out.scales.data());
-    out.act = QuantActivation{n, c, h, w, out.q.data(), out.scales.data()};
-    return out;
+    std::vector<std::uint8_t> v(static_cast<std::size_t>(h) * w);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        const int y = static_cast<int>(i) / w, x = static_cast<int>(i) % w;
+        v[i] = static_cast<std::uint8_t>((x + 2 * y) / 3
+                                         + rng.uniformInt(0, 1));
+    }
+    return v;
+}
+
+/** The one section descriptor of an encoded byte stream. */
+bitstream::Section
+codesSection(const std::vector<std::uint8_t> &wire)
+{
+    ContainerReader cr(wire.data(), wire.size());
+    EXPECT_EQ(cr.sectionCount(), 1u);
+    return cr.section(0);
 }
 
 // ---- Bit I/O --------------------------------------------------------
@@ -297,7 +301,7 @@ TEST(Container, OversizedLengthFieldsThrow)
     const std::size_t enc_len_off = 16 + 24;  // header + offsetof(encLen)
     const std::uint64_t huge = ~std::uint64_t{0} / 2;
     std::memcpy(bytes.data() + enc_len_off, &huge, sizeof(huge));
-    bitstream::Fnv1a hash;
+    Fnv1a hash;
     const std::size_t table_end = 16 + 2 * 40;
     hash.update(bytes.data() + 4, table_end - 4);
     const std::uint64_t digest = hash.digest();
@@ -329,93 +333,65 @@ TEST(Container, BadMagicVersionAndSectionCountThrow)
 
 // ---- Codec round-trips ----------------------------------------------
 
-void
-expectTensorRoundTrip(const QuantTensor &qt, const BitstreamOptions &opts)
+TEST(Codec, ByteStreamRoundTripAdversarialLengths)
 {
-    const std::vector<std::uint8_t> wire =
-        bitstream::encodeBitstream(qt, opts);
-    const QuantTensor back =
-        bitstream::decodeBitstreamTensor(wire.data(), wire.size());
-    EXPECT_EQ(back.shape, qt.shape);
-    EXPECT_EQ(back.rows, qt.rows);
-    EXPECT_EQ(back.cols, qt.cols);
-    EXPECT_EQ(back.nb, qt.nb);
-    ASSERT_EQ(back.q.size(), qt.q.size());
-    ASSERT_EQ(back.scales.size(), qt.scales.size());
-    if (!qt.q.empty()) {
-        EXPECT_EQ(std::memcmp(back.q.data(), qt.q.data(), qt.q.size()), 0);
-    }
-    if (!qt.scales.empty()) {
-        EXPECT_EQ(std::memcmp(back.scales.data(), qt.scales.data(),
-                              qt.scales.size() * sizeof(float)),
-                  0);
-    }
-}
-
-TEST(Codec, QuantTensorRoundTripAdversarialShapes)
-{
-    // Narrow, non-multiple-of-32, single-element, and block-aligned.
-    const std::pair<std::int64_t, std::int64_t> shapes[] = {
-        {1, 1}, {3, 7}, {5, 31}, {4, 32}, {2, 33}, {16, 96}, {1, 257},
-    };
+    // Empty, single, around one 32-byte block, odd, and 64 KiB; one
+    // symbol (packs to width 0) up to all 256; stride 0 tries no
+    // predictor, stride 7 also tries delta.
+    const std::size_t lengths[] = {0, 1, 31, 32, 33, 257, 64 * 1024};
+    const int alphabets[] = {1, 4, 16, 256};
+    std::set<Coder> chosen;
     int seed = 100;
-    for (const auto &[rows, cols] : shapes) {
-        const QuantTensor qt = randomQuantTensor(rows, cols, seed++);
-        for (const CoderChoice coder :
-             {CoderChoice::Auto, CoderChoice::Rans, CoderChoice::Packed,
-              CoderChoice::Raw}) {
-            BitstreamOptions opts;
-            opts.coder = coder;
-            expectTensorRoundTrip(qt, opts);
-        }
-    }
-}
+    for (const std::size_t n : lengths)
+        for (const int alphabet : alphabets)
+            for (const std::uint64_t stride : {0ULL, 7ULL}) {
+                const std::vector<std::uint8_t> data =
+                    alphabetBytes(n, alphabet, seed++);
+                const std::vector<std::uint8_t> wire =
+                    bitstream::encodeByteStream(data.data(), n, stride);
+                chosen.insert(codesSection(wire).coder);
+                EXPECT_EQ(bitstream::decodeByteStream(wire.data(),
+                                                      wire.size()),
+                          data)
+                    << "n=" << n << " alphabet=" << alphabet
+                    << " stride=" << stride;
+            }
+    EXPECT_TRUE(chosen.count(Coder::Rans));
+    EXPECT_TRUE(chosen.count(Coder::Packed));
+    EXPECT_FALSE(chosen.count(Coder::Raw));  // packing never loses to raw
 
-TEST(Codec, QuantActivationRoundTripAdversarialShapes)
-{
-    const std::array<int, 4> shapes[] = {
-        {1, 3, 5, 5},    // narrow channels (below one block)
-        {2, 16, 4, 4},   // half-block channels
-        {1, 33, 3, 3},   // one past a block boundary
-        {2, 64, 2, 2},   // exactly two blocks
-        {1, 1, 1, 1},    // minimal
-    };
-    int seed = 200;
-    for (const auto &s : shapes) {
-        ActBuffers buf = randomActivation(s[0], s[1], s[2], s[3], seed++);
-        const std::vector<std::uint8_t> wire =
-            bitstream::encodeBitstream(buf.act);
-        OwnedActivation back =
-            bitstream::decodeBitstreamActivation(wire.data(), wire.size());
-        EXPECT_EQ(back.n, s[0]);
-        EXPECT_EQ(back.c, s[1]);
-        EXPECT_EQ(back.h, s[2]);
-        EXPECT_EQ(back.w, s[3]);
-        ASSERT_EQ(back.q.size(), buf.q.size());
-        ASSERT_EQ(back.scales.size(), buf.scales.size());
-        EXPECT_EQ(std::memcmp(back.q.data(), buf.q.data(), buf.q.size()),
-                  0);
-        EXPECT_EQ(std::memcmp(back.scales.data(), buf.scales.data(),
-                              buf.scales.size() * sizeof(float)),
-                  0);
-        const QuantActivation view = back.view();
-        EXPECT_EQ(view.rows(), buf.act.rows());
+    // The encoder never emits Raw, but format v1 defines it: a
+    // hand-built Raw section, with and without delta, still decodes.
+    const std::vector<std::uint8_t> data = alphabetBytes(300, 256, 9);
+    std::vector<std::uint8_t> residual(data.size());
+    for (std::size_t i = 0; i < data.size(); ++i)
+        residual[i] = static_cast<std::uint8_t>(
+            data[i] - (i < 5 ? 0 : data[i - 5]));
+    for (const bool delta : {false, true}) {
+        ContainerWriter cw(bitstream::kKindByteStream);
+        cw.addSection(2, Coder::Raw,
+                      delta ? Predictor::Delta : Predictor::None, 0,
+                      delta ? 5 : 0, data.size(), delta ? residual : data);
+        const std::vector<std::uint8_t> wire = cw.finish();
+        EXPECT_EQ(bitstream::decodeByteStream(wire.data(), wire.size()),
+                  data)
+            << "delta=" << delta;
     }
 }
 
 TEST(Codec, EmptyTensorRoundTrips)
 {
-    QuantTensor qt;
-    qt.shape = {0, 4};
-    qt.rows = 0;
-    qt.cols = 4;
-    qt.nb = quantBlocks(4);
-    expectTensorRoundTrip(qt, BitstreamOptions{});
-
-    const std::vector<std::uint8_t> wire =
-        bitstream::encodeByteStream(nullptr, 0, 0);
-    EXPECT_TRUE(bitstream::decodeByteStream(wire.data(), wire.size())
-                    .empty());
+    // A zero-pixel code tensor is a zero-length stream, with or
+    // without a predictor stride.
+    for (const std::uint64_t stride : {0ULL, 16ULL}) {
+        const std::vector<std::uint8_t> wire =
+            bitstream::encodeByteStream(nullptr, 0, stride);
+        EXPECT_TRUE(bitstream::decodeByteStream(wire.data(), wire.size())
+                        .empty());
+        const bitstream::Section s = codesSection(wire);
+        EXPECT_EQ(s.rawLen, 0u);
+        EXPECT_EQ(s.encLen, 0u);
+    }
 }
 
 TEST(Codec, ByteStreamRoundTripAndDeltaHelps)
@@ -428,11 +404,12 @@ TEST(Codec, ByteStreamRoundTripAndDeltaHelps)
     const std::vector<std::uint8_t> wire =
         bitstream::encodeByteStream(ramp.data(), ramp.size(), 1);
     EXPECT_EQ(bitstream::decodeByteStream(wire.data(), wire.size()), ramp);
+    EXPECT_EQ(codesSection(wire).predictor, Predictor::Delta);
 
-    BitstreamOptions no_pred;
-    no_pred.predictor = PredictorChoice::None;
+    // Stride 0 tries no predictor at all.
     const std::vector<std::uint8_t> wire_np =
-        bitstream::encodeByteStream(ramp.data(), ramp.size(), 1, no_pred);
+        bitstream::encodeByteStream(ramp.data(), ramp.size(), 0);
+    EXPECT_EQ(codesSection(wire_np).predictor, Predictor::None);
     EXPECT_LT(wire.size(), wire_np.size());
     EXPECT_EQ(bitstream::decodeByteStream(wire_np.data(), wire_np.size()),
               ramp);
@@ -440,41 +417,56 @@ TEST(Codec, ByteStreamRoundTripAndDeltaHelps)
 
 TEST(Codec, EntropyCodingBeatsRawOnQuantizedCodes)
 {
-    // Trained (and especially pruned) weights are far from uniform
-    // over the 256 codes — model them as 60% exact zeros plus a
-    // bell-shaped remainder; the entropy-coded container must then be
-    // smaller than codes + scales shipped raw.
+    // Trained (and especially pruned) int8 weight codes are far from
+    // uniform over the 256 byte values — model them as 60% exact zeros
+    // plus a bell-shaped remainder. Negative codes set the top bit, so
+    // packing cannot help; only entropy coding gets under 8 bits/code.
     Rng rng(42);
-    Tensor w({64, 256});
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(w.numel()); ++i) {
+    std::vector<std::uint8_t> codes(64 * 256);
+    for (auto &b : codes) {
         if (rng.uniform() < 0.6) {
-            w.data()[i] = 0.0f;
+            b = 0;
             continue;
         }
-        float s = -2.0f;  // Irwin-Hall(4) - 2: approximately normal
+        double s = -2.0;  // Irwin-Hall(4) - 2: approximately normal
         for (int k = 0; k < 4; ++k)
-            s += static_cast<float>(rng.uniform());
-        w.data()[i] = s;
+            s += rng.uniform();
+        b = static_cast<std::uint8_t>(
+            static_cast<std::int8_t>(std::lround(s * 63.5)));
     }
-    const QuantTensor qt = quantizeRowMajor(w, 64, 256);
-    const std::vector<std::uint8_t> wire = bitstream::encodeBitstream(qt);
-    EXPECT_LT(wire.size(), qt.quantBytes());
+    const std::vector<std::uint8_t> wire =
+        bitstream::encodeByteStream(codes.data(), codes.size(), 0);
+    EXPECT_EQ(codesSection(wire).coder, Coder::Rans);
+    EXPECT_LT(wire.size(), codes.size());
+    EXPECT_EQ(bitstream::decodeByteStream(wire.data(), wire.size()), codes);
 }
 
 TEST(Codec, CorruptCodecPayloadsThrow)
 {
-    const QuantTensor qt = randomQuantTensor(8, 64, 77);
-    std::vector<std::uint8_t> wire = bitstream::encodeBitstream(qt);
-    // Wrong kind for the decode entry point.
-    EXPECT_THROW(bitstream::decodeBitstreamActivation(wire.data(),
-                                                      wire.size()),
-                 CheckError);
-    EXPECT_THROW(bitstream::decodeByteStream(wire.data(), wire.size()),
-                 CheckError);
+    const std::vector<std::uint8_t> data = skewedBytes(4096, 77);
+    std::vector<std::uint8_t> wire =
+        bitstream::encodeByteStream(data.data(), data.size(), 64);
+    // A well-formed container of the wrong kind, and one missing the
+    // codes section.
+    {
+        ContainerWriter cw(1);
+        cw.addSection(2, Coder::Raw, Predictor::None, 0, 0, data.size(),
+                      data);
+        const std::vector<std::uint8_t> other = cw.finish();
+        EXPECT_THROW(bitstream::decodeByteStream(other.data(), other.size()),
+                     CheckError);
+    }
+    {
+        ContainerWriter cw(bitstream::kKindByteStream);
+        cw.addSection(1, Coder::Raw, Predictor::None, 0, 0, data.size(),
+                      data);
+        const std::vector<std::uint8_t> other = cw.finish();
+        EXPECT_THROW(bitstream::decodeByteStream(other.data(), other.size()),
+                     CheckError);
+    }
     // Truncation at every boundary of the full codec stream.
     for (std::size_t len = 0; len < wire.size(); len += 7) {
-        EXPECT_THROW(bitstream::decodeBitstreamTensor(wire.data(), len),
+        EXPECT_THROW(bitstream::decodeByteStream(wire.data(), len),
                      CheckError);
     }
     // Bit flips anywhere in the stream.
@@ -484,38 +476,91 @@ TEST(Codec, CorruptCodecPayloadsThrow)
             rng.uniformInt(0, static_cast<int>(wire.size()) - 1));
         const int bit = rng.uniformInt(0, 7);
         wire[byte] ^= static_cast<std::uint8_t>(1u << bit);
-        EXPECT_THROW(
-            bitstream::decodeBitstreamTensor(wire.data(), wire.size()),
-            CheckError);
+        EXPECT_THROW(bitstream::decodeByteStream(wire.data(), wire.size()),
+                     CheckError);
         wire[byte] ^= static_cast<std::uint8_t>(1u << bit);
     }
     // ...and the pristine stream still decodes after all that.
-    expectTensorRoundTrip(qt, BitstreamOptions{});
+    EXPECT_EQ(bitstream::decodeByteStream(wire.data(), wire.size()), data);
 }
 
 // ---- Determinism ----------------------------------------------------
 
+TEST(Codec, WireBytesMatchGoldenDigests)
+{
+    // Pins the encoded bytes from one commit to the next: a change to
+    // candidate order, tie-breaking, section ids or any coder shows up
+    // here as a length or digest mismatch.
+    struct Golden
+    {
+        const char *name;
+        std::vector<std::uint8_t> data;
+        std::uint64_t stride;
+        Coder coder;
+        Predictor predictor;
+        std::size_t size;
+        std::uint64_t digest;
+    };
+    const Golden cases[] = {
+        {"delta+rans", gradientBytes(48, 64, 31), 64, Coder::Rans,
+         Predictor::Delta, 898, 0xb0fef35ba01a7a08ULL},
+        {"rans", skewedBytes(5000, 32), 50, Coder::Rans, Predictor::None,
+         1064, 0x1bf19746c25f73ccULL},
+        {"packed", randomBytes(1000, 33, 15), 0, Coder::Packed,
+         Predictor::None, 564, 0x54abfb11ca7fe4c7ULL},
+        {"packed8", randomBytes(777, 34), 0, Coder::Packed,
+         Predictor::None, 841, 0x61658d29c8aac24dULL},
+        {"empty", {}, 0, Coder::Packed, Predictor::None, 64,
+         0xbf7b10f43e25ba9bULL},
+    };
+    for (const Golden &g : cases) {
+        const std::vector<std::uint8_t> wire = bitstream::encodeByteStream(
+            g.data.data(), g.data.size(), g.stride);
+        Fnv1a hash;
+        hash.update(wire.data(), wire.size());
+        const bitstream::Section s = codesSection(wire);
+        EXPECT_EQ(s.coder, g.coder) << g.name;
+        EXPECT_EQ(s.predictor, g.predictor) << g.name;
+        EXPECT_EQ(wire.size(), g.size) << g.name;
+        EXPECT_EQ(hash.digest(), g.digest)
+            << g.name << ": 0x" << std::hex << hash.digest();
+    }
+}
+
 TEST_F(BitstreamTest, EncodedBytesInvariantAcrossThreadsAndIsa)
 {
-    const QuantTensor qt = randomQuantTensor(16, 160, 55);
-    ActBuffers buf = randomActivation(2, 24, 6, 6, 56);
-    const std::vector<std::uint8_t> ref_t = bitstream::encodeBitstream(qt);
-    const std::vector<std::uint8_t> ref_a =
-        bitstream::encodeBitstream(buf.act);
+    struct Stream
+    {
+        std::vector<std::uint8_t> data;
+        std::uint64_t stride;
+    };
+    const Stream streams[] = {
+        {gradientBytes(24, 40, 55), 40},
+        {skewedBytes(3000, 56), 24},
+        {randomBytes(2000, 57), 0},
+    };
+    std::vector<std::vector<std::uint8_t>> refs;
+    for (const Stream &s : streams)
+        refs.push_back(bitstream::encodeByteStream(s.data.data(),
+                                                   s.data.size(), s.stride));
     for (const int threads : {1, 4, 8}) {
         setThreadCount(threads);
-        EXPECT_EQ(bitstream::encodeBitstream(qt), ref_t)
-            << "threads=" << threads;
-        EXPECT_EQ(bitstream::encodeBitstream(buf.act), ref_a)
-            << "threads=" << threads;
-        for (const KernelSet *set : compiledKernelSets()) {
-            if (!hostSupportsKernelSet(*set))
-                continue;
-            ScopedKernelOverride force(*set);
-            EXPECT_EQ(bitstream::encodeBitstream(qt), ref_t)
-                << "threads=" << threads << " isa=" << set->name;
-            EXPECT_EQ(bitstream::encodeBitstream(buf.act), ref_a)
-                << "threads=" << threads << " isa=" << set->name;
+        for (std::size_t i = 0; i < refs.size(); ++i) {
+            const Stream &s = streams[i];
+            EXPECT_EQ(bitstream::encodeByteStream(s.data.data(),
+                                                  s.data.size(), s.stride),
+                      refs[i])
+                << "threads=" << threads << " stream " << i;
+            for (const KernelSet *set : compiledKernelSets()) {
+                if (!hostSupportsKernelSet(*set))
+                    continue;
+                ScopedKernelOverride force(*set);
+                EXPECT_EQ(bitstream::encodeByteStream(
+                              s.data.data(), s.data.size(), s.stride),
+                          refs[i])
+                    << "threads=" << threads << " isa=" << set->name
+                    << " stream " << i;
+            }
         }
     }
 }

@@ -2,15 +2,20 @@
  * @file
  * Tests for the data module: SyntheticVision determinism and class
  * structure, image IO round trips, augmentation invariants, the
- * training loop, and parameter serialization.
+ * training loop, and parameter serialization (including a sweep of
+ * every single-bit flip of a small checkpoint).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
+#include <vector>
 
 #include "data/augment.hh"
 #include "data/backbone.hh"
@@ -21,7 +26,9 @@
 #include "nn/conv.hh"
 #include "nn/linear.hh"
 #include "nn/pool.hh"
+#include "nn/sequential.hh"
 #include "tensor/ops.hh"
+#include "tensor/quant.hh"
 #include "util/check.hh"
 
 namespace leca {
@@ -332,6 +339,106 @@ TEST(Serialize, LayerStateRoundTripsBatchNormStats)
     ASSERT_TRUE(loadLayerState(b, path));
     EXPECT_EQ(b.weight().value[0], 42.0f);
     std::remove(path.c_str());
+}
+
+/** Conv2d 16→4 1×1 (no bias), then Linear 4→3: a few hundred bytes. */
+std::unique_ptr<Sequential>
+tinyNet(std::uint64_t seed)
+{
+    Rng rng(seed);
+    auto net = std::make_unique<Sequential>();
+    net->emplace<Conv2d>(16, 4, 1, 1, 0, false, rng);
+    net->emplace<Linear>(4, 3, rng);
+    return net;
+}
+
+/**
+ * Loads every single-bit flip of the checkpoint at @p path into a
+ * fresh tinyNet. Each load must end in a CheckError (corruption) or a
+ * false return (stale version, different structure): never in another
+ * exception such as std::bad_alloc, and never in a silent success.
+ */
+template <typename Load>
+void
+expectEveryBitFlipRejected(const std::string &path, Load load)
+{
+    std::vector<char> bytes;
+    {
+        std::ifstream f(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(f), {});
+    }
+    ASSERT_FALSE(bytes.empty());
+    const std::string flipped = path + ".flip";
+    int escaped = 0, accepted = 0;
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        for (int bit = 0; bit < 8; ++bit) {
+            bytes[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+            {
+                std::ofstream f(flipped, std::ios::binary);
+                f.write(bytes.data(),
+                        static_cast<std::streamsize>(bytes.size()));
+            }
+            bytes[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+            const auto fresh = tinyNet(99);
+            try {
+                if (load(*fresh, flipped) && ++accepted <= 3)
+                    ADD_FAILURE() << "flip of bit " << bit << " in byte "
+                                  << i << " loaded cleanly";
+            } catch (const CheckError &) {
+            } catch (const std::exception &e) {
+                if (++escaped <= 3)
+                    ADD_FAILURE() << "flip of bit " << bit << " in byte "
+                                  << i << " escaped as " << e.what();
+            }
+        }
+    EXPECT_EQ(escaped, 0);
+    EXPECT_EQ(accepted, 0);
+    std::remove(flipped.c_str());
+}
+
+TEST(Serialize, EveryBitFlipEndsInCheckErrorOrFalse)
+{
+    const auto net = tinyNet(7);
+    const std::string dir = ::testing::TempDir();
+
+    const std::string state_path = dir + "/leca_flip_state.bin";
+    saveLayerState(*net, state_path);
+    expectEveryBitFlipRejected(
+        state_path, [](Layer &l, const std::string &p) {
+            return loadLayerState(l, p);
+        });
+
+    std::vector<QuantStat> stats;
+    net->quantizeWeights(stats);
+    const std::string quant_path = dir + "/leca_flip_quant.bin";
+    saveQuantizedState(*net, quant_path);
+    expectEveryBitFlipRejected(
+        quant_path, [](Layer &l, const std::string &p) {
+            return loadQuantizedState(l, p);
+        });
+
+    // The pristine files still reload bit-exactly.
+    const auto back = tinyNet(99);
+    ASSERT_TRUE(loadLayerState(*back, state_path));
+    ASSERT_TRUE(loadQuantizedState(*back, quant_path));
+    const std::vector<Param *> want = net->params();
+    const std::vector<Param *> got = back->params();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(0, std::memcmp(got[i]->value.data(), want[i]->value.data(),
+                                 want[i]->value.numel() * sizeof(float)))
+            << "param " << i;
+    const std::vector<QuantTensor *> want_q = net->quantTensors();
+    const std::vector<QuantTensor *> got_q = back->quantTensors();
+    ASSERT_EQ(got_q.size(), want_q.size());
+    for (std::size_t i = 0; i < want_q.size(); ++i) {
+        EXPECT_EQ(got_q[i]->shape, want_q[i]->shape);
+        EXPECT_EQ(got_q[i]->q, want_q[i]->q) << "quantized tensor " << i;
+        EXPECT_EQ(got_q[i]->scales, want_q[i]->scales)
+            << "quantized tensor " << i;
+    }
+    std::remove(state_path.c_str());
+    std::remove(quant_path.c_str());
 }
 
 TEST(Backbone, OutputShapeMatchesClasses)

@@ -4,8 +4,9 @@
  * format's invariants (range, padding, round-trip error), bit-exact
  * agreement of every compiled kernel set with the scalar reference at
  * adversarial shapes, bit-exact agreement of the pre-biased VNNI dot
- * with the plain one, determinism across thread counts, closeness of
- * quantized layer forwards to fp32, the eval-only restriction, the
+ * with the plain one, closeness of quantized layer forwards to fp32
+ * (the resident conv's thread invariance and fp32 tracking live in
+ * test_resident.cc), the eval-only restriction, the
  * quantized checkpoint round-trip, and heap-silence of the warm
  * quantized serving path.
  */
@@ -59,11 +60,11 @@ struct QuantGemmShape
 };
 
 /**
- * Adversarial shapes for the quantized GEMM: single rows/columns on
- * both sides, k below / at / just past one 32-element block (nb = 1
- * and odd nb exercise the kernels' odd-tail path), n straddling the
- * 4- and 8-row blocking of the VNNI kernel and gemmQ8's B-tile width,
- * and m straddling gemmQ8's 16-row A panel.
+ * Adversarial shapes for the quantized dot (m A rows, each against n B
+ * rows): single rows/columns on both sides, k below / at / just past
+ * one 32-element block (nb = 1 and odd nb exercise the kernels'
+ * odd-tail path), and n straddling the 4- and 8-row blocking of the
+ * VNNI kernel.
  */
 const QuantGemmShape kQuantShapes[] = {
     {1, 1, 1},      {1, 1, 32},    {1, 7, 31},    {3, 1, 33},
@@ -87,6 +88,20 @@ quantPair(const QuantGemmShape &s, std::vector<std::int8_t> &qa,
         randomVec(static_cast<std::size_t>(s.n * s.k), 13 * s.n + s.k);
     quantizeRowsInto(a.data(), s.m, s.k, qa.data(), sa.data());
     quantizeRowsInto(b.data(), s.n, s.k, qb.data(), sb.data());
+}
+
+/** C (m×n) = Aq · Bqᵀ, one A row at a time through the active dotQ8Row. */
+std::vector<float>
+dotRows(const QuantGemmShape &s, std::int64_t nb,
+        const std::vector<std::int8_t> &qa, const std::vector<float> &sa,
+        const std::vector<std::int8_t> &qb, const std::vector<float> &sb)
+{
+    const simd::DotQ8RowFn dot = activeKernels().dotQ8Row;
+    std::vector<float> c(static_cast<std::size_t>(s.m * s.n), -1.0f);
+    for (std::int64_t i = 0; i < s.m; ++i)
+        dot(qa.data() + i * nb * kQuantBlock, sa.data() + i * nb, qb.data(),
+            sb.data(), nb, s.n, c.data() + i * s.n);
+    return c;
 }
 
 TEST_F(QuantTest, RoundTripErrorBoundedByBlockScale)
@@ -158,19 +173,16 @@ TEST_F(QuantTest, EveryCompiledKernelSetMatchesScalarBitForBit)
                 << " k=" << s.k;
         }
 
-        std::vector<float> want(static_cast<std::size_t>(s.m * s.n));
+        std::vector<float> want;
         {
             ScopedKernelOverride force(*scalar);
-            gemmQ8(s.m, s.n, nb, qa.data(), sa.data(), qb.data(),
-                   sb.data(), want.data(), s.n);
+            want = dotRows(s, nb, qa, sa, qb, sb);
         }
         for (const KernelSet *set : compiledKernelSets()) {
             if (!hostSupportsKernelSet(*set))
                 continue;
             ScopedKernelOverride force(*set);
-            std::vector<float> got(want.size(), -1.0f);
-            gemmQ8(s.m, s.n, nb, qa.data(), sa.data(), qb.data(),
-                   sb.data(), got.data(), s.n);
+            const std::vector<float> got = dotRows(s, nb, qa, sa, qb, sb);
             EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
                                      want.size() * sizeof(float)))
                 << set->name << " diverges from scalar at m=" << s.m
@@ -204,56 +216,6 @@ TEST_F(QuantTest, PreBiasedDotMatchesPlainDotBitForBit)
                                  plain.size() * sizeof(float)))
             << "n=" << s.n << " k=" << s.k;
     }
-}
-
-TEST_F(QuantTest, GemmQ8DeterministicAcrossThreadCounts)
-{
-    const QuantGemmShape s = {33, 57, 160};
-    std::vector<std::int8_t> qa, qb;
-    std::vector<float> sa, sb;
-    std::int64_t nb = 0;
-    quantPair(s, qa, sa, qb, sb, nb);
-    setThreadCount(1);
-    std::vector<float> base(static_cast<std::size_t>(s.m * s.n));
-    gemmQ8(s.m, s.n, nb, qa.data(), sa.data(), qb.data(), sb.data(),
-           base.data(), s.n);
-    for (int threads : {2, 4, 8}) {
-        setThreadCount(threads);
-        std::vector<float> got(base.size(), -1.0f);
-        gemmQ8(s.m, s.n, nb, qa.data(), sa.data(), qb.data(), sb.data(),
-               got.data(), s.n);
-        EXPECT_EQ(0, std::memcmp(got.data(), base.data(),
-                                 base.size() * sizeof(float)))
-            << "threads=" << threads;
-    }
-}
-
-TEST_F(QuantTest, GemmQ8TracksFp32WithinQuantizationError)
-{
-    const std::int64_t m = 24, n = 40, k = 96;
-    const std::vector<float> a = randomVec(static_cast<std::size_t>(m * k), 7);
-    const std::vector<float> b = randomVec(static_cast<std::size_t>(n * k), 8);
-    const std::int64_t nb = quantBlocks(k);
-    std::vector<std::int8_t> qa(static_cast<std::size_t>(m * nb * kQuantBlock));
-    std::vector<std::int8_t> qb(static_cast<std::size_t>(n * nb * kQuantBlock));
-    std::vector<float> sa(static_cast<std::size_t>(m * nb));
-    std::vector<float> sb(static_cast<std::size_t>(n * nb));
-    quantizeRowsInto(a.data(), m, k, qa.data(), sa.data());
-    quantizeRowsInto(b.data(), n, k, qb.data(), sb.data());
-    std::vector<float> c(static_cast<std::size_t>(m * n));
-    gemmQ8(m, n, nb, qa.data(), sa.data(), qb.data(), sb.data(), c.data(), n);
-    for (std::int64_t i = 0; i < m; ++i)
-        for (std::int64_t j = 0; j < n; ++j) {
-            double want = 0.0;
-            for (std::int64_t t = 0; t < k; ++t)
-                want += static_cast<double>(a[static_cast<std::size_t>(
-                            i * k + t)])
-                        * b[static_cast<std::size_t>(j * k + t)];
-            // Both operands carry ~0.4% per-element code error; the dot
-            // of k in [-1,1] elements stays within a small absolute band.
-            EXPECT_NEAR(c[static_cast<std::size_t>(i * n + j)], want, 0.08)
-                << "i=" << i << " j=" << j;
-        }
 }
 
 TEST_F(QuantTest, QuantizedConvForwardTracksFp32)

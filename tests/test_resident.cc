@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -155,7 +156,6 @@ TEST_F(ResidentTest, ResidentConvTracksFp32Conv)
     conv.prepareResident();
 
     const ResidentBuffers rb = makeResident(x);
-    const ResidentEpilogue epi{nullptr, nullptr, false};
     Tensor y8({2, cout, y32.size(2), y32.size(3)});
     // Bias folds through the affine epilogue as fmaf(1, y, b).
     std::vector<float> ones(static_cast<std::size_t>(cout), 1.0f);
@@ -163,47 +163,79 @@ TEST_F(ResidentTest, ResidentConvTracksFp32Conv)
                                     false};
     convForwardResident(rb.act, k, k, stride, pad, conv.qweightHwc(),
                         bias_epi, nullptr, nullptr, nullptr, y8.data());
-    (void)epi;
     ASSERT_EQ(y8.numel(), y32.numel());
     // Both weights AND activations carry code error here, so the band
     // is wider than a quantized conv's own forward needs (fp32 over the
     // weight codes; test_quant.cc).
     for (std::size_t i = 0; i < y8.numel(); ++i)
         EXPECT_NEAR(y8[i], y32[i], 0.25) << "element " << i;
+
+    // A 1x1 conv is a plain int8 GEMM: 24 pixel rows of 96 channels
+    // (three blocks) against 40 weight rows, both operands uniform in
+    // [-1, 1], so each output is a 96-term dot. Both sides carry ~0.4%
+    // per-element code error; the dot stays within a small band.
+    Conv2d gemm(96, 40, 1, 1, 0, false, rng);
+    const std::vector<float> w = randomVec(96 * 40, 8);
+    std::copy(w.begin(), w.end(), gemm.weight().value.data());
+    Tensor a = Tensor::fromData({2, 96, 3, 4},
+                                randomVec(2 * 96 * 3 * 4, 7));
+    const Tensor g32 = gemm.forward(a, Mode::Eval);
+    gemm.quantizeWeights(stats);
+    gemm.prepareResident();
+    const ResidentBuffers ra = makeResident(a);
+    Tensor g8({2, 40, 3, 4});
+    convForwardResident(ra.act, 1, 1, 1, 0, gemm.qweightHwc(),
+                        ResidentEpilogue{}, nullptr, nullptr, nullptr,
+                        g8.data());
+    for (std::size_t i = 0; i < g8.numel(); ++i)
+        EXPECT_NEAR(g8[i], g32[i], 0.08) << "1x1 element " << i;
 }
 
 TEST_F(ResidentTest, ResidentConvBitIdenticalAcrossThreadCounts)
 {
+    // A 3x3 conv, and a 1x1 one (a plain int8 GEMM) whose 33 pixel rows
+    // straddle two 16-row panels and whose 160 channels give an odd
+    // block count.
+    struct Case
+    {
+        int cin, cout, k, pad, n, h, w;
+    };
+    const Case cases[] = {{32, 20, 3, 1, 2, 13, 11},
+                          {160, 57, 1, 0, 1, 3, 11}};
     Rng rng(113);
-    const int cin = 32, cout = 20, k = 3;
-    Conv2d conv(cin, cout, k, 1, 1, false, rng);
-    std::vector<QuantStat> stats;
-    conv.quantizeWeights(stats);
-    conv.prepareResident();
-    Tensor x = Tensor::fromData(
-        {2, cin, 13, 11},
-        randomVec(static_cast<std::size_t>(2) * cin * 13 * 11, 127));
-    const ResidentBuffers rb = makeResident(x);
-    const ResidentEpilogue epi{nullptr, nullptr, true};
+    std::uint64_t seed = 127;
+    for (const Case &c : cases) {
+        Conv2d conv(c.cin, c.cout, c.k, 1, c.pad, false, rng);
+        std::vector<QuantStat> stats;
+        conv.quantizeWeights(stats);
+        conv.prepareResident();
+        Tensor x = Tensor::fromData(
+            {c.n, c.cin, c.h, c.w},
+            randomVec(static_cast<std::size_t>(c.n) * c.cin * c.h * c.w,
+                      seed++));
+        const ResidentBuffers rb = makeResident(x);
+        const ResidentEpilogue epi{nullptr, nullptr, true};
 
-    setThreadCount(1);
-    std::vector<std::int8_t> base_q;
-    std::vector<float> base_s;
-    runResidentConv(rb.act, conv.qweightHwc(), k, 1, 1, epi, base_q,
-                    base_s);
-    for (int threads : {2, 4, 8}) {
-        setThreadCount(threads);
-        std::vector<std::int8_t> got_q;
-        std::vector<float> got_s;
-        runResidentConv(rb.act, conv.qweightHwc(), k, 1, 1, epi, got_q,
-                        got_s);
-        EXPECT_EQ(0,
-                  std::memcmp(got_q.data(), base_q.data(), base_q.size()))
-            << "requantized codes diverge at threads=" << threads;
-        EXPECT_EQ(0,
-                  std::memcmp(got_s.data(), base_s.data(),
-                              base_s.size() * sizeof(float)))
-            << "requantized scales diverge at threads=" << threads;
+        setThreadCount(1);
+        std::vector<std::int8_t> base_q;
+        std::vector<float> base_s;
+        runResidentConv(rb.act, conv.qweightHwc(), c.k, 1, c.pad, epi,
+                        base_q, base_s);
+        for (int threads : {2, 4, 8}) {
+            setThreadCount(threads);
+            std::vector<std::int8_t> got_q;
+            std::vector<float> got_s;
+            runResidentConv(rb.act, conv.qweightHwc(), c.k, 1, c.pad, epi,
+                            got_q, got_s);
+            EXPECT_EQ(0, std::memcmp(got_q.data(), base_q.data(),
+                                     base_q.size()))
+                << "requantized codes diverge at k=" << c.k
+                << " threads=" << threads;
+            EXPECT_EQ(0, std::memcmp(got_s.data(), base_s.data(),
+                                     base_s.size() * sizeof(float)))
+                << "requantized scales diverge at k=" << c.k
+                << " threads=" << threads;
+        }
     }
 }
 
