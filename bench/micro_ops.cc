@@ -1,9 +1,9 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the hot substrate operations:
- * matmul (blocked and naive-reference), im2col convolution (packed and
- * naive), the SCM MAC chain, a full-frame chip encode, and CS block
- * reconstruction. After the google-benchmark run, a blocked-vs-naive
+ * matmul (blocked and naive-reference), im2col convolution (the conv
+ * engine and naive), the SCM MAC chain, a full-frame chip encode, and CS
+ * block reconstruction. After the google-benchmark run, a blocked-vs-naive
  * comparison table with GFLOP/s and speedups is printed to stdout.
  *
  * Pass --json <path> (or set LECA_BENCH_JSON) to additionally emit a
@@ -27,6 +27,7 @@
 #include "hw/sensor_chip.hh"
 #include "hw/weights.hh"
 #include "json_report.hh"
+#include "nn/conv.hh"
 #include "tensor/isa.hh"
 #include "tensor/kernels.hh"
 #include "tensor/ops.hh"
@@ -462,13 +463,38 @@ compareQuantKernels(leca::bench::JsonReport &report)
 }
 
 /**
+ * Average wall-clock milliseconds of conv.backward(dy) over @p iters
+ * runs, each after an untimed Train forward of @p x (one warm-up pair
+ * excluded). A frozen conv times its dX pass alone.
+ */
+double
+timeBackwardMs(Conv2d &conv, const Tensor &x, const Tensor &dy, int iters)
+{
+    double total = 0.0;
+    for (int i = 0; i <= iters; ++i) {
+        conv.forward(x, Mode::Train);
+        const auto start = std::chrono::steady_clock::now();
+        const Tensor dx = conv.backward(dy);
+        const auto stop = std::chrono::steady_clock::now();
+        benchmark::DoNotOptimize(dx.data());
+        if (i > 0)
+            total += std::chrono::duration<double, std::milli>(stop - start)
+                         .count();
+    }
+    return total / iters;
+}
+
+/**
  * Per-layer-shape conv comparison at every Full-backbone conv shape
- * (the 48x48 serving geometry): the fp32 packed conv vs the resident
- * int8 conv (codes in, codes out). The resident column times
- * convForwardResident with quantize-on-exit from an already-resident
- * input — the mid-chain steady state — so the two columns are the two
- * ways the serving pipeline can run that layer (a quantized conv off
- * the resident path runs the fp32 conv over its dequantized codes).
+ * (the 48x48 serving geometry): the fp32 conv vs the resident int8 conv
+ * (codes in, codes out), plus the fp32 backward of the same shape. The
+ * resident column times convForwardResident with quantize-on-exit from
+ * an already-resident input — the mid-chain steady state — so the two
+ * forward columns are the two ways the serving pipeline can run that
+ * layer (a quantized conv off the resident path runs the fp32 conv over
+ * its dequantized codes). The backward column is what a training step
+ * runs: dX only for the frozen backbone shapes, dW + dX for the
+ * decoder head.
  */
 void
 compareConvPaths(leca::bench::JsonReport &report)
@@ -479,24 +505,26 @@ compareConvPaths(leca::bench::JsonReport &report)
     {
         const char *name;
         int cin, cout, k, stride, pad, hw;
+        bool trained; //!< backward computes dW and db too
     };
     // One row per distinct conv shape in the Full backbone at 48x48,
     // plus the decoder's 64->3 head (576-wide patches over 3 output
-    // channels).
+    // channels), the one shape here whose weights train.
     const Shape shapes[] = {
-        {"conv_3x48_c32", 3, 32, 3, 1, 1, 48},      // stem (runs fp32)
-        {"conv_32x48_c32", 32, 32, 3, 1, 1, 48},    // rb1
-        {"conv_32x48_c64_s2", 32, 64, 3, 2, 1, 48}, // rb2.conv1
-        {"conv_64x24_c64", 64, 64, 3, 1, 1, 24},    // rb2.conv2 / rb3
-        {"conv_64x24_c128_s2", 64, 128, 3, 2, 1, 24}, // rb4.conv1
-        {"conv_128x12_c128", 128, 128, 3, 1, 1, 12},  // rb4.conv2
-        {"conv_128x12_c128_s2", 128, 128, 3, 2, 1, 12}, // rb5.conv1
-        {"conv_64x48_c3_dec", 64, 3, 3, 1, 1, 48},  // decoder head
+        {"conv_3x48_c32", 3, 32, 3, 1, 1, 48, false},   // stem (runs fp32)
+        {"conv_32x48_c32", 32, 32, 3, 1, 1, 48, false}, // rb1
+        {"conv_32x48_c64_s2", 32, 64, 3, 2, 1, 48, false},   // rb2.conv1
+        {"conv_64x24_c64", 64, 64, 3, 1, 1, 24, false},      // rb2.conv2/rb3
+        {"conv_64x24_c128_s2", 64, 128, 3, 2, 1, 24, false}, // rb4.conv1
+        {"conv_128x12_c128", 128, 128, 3, 1, 1, 12, false},  // rb4.conv2
+        {"conv_128x12_c128_s2", 128, 128, 3, 2, 1, 12, false}, // rb5.conv1
+        {"conv_64x48_c3_dec", 64, 3, 3, 1, 1, 48, true}, // decoder head
     };
     const int batch = 8; // the serving maxBatch
     const int reps = 6;
 
-    Table table({"shape", "fp32 ms", "resident ms", "res/fp32"});
+    Table table({"shape", "fp32 ms", "resident ms", "res/fp32",
+                 "fp32 bwd ms", "bwd computes"});
     for (const Shape &s : shapes) {
         const Tensor x = randomTensor({batch, s.cin, s.hw, s.hw}, 21);
         const Tensor w = randomTensor({s.cout, s.cin, s.k, s.k}, 22);
@@ -539,10 +567,22 @@ compareConvPaths(leca::bench::JsonReport &report)
             benchmark::DoNotOptimize(o_q.data());
         }, reps);
 
+        // Backward as training runs it: the frozen backbone's dX alone,
+        // the decoder head's dW + db + dX.
+        Rng init(24);
+        Conv2d conv(s.cin, s.cout, s.k, s.stride, s.pad, s.trained, init);
+        conv.freeze(!s.trained);
+        const Tensor dy = randomTensor({batch, s.cout, oh, oh}, 25);
+        const double bwd_ms = timeBackwardMs(conv, x, dy, reps);
+        const std::string bwd_row =
+            std::string(s.name) + (s.trained ? "_f32_bwd" : "_f32_bwd_dx");
+
         table.addRow({s.name, Table::num(f32_ms, 3), Table::num(res_ms, 3),
-                      Table::num(f32_ms / res_ms, 2) + "x"});
+                      Table::num(f32_ms / res_ms, 2) + "x",
+                      Table::num(bwd_ms, 3), s.trained ? "dW+dX" : "dX"});
         report.add(std::string(s.name) + "_f32", f32_ms, 0.0);
         report.add(std::string(s.name) + "_resident_i8", res_ms, 0.0);
+        report.add(bwd_row, bwd_ms, 0.0);
     }
     printBanner(std::cout,
                 "conv paths per backbone shape (batch 8, serving geometry)");

@@ -2,10 +2,8 @@
 
 #include "nn/init.hh"
 #include "tensor/kernels.hh"
-#include "tensor/ops.hh"
 #include "util/arena.hh"
 #include "util/check.hh"
-#include "util/parallel.hh"
 
 namespace leca {
 
@@ -31,17 +29,13 @@ Conv2d::forward(const Tensor &x, Mode mode)
     LECA_CHECK(_qweight.empty() || mode == Mode::Eval,
                "quantized Conv2d cannot run a Train-mode forward");
     const int n = x.size(0), h = x.size(2), w = x.size(3);
-    const int oh = convOutSize(h, _k, _stride, _pad);
-    const int ow = convOutSize(w, _k, _stride, _pad);
-
-    Tensor y({n, _cout, oh, ow});
-    // A quantized conv runs the same packed fp32 conv as an fp32 one,
-    // over its codes dequantized into arena scratch (the exact
-    // products q·s) on every call, so no weight copy can go stale
-    // after a restore. Each image packs straight into arena scratch
-    // (convForwardPacked): no column matrix is ever materialised, so
-    // steady-state forwards allocate nothing per image. Backward
-    // recomputes the packed im2col from the cached input.
+    const ConvGeometry g = geometry(h, w);
+    Tensor y({n, _cout, g.oh(), g.ow()});
+    // A quantized conv runs the same fp32 conv as an fp32 one, over its
+    // codes dequantized into arena scratch (the exact products q·s) on
+    // every call, so no weight copy can go stale after a restore. The
+    // forward never materialises a column matrix, so steady-state
+    // forwards allocate nothing per image.
     Arena::Scope scope;
     const float *wmat = _weight.value.data();
     if (!_qweight.empty()) {
@@ -50,16 +44,8 @@ Conv2d::forward(const Tensor &x, Mode mode)
         dequantizeRowsInto(_qweight, dq);
         wmat = dq;
     }
-    const float *bias = _hasBias ? _bias.value.data() : nullptr;
-    const std::size_t in_sz = static_cast<std::size_t>(_cin) * h * w;
-    const std::size_t out_sz = static_cast<std::size_t>(_cout) * oh * ow;
-    parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-        for (std::int64_t i = n0; i < n1; ++i)
-            convForwardPacked(
-                x.data() + static_cast<std::size_t>(i) * in_sz, _cin, h, w,
-                _k, _k, _stride, _pad, wmat, _cout, bias,
-                y.data() + static_cast<std::size_t>(i) * out_sz);
-    });
+    convForward(g, n, x.data(), wmat,
+                _hasBias ? _bias.value.data() : nullptr, y.data());
     if (mode == Mode::Train) {
         _inN = n;
         _inH = h;
@@ -78,94 +64,43 @@ Conv2d::backward(const Tensor &grad_out)
     LECA_CHECK(frozen() == _fwdFrozen,
                "Conv2d frozen state changed between forward and backward");
     const int n = _inN, h = _inH, w = _inW;
-    const int oh = grad_out.size(2), ow = grad_out.size(3);
-    LECA_CHECK(grad_out.size(0) == n && grad_out.size(1) == _cout,
+    const ConvGeometry g = geometry(h, w);
+    LECA_CHECK(grad_out.dim() == 4 && grad_out.size(0) == n
+                   && grad_out.size(1) == _cout && grad_out.size(2) == g.oh()
+                   && grad_out.size(3) == g.ow(),
                "Conv2d grad shape ", detail::formatShape(grad_out.shape()),
-               " vs batch ", n, " x ", _cout, " channels");
+               " vs forward output [", n, ", ", _cout, ", ", g.oh(), ", ",
+               g.ow(), "]");
 
-    const int kdim = _cin * _k * _k;
-    // When a bias is learned, the column matrix gets one extra all-ones
-    // row: the dW GEMM then emits db as its trailing output column in
-    // the same dY traversal (x * 1.0f == x, and each output element
-    // accumulates its k contributions in one ascending chain, so the
-    // fused column is bit-identical to the explicit row-sum loop).
-    const int grows = kdim + (_hasBias ? 1 : 0);
-    const std::int64_t ohow = static_cast<std::int64_t>(oh) * ow;
-    const std::size_t in_sz = static_cast<std::size_t>(_cin) * h * w;
-    const float *wmat = _weight.value.data(); // [cout, kdim] row-major
     Tensor dx({n, _cin, h, w});
-
-    // Per-image gradient partials live in one arena slab owned by the
-    // calling thread's scope; workers only open nested scopes above it.
-    // The slab is folded serially in ascending image order below, so
-    // the float summation order matches the serial loop bit for bit,
-    // and nothing in this pass touches the heap.
-    Arena::Scope scope;
-    float *partials = nullptr;
-    if (!_fwdFrozen)
-        partials = Arena::local().alloc(
-            static_cast<std::size_t>(n) * _cout * grows);
-    parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-        for (int i = static_cast<int>(n0); i < n1; ++i) {
-            const float *dy =
-                grad_out.data() + static_cast<std::size_t>(i) * _cout * ohow;
-            Arena::Scope image_scope;
-            if (!_fwdFrozen) {
-                float *dw = partials
-                            + static_cast<std::size_t>(i) * _cout * grows;
-                // Recompute this image's column matrix into arena
-                // scratch.
-                float *cols = Arena::local().alloc(
-                    static_cast<std::size_t>(grows) * ohow);
-                im2colRaw(
-                    _input.data() + static_cast<std::size_t>(i) * in_sz,
-                    _cin, h, w, _k, _k, _stride, _pad, cols);
-                if (_hasBias) {
-                    float *ones =
-                        cols + static_cast<std::size_t>(kdim) * ohow;
-                    for (std::int64_t p = 0; p < ohow; ++p)
-                        ones[p] = 1.0f;
-                }
-                // dW_i^T (with db_i fused as the last row) = cols * dY^T.
-                // Same operand pairs and the same ascending-p fma chain
-                // per element as dY * cols^T — bit-identical — but this
-                // orientation packs the big column matrix along its
-                // storage rows instead of transposing it, and only the
-                // small dY block goes through the transpose pack.
-                gemmBlocked(grows, _cout, ohow, cols, ohow, false, dy, ohow,
-                            true, dw, _cout, false);
-            }
-            // dX = col2im(W^T * dY); images write disjoint slabs, and
-            // col2imRaw accumulates straight into the zero-initialised
-            // dx slab.
-            float *dcols = Arena::local().alloc(
-                static_cast<std::size_t>(kdim) * ohow);
-            gemmBlocked(kdim, ohow, _cout, wmat, kdim, true, dy, ohow,
-                        false, dcols, ohow, false);
-            col2imRaw(dcols, _cin, h, w, _k, _k, _stride, _pad,
-                      dx.data() + static_cast<std::size_t>(i) * in_sz);
-        }
-    });
+    convBackwardData(g, n, grad_out.data(), _weight.value.data(), dx.data());
     _inN = 0;
     if (_fwdFrozen)
         return dx;
-    // Each image's partial is stored transposed ([grows, cout]); the
-    // fold still adds one value per (co, q) element per image in
-    // ascending image order, so the summation chains are unchanged.
+
+    // Per-image partials [cout, kdim (+ db)] live in one arena slab and
+    // are folded serially in ascending image order, so every gradient
+    // element keeps the serial summation order and nothing here touches
+    // the heap.
+    const int kdim = _cin * _k * _k;
+    const int ldw = kdim + (_hasBias ? 1 : 0);
+    Arena::Scope scope;
+    float *partials = Arena::local().alloc(
+        static_cast<std::size_t>(n) * _cout * ldw);
+    convBackwardWeights(g, n, _input.data(), grad_out.data(), _hasBias,
+                        partials);
     Tensor dwmat({_cout, kdim});
     float *dwp = dwmat.data();
-    for (int i = 0; i < n; ++i) {
-        const float *dw =
-            partials + static_cast<std::size_t>(i) * _cout * grows;
+    for (int i = 0; i < n; ++i)
         for (int co = 0; co < _cout; ++co) {
+            const float *dw =
+                partials + (static_cast<std::size_t>(i) * _cout + co) * ldw;
             float *acc = dwp + static_cast<std::size_t>(co) * kdim;
             for (int q = 0; q < kdim; ++q)
-                acc[q] += dw[static_cast<std::size_t>(q) * _cout + co];
+                acc[q] += dw[q];
             if (_hasBias)
-                _bias.grad[static_cast<std::size_t>(co)] +=
-                    dw[static_cast<std::size_t>(kdim) * _cout + co];
+                _bias.grad[static_cast<std::size_t>(co)] += dw[kdim];
         }
-    }
     _weight.grad += dwmat.reshape({_cout, _cin, _k, _k});
     _input = Tensor();
     return dx;

@@ -1,6 +1,7 @@
 /**
  * @file
- * 2-D convolution layer with hand-derived backward pass (im2col based).
+ * 2-D convolution layer with hand-derived backward pass (implicit
+ * im2col, tensor/kernels.hh).
  */
 
 #ifndef LECA_NN_CONV_HH
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "nn/layer.hh"
+#include "tensor/kernels.hh"
 #include "tensor/quant.hh"
 #include "util/rng.hh"
 
@@ -17,17 +19,16 @@ namespace leca {
 /**
  * Standard 2-D convolution: weight [Cout, Cin, K, K], optional bias.
  *
- * Forward packs each image's im2col straight into arena scratch (no
- * column matrix is ever materialised); backward recomputes the packed
- * im2col per image and produces dW = dY * cols^T (with db fused as the
- * trailing GEMM column), and dX via col2im of W^T * dY — all scratch
- * and gradient partials live in the thread-local Arena, so a warm
- * train step performs zero heap allocation inside this layer. A layer
- * whose Params were all frozen at its Train forward skips the dW half
- * (im2col, GEMM, fold) and computes dX only.
+ * Forward, dW = dY * cols^T (with db fused as the trailing column) and
+ * dX = col2im(W^T * dY) are the three passes of the fp32 conv engine
+ * (tensor/kernels.hh), which never materialises a column matrix; all
+ * scratch and gradient partials live in the thread-local Arena, so a
+ * warm train step performs zero heap allocation inside this layer. A
+ * layer whose Params were all frozen at its Train forward skips the dW
+ * pass and its fold and computes dX only.
  *
- * Once quantized, forward is Eval-only and runs the same packed fp32
- * conv over the stored int8 codes, dequantized into arena scratch on
+ * Once quantized, forward is Eval-only and runs the same fp32 conv
+ * forward over the stored int8 codes, dequantized into arena scratch on
  * every call. A planned Sequential may instead run a wide quantized
  * conv (cin >= kResidentMinCin) as the resident int8 conv over
  * qweightHwc() (DESIGN.md §13); that path is reachable only through
@@ -100,6 +101,12 @@ class Conv2d : public Layer
     frozen() const
     {
         return _weight.frozen && (!_hasBias || _bias.frozen);
+    }
+
+    ConvGeometry
+    geometry(int h, int w) const
+    {
+        return {_cin, h, w, _cout, _k, _k, _stride, _pad};
     }
 };
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "nn/layer.hh"
+#include "tensor/kernels.hh"
 #include "util/rng.hh"
 
 namespace leca {
@@ -18,9 +19,13 @@ namespace leca {
  * Transposed convolution with weight [Cin, Cout, K, K] (PyTorch layout),
  * stride s and no padding: output extent = (in - 1) * s + K.
  *
- * Forward: cols = W^T x  folded with col2im.
- * Backward: dX = W * im2col(dY), dW = X * im2col(dY)^T; a layer whose
- * Params were all frozen at its Train forward computes dX only.
+ * It runs on the fp32 conv engine (tensor/kernels.hh) through its
+ * adjoint conv — the strided conv from the output extent back to the
+ * input, whose weight matrix is W reshaped [Cin, Cout*K*K]:
+ * Forward: y = col2im(W^T x), that conv's dX pass, plus the bias.
+ * Backward: dX = W * im2col(dY), its forward pass; dW = X * im2col(dY)^T,
+ * its dW pass. A layer whose Params were all frozen at its Train
+ * forward computes dX only.
  */
 class ConvTranspose2d : public Layer
 {
@@ -51,6 +56,15 @@ class ConvTranspose2d : public Layer
     frozen() const
     {
         return _weight.frozen && (!_hasBias || _bias.frozen);
+    }
+
+    /** The adjoint conv of an h×w input: its input is this layer's
+     *  output, its output this layer's input. */
+    ConvGeometry
+    adjointGeometry(int h, int w) const
+    {
+        return {_cout, (h - 1) * _stride + _k, (w - 1) * _stride + _k,
+                _cin, _k, _k, _stride, 0};
     }
 };
 

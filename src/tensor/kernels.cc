@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "tensor/isa.hh"
 #include "util/arena.hh"
@@ -22,22 +23,32 @@ roundUp(std::int64_t v, std::int64_t unit)
 }
 
 /**
- * Rows per parallel chunk: enough work to amortise a pool dispatch
- * (~32 Kflop), aiming for ~16 chunks on big problems, capped by
- * kBlockM so a packed A chunk stays cache-resident. Depends only on
- * the problem shape — never on the thread count — so the work
- * decomposition is reproducible (DESIGN.md §7).
+ * Units per chunk when a loop is split over the pool: enough work to
+ * amortise a pool dispatch (~32 Kflop), aiming for ~16 chunks on big
+ * loops. Depends only on the problem shape — never on the thread
+ * count — so the work decomposition is reproducible (DESIGN.md §7).
+ */
+std::int64_t
+chunkUnits(std::int64_t count, std::int64_t flops_per_unit)
+{
+    constexpr std::int64_t min_chunk_flops = 1 << 15;
+    const std::int64_t by_work =
+        (min_chunk_flops + flops_per_unit - 1)
+        / std::max<std::int64_t>(1, flops_per_unit);
+    return std::max<std::int64_t>({1, by_work, (count + 15) / 16});
+}
+
+/**
+ * Rows per GEMM chunk: chunkUnits' rule in whole MR panels, with the
+ * ~16-chunk target capped by kBlockM so a packed A chunk stays
+ * cache-resident.
  */
 std::int64_t
 chunkRows(std::int64_t m, std::int64_t n, std::int64_t k)
 {
-    constexpr std::int64_t min_chunk_flops = 1 << 15;
-    const std::int64_t flops_per_row = std::max<std::int64_t>(1, 2 * k * n);
-    const std::int64_t by_work =
-        (min_chunk_flops + flops_per_row - 1) / flops_per_row;
-    const std::int64_t target =
-        std::clamp<std::int64_t>((m + 15) / 16, MR, kBlockM);
-    return roundUp(std::max(by_work, target), MR);
+    const std::int64_t capped = std::min<std::int64_t>(m, 16 * kBlockM);
+    return roundUp(std::max<std::int64_t>(MR, chunkUnits(capped, 2 * k * n)),
+                   MR);
 }
 
 /**
@@ -187,74 +198,407 @@ validRange(int extent, int count, int stride, int pad, int k, int &lo,
 }
 
 /**
- * im2col for one kernel-offset row (ch, ky, kx) of the column matrix,
- * writing the OH*OW values through @p emit (either the row-major
- * column matrix or the packed-panel layout). The three x segments
- * (left clip, interior, right clip) emit exactly the values the
- * per-element bounds test would, in the same j order.
+ * Where one image's implicit column matrix lives: element (kk, p) of
+ * cols(x) is plane[koff[kk] + poff[p]], with plane the image
+ * zero-padded by g.pad on every side — or the image itself when
+ * g.pad == 0 (planeFloats == 0).
  */
-template <typename Emit>
-void
-im2colRow(const float *src, int h, int w, int stride, int pad, int ch,
-          int ky, int kx, int oh, int ow, const Emit &emit)
+struct Im2colIndex
 {
-    const float *plane = src + static_cast<std::size_t>(ch) * h * w;
-    int ox_lo, ox_hi;
-    validRange(w, ow, stride, pad, kx, ox_lo, ox_hi);
-    std::int64_t j = 0;
-    for (int oy = 0; oy < oh; ++oy) {
-        const int iy = oy * stride + ky - pad;
-        if (iy < 0 || iy >= h) {
-            for (int ox = 0; ox < ow; ++ox)
-                emit(j++, 0.0f);
-            continue;
+    const std::int32_t *koff; //!< g.kdim() entries: (ch, ky, kx) offsets
+    const std::int32_t *poff; //!< g.pixels() entries: (oy, ox) offsets
+    std::int64_t planeFloats; //!< padded plane size, 0 when unpadded
+    int hp, wp;               //!< padded plane extents
+};
+
+/**
+ * The window must fit the padded image: then every (oy, ox, ky, kx)
+ * lands inside the padded plane. (oh() truncates toward zero, so a
+ * strided window larger than the image would still give oh() == 1.)
+ */
+void
+checkGeometry(const ConvGeometry &g)
+{
+    LECA_CHECK(g.cin > 0 && g.cout > 0 && g.h > 0 && g.w > 0 && g.kh > 0
+                   && g.kw > 0 && g.stride > 0 && g.pad >= 0
+                   && g.h + 2 * g.pad >= g.kh && g.w + 2 * g.pad >= g.kw,
+               "conv geometry ", g.cin, "x", g.h, "x", g.w, " -> ", g.cout,
+               " kernel ", g.kh, "x", g.kw, " stride ", g.stride, " pad ",
+               g.pad, ": the kernel must fit the padded input");
+}
+
+/** Offsets of g's column matrix; arrays live in the caller's scope. */
+Im2colIndex
+makeIm2colIndex(const ConvGeometry &g)
+{
+    Im2colIndex ix;
+    ix.hp = g.h + 2 * g.pad;
+    ix.wp = g.w + 2 * g.pad;
+    const std::int64_t plane =
+        static_cast<std::int64_t>(g.cin) * ix.hp * ix.wp;
+    LECA_CHECK(plane <= std::numeric_limits<std::int32_t>::max(),
+               "conv plane of ", plane, " floats exceeds 32-bit offsets");
+    ix.planeFloats = g.pad > 0 ? plane : 0;
+    std::int32_t *koff =
+        Arena::local().allocArray<std::int32_t>(
+            static_cast<std::size_t>(g.kdim()));
+    std::int32_t *poff =
+        Arena::local().allocArray<std::int32_t>(
+            static_cast<std::size_t>(g.pixels()));
+    std::int32_t *kp = koff;
+    for (int ch = 0; ch < g.cin; ++ch)
+        for (int ky = 0; ky < g.kh; ++ky)
+            for (int kx = 0; kx < g.kw; ++kx)
+                *kp++ = (ch * ix.hp + ky) * ix.wp + kx;
+    std::int32_t *pp = poff;
+    const int oh = g.oh(), ow = g.ow();
+    for (int oy = 0; oy < oh; ++oy)
+        for (int ox = 0; ox < ow; ++ox)
+            *pp++ = oy * g.stride * ix.wp + ox * g.stride;
+    ix.koff = koff;
+    ix.poff = poff;
+    return ix;
+}
+
+/**
+ * The plane @p ix indexes for one [cin, h, w] image: the image itself
+ * when unpadded, else its zero-padded copy, written to @p scratch
+ * (ix.planeFloats floats of the caller's arena scope).
+ */
+const float *
+paddedPlane(const ConvGeometry &g, const Im2colIndex &ix,
+            const float *image, float *scratch)
+{
+    if (ix.planeFloats == 0)
+        return image;
+    float *plane = scratch;
+    for (int ch = 0; ch < g.cin; ++ch)
+        for (int y = 0; y < ix.hp; ++y) {
+            float *row = plane + (static_cast<std::size_t>(ch) * ix.hp + y)
+                                     * ix.wp;
+            const int iy = y - g.pad;
+            if (iy < 0 || iy >= g.h) {
+                std::fill(row, row + ix.wp, 0.0f);
+                continue;
+            }
+            const float *src =
+                image + (static_cast<std::size_t>(ch) * g.h + iy) * g.w;
+            std::fill(row, row + g.pad, 0.0f);
+            std::copy(src, src + g.w, row + g.pad);
+            std::fill(row + g.pad + g.w, row + ix.wp, 0.0f);
         }
-        const float *row = plane + static_cast<std::size_t>(iy) * w;
-        for (int ox = 0; ox < ox_lo; ++ox)
-            emit(j++, 0.0f);
-        for (int ox = ox_lo; ox < ox_hi; ++ox)
-            emit(j++, row[ox * stride + kx - pad]);
-        for (int ox = ox_hi; ox < ow; ++ox)
-            emit(j++, 0.0f);
+    return plane;
+}
+
+/** Live extent of the tile at @p at along an axis of @p n: <= @p unit. */
+int
+tileExtent(std::int64_t n, std::int64_t at, int unit)
+{
+    return static_cast<int>(std::min<std::int64_t>(unit, n - at));
+}
+
+/**
+ * Run body(i) for every image. A batch runs its images in parallel, so
+ * the loops inside each image run serially as nested regions do; a
+ * batch of one runs on the caller, so its inner loops spread instead.
+ */
+template <typename Body>
+void
+forEachImage(int n, const Body &body)
+{
+    if (n == 1) {
+        body(0);
+        return;
+    }
+    parallelFor(0, n, 1, [&](std::int64_t i0, std::int64_t i1) {
+        for (std::int64_t i = i0; i < i1; ++i)
+            body(i);
+    });
+}
+
+/**
+ * Pack rows [k0, k0 + kc) of the panel of cols(plane) holding pixels
+ * [p0, p0 + nr) into the packB layout: bp[kk*NR + lane], dead lanes
+ * zero. A full panel inside one output row of a stride-1 conv is one
+ * contiguous load per row.
+ */
+void
+packColsPanel(const ConvGeometry &g, const Im2colIndex &ix,
+              const float *plane, std::int64_t p0, int nr, std::int64_t k0,
+              std::int64_t kc, float *bp)
+{
+    const std::int32_t *koff = ix.koff + k0;
+    const std::int32_t *poff = ix.poff + p0;
+    if (nr == NR && g.stride == 1 && p0 % g.ow() + NR <= g.ow()) {
+        for (std::int64_t kk = 0; kk < kc; ++kk)
+            std::memcpy(bp + kk * NR, plane + koff[kk] + poff[0],
+                        NR * sizeof(float));
+        return;
+    }
+    for (std::int64_t kk = 0; kk < kc; ++kk) {
+        const float *src = plane + koff[kk];
+        float *dst = bp + kk * NR;
+        for (int l = 0; l < nr; ++l)
+            dst[l] = src[poff[l]];
+        for (int l = nr; l < NR; ++l)
+            dst[l] = 0.0f;
     }
 }
 
 /**
- * Pack the virtual im2col matrix of one image directly into the
- * kMicroN-wide panel layout packB produces — the column matrix is
- * never materialised.
+ * dst[u*NR + l] = rows[l][u] for u, l < NR: a 16×16 transpose, pure
+ * data movement (so it cannot change a result). The rows are copied
+ * whole first, so every source line is read once, contiguously.
  */
 void
-packBIm2col(const float *image, int cin, int h, int w, int kh, int kw,
-            int stride, int pad, int oh, int ow, float *bp)
+transposeTile16(const float *const rows[NR], float *dst)
 {
-    const std::int64_t kdim =
-        static_cast<std::int64_t>(cin) * kh * kw;
-    const std::int64_t n = static_cast<std::int64_t>(oh) * ow;
-    const std::int64_t panel_stride = kdim * NR;
-    for (std::int64_t kk = 0; kk < kdim; ++kk) {
-        const int kx = static_cast<int>(kk % kw);
-        const int ky = static_cast<int>(kk / kw) % kh;
-        const int ch = static_cast<int>(kk / (kh * kw));
-        float *out = bp + kk * NR; // Panel row kk, advanced panel-by-panel.
-        int lane = 0;
-        im2colRow(image, h, w, stride, pad, ch, ky, kx, oh, ow,
-                  [&](std::int64_t, float v) {
-                      out[lane] = v;
-                      if (++lane == NR) {
-                          lane = 0;
-                          out += panel_stride;
-                      }
-                  });
-        // Zero-fill the dead lanes of the final panel.
-        for (std::int64_t j = n; j % NR != 0; ++j) {
-            out[lane] = 0.0f;
-            if (++lane == NR) {
-                lane = 0;
-                out += panel_stride;
+    float tile[NR][NR];
+    for (int l = 0; l < NR; ++l)
+        std::memcpy(tile[l], rows[l], sizeof(tile[l]));
+    for (int u = 0; u < NR; ++u)
+        for (int l = 0; l < NR; ++l)
+            dst[u * NR + l] = tile[l][u];
+}
+
+/**
+ * Pack block [p0, p0 + kc) × lane panel [q0, q0 + NR) of cols(plane)ᵀ
+ * — pixels on the k axis, column-matrix rows on the lanes — as
+ * bp[t*NR + lane]. Lane kdim is the all-ones bias column when
+ * @p with_bias; lanes past it are zero. Each run of 16 pixels inside
+ * one output row of a stride-1 conv is one 16×16 tile transpose.
+ */
+void
+packColsBlockT(const ConvGeometry &g, const Im2colIndex &ix,
+               const float *plane, bool with_bias, std::int64_t q0,
+               std::int64_t p0, std::int64_t kc, float *bp)
+{
+    static const float kOnes[NR] = {1, 1, 1, 1, 1, 1, 1, 1,
+                                    1, 1, 1, 1, 1, 1, 1, 1};
+    static const float kZeros[NR] = {};
+    const std::int64_t kdim = g.kdim();
+    const int ow = g.ow();
+    // Lane l reads rows[l][poff[p]]; a constant lane reads its table
+    // at offset 0 (cols[l] == false).
+    const float *rows[NR];
+    bool cols[NR];
+    for (int l = 0; l < NR; ++l) {
+        const std::int64_t q = q0 + l;
+        cols[l] = q < kdim;
+        rows[l] = cols[l] ? plane + ix.koff[q]
+                          : (with_bias && q == kdim ? kOnes : kZeros);
+    }
+    for (std::int64_t t = 0; t < kc;) {
+        const std::int64_t p = p0 + t;
+        const std::int64_t run = std::min<std::int64_t>(
+            {kc - t, NR, ow - p % ow});
+        const std::int32_t off = ix.poff[p];
+        if (run == NR && g.stride == 1) {
+            const float *tile[NR];
+            for (int l = 0; l < NR; ++l)
+                tile[l] = cols[l] ? rows[l] + off : rows[l];
+            transposeTile16(tile, bp + t * NR);
+            t += NR;
+            continue;
+        }
+        // One pixel at a time: row tails, and strided convs.
+        for (int l = 0; l < NR; ++l)
+            bp[t * NR + l] = cols[l] ? rows[l][off] : rows[l][0];
+        ++t;
+    }
+}
+
+/** One image of convForward; @p ap holds wmat in full-k A panels. */
+void
+convForwardImage(const ConvGeometry &g, const Im2colIndex &ix,
+                 simd::MicroF32Fn micro, const float *ap,
+                 const float *image, const float *bias, float *y)
+{
+    Arena::Scope scope;
+    const float *plane = paddedPlane(
+        g, ix, image,
+        Arena::local().alloc(static_cast<std::size_t>(ix.planeFloats)));
+    const std::int64_t kdim = g.kdim();
+    const std::int64_t npix = g.pixels();
+    const std::int64_t panels = (npix + NR - 1) / NR;
+    const std::int64_t kc_max = std::min<std::int64_t>(kdim, kBlockK);
+    // Panel-at-a-time: each kBlockK×16 slice of a 16-pixel panel is
+    // packed and then consumed by every cout row tile while it is
+    // still in L1. Panels advance along output rows inside a k-block,
+    // so neighbouring panels' packs share their plane lines in L1.
+    parallelFor(0, panels, chunkUnits(panels, 2 * g.cout * kdim * NR),
+                [&](std::int64_t j0, std::int64_t j1) {
+        Arena::Scope chunk_scope;
+        float *bp =
+            Arena::local().alloc(static_cast<std::size_t>(kc_max * NR));
+        for (std::int64_t k0 = 0; k0 < kdim; k0 += kBlockK) {
+            const std::int64_t kc = std::min<std::int64_t>(kBlockK, kdim - k0);
+            for (std::int64_t j = j0; j < j1; ++j) {
+                const std::int64_t p0 = j * NR;
+                const int nr = tileExtent(npix, p0, NR);
+                packColsPanel(g, ix, plane, p0, nr, k0, kc, bp);
+                for (int i0 = 0; i0 < g.cout; i0 += MR)
+                    micro(kc, ap + i0 * kdim + k0 * MR, bp,
+                          y + i0 * npix + p0, npix,
+                          tileExtent(g.cout, i0, MR), nr, k0 == 0);
             }
         }
+        // The bias is a second add after the whole chain, as in the
+        // GEMM + bias-pass form.
+        if (bias)
+            for (int co = 0; co < g.cout; ++co) {
+                float *c = y + co * npix;
+                const std::int64_t p1 = std::min(j1 * NR, npix);
+                for (std::int64_t p = j0 * NR; p < p1; ++p)
+                    c[p] += bias[co];
+            }
+    });
+}
+
+/** One image of convBackwardWeights. */
+void
+convBackwardWeightsImage(const ConvGeometry &g, const Im2colIndex &ix,
+                         simd::MicroF32Fn micro, const float *image,
+                         const float *dy, bool with_bias, float *dw)
+{
+    Arena::Scope scope;
+    const float *plane = paddedPlane(
+        g, ix, image,
+        Arena::local().alloc(static_cast<std::size_t>(ix.planeFloats)));
+    const std::int64_t npix = g.pixels();
+    const std::int64_t ldw = g.kdim() + (with_bias ? 1 : 0);
+    // dY is the A operand: cout on the 4-row axis, pixels on k.
+    float *ap = Arena::local().alloc(
+        static_cast<std::size_t>(roundUp(g.cout, MR) * npix));
+    packA(dy, npix, false, 0, g.cout, 0, npix, ap);
+    const std::int64_t lane_panels = (ldw + NR - 1) / NR;
+    const std::int64_t kc_max = std::min<std::int64_t>(npix, kBlockK);
+    parallelFor(0, lane_panels,
+                chunkUnits(lane_panels, 2 * g.cout * npix * NR),
+                [&](std::int64_t j0, std::int64_t j1) {
+        Arena::Scope chunk_scope;
+        float *bp =
+            Arena::local().alloc(static_cast<std::size_t>(kc_max * NR));
+        for (std::int64_t k0 = 0; k0 < npix; k0 += kBlockK) {
+            const std::int64_t kc = std::min<std::int64_t>(kBlockK, npix - k0);
+            for (std::int64_t j = j0; j < j1; ++j) {
+                const std::int64_t q0 = j * NR;
+                const int nr = tileExtent(ldw, q0, NR);
+                packColsBlockT(g, ix, plane, with_bias, q0, k0, kc, bp);
+                for (int i0 = 0; i0 < g.cout; i0 += MR)
+                    micro(kc, ap + i0 * npix + k0 * MR, bp,
+                          dw + i0 * ldw + q0, ldw,
+                          tileExtent(g.cout, i0, MR), nr, k0 == 0);
+            }
+        }
+    });
+}
+
+/**
+ * Add one row (ch, ky, kx) of dcols into its plane of the dX
+ * accumulator @p acc ([hp, wp], the image's plane zero-padded by
+ * g.pad): element (oy, ox) lands at (oy·s + ky, ox·s + kx), always in
+ * range, so a stride-1 row is one contiguous run. The padding border
+ * collects the contributions col2im would clip; it is discarded.
+ */
+void
+foldDcolsRow(const ConvGeometry &g, int wp, int ky, int kx,
+             const float *row, float *acc)
+{
+    const int oh = g.oh(), ow = g.ow();
+    for (int oy = 0; oy < oh; ++oy) {
+        float *d =
+            acc + static_cast<std::size_t>(oy * g.stride + ky) * wp + kx;
+        const float *src = row + static_cast<std::size_t>(oy) * ow;
+        if (g.stride == 1) {
+            for (int ox = 0; ox < ow; ++ox)
+                d[ox] += src[ox];
+        } else {
+            for (int ox = 0; ox < ow; ++ox)
+                d[ox * g.stride] += src[ox];
+        }
     }
+}
+
+/** One image of convBackwardData. */
+void
+convBackwardDataImage(const ConvGeometry &g, simd::MicroF32Fn micro,
+                      const float *wmat, const float *dy, float *dx)
+{
+    // dcols rows per tile: the tile (rows × OH·OW) stays within
+    // kDcolsTileFloats (64 KiB), so the fold reads it from L1/L2.
+    constexpr std::int64_t kDcolsTileFloats = 1 << 14;
+    Arena::Scope scope;
+    const int khkw = g.kh * g.kw;
+    const std::int64_t kdim = g.kdim();
+    const std::int64_t npix = g.pixels();
+    const int hp = g.h + 2 * g.pad, wp = g.w + 2 * g.pad;
+    const std::int64_t plane_sz = static_cast<std::int64_t>(g.h) * g.w;
+    const std::int64_t padded_sz = static_cast<std::int64_t>(hp) * wp;
+    // dY is the B operand: pixels on the 16-lane axis, cout on k.
+    float *bp = Arena::local().alloc(
+        static_cast<std::size_t>(roundUp(npix, NR) * g.cout));
+    packB(dy, npix, false, g.cout, npix, bp);
+    // Input channels split into groups that own disjoint dX planes; a
+    // multiple of 4 channels keeps the groups' row tiles full.
+    const int group = static_cast<int>(std::min<std::int64_t>(
+        g.cin, roundUp(chunkUnits(g.cin, 2 * khkw * npix * g.cout), MR)));
+    const std::int64_t rows_max = static_cast<std::int64_t>(group) * khkw;
+    const std::int64_t tile_rows = std::min(
+        rows_max,
+        std::max<std::int64_t>(MR, kDcolsTileFloats / npix / MR * MR));
+    parallelFor(0, (g.cin + group - 1) / group, 1,
+                [&](std::int64_t g0, std::int64_t g1) {
+        Arena::Scope chunk_scope;
+        float *ap = Arena::local().alloc(
+            static_cast<std::size_t>(roundUp(rows_max, MR) * g.cout));
+        float *dcols =
+            Arena::local().alloc(static_cast<std::size_t>(tile_rows * npix));
+        float *padded = Arena::local().alloc(static_cast<std::size_t>(
+            g.pad > 0 ? group * padded_sz : 0));
+        for (std::int64_t gi = g0; gi < g1; ++gi) {
+            const int c0 = static_cast<int>(gi) * group;
+            const int channels = std::min(group, g.cin - c0);
+            const std::int64_t r0 = static_cast<std::int64_t>(c0) * khkw;
+            const std::int64_t rows =
+                static_cast<std::int64_t>(channels) * khkw;
+            float *acc = g.pad > 0 ? padded : dx + c0 * plane_sz;
+            std::fill(acc, acc + channels * padded_sz, 0.0f);
+            // Wᵀ rows of this group, all of k (= cout) per panel.
+            packA(wmat, kdim, true, r0, r0 + rows, 0, g.cout, ap);
+            // dcols one tile of rows at a time, each folded while it is
+            // in cache: rows ascend, so every dX element takes its
+            // (ky, kx) contributions in col2im's order.
+            for (std::int64_t t0 = 0; t0 < rows; t0 += tile_rows) {
+                const std::int64_t t1 = std::min(rows, t0 + tile_rows);
+                for (std::int64_t p0 = 0; p0 < npix; p0 += NR) {
+                    const int nr = tileExtent(npix, p0, NR);
+                    const float *bpp = bp + (p0 / NR) * g.cout * NR;
+                    for (std::int64_t i0 = t0; i0 < t1; i0 += MR)
+                        for (std::int64_t k0 = 0; k0 < g.cout; k0 += kBlockK)
+                            micro(std::min<std::int64_t>(kBlockK, g.cout - k0),
+                                  ap + i0 * g.cout + k0 * MR, bpp + k0 * NR,
+                                  dcols + (i0 - t0) * npix + p0, npix,
+                                  tileExtent(t1, i0, MR), nr, k0 == 0);
+                }
+                for (std::int64_t q = t0; q < t1; ++q) // row within the group
+                    foldDcolsRow(g, wp, static_cast<int>(q / g.kw % g.kh),
+                                 static_cast<int>(q % g.kw),
+                                 dcols + (q - t0) * npix,
+                                 acc + q / khkw * padded_sz);
+            }
+            if (g.pad > 0)
+                for (int ch = 0; ch < channels; ++ch)
+                    for (int y = 0; y < g.h; ++y) {
+                        const float *src = padded + ch * padded_sz
+                                           + std::int64_t{y + g.pad} * wp
+                                           + g.pad;
+                        std::copy(src, src + g.w,
+                                  dx + (c0 + ch) * plane_sz
+                                      + std::int64_t{y} * g.w);
+                    }
+        }
+    });
 }
 
 } // namespace
@@ -315,9 +659,22 @@ im2colRaw(const float *src, int c, int h, int w, int kh, int kw,
         const int kx = static_cast<int>(kk % kw);
         const int ky = static_cast<int>(kk / kw) % kh;
         const int ch = static_cast<int>(kk / (kh * kw));
-        float *row = dst + kk * ncols;
-        im2colRow(src, h, w, stride, pad, ch, ky, kx, oh, ow,
-                  [&](std::int64_t j, float v) { row[j] = v; });
+        const float *plane = src + static_cast<std::size_t>(ch) * h * w;
+        int ox_lo, ox_hi;
+        validRange(w, ow, stride, pad, kx, ox_lo, ox_hi);
+        for (int oy = 0; oy < oh; ++oy) {
+            float *out = dst + kk * ncols + static_cast<std::int64_t>(oy) * ow;
+            const int iy = oy * stride + ky - pad;
+            if (iy < 0 || iy >= h) {
+                std::fill(out, out + ow, 0.0f);
+                continue;
+            }
+            const float *row = plane + static_cast<std::size_t>(iy) * w;
+            std::fill(out, out + ox_lo, 0.0f);
+            for (int ox = ox_lo; ox < ox_hi; ++ox)
+                out[ox] = row[ox * stride + kx - pad];
+            std::fill(out + ox_hi, out + ow, 0.0f);
+        }
     }
 }
 
@@ -354,33 +711,59 @@ col2imRaw(const float *cols, int channels, int height, int width, int kh,
     }
 }
 
+// leca-analyze: entry
 void
-convForwardPacked(const float *image, int cin, int h, int w, int kh,
-                  int kw, int stride, int pad, const float *wmat, int cout,
-                  const float *bias, float *dst)
+convForward(const ConvGeometry &g, int n, const float *x, const float *wmat,
+            const float *bias, float *y)
 {
-    const int oh = (h + 2 * pad - kh) / stride + 1;
-    const int ow = (w + 2 * pad - kw) / stride + 1;
-    const std::int64_t kdim = static_cast<std::int64_t>(cin) * kh * kw;
-    const std::int64_t n = static_cast<std::int64_t>(oh) * ow;
-    LECA_CHECK(oh > 0 && ow > 0, "convForwardPacked output ", oh, "x", ow,
-               " for input ", h, "x", w, " kernel ", kh, "x", kw);
+    checkGeometry(g);
     Arena::Scope scope;
-    float *bp = Arena::local().alloc(
-        static_cast<std::size_t>(roundUp(n, NR) * kdim));
-    packBIm2col(image, cin, h, w, kh, kw, stride, pad, oh, ow, bp);
-    gemmWithPackedB(cout, n, kdim, wmat, kdim, false, bp, dst, n, false);
-    if (bias) {
-        // Second in-place pass, not bias-initialised accumulation: the
-        // result stays (sum of products) + b, bit-matching the GEMM +
-        // bias pass in conv2dImage.
-        for (int co = 0; co < cout; ++co) {
-            const float b = bias[co];
-            float *drow = dst + static_cast<std::size_t>(co) * n;
-            for (std::int64_t p = 0; p < n; ++p)
-                drow[p] += b;
-        }
-    }
+    const simd::MicroF32Fn micro = activeKernels().microF32;
+    const Im2colIndex ix = makeIm2colIndex(g);
+    const std::int64_t kdim = g.kdim();
+    // The weights are the A operand, packed once per call.
+    float *ap = Arena::local().alloc(
+        static_cast<std::size_t>(roundUp(g.cout, MR) * kdim));
+    packA(wmat, kdim, false, 0, g.cout, 0, kdim, ap);
+    const std::size_t in_sz = static_cast<std::size_t>(g.cin) * g.h * g.w;
+    const std::size_t out_sz = static_cast<std::size_t>(g.cout) * g.pixels();
+    forEachImage(n, [&](std::int64_t i) {
+        convForwardImage(g, ix, micro, ap, x + i * in_sz, bias,
+                         y + i * out_sz);
+    });
+}
+
+// leca-analyze: entry
+void
+convBackwardWeights(const ConvGeometry &g, int n, const float *x,
+                    const float *dy, bool with_bias, float *dw)
+{
+    checkGeometry(g);
+    Arena::Scope scope;
+    const simd::MicroF32Fn micro = activeKernels().microF32;
+    const Im2colIndex ix = makeIm2colIndex(g);
+    const std::size_t in_sz = static_cast<std::size_t>(g.cin) * g.h * g.w;
+    const std::size_t dy_sz = static_cast<std::size_t>(g.cout) * g.pixels();
+    const std::size_t dw_sz = static_cast<std::size_t>(g.cout)
+                              * (g.kdim() + (with_bias ? 1 : 0));
+    forEachImage(n, [&](std::int64_t i) {
+        convBackwardWeightsImage(g, ix, micro, x + i * in_sz, dy + i * dy_sz,
+                                 with_bias, dw + i * dw_sz);
+    });
+}
+
+// leca-analyze: entry
+void
+convBackwardData(const ConvGeometry &g, int n, const float *dy,
+                 const float *wmat, float *dx)
+{
+    checkGeometry(g);
+    const simd::MicroF32Fn micro = activeKernels().microF32;
+    const std::size_t dy_sz = static_cast<std::size_t>(g.cout) * g.pixels();
+    const std::size_t dx_sz = static_cast<std::size_t>(g.cin) * g.h * g.w;
+    forEachImage(n, [&](std::int64_t i) {
+        convBackwardDataImage(g, micro, wmat, dy + i * dy_sz, dx + i * dx_sz);
+    });
 }
 
 } // namespace leca

@@ -3,17 +3,16 @@
  * The packed, cache-blocked, register-tiled kernel core behind every
  * dense op in the simulator (DESIGN.md §8).
  *
- * One GEMM engine serves all four matrix-product flavours the stack
- * uses (C = A·B, Aᵀ·B, A·Bᵀ, and the conv im2col product): the operand
+ * One GEMM engine serves the three matrix-product flavours the stack
+ * uses (C = A·B, Aᵀ·B, A·Bᵀ), and three conv passes (forward, dW, dX)
+ * drive the same micro-kernel over the implicit im2col matrix: operand
  * layout differences are absorbed entirely by the packing routines, so
  * the register-tiled micro-kernel only ever sees contiguous
  * kMicroM×kMicroN panels.
  *
- * Structure per call:
+ * Structure per GEMM call:
  *   1. B is packed ONCE into kMicroN-wide column panels (zero-padded
- *      tails) by the calling thread — for convolutions the im2col
- *      transform writes straight into this packed layout, so no column
- *      matrix is ever materialised on the inference path.
+ *      tails) by the calling thread.
  *   2. Row chunks of A/C are distributed over the deterministic pool
  *      (util/parallel.hh). Each worker packs its own kMicroM-tall A
  *      panels (k blocked by kBlockK) into thread-local arena scratch
@@ -23,6 +22,10 @@
  *      so every output element accumulates its k contributions in
  *      ascending order with a single accumulator chain.
  *
+ * The conv passes instead pack their column-matrix operand one
+ * cache-sized panel or block at a time, straight from a zero-padded
+ * copy of the image, and consume it while it is still in cache.
+ *
  * Determinism contract: the k loop is never split across accumulators
  * and the k-block boundaries are fixed constants, so each output
  * element's floating-point accumulation order is a pure function of
@@ -30,7 +33,7 @@
  * row chunks are scheduled. gemmBlocked is bit-identical to
  * gemmReference at every LECA_THREADS setting (tests/test_kernels.cc).
  *
- * All scratch (packed panels, im2col buffers) comes from the
+ * All scratch (packed panels, padded planes, dcols tiles) comes from the
  * thread-local Arena (util/arena.hh): zero steady-state heap
  * allocations.
  */
@@ -88,7 +91,7 @@ void gemmReference(std::int64_t m, std::int64_t n, std::int64_t k,
 
 /**
  * im2col on a raw [C,H,W] plane; dst is a (c*kh*kw) × (OH*OW)
- * row-major matrix (the layout im2col()/conv2dImage expose).
+ * row-major matrix (the layout im2col() exposes).
  */
 void im2colRaw(const float *src, int c, int h, int w, int kh, int kw,
                int stride, int pad, float *dst);
@@ -102,21 +105,67 @@ void col2imRaw(const float *cols, int channels, int height, int width,
                int kh, int kw, int stride, int pad, float *dst);
 
 /**
- * Convolution forward for one [C,H,W] image without materialising the
- * column matrix: im2col writes directly into the packed-panel layout
- * (arena scratch) and the blocked GEMM consumes it in place.
- *
- * @param image  input plane [cin, h, w]
- * @param wmat   weights reshaped to [cout, cin*kh*kw], row-major
- * @param bias   per-output-channel bias, or nullptr for none; added in
- *               a second pass after the GEMM, matching conv2dImage
- * @param dst    output [cout, OH*OW], overwritten
- *
- * Bit-identical to im2colRaw + gemmBlocked on the materialised matrix.
+ * Shape of one 2-D convolution over [cin, h, w] images with a
+ * [cout, cin*kh*kw] row-major weight matrix. Its column matrix
+ * cols(x) is the (cin*kh*kw) × (oh*ow) im2col of one image.
  */
-void convForwardPacked(const float *image, int cin, int h, int w, int kh,
-                       int kw, int stride, int pad, const float *wmat,
-                       int cout, const float *bias, float *dst);
+struct ConvGeometry
+{
+    int cin, h, w; //!< input planes
+    int cout;      //!< output channels (rows of the weight matrix)
+    int kh, kw, stride, pad;
+
+    int oh() const { return (h + 2 * pad - kh) / stride + 1; }
+    int ow() const { return (w + 2 * pad - kw) / stride + 1; }
+    std::int64_t
+    kdim() const
+    {
+        return static_cast<std::int64_t>(cin) * kh * kw;
+    }
+    std::int64_t
+    pixels() const
+    {
+        return static_cast<std::int64_t>(oh()) * ow();
+    }
+};
+
+/*
+ * The fp32 conv engine (DESIGN.md §8): three passes over n images on
+ * one implicit-im2col layout. The forward and dW passes copy each
+ * image once into a zero-padded plane, so column element (kk, p) is
+ * the plain load plane[koff[kk] + poff[p]]; the dX pass folds into a
+ * zero-padded accumulator. No column matrix is ever materialised.
+ * Every output element keeps one k-ascending accumulation chain, so
+ * each pass is bit-identical to im2colRaw + gemmReference (+ col2imRaw)
+ * at every thread count and ISA. A batch runs its images in parallel;
+ * a batch of one splits the loops inside its image instead, with a
+ * grain that depends only on the shape. All scratch is arena memory.
+ */
+
+/**
+ * Forward: y[i] = wmat · cols(x[i]), then + bias[co] per output row
+ * when @p bias is non-null. @p x is [n, cin, h, w]; @p y is
+ * [n, cout, oh, ow], overwritten.
+ */
+void convForward(const ConvGeometry &g, int n, const float *x,
+                 const float *wmat, const float *bias, float *y);
+
+/**
+ * Weight gradient: per image i, dw[i] = dy[i] · cols(x[i])ᵀ, stored
+ * [cout, kdim + (with_bias ? 1 : 0)] row-major at
+ * dw + i·cout·(kdim + with_bias). With @p with_bias the trailing
+ * column holds db[i] = dy[i] · 1. @p dy is [n, cout, oh, ow].
+ */
+void convBackwardWeights(const ConvGeometry &g, int n, const float *x,
+                         const float *dy, bool with_bias, float *dw);
+
+/**
+ * Input gradient: dx[i] = col2im(wmatᵀ · dy[i]), computed and folded
+ * one input-channel group at a time. @p dx is [n, cin, h, w],
+ * overwritten.
+ */
+void convBackwardData(const ConvGeometry &g, int n, const float *dy,
+                      const float *wmat, float *dx);
 
 } // namespace leca
 

@@ -86,48 +86,6 @@ col2im(const Tensor &cols, int channels, int height, int width, int kh,
 }
 
 Tensor
-conv2dImage(const Tensor &x, int item, const Tensor &wmat, const Tensor &bias,
-            int kh, int kw, int stride, int pad, Tensor &y)
-{
-    const int cin = x.size(1), h = x.size(2), w = x.size(3);
-    const int cout = y.size(1), oh = y.size(2), ow = y.size(3);
-    Tensor cols({cin * kh * kw, oh * ow});
-    im2colRaw(x.data() + static_cast<std::size_t>(item) * cin * h * w, cin, h,
-              w, kh, kw, stride, pad, cols.data());
-    float *dst = y.data() + static_cast<std::size_t>(item) * cout * oh * ow;
-    gemmBlocked(cout, static_cast<std::int64_t>(oh) * ow, cin * kh * kw,
-                wmat.data(), cin * kh * kw, false, cols.data(),
-                static_cast<std::int64_t>(oh) * ow, false, dst,
-                static_cast<std::int64_t>(oh) * ow, false);
-    if (bias.numel() > 0) {
-        // Second in-place pass, not bias-initialized accumulation: the
-        // float result stays (sum of products) + b, matching the GEMM +
-        // bias-copy form this helper replaced bit for bit.
-        for (int co = 0; co < cout; ++co) {
-            const float b = bias[static_cast<std::size_t>(co)];
-            float *drow = dst + static_cast<std::size_t>(co) * oh * ow;
-            for (int p = 0; p < oh * ow; ++p)
-                drow[p] += b;
-        }
-    }
-    return cols;
-}
-
-void
-conv2dImageInto(const Tensor &x, int item, const Tensor &wmat,
-                const Tensor &bias, int kh, int kw, int stride, int pad,
-                Tensor &y)
-{
-    const int cin = x.size(1), h = x.size(2), w = x.size(3);
-    const int cout = y.size(1), oh = y.size(2), ow = y.size(3);
-    convForwardPacked(x.data() + static_cast<std::size_t>(item) * cin * h * w,
-                      cin, h, w, kh, kw, stride, pad, wmat.data(), cout,
-                      bias.numel() > 0 ? bias.data() : nullptr,
-                      y.data()
-                          + static_cast<std::size_t>(item) * cout * oh * ow);
-}
-
-Tensor
 conv2d(const Tensor &x, const Tensor &weight, const Tensor &bias, int stride,
        int pad)
 {
@@ -138,15 +96,10 @@ conv2d(const Tensor &x, const Tensor &weight, const Tensor &bias, int stride,
     const int cout = weight.size(0), kh = weight.size(2), kw = weight.size(3);
     LECA_CHECK(weight.size(1) == cin, "conv2d channel mismatch: input has ",
                cin, ", weight expects ", weight.size(1));
-    const int oh = convOutSize(h, kh, stride, pad);
-    const int ow = convOutSize(w, kw, stride, pad);
-    const Tensor wmat = weight.reshape({cout, cin * kh * kw});
-    Tensor y({n, cout, oh, ow});
-    parallelFor(0, n, 1, [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i)
-            conv2dImageInto(x, static_cast<int>(i), wmat, bias, kh, kw,
-                            stride, pad, y);
-    });
+    const ConvGeometry g{cin, h, w, cout, kh, kw, stride, pad};
+    Tensor y({n, cout, g.oh(), g.ow()});
+    convForward(g, n, x.data(), weight.data(),
+                bias.numel() > 0 ? bias.data() : nullptr, y.data());
     return y;
 }
 

@@ -3,7 +3,7 @@
  * Numeric ops over Tensor: matrix multiply variants, im2col/col2im,
  * convolution, pooling, and resampling. These are the only hot loops in
  * the training framework; everything in nn/ composes them. The dense
- * inner kernels (packed blocked GEMM, packed im2col) live in
+ * inner kernels (packed blocked GEMM, the fp32 conv engine) live in
  * tensor/kernels.hh; this layer adds Tensor shapes and contracts.
  */
 
@@ -43,7 +43,8 @@ Tensor col2im(const Tensor &cols, int channels, int height, int width,
 int convOutSize(int in, int k, int stride, int pad);
 
 /**
- * Batched 2-D convolution.
+ * Batched 2-D convolution: the conv engine's forward pass
+ * (tensor/kernels.hh), so it computes the same bits as Conv2d.
  *
  * @param x      input [N, Cin, H, W]
  * @param weight [Cout, Cin, kh, kw]
@@ -51,41 +52,6 @@ int convOutSize(int in, int k, int stride, int pad);
  */
 Tensor conv2d(const Tensor &x, const Tensor &weight, const Tensor &bias,
               int stride, int pad);
-
-/**
- * The reference im2col+GEMM convolution of one batch item. Every
- * convolution forward (ops.cc conv2d; nn/conv.cc Conv2d, which the
- * soft LecaEncoder runs) computes the same bits through the packed
- * form below.
- *
- * Computes y[item] = wmat * im2col(x[item]) (+ bias added in-place per
- * output channel) for a single batch item, reading straight from the
- * batch without slicing a copy. Writes only the [Cout, OH, OW] slab of
- * @p y belonging to @p item, so distinct items may run in parallel.
- *
- * @param x      input batch [N, Cin, H, W]
- * @param item   batch index to convolve
- * @param wmat   weights already reshaped to [Cout, Cin*kh*kw]
- * @param bias   [Cout] or empty tensor for no bias
- * @param y      output batch [N, Cout, OH, OW] (item slab overwritten)
- * @return the im2col matrix (Cin*kh*kw x OH*OW) — per-image scratch that
- *         layers keep for their backward pass.
- */
-Tensor conv2dImage(const Tensor &x, int item, const Tensor &wmat,
-                   const Tensor &bias, int kh, int kw, int stride, int pad,
-                   Tensor &y);
-
-/**
- * conv2dImage without the column matrix: for callers that do not need
- * the im2col scratch for a backward pass (inference paths), the image
- * is packed directly into the blocked-GEMM panel layout in arena
- * scratch (tensor/kernels.hh), so steady-state forward convolution
- * performs no heap allocation. Output values are bit-identical to
- * conv2dImage.
- */
-void conv2dImageInto(const Tensor &x, int item, const Tensor &wmat,
-                     const Tensor &bias, int kh, int kw, int stride,
-                     int pad, Tensor &y);
 
 /** Batched average pooling with kernel=stride (non-overlapping blocks). */
 Tensor avgPool2d(const Tensor &x, int k);

@@ -2,13 +2,14 @@
  * @file
  * The blocked-kernel contract (DESIGN.md §8): gemmBlocked is
  * bit-identical to the retained naive reference at adversarial shapes
- * and at every thread count, the packed conv path matches the
- * materialised-cols path bit for bit, and warm steady-state kernels
+ * and at every thread count, the conv engine's passes match the
+ * materialised-cols reference bit for bit, and warm steady-state kernels
  * perform zero heap block allocations (arena hook).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -19,6 +20,7 @@
 #include "tensor/ops.hh"
 #include "util/alloc_guard.hh"
 #include "util/arena.hh"
+#include "util/check.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
 
@@ -170,43 +172,194 @@ TEST_F(KernelsTest, MatmulWrappersMatchReference)
                              want.size() * sizeof(float)));
 }
 
+/**
+ * The materialised-cols reference conv of one image: im2colRaw +
+ * gemmReference, then the bias as a second pass.
+ */
+void
+referenceConvImage(const float *x, int cin, int h, int w, const float *wmat,
+                   const float *bias, int cout, int kh, int kw, int stride,
+                   int pad, float *y)
+{
+    const int oh = convOutSize(h, kh, stride, pad);
+    const int ow = convOutSize(w, kw, stride, pad);
+    const std::int64_t kdim = static_cast<std::int64_t>(cin) * kh * kw;
+    const std::int64_t ohow = static_cast<std::int64_t>(oh) * ow;
+    std::vector<float> cols(static_cast<std::size_t>(kdim * ohow));
+    im2colRaw(x, cin, h, w, kh, kw, stride, pad, cols.data());
+    gemmReference(cout, ohow, kdim, wmat, kdim, false, cols.data(), ohow,
+                  false, y, ohow, false);
+    if (bias)
+        for (int co = 0; co < cout; ++co)
+            for (std::int64_t p = 0; p < ohow; ++p)
+                y[co * ohow + p] += bias[co];
+}
+
 TEST_F(KernelsTest, PackedConvMatchesColsPathBitForBit)
 {
+    setThreadCount(4);
     // Odd spatial extents and stride/pad combinations so panel tails and
-    // zero-padding rows are exercised.
+    // zero-padding rows are exercised, then the train_analog geometry.
     struct Case
     {
         int cin, h, w, cout, k, stride, pad;
+        bool bias;
     };
     const Case cases[] = {
-        {3, 9, 11, 5, 3, 1, 1},
-        {1, 4, 4, 2, 2, 2, 0},
-        {4, 16, 16, 8, 3, 2, 1},
-        {2, 7, 5, 3, 5, 1, 2},
+        {3, 9, 11, 5, 3, 1, 1, true},
+        {1, 4, 4, 2, 2, 2, 0, true},
+        {4, 16, 16, 8, 3, 2, 1, true},
+        {2, 7, 5, 3, 5, 1, 2, true},
+        {64, 48, 48, 3, 3, 1, 1, true},     // decoder head
+        {3, 48, 48, 64, 3, 1, 1, false},    // decoder 3 -> 64, stem-like
+        {32, 48, 48, 64, 3, 2, 1, false},   // res2.conv1
+        {64, 24, 24, 64, 3, 1, 1, false},   // panels straddle output rows
+        {128, 12, 12, 128, 3, 2, 1, false}, // res5.conv1
+        {32, 48, 48, 64, 1, 2, 0, false},   // 1x1 stride-2 projection
+        {3, 48, 48, 8, 2, 2, 0, false},     // encoder: k = stride = 2
     };
-    for (const Case &cs : cases) {
-        Tensor x = Tensor::fromData(
-            {1, cs.cin, cs.h, cs.w},
-            randomVec(static_cast<std::size_t>(cs.cin) * cs.h * cs.w, 11));
-        Tensor wmat = Tensor::fromData(
-            {cs.cout, cs.cin * cs.k * cs.k},
-            randomVec(static_cast<std::size_t>(cs.cout) * cs.cin * cs.k *
-                          cs.k,
-                      12));
-        Tensor bias =
-            Tensor::fromData({cs.cout},
-                             randomVec(static_cast<std::size_t>(cs.cout), 13));
-        const int oh = convOutSize(cs.h, cs.k, cs.stride, cs.pad);
-        const int ow = convOutSize(cs.w, cs.k, cs.stride, cs.pad);
-        Tensor y_cols({1, cs.cout, oh, ow});
-        Tensor y_packed({1, cs.cout, oh, ow});
-        conv2dImage(x, 0, wmat, bias, cs.k, cs.k, cs.stride, cs.pad, y_cols);
-        conv2dImageInto(x, 0, wmat, bias, cs.k, cs.k, cs.stride, cs.pad,
-                        y_packed);
-        EXPECT_EQ(0, std::memcmp(y_cols.data(), y_packed.data(),
-                                 y_cols.numel() * sizeof(float)))
-            << "cin=" << cs.cin << " h=" << cs.h << " k=" << cs.k
-            << " stride=" << cs.stride << " pad=" << cs.pad;
+    for (const Case &cs : cases)
+        for (int n : {1, 3}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << n << " cin=" << cs.cin << " h=" << cs.h
+                         << " w=" << cs.w << " cout=" << cs.cout
+                         << " k=" << cs.k << " stride=" << cs.stride
+                         << " pad=" << cs.pad << " bias=" << cs.bias);
+            const std::size_t in_sz =
+                static_cast<std::size_t>(cs.cin) * cs.h * cs.w;
+            const Tensor x = Tensor::fromData(
+                {n, cs.cin, cs.h, cs.w},
+                randomVec(static_cast<std::size_t>(n) * in_sz, 11));
+            const Tensor weight = Tensor::fromData(
+                {cs.cout, cs.cin, cs.k, cs.k},
+                randomVec(static_cast<std::size_t>(cs.cout) * cs.cin * cs.k
+                              * cs.k,
+                          12));
+            const Tensor bias =
+                cs.bias ? Tensor::fromData(
+                              {cs.cout},
+                              randomVec(static_cast<std::size_t>(cs.cout), 13))
+                        : Tensor();
+            const Tensor y = conv2d(x, weight, bias, cs.stride, cs.pad);
+            const std::size_t out_sz =
+                static_cast<std::size_t>(cs.cout) * y.size(2) * y.size(3);
+            std::vector<float> want(static_cast<std::size_t>(n) * out_sz);
+            for (int i = 0; i < n; ++i)
+                referenceConvImage(x.data() + i * in_sz, cs.cin, cs.h, cs.w,
+                                   weight.data(),
+                                   cs.bias ? bias.data() : nullptr, cs.cout,
+                                   cs.k, cs.k, cs.stride, cs.pad,
+                                   want.data() + i * out_sz);
+            ASSERT_EQ(y.numel(), want.size());
+            EXPECT_EQ(0, std::memcmp(y.data(), want.data(),
+                                     want.size() * sizeof(float)));
+        }
+}
+
+TEST_F(KernelsTest, ConvPassesMatchReferenceOnRandomShapes)
+{
+    // All three passes at geometry the layers never build (kh != kw,
+    // stride 3, pad 2, cout past one kBlockK) against im2colRaw +
+    // gemmReference (+ col2imRaw), at 1 to 4 threads.
+    Rng rng(2024);
+    for (int it = 0; it < 60; ++it) {
+        ConvGeometry g{};
+        g.cin = rng.uniformInt(1, 12);
+        g.cout = rng.uniformInt(1, it % 10 == 0 ? 300 : 40);
+        g.kh = rng.uniformInt(1, 5);
+        g.kw = rng.uniformInt(1, 5);
+        g.stride = rng.uniformInt(1, 3);
+        g.pad = rng.uniformInt(0, 2);
+        g.h = rng.uniformInt(std::max(1, g.kh - 2 * g.pad), 30);
+        g.w = rng.uniformInt(std::max(1, g.kw - 2 * g.pad), 30);
+        const int n = rng.uniformInt(1, 3);
+        const bool bias = rng.uniform() < 0.5;
+        setThreadCount(rng.uniformInt(1, 4));
+        SCOPED_TRACE(::testing::Message()
+                     << "cin=" << g.cin << " " << g.h << "x" << g.w
+                     << " cout=" << g.cout << " k=" << g.kh << "x" << g.kw
+                     << " stride=" << g.stride << " pad=" << g.pad
+                     << " n=" << n << " bias=" << bias);
+        const std::int64_t kdim = g.kdim(), np = g.pixels();
+        const std::int64_t ldw = kdim + (bias ? 1 : 0);
+        const std::size_t in_sz = static_cast<std::size_t>(g.cin) * g.h * g.w;
+        const std::size_t out_sz = static_cast<std::size_t>(g.cout * np);
+        const std::vector<float> x = randomVec(n * in_sz, 3 * it + 1);
+        const std::vector<float> w =
+            randomVec(static_cast<std::size_t>(g.cout * kdim), 3 * it + 2);
+        const std::vector<float> b =
+            randomVec(static_cast<std::size_t>(g.cout), 3 * it + 3);
+        const std::vector<float> dy = randomVec(n * out_sz, 3 * it + 4);
+        std::vector<float> y(n * out_sz), dx(n * in_sz),
+            dw(static_cast<std::size_t>(n * g.cout * ldw));
+        convForward(g, n, x.data(), w.data(), bias ? b.data() : nullptr,
+                    y.data());
+        convBackwardWeights(g, n, x.data(), dy.data(), bias, dw.data());
+        convBackwardData(g, n, dy.data(), w.data(), dx.data());
+
+        std::vector<float> cols(static_cast<std::size_t>(kdim * np));
+        std::vector<float> want(out_sz), dcols(cols.size());
+        std::vector<float> want_dw(static_cast<std::size_t>(g.cout * ldw));
+        std::vector<float> want_dx(in_sz);
+        for (int i = 0; i < n; ++i) {
+            const float *dyi = dy.data() + i * out_sz;
+            referenceConvImage(x.data() + i * in_sz, g.cin, g.h, g.w,
+                               w.data(), bias ? b.data() : nullptr, g.cout,
+                               g.kh, g.kw, g.stride, g.pad, want.data());
+            EXPECT_EQ(0, std::memcmp(y.data() + i * out_sz, want.data(),
+                                     out_sz * sizeof(float)));
+            im2colRaw(x.data() + i * in_sz, g.cin, g.h, g.w, g.kh, g.kw,
+                      g.stride, g.pad, cols.data());
+            gemmReference(g.cout, kdim, np, dyi, np, false, cols.data(), np,
+                          true, want_dw.data(), ldw, false);
+            if (bias)
+                for (int co = 0; co < g.cout; ++co) {
+                    float acc = 0.0f;
+                    for (std::int64_t p = 0; p < np; ++p)
+                        acc += dyi[co * np + p];
+                    want_dw[static_cast<std::size_t>(co * ldw + kdim)] = acc;
+                }
+            EXPECT_EQ(0, std::memcmp(dw.data() + i * g.cout * ldw,
+                                     want_dw.data(),
+                                     want_dw.size() * sizeof(float)));
+            gemmReference(kdim, np, g.cout, w.data(), kdim, true, dyi, np,
+                          false, dcols.data(), np, false);
+            std::fill(want_dx.begin(), want_dx.end(), 0.0f);
+            col2imRaw(dcols.data(), g.cin, g.h, g.w, g.kh, g.kw, g.stride,
+                      g.pad, want_dx.data());
+            EXPECT_EQ(0, std::memcmp(dx.data() + i * in_sz, want_dx.data(),
+                                     in_sz * sizeof(float)));
+        }
+    }
+}
+
+TEST_F(KernelsTest, ConvRejectsKernelLargerThanPaddedInput)
+{
+    // With stride 2, oh() truncates (2 - 3) / 2 + 1 to 1, so only the
+    // explicit fit rule stops these windows reading past the plane.
+    Rng rng(8);
+    for (const ConvGeometry g : {ConvGeometry{1, 2, 2, 1, 3, 3, 2, 0},
+                                 ConvGeometry{2, 5, 2, 3, 3, 3, 2, 0},
+                                 ConvGeometry{2, 2, 5, 3, 3, 3, 2, 0}}) {
+        SCOPED_TRACE(::testing::Message() << g.h << "x" << g.w);
+        ASSERT_TRUE(g.oh() > 0 && g.ow() > 0);
+        const std::vector<float> x(static_cast<std::size_t>(g.cin) * g.h * g.w);
+        const std::vector<float> w(static_cast<std::size_t>(g.cout * g.kdim()));
+        std::vector<float> out(64);
+        EXPECT_THROW(convForward(g, 1, x.data(), w.data(), nullptr, out.data()),
+                     CheckError);
+        EXPECT_THROW(convBackwardWeights(g, 1, x.data(), out.data(), true,
+                                         out.data()),
+                     CheckError);
+        EXPECT_THROW(convBackwardData(g, 1, out.data(), w.data(), out.data()),
+                     CheckError);
+
+        const Tensor xt = Tensor::fromData({1, g.cin, g.h, g.w}, x);
+        EXPECT_THROW(conv2d(xt, Tensor({g.cout, g.cin, 3, 3}), Tensor(), 2, 0),
+                     CheckError);
+        Conv2d conv(g.cin, g.cout, 3, 2, 0, true, rng);
+        EXPECT_THROW(conv.forward(xt, Mode::Train), CheckError);
+        EXPECT_THROW(conv.forward(xt, Mode::Eval), CheckError);
     }
 }
 

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
 
 #include "nn/activation.hh"
 #include "nn/batchnorm.hh"
@@ -66,6 +67,49 @@ TEST(ConvTranspose2d, UpsamplesByStride)
     ConvTranspose2d deconv(4, 3, 2, 2, true, rng);
     Tensor y = deconv.forward(Tensor({1, 4, 5, 5}), Mode::Eval);
     EXPECT_EQ(y.shape(), (std::vector<int>{1, 3, 10, 10}));
+}
+
+/** Backward with @p grad must throw a CheckError naming both shapes. */
+void
+expectGradShapeRejected(Layer &layer, const Tensor &grad,
+                        const std::string &grad_shape,
+                        const std::string &out_shape)
+{
+    try {
+        layer.backward(grad);
+        ADD_FAILURE() << "backward accepted a " << grad_shape
+                      << " gradient for a " << out_shape << " output";
+    } catch (const CheckError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(grad_shape), std::string::npos) << what;
+        EXPECT_NE(what.find(out_shape), std::string::npos) << what;
+    }
+}
+
+TEST(Conv2d, BackwardRejectsMisshapedGradient)
+{
+    Rng rng(5);
+    Conv2d conv(4, 4, 3, 1, 1, true, rng);
+    const Tensor x = randomTensor({2, 4, 16, 16}, rng);
+    conv.forward(x, Mode::Train);
+    expectGradShapeRejected(conv, Tensor({2, 4, 4, 4}), "[2, 4, 4, 4]",
+                            "[2, 4, 16, 16]");
+    conv.forward(x, Mode::Train);
+    expectGradShapeRejected(conv, Tensor({2, 4, 256}), "[2, 4, 256]",
+                            "[2, 4, 16, 16]");
+}
+
+TEST(ConvTranspose2d, BackwardRejectsMisshapedGradient)
+{
+    Rng rng(6);
+    ConvTranspose2d deconv(4, 3, 2, 2, true, rng);
+    const Tensor x = randomTensor({2, 4, 5, 5}, rng);
+    deconv.forward(x, Mode::Train);
+    expectGradShapeRejected(deconv, Tensor({1, 3, 10, 10}), "[1, 3, 10, 10]",
+                            "[2, 3, 10, 10]");
+    deconv.forward(x, Mode::Train);
+    expectGradShapeRejected(deconv, Tensor({2, 3, 8, 8}), "[2, 3, 8, 8]",
+                            "[2, 3, 10, 10]");
 }
 
 TEST(ConvTranspose2d, IsAdjointOfConv)

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -213,12 +214,27 @@ TEST_F(TrainLoopTest, Conv2dBackwardMatchesReference)
         int n, cin, h, w, cout, k, stride, pad;
         bool bias;
     };
-    const Shape shapes[] = {
+    std::vector<Shape> shapes = {
         {2, 3, 7, 5, 4, 3, 2, 1, true},
         {1, 2, 6, 6, 3, 2, 2, 0, false},
         {3, 1, 5, 5, 2, 3, 1, 2, true},
         {2, 4, 4, 4, 5, 4, 4, 0, true}, // encoder-like: stride == k
     };
+    // The train_analog geometry, each at n = 1 and n = 3.
+    const Shape analog[] = {
+        {0, 64, 48, 48, 3, 3, 1, 1, true},     // decoder head
+        {0, 3, 48, 48, 64, 3, 1, 1, false},    // decoder 3 -> 64
+        {0, 32, 48, 48, 64, 3, 2, 1, false},   // res2.conv1
+        {0, 64, 24, 24, 64, 3, 1, 1, false},   // panels straddle rows
+        {0, 128, 12, 12, 128, 3, 2, 1, false}, // res5.conv1
+        {0, 32, 48, 48, 64, 1, 2, 0, false},   // 1x1 stride-2 projection
+        {0, 3, 48, 48, 8, 2, 2, 0, false},     // encoder: k = stride = 2
+    };
+    for (Shape s : analog)
+        for (int n : {1, 3}) {
+            s.n = n;
+            shapes.push_back(s);
+        }
     for (const Shape &s : shapes) {
         SCOPED_TRACE(::testing::Message()
                      << "n=" << s.n << " cin=" << s.cin << " h=" << s.h
@@ -274,18 +290,15 @@ TEST_F(TrainLoopTest, Conv2dBackwardMatchesReference)
 
         const Tensor dx = conv.backward(dy);
         ASSERT_EQ(dx.numel(), want_dx.size());
-        for (std::size_t i = 0; i < want_dx.size(); ++i)
-            ASSERT_EQ(dx[i], want_dx[i]) << "dx[" << i << "]";
+        EXPECT_EQ(0, std::memcmp(dx.data(), want_dx.data(),
+                                 want_dx.size() * sizeof(float)));
         const Tensor &dw = conv.weight().grad;
         ASSERT_EQ(dw.numel(), want_dw.size());
-        for (std::size_t i = 0; i < want_dw.size(); ++i)
-            ASSERT_EQ(dw[i], want_dw[i]) << "dw[" << i << "]";
+        EXPECT_EQ(0, std::memcmp(dw.data(), want_dw.data(),
+                                 want_dw.size() * sizeof(float)));
         if (s.bias) {
-            const Tensor &db = conv.bias().grad;
-            for (int co = 0; co < s.cout; ++co)
-                ASSERT_EQ(db[static_cast<std::size_t>(co)],
-                          want_db[static_cast<std::size_t>(co)])
-                    << "db[" << co << "]";
+            EXPECT_EQ(0, std::memcmp(conv.bias().grad.data(), want_db.data(),
+                                     want_db.size() * sizeof(float)));
         }
     }
 }
