@@ -488,9 +488,10 @@ timeBackwardMs(Conv2d &conv, const Tensor &x, const Tensor &dy, int iters)
  * Per-layer-shape conv comparison at every Full-backbone conv shape
  * (the 48x48 serving geometry): the fp32 conv vs the resident int8 conv
  * (codes in, codes out), plus the fp32 backward of the same shape. The
- * resident column times convForwardResident with quantize-on-exit from
- * an already-resident input — the mid-chain steady state — so the two
- * forward columns are the two ways the serving pipeline can run that
+ * resident columns time convForwardResident with quantize-on-exit from
+ * an already-resident input — the mid-chain steady state — at the
+ * serving maxBatch of 8 and at batch 1 (serve_int8's mean batch), so
+ * the forward columns are the ways the serving pipeline can run that
  * layer (a quantized conv off the resident path runs the fp32 conv over
  * its dequantized codes). The backward column is what a training step
  * runs: dX only for the frozen backbone shapes, dW + dX for the
@@ -509,7 +510,8 @@ compareConvPaths(leca::bench::JsonReport &report)
     };
     // One row per distinct conv shape in the Full backbone at 48x48,
     // plus the decoder's 64->3 head (576-wide patches over 3 output
-    // channels), the one shape here whose weights train.
+    // channels), the one shape here whose weights train, and the
+    // Proxy backbone's cin-16 conv (the kResidentMinCin boundary).
     const Shape shapes[] = {
         {"conv_3x48_c32", 3, 32, 3, 1, 1, 48, false},   // stem (runs fp32)
         {"conv_32x48_c32", 32, 32, 3, 1, 1, 48, false}, // rb1
@@ -518,13 +520,18 @@ compareConvPaths(leca::bench::JsonReport &report)
         {"conv_64x24_c128_s2", 64, 128, 3, 2, 1, 24, false}, // rb4.conv1
         {"conv_128x12_c128", 128, 128, 3, 1, 1, 12, false},  // rb4.conv2
         {"conv_128x12_c128_s2", 128, 128, 3, 2, 1, 12, false}, // rb5.conv1
+        {"conv_128x6_c128", 128, 128, 3, 1, 1, 6, false},    // rb5.conv2
+        {"conv1x1_32x48_c64_s2", 32, 64, 1, 2, 0, 48, false},   // rb2.proj
+        {"conv1x1_64x24_c128_s2", 64, 128, 1, 2, 0, 24, false}, // rb4.proj
+        {"conv1x1_128x12_c128_s2", 128, 128, 1, 2, 0, 12, false}, // rb5.proj
         {"conv_64x48_c3_dec", 64, 3, 3, 1, 1, 48, true}, // decoder head
+        {"conv_16x32_c16", 16, 16, 3, 1, 1, 32, false},  // Proxy rb1
     };
     const int batch = 8; // the serving maxBatch
     const int reps = 6;
 
     Table table({"shape", "fp32 ms", "resident ms", "res/fp32",
-                 "fp32 bwd ms", "bwd computes"});
+                 "res b1 ms", "fp32 bwd ms", "bwd computes"});
     for (const Shape &s : shapes) {
         const Tensor x = randomTensor({batch, s.cin, s.hw, s.hw}, 21);
         const Tensor w = randomTensor({s.cout, s.cin, s.k, s.k}, 22);
@@ -566,6 +573,15 @@ compareConvPaths(leca::bench::JsonReport &report)
                                 nullptr);
             benchmark::DoNotOptimize(o_q.data());
         }, reps);
+        // The same conv over the first image alone.
+        const QuantActivation act1{1, s.cin, s.hw, s.hw, in_q.data(),
+                                   in_s.data()};
+        const double res_b1_ms = timeWallMs([&] {
+            convForwardResident(act1, s.k, s.k, s.stride, s.pad, wq_hwc,
+                                epi, o_q.data(), o_s.data(), nullptr,
+                                nullptr);
+            benchmark::DoNotOptimize(o_q.data());
+        }, reps * batch);
 
         // Backward as training runs it: the frozen backbone's dX alone,
         // the decoder head's dW + db + dX.
@@ -579,9 +595,11 @@ compareConvPaths(leca::bench::JsonReport &report)
 
         table.addRow({s.name, Table::num(f32_ms, 3), Table::num(res_ms, 3),
                       Table::num(f32_ms / res_ms, 2) + "x",
-                      Table::num(bwd_ms, 3), s.trained ? "dW+dX" : "dX"});
+                      Table::num(res_b1_ms, 3), Table::num(bwd_ms, 3),
+                      s.trained ? "dW+dX" : "dX"});
         report.add(std::string(s.name) + "_f32", f32_ms, 0.0);
         report.add(std::string(s.name) + "_resident_i8", res_ms, 0.0);
+        report.add(std::string(s.name) + "_resident_i8_b1", res_b1_ms, 0.0);
         report.add(bwd_row, bwd_ms, 0.0);
     }
     printBanner(std::cout,

@@ -67,8 +67,8 @@ class Conv2d : public Layer
     bool quantized() const { return !_qweight.empty(); }
 
     /**
-     * The HWC-laid resident weight layout (empty until
-     * prepareResident). Consumed by convForwardResident.
+     * The HWC-laid resident weight layout with its panel pack (empty
+     * until prepareResident). Consumed by convForwardResident.
      */
     const QuantTensor &qweightHwc() const { return _qweightHwc; }
 

@@ -70,10 +70,19 @@ Linear::backward(const Tensor &grad_out)
     return matmul(grad_out, _weight.value);
 }
 
+// leca-analyze: cold — int8 weight pack (plan time)
+void
+Linear::preparePack()
+{
+    LECA_CHECK(quantized(), "Linear::preparePack before quantizeWeights");
+    _qweight.buildPack();
+}
+
 void
 Linear::quantizeWeights(std::vector<QuantStat> &stats)
 {
     _qweight = quantizeRowMajor(_weight.value, _out, _in);
+    _qweight.buildPack();
     stats.push_back({"Linear " + std::to_string(_in) + "->"
                          + std::to_string(_out),
                      _qweight.fp32Bytes(), _qweight.quantBytes(),

@@ -29,6 +29,15 @@ class Linear : public Layer
 
     Param &weight() { return _weight; }
     Param &bias() { return _bias; }
+    bool quantized() const { return !_qweight.empty(); }
+
+    /**
+     * (Re)build the int8 panel kernel's weight pack from the codes.
+     * quantizeWeights() builds it; call again after a restore replaced
+     * the codes (Sequential::planQuantized does, for both quantize()
+     * and loadQuantized()).
+     */
+    void preparePack();
 
   private:
     int _in, _out;

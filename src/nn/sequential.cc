@@ -5,6 +5,7 @@
 #include "nn/activation.hh"
 #include "nn/batchnorm.hh"
 #include "nn/conv.hh"
+#include "nn/linear.hh"
 #include "nn/pool.hh"
 #include "tensor/isa.hh"
 #include "tensor/quant.hh"
@@ -113,6 +114,9 @@ Sequential::planQuantized()
             i = j;
             continue;
         }
+        if (auto *fc = dynamic_cast<Linear *>(l);
+            fc != nullptr && fc->quantized())
+            fc->preparePack();
         if (auto *rb = dynamic_cast<ResidualBlock *>(l);
             rb != nullptr && rb->planResident()) {
             QuantStep st;

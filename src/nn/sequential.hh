@@ -95,9 +95,10 @@ class Sequential : public Layer
 
     /**
      * (Re)build the quantized execution plan: classify every child as a
-     * resident step or a plain one, fold conv→BN→ReLU runs, prepare the
-     * HWC weight layouts, and decide the precision boundaries (which
-     * steps hand codes to the next). Called automatically at the end of
+     * resident step or a plain one, fold conv→BN→ReLU runs, build the
+     * resident convs' HWC weight packs and the quantized Linears' packs,
+     * and decide the precision boundaries (which steps hand codes to
+     * the next). Called automatically at the end of
      * quantizeWeights(); call explicitly after loadQuantized-style
      * restores where quantizeWeights never runs. With no resident-
      * capable child the plan stays empty and forward() is unchanged.

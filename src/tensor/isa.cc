@@ -17,21 +17,22 @@ using namespace simd::detail;
 // non-fused mul+add policy the fp32 micro-kernel pins (one multiply +
 // one add per element on the FP ports). i8MacsPerCycle assumes one
 // widening int8 MAC instruction per cycle (VPDPBUSD / SDOT where
-// present); the int8 dot's per-block scaling is fused-FMA by contract
-// (simd.hh) and does not change the MAC count.
+// present); the int8 panel's per-block scaling is fused-FMA by
+// contract (simd.hh) and does not change the MAC count.
 const KernelSet kScalarSet = {
     "scalar", Isa::Scalar,
-    microF32Scalar, dotQ8RowScalar, quantizeRowScalar, dequantizeRowScalar,
+    microF32Scalar, dotQ8PanelScalar, quantizeRowScalar,
+    dequantizeRowScalar,
     /*f32FlopsPerCycle=*/8.0, /*i8MacsPerCycle=*/8.0,
-    /*dotQ8RowUB=*/nullptr, affineReluRowScalar,
+    affineReluRowScalar,
 };
 
 #if defined(LECA_HAVE_AVX2)
 const KernelSet kAvx2Set = {
     "avx2", Isa::Avx2,
-    microF32Avx2, dotQ8RowAvx2, quantizeRowAvx2, dequantizeRowAvx2,
+    microF32Avx2, dotQ8PanelAvx2, quantizeRowAvx2, dequantizeRowAvx2,
     /*f32FlopsPerCycle=*/16.0, /*i8MacsPerCycle=*/32.0,
-    /*dotQ8RowUB=*/nullptr, affineReluRowAvx2,
+    affineReluRowAvx2,
 };
 #endif
 
@@ -44,18 +45,17 @@ avx512Set()
             "avx512", Isa::Avx512,
             microF32Avx512,
 #if defined(LECA_HAVE_AVX2)
-            dotQ8RowAvx2, // replaced below when the host has VNNI
+            dotQ8PanelAvx2, // replaced below when the host has VNNI
 #else
-            dotQ8RowScalar,
+            dotQ8PanelScalar,
 #endif
             quantizeRowAvx512, dequantizeRowAvx512,
             /*f32FlopsPerCycle=*/32.0, /*i8MacsPerCycle=*/32.0,
-            /*dotQ8RowUB=*/nullptr, affineReluRowAvx512,
+            affineReluRowAvx512,
         };
 #if defined(LECA_HAVE_AVX512VNNI) && defined(__x86_64__)
         if (__builtin_cpu_supports("avx512vnni")) {
-            s.dotQ8Row = dotQ8RowVnni;
-            s.dotQ8RowUB = dotQ8RowUBVnni;
+            s.dotQ8Panel = dotQ8PanelVnni;
             s.i8MacsPerCycle = 128.0;
         }
 #endif
@@ -68,9 +68,9 @@ avx512Set()
 #if defined(LECA_HAVE_NEON)
 const KernelSet kNeonSet = {
     "neon", Isa::Neon,
-    microF32Neon, dotQ8RowNeon, quantizeRowScalar, dequantizeRowScalar,
-    /*f32FlopsPerCycle=*/8.0, /*i8MacsPerCycle=*/32.0,
-    /*dotQ8RowUB=*/nullptr, affineReluRowNeon,
+    microF32Neon, dotQ8PanelScalar, quantizeRowScalar, dequantizeRowScalar,
+    /*f32FlopsPerCycle=*/8.0, /*i8MacsPerCycle=*/8.0,
+    affineReluRowNeon,
 };
 #endif
 

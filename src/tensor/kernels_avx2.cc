@@ -8,17 +8,26 @@
  * C-edge tiles use VMASKMOVPS so there is no separate tail path; the
  * packed panels are already zero-padded along both k and n.
  *
- * int8: the VPMADDUBSW sign trick (ggml-style): |a| as the unsigned
- * operand and sign(a)·b as the signed one, so each product is a·b.
- * Quantization never produces -128, which bounds every s16 pair sum by
- * 2·127·127 < 32767 — VPMADDUBSW cannot saturate. VPMADDWD against
- * ones then yields the exact 4-element group sums of the pinned dot
- * structure.
+ * int8: the VPMADDUBSW sign trick (ggml-style) with output channels on
+ * the lanes. Each 64-byte pack step is read as two 8-channel halves of
+ * [8 ch × 4 k] (only the low half when a group has at most eight live
+ * channels, as in the decoder's 3-channel head); a panel row's four
+ * activation codes for that step are broadcast to every lane and
+ * un-biased (XOR 0x80). |w| is the unsigned operand — computed once
+ * per step for the whole tile — and sign(w)·a the signed one, so each
+ * product is a·w. Quantization never produces -128, which bounds every
+ * s16 pair sum by 2·127·127 < 32767 — VPMADDUBSW cannot saturate.
+ * VPMADDWD against ones then yields exact int32 4-element sums, added
+ * over the block's eight steps into one exact block dot per (row,
+ * channel).
  */
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
+
+#include <cfloat>
+#include <cstring>
 
 #include "tensor/simd.hh"
 
@@ -35,16 +44,107 @@ laneMask(int nr, int base)
     return _mm256_cmpgt_epi32(_mm256_set1_epi32(nr - base), idx);
 }
 
-/** ((t0+t2) + (t1+t3)) over the 8-lane v reduced as lo128+hi128 —
- *  exactly the pinned reduction tree of DotQ8RowFn. */
-inline float
-reduceGroups(__m256 v)
+/** Broadcast the four biased activation codes at @p p to every
+ *  32-bit lane and un-bias them to signed codes. */
+inline __m256i
+broadcastCodes(const std::uint8_t *p, __m256i bias)
 {
-    const __m128 t =
-        _mm_add_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
-    const __m128 u = _mm_add_ps(t, _mm_movehl_ps(t, t));
-    const __m128 r = _mm_add_ss(u, _mm_shuffle_ps(u, u, 0x55));
-    return _mm_cvtss_f32(r);
+    std::int32_t v = 0;
+    std::memcpy(&v, p, sizeof(v));
+    return _mm256_xor_si256(_mm256_set1_epi32(v), bias);
+}
+
+/**
+ * MR panel rows × the first NH 8-channel halves of 16-channel group
+ * @p g (NH = 1 when the group has at most eight live channels). Per
+ * block, the int32 accumulators collect the exact block dots, then one
+ * convert, one scale product and one fused multiply-add per lane
+ * extend each output's chain.
+ */
+template <int MR, int NH>
+inline void
+panelTileAvx2(const std::uint8_t *pa, const float *sa, const Q8PackView &w,
+              std::int64_t g, float *c, std::int64_t ldc, int live)
+{
+    const std::int64_t nb = w.nb;
+    const std::int64_t row_bytes = nb * 32;
+    const __m256i bias = _mm256_set1_epi8(static_cast<char>(0x80));
+    const __m256i ones = _mm256_set1_epi16(1);
+    const std::int8_t *wc = w.codes + g * nb * 512;
+    const float *ws = w.scales + g * nb * 16;
+    __m256 acc[MR][NH];
+    for (int r = 0; r < MR; ++r)
+        for (int h = 0; h < NH; ++h)
+            acc[r][h] = _mm256_setzero_ps();
+    for (std::int64_t b = 0; b < nb; ++b) {
+        __m256i d[MR][NH];
+        for (int r = 0; r < MR; ++r)
+            for (int h = 0; h < NH; ++h)
+                d[r][h] = _mm256_setzero_si256();
+        const std::int8_t *wb = wc + b * 512;
+        for (int s = 0; s < 8; ++s) {
+            // |w| is the unsigned operand and sign(w)·a the signed one:
+            // |w| serves every row of the tile.
+            __m256i wv[NH], wx[NH];
+            for (int h = 0; h < NH; ++h) {
+                wv[h] = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(wb + s * 64 + 32 * h));
+                wx[h] = _mm256_abs_epi8(wv[h]);
+            }
+            for (int r = 0; r < MR; ++r) {
+                const __m256i a =
+                    broadcastCodes(pa + r * row_bytes + b * 32 + 4 * s, bias);
+                for (int h = 0; h < NH; ++h)
+                    d[r][h] = _mm256_add_epi32(
+                        d[r][h],
+                        _mm256_madd_epi16(
+                            _mm256_maddubs_epi16(wx[h],
+                                                 _mm256_sign_epi8(a, wv[h])),
+                            ones));
+            }
+        }
+        for (int h = 0; h < NH; ++h) {
+            const __m256 sw = _mm256_loadu_ps(ws + b * 16 + 8 * h);
+            for (int r = 0; r < MR; ++r)
+                acc[r][h] = _mm256_fmadd_ps(
+                    _mm256_mul_ps(_mm256_set1_ps(sa[r * nb + b]), sw),
+                    _mm256_cvtepi32_ps(d[r][h]), acc[r][h]);
+        }
+    }
+    for (int h = 0; h < NH; ++h) {
+        const __m256i m = laneMask(live, 8 * h);
+        for (int r = 0; r < MR; ++r)
+            _mm256_maskstore_ps(c + r * ldc + g * 16 + 8 * h, m, acc[r][h]);
+    }
+}
+
+/** Every row of the panel against group @p g, in tiles of MR rows and
+ *  then single rows. */
+template <int MR, int NH>
+inline void
+panelRowsAvx2(const std::uint8_t *pa, const float *sa, std::int64_t rows,
+              const Q8PackView &w, std::int64_t g, float *c,
+              std::int64_t ldc, int live)
+{
+    const std::int64_t nb = w.nb;
+    std::int64_t r = 0;
+    for (; r + MR <= rows; r += MR)
+        panelTileAvx2<MR, NH>(pa + r * nb * 32, sa + r * nb, w, g,
+                              c + r * ldc, ldc, live);
+    for (; r < rows; ++r)
+        panelTileAvx2<1, NH>(pa + r * nb * 32, sa + r * nb, w, g,
+                             c + r * ldc, ldc, live);
+}
+
+/** Horizontal unsigned max of the eight 32-bit lanes of @p v. */
+inline unsigned
+reduceMaxU32(__m256i v)
+{
+    __m128i m = _mm_max_epu32(_mm256_castsi256_si128(v),
+                              _mm256_extracti128_si256(v, 1));
+    m = _mm_max_epu32(m, _mm_shuffle_epi32(m, 0x4E));
+    m = _mm_max_epu32(m, _mm_shuffle_epi32(m, 0xB1));
+    return static_cast<unsigned>(_mm_cvtsi128_si32(m));
 }
 
 } // namespace
@@ -82,33 +182,16 @@ microF32Avx2(std::int64_t kc, const float *ap, const float *bp, float *c,
 }
 
 void
-dotQ8RowAvx2(const std::int8_t *qa, const float *sa, const std::int8_t *qb,
-             const float *sb, std::int64_t nb, std::int64_t n, float *c)
+dotQ8PanelAvx2(const std::uint8_t *pa, const float *sa, std::int64_t rows,
+               const Q8PackView &w, float *c, std::int64_t ldc)
 {
-    const __m256i ones = _mm256_set1_epi16(1);
-    const std::int64_t row_bytes = nb * 32;
-    for (std::int64_t j = 0; j < n; ++j) {
-        const std::int8_t *qbr = qb + j * row_bytes;
-        const float *sbr = sb + j * nb;
-        __m256 acc0 = _mm256_setzero_ps();
-        __m256 acc1 = _mm256_setzero_ps();
-        for (std::int64_t b = 0; b < nb; ++b) {
-            const __m256i va = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(qa + b * 32));
-            const __m256i vb = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(qbr + b * 32));
-            const __m256i ax = _mm256_sign_epi8(va, va);
-            const __m256i by = _mm256_sign_epi8(vb, va);
-            const __m256i d16 = _mm256_maddubs_epi16(ax, by);
-            const __m256i g = _mm256_madd_epi16(d16, ones);
-            const __m256 gf = _mm256_cvtepi32_ps(g);
-            const __m256 sv = _mm256_set1_ps(sa[b] * sbr[b]);
-            if (b & 1)
-                acc1 = _mm256_fmadd_ps(sv, gf, acc1);
-            else
-                acc0 = _mm256_fmadd_ps(sv, gf, acc0);
-        }
-        c[j] = reduceGroups(_mm256_add_ps(acc0, acc1));
+    for (std::int64_t g = 0; g * 16 < w.cout; ++g) {
+        const int live =
+            static_cast<int>(w.cout - g * 16 < 16 ? w.cout - g * 16 : 16);
+        if (live > 8)
+            panelRowsAvx2<2, 2>(pa, sa, rows, w, g, c, ldc, live);
+        else
+            panelRowsAvx2<4, 1>(pa, sa, rows, w, g, c, ldc, live);
     }
 }
 
@@ -117,62 +200,74 @@ quantizeRowAvx2(const float *src, std::int64_t k, std::int8_t *q,
                 float *scales)
 {
     const std::int64_t nb = (k + 31) / 32;
-    const __m256 absMask =
-        _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
+    const __m256i abs_mask = _mm256_set1_epi32(0x7FFFFFFF);
+    const __m256i inf_bits = _mm256_set1_epi32(0x7F800000);
+    const __m256i c127 = _mm256_castps_si256(_mm256_set1_ps(127.0f));
     for (std::int64_t b = 0; b < nb; ++b) {
         const std::int64_t lo = b * 32;
-        if (lo + 32 <= k) {
-            const __m256 v0 = _mm256_loadu_ps(src + lo);
-            const __m256 v1 = _mm256_loadu_ps(src + lo + 8);
-            const __m256 v2 = _mm256_loadu_ps(src + lo + 16);
-            const __m256 v3 = _mm256_loadu_ps(src + lo + 24);
-            __m256 mx = _mm256_max_ps(_mm256_and_ps(v0, absMask),
-                                      _mm256_and_ps(v1, absMask));
-            mx = _mm256_max_ps(mx, _mm256_and_ps(v2, absMask));
-            mx = _mm256_max_ps(mx, _mm256_and_ps(v3, absMask));
-            __m128 m4 = _mm_max_ps(_mm256_castps256_ps128(mx),
-                                   _mm256_extractf128_ps(mx, 1));
-            m4 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
-            m4 = _mm_max_ss(m4, _mm_shuffle_ps(m4, m4, 0x55));
-            const float amax = _mm_cvtss_f32(m4);
-            const float inv = amax > 0.0f ? 127.0f / amax : 0.0f;
-            scales[b] = amax / 127.0f;
-            const __m256 iv = _mm256_set1_ps(inv);
+        // A tail block loads zeros past k, which code 0 and leave the
+        // absmax alone — same codes as an element-wise tail.
+        __m256 v[4];
+        __m256i a[4];
+        for (int h = 0; h < 4; ++h) {
+            v[h] = lo + 32 <= k
+                       ? _mm256_loadu_ps(src + lo + 8 * h)
+                       : _mm256_maskload_ps(
+                             src + lo + 8 * h,
+                             laneMask(static_cast<int>(k - lo), 8 * h));
+            a[h] = _mm256_and_si256(_mm256_castps_si256(v[h]), abs_mask);
+        }
+        // |x| bit patterns order like the values, and NaN/Inf patterns
+        // sort above every finite one: the integer max is the absmax,
+        // and tells whether the block is all finite. Otherwise take it
+        // again over the finite lanes only.
+        unsigned bits = reduceMaxU32(
+            _mm256_max_epu32(_mm256_max_epu32(a[0], a[1]),
+                             _mm256_max_epu32(a[2], a[3])));
+        const bool all_finite = bits < 0x7F800000u;
+        if (!all_finite) {
+            __m256i mx = _mm256_setzero_si256();
+            for (int h = 0; h < 4; ++h)
+                mx = _mm256_max_epu32(
+                    mx, _mm256_and_si256(a[h],
+                                         _mm256_cmpgt_epi32(inf_bits, a[h])));
+            bits = reduceMaxU32(mx);
+        }
+        float amax = 0.0f;
+        std::memcpy(&amax, &bits, sizeof(amax));
+        const bool normal = amax >= 127.0f / FLT_MAX;
+        const float inv = normal ? 127.0f / amax : 0.0f;
+        scales[b] = normal ? amax / 127.0f : 0.0f;
+        const __m256 iv = _mm256_set1_ps(inv);
+        __m256i iq[4];
+        for (int h = 0; h < 4; ++h) {
+            __m256 y = _mm256_mul_ps(v[h], iv);
+            if (!all_finite) {
+                // Non-finite lanes: ±Inf -> ±127, NaN -> 0.
+                const __m256i fin = _mm256_cmpgt_epi32(inf_bits, a[h]);
+                const __m256i inf = _mm256_cmpeq_epi32(a[h], inf_bits);
+                const __m256i special = _mm256_and_si256(
+                    _mm256_or_si256(
+                        _mm256_andnot_si256(abs_mask,
+                                            _mm256_castps_si256(v[h])),
+                        c127),
+                    inf);
+                y = _mm256_blendv_ps(_mm256_castsi256_ps(special), y,
+                                     _mm256_castsi256_ps(fin));
+            }
             // Round-to-nearest-even conversion — identical to the
             // scalar nearbyintf under the default rounding mode.
-            __m256i i0 = _mm256_cvtps_epi32(_mm256_mul_ps(v0, iv));
-            __m256i i1 = _mm256_cvtps_epi32(_mm256_mul_ps(v1, iv));
-            __m256i i2 = _mm256_cvtps_epi32(_mm256_mul_ps(v2, iv));
-            __m256i i3 = _mm256_cvtps_epi32(_mm256_mul_ps(v3, iv));
-            // Narrow 32 s32 -> 32 s8. The saturating packs are
-            // value-preserving (everything is in ±127); the permute
-            // undoes their per-128-bit-lane interleaving.
-            i0 = _mm256_packs_epi32(i0, i1);
-            i2 = _mm256_packs_epi32(i2, i3);
-            i0 = _mm256_packs_epi16(i0, i2);
-            const __m256i perm =
-                _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-            i0 = _mm256_permutevar8x32_epi32(i0, perm);
-            _mm256_storeu_si256(reinterpret_cast<__m256i *>(q + lo), i0);
-        } else {
-            // Tail block: same math, element at a time.
-            const std::int64_t hi = k;
-            float amax = 0.0f;
-            for (std::int64_t jj = lo; jj < hi; ++jj) {
-                float a = src[jj] < 0.0f ? -src[jj] : src[jj];
-                amax = amax > a ? amax : a;
-            }
-            const float inv = amax > 0.0f ? 127.0f / amax : 0.0f;
-            scales[b] = amax / 127.0f;
-            std::int64_t jj = lo;
-            for (; jj < hi; ++jj) {
-                const __m128 x = _mm_mul_ss(_mm_set_ss(src[jj]),
-                                            _mm_set_ss(inv));
-                q[jj] = static_cast<std::int8_t>(_mm_cvtss_si32(x));
-            }
-            for (; jj < lo + 32; ++jj)
-                q[jj] = 0;
+            iq[h] = _mm256_cvtps_epi32(y);
         }
+        // Narrow 32 s32 -> 32 s8. The saturating packs are
+        // value-preserving (everything is in ±127); the permute undoes
+        // their per-128-bit-lane interleaving.
+        iq[0] = _mm256_packs_epi32(iq[0], iq[1]);
+        iq[2] = _mm256_packs_epi32(iq[2], iq[3]);
+        iq[0] = _mm256_packs_epi16(iq[0], iq[2]);
+        const __m256i perm = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(q + lo),
+                            _mm256_permutevar8x32_epi32(iq[0], perm));
     }
 }
 

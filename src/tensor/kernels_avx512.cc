@@ -8,9 +8,9 @@
  * kMicroN extent in a single register — with explicit VMULPS+VADDPS
  * and masked C loads/stores, so edge tiles share the main path.
  *
- * There is no AVX-512 int8 dot without VNNI (VPSIGNB does not exist in
- * EVEX form); isa.cc pairs this set's microF32 with the VNNI dot when
- * the host has it and the AVX2 dot otherwise.
+ * There is no AVX-512 int8 panel without VNNI (VPSIGNB does not exist
+ * in EVEX form); isa.cc pairs this set's microF32 with the VNNI panel
+ * when the host has it and the AVX2 panel otherwise.
  */
 
 #if defined(__AVX512F__) && defined(__AVX512BW__)
@@ -23,6 +23,9 @@
 #endif
 #include <immintrin.h>
 #pragma GCC diagnostic pop
+
+#include <cfloat>
+#include <cstring>
 
 #include "tensor/simd.hh"
 
@@ -56,42 +59,67 @@ quantizeRowAvx512(const float *src, std::int64_t k, std::int8_t *q,
                   float *scales)
 {
     const std::int64_t nb = (k + 31) / 32;
+    const __m512i abs_mask = _mm512_set1_epi32(0x7FFFFFFF);
+    const __m512i inf_bits = _mm512_set1_epi32(0x7F800000);
+    const __m512i c127 = _mm512_castps_si512(_mm512_set1_ps(127.0f));
     for (std::int64_t b = 0; b < nb; ++b) {
         const std::int64_t lo = b * 32;
+        // A tail block loads zeros past k, which code 0 and leave the
+        // absmax alone — same codes as an element-wise tail.
+        __m512 v[2];
+        __m512i a[2];
         if (lo + 32 <= k) {
-            const __m512 v0 = _mm512_loadu_ps(src + lo);
-            const __m512 v1 = _mm512_loadu_ps(src + lo + 16);
-            const __m512 mx =
-                _mm512_max_ps(_mm512_abs_ps(v0), _mm512_abs_ps(v1));
-            const float amax = _mm512_reduce_max_ps(mx);
-            const float inv = amax > 0.0f ? 127.0f / amax : 0.0f;
-            scales[b] = amax / 127.0f;
-            const __m512 iv = _mm512_set1_ps(inv);
-            const __m512i i0 =
-                _mm512_cvtps_epi32(_mm512_mul_ps(v0, iv));
-            const __m512i i1 =
-                _mm512_cvtps_epi32(_mm512_mul_ps(v1, iv));
-            // VPMOVSDB narrows lane-ordered — no repair permute needed.
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(q + lo),
-                             _mm512_cvtsepi32_epi8(i0));
-            _mm_storeu_si128(reinterpret_cast<__m128i *>(q + lo + 16),
-                             _mm512_cvtsepi32_epi8(i1));
+            v[0] = _mm512_loadu_ps(src + lo);
+            v[1] = _mm512_loadu_ps(src + lo + 16);
         } else {
-            float amax = 0.0f;
-            for (std::int64_t jj = lo; jj < k; ++jj) {
-                float a = src[jj] < 0.0f ? -src[jj] : src[jj];
-                amax = amax > a ? amax : a;
+            const std::uint32_t live =
+                (1u << static_cast<unsigned>(k - lo)) - 1u;
+            v[0] = _mm512_maskz_loadu_ps(static_cast<__mmask16>(live),
+                                         src + lo);
+            v[1] = _mm512_maskz_loadu_ps(static_cast<__mmask16>(live >> 16),
+                                         src + lo + 16);
+        }
+        for (int h = 0; h < 2; ++h)
+            a[h] = _mm512_and_si512(_mm512_castps_si512(v[h]), abs_mask);
+        // |x| bit patterns order like the values, and NaN/Inf patterns
+        // sort above every finite one: the integer max is the absmax,
+        // and tells whether the block is all finite. Otherwise take it
+        // again over the finite lanes only.
+        unsigned bits = _mm512_reduce_max_epu32(_mm512_max_epu32(a[0], a[1]));
+        const bool all_finite = bits < 0x7F800000u;
+        if (!all_finite) {
+            __m512i mx = _mm512_setzero_si512();
+            for (int h = 0; h < 2; ++h)
+                mx = _mm512_max_epu32(
+                    mx, _mm512_maskz_mov_epi32(
+                            _mm512_cmplt_epu32_mask(a[h], inf_bits), a[h]));
+            bits = _mm512_reduce_max_epu32(mx);
+        }
+        float amax = 0.0f;
+        std::memcpy(&amax, &bits, sizeof(amax));
+        const bool normal = amax >= 127.0f / FLT_MAX;
+        const float inv = normal ? 127.0f / amax : 0.0f;
+        scales[b] = normal ? amax / 127.0f : 0.0f;
+        const __m512 iv = _mm512_set1_ps(inv);
+        for (int h = 0; h < 2; ++h) {
+            __m512 y = _mm512_mul_ps(v[h], iv);
+            if (!all_finite) {
+                // Non-finite lanes: ±Inf -> ±127, NaN -> 0.
+                const __mmask16 fin = _mm512_cmplt_epu32_mask(a[h], inf_bits);
+                const __mmask16 inf = _mm512_cmpeq_epi32_mask(a[h], inf_bits);
+                const __m512 special =
+                    _mm512_castsi512_ps(_mm512_maskz_or_epi32(
+                        inf, _mm512_andnot_si512(abs_mask,
+                                                 _mm512_castps_si512(v[h])),
+                        c127));
+                y = _mm512_mask_blend_ps(fin, special, y);
             }
-            const float inv = amax > 0.0f ? 127.0f / amax : 0.0f;
-            scales[b] = amax / 127.0f;
-            std::int64_t jj = lo;
-            for (; jj < k; ++jj) {
-                const __m128 x = _mm_mul_ss(_mm_set_ss(src[jj]),
-                                            _mm_set_ss(inv));
-                q[jj] = static_cast<std::int8_t>(_mm_cvtss_si32(x));
-            }
-            for (; jj < lo + 32; ++jj)
-                q[jj] = 0;
+            // Round-to-nearest-even conversion — identical to the
+            // scalar nearbyintf under the default rounding mode.
+            const __m512i iq = _mm512_cvtps_epi32(y);
+            // VPMOVSDB narrows lane-ordered — no repair permute needed.
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(q + lo + 16 * h),
+                             _mm512_cvtsepi32_epi8(iq));
         }
     }
 }

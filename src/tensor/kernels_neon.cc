@@ -10,9 +10,8 @@
  * compiler from forming FMLA). Edge tiles delegate to the scalar
  * micro-kernel, which computes identical per-lane chains.
  *
- * int8: SDOT when the build targets the dotprod extension
- * (__ARM_FEATURE_DOT_PRODUCT); otherwise widening SMULL + pairwise
- * adds produce the same exact 4-element group sums.
+ * int8: the panel slot runs the scalar reference (isa.cc); an SDOT
+ * body with output channels on the lanes is not written yet.
  */
 
 #if defined(__aarch64__)
@@ -24,24 +23,6 @@
 #include "tensor/simd.hh"
 
 namespace leca::simd::detail {
-
-namespace {
-
-/** Exact int32 group sums [Σ0-3, Σ4-7, Σ8-11, Σ12-15] of a·b over 16
- *  int8 lanes. */
-inline int32x4_t
-groupDot16(int8x16_t a, int8x16_t b)
-{
-#if defined(__ARM_FEATURE_DOT_PRODUCT)
-    return vdotq_s32(vdupq_n_s32(0), a, b);
-#else
-    const int16x8_t p0 = vmull_s8(vget_low_s8(a), vget_low_s8(b));
-    const int16x8_t p1 = vmull_s8(vget_high_s8(a), vget_high_s8(b));
-    return vpaddq_s32(vpaddlq_s16(p0), vpaddlq_s16(p1));
-#endif
-}
-
-} // namespace
 
 void
 microF32Neon(std::int64_t kc, const float *ap, const float *bp, float *c,
@@ -71,38 +52,6 @@ microF32Neon(std::int64_t kc, const float *ap, const float *bp, float *c,
     for (int r = 0; r < 4; ++r)
         for (int h = 0; h < 4; ++h)
             vst1q_f32(c + r * ldc + 4 * h, acc[r][h]);
-}
-
-void
-dotQ8RowNeon(const std::int8_t *qa, const float *sa, const std::int8_t *qb,
-             const float *sb, std::int64_t nb, std::int64_t n, float *c)
-{
-    const std::int64_t row_bytes = nb * 32;
-    for (std::int64_t j = 0; j < n; ++j) {
-        const std::int8_t *qbr = qb + j * row_bytes;
-        const float *sbr = sb + j * nb;
-        // acc[bank][half]: halves are groups 0-3 and 4-7.
-        float32x4_t acc[2][2] = {{vdupq_n_f32(0.0f), vdupq_n_f32(0.0f)},
-                                 {vdupq_n_f32(0.0f), vdupq_n_f32(0.0f)}};
-        for (std::int64_t b = 0; b < nb; ++b) {
-            const int8x16_t a0 = vld1q_s8(qa + b * 32);
-            const int8x16_t a1 = vld1q_s8(qa + b * 32 + 16);
-            const int8x16_t b0 = vld1q_s8(qbr + b * 32);
-            const int8x16_t b1 = vld1q_s8(qbr + b * 32 + 16);
-            const float32x4_t gf_lo = vcvtq_f32_s32(groupDot16(a0, b0));
-            const float32x4_t gf_hi = vcvtq_f32_s32(groupDot16(a1, b1));
-            const float32x4_t sv = vdupq_n_f32(sa[b] * sbr[b]);
-            float32x4_t *bank = acc[b & 1];
-            bank[0] = vfmaq_f32(bank[0], sv, gf_lo);
-            bank[1] = vfmaq_f32(bank[1], sv, gf_hi);
-        }
-        const float32x4_t v_lo = vaddq_f32(acc[0][0], acc[1][0]);
-        const float32x4_t v_hi = vaddq_f32(acc[0][1], acc[1][1]);
-        // t[g] = v[g] + v[g+4]; then (t0+t2) + (t1+t3).
-        const float32x4_t t = vaddq_f32(v_lo, v_hi);
-        const float32x2_t u = vadd_f32(vget_low_f32(t), vget_high_f32(t));
-        c[j] = vget_lane_f32(u, 0) + vget_lane_f32(u, 1);
-    }
 }
 
 void

@@ -13,6 +13,7 @@
  * per-lane chains are identical regardless of vector width.
  */
 
+#include <cfloat>
 #include <cmath>
 #include <cstring>
 
@@ -71,38 +72,54 @@ microF32Scalar(std::int64_t kc, const float *ap, const float *bp, float *c,
 }
 
 void
-dotQ8RowScalar(const std::int8_t *qa, const float *sa,
-               const std::int8_t *qb, const float *sb, std::int64_t nb,
-               std::int64_t n, float *c)
+dotQ8PanelScalar(const std::uint8_t *pa, const float *sa, std::int64_t rows,
+                 const Q8PackView &w, float *c, std::int64_t ldc)
 {
+    const std::int64_t nb = w.nb;
     const std::int64_t row_bytes = nb * 32;
-    for (std::int64_t j = 0; j < n; ++j) {
-        const std::int8_t *qbr = qb + j * row_bytes;
-        const float *sbr = sb + j * nb;
-        // Two banks of eight group accumulators — the pinned lane
-        // structure of DotQ8RowFn (simd.hh).
-        float acc[2][8] = {{0.0f}};
+    for (std::int64_t g = 0; g * 16 < w.cout; ++g) {
+        const std::int64_t co0 = g * 16;
+        const int live = static_cast<int>(w.cout - co0 < 16 ? w.cout - co0
+                                                            : 16);
+        // The output rows are the accumulators: one chain per output,
+        // blocks in ascending order (the pinned DotQ8PanelFn fold).
+        for (std::int64_t r = 0; r < rows; ++r)
+            for (int l = 0; l < live; ++l)
+                c[r * ldc + co0 + l] = 0.0f;
         for (std::int64_t b = 0; b < nb; ++b) {
-            const std::int8_t *pa = qa + b * 32;
-            const std::int8_t *pb = qbr + b * 32;
-            const float s = sa[b] * sbr[b];
-            float *bank = acc[b & 1];
-            for (int g = 0; g < 8; ++g) {
-                std::int32_t d = 0;
-                for (int t = 0; t < 4; ++t)
-                    d += static_cast<std::int32_t>(pa[4 * g + t])
-                         * static_cast<std::int32_t>(pb[4 * g + t]);
-                // Fused by contract (simd.hh): fmaf is correctly
-                // rounded, matching the SIMD variants' VFMADD/FMLA.
-                bank[g] = std::fmaf(s, static_cast<float>(d), bank[g]);
+            const std::int8_t *wp = w.codes + (g * nb + b) * 512;
+            const float *sw = w.scales + (g * nb + b) * 16;
+            // Channel-major copy of the block: wt[l] is channel l's 32
+            // codes in element order.
+            std::int8_t wt[16][32];
+            for (int s = 0; s < 8; ++s)
+                for (int l = 0; l < 16; ++l)
+                    for (int k = 0; k < 4; ++k)
+                        wt[l][4 * s + k] = wp[s * 64 + l * 4 + k];
+            for (std::int64_t r = 0; r < rows; ++r) {
+                // Un-bias to signed codes and take the dot as Σ s8·s8.
+                // Do not fold the bias into the product as
+                // ((int)u8 - 128)·s8: GCC 12 at -O3 with AVX-512 VNNI
+                // vectorises that form into VPDPBUSD and returns wrong
+                // sums.
+                const std::uint8_t *ab = pa + r * row_bytes + b * 32;
+                std::int8_t as[32];
+                for (int j = 0; j < 32; ++j)
+                    as[j] = static_cast<std::int8_t>(ab[j] ^ 0x80u);
+                const float sar = sa[r * nb + b];
+                float *crow = c + r * ldc + co0;
+                for (int l = 0; l < live; ++l) {
+                    std::int32_t d = 0;
+                    for (int j = 0; j < 32; ++j)
+                        d += static_cast<std::int32_t>(as[j])
+                             * static_cast<std::int32_t>(wt[l][j]);
+                    // Fused by contract (simd.hh): fmaf is correctly
+                    // rounded, matching the SIMD variants' VFMADD.
+                    crow[l] = std::fmaf(sar * sw[l], static_cast<float>(d),
+                                        crow[l]);
+                }
             }
         }
-        float v[8], t[4];
-        for (int g = 0; g < 8; ++g)
-            v[g] = acc[0][g] + acc[1][g];
-        for (int g = 0; g < 4; ++g)
-            t[g] = v[g] + v[g + 4];
-        c[j] = (t[0] + t[2]) + (t[1] + t[3]);
     }
 }
 
@@ -117,17 +134,27 @@ quantizeRowScalar(const float *src, std::int64_t k, std::int8_t *q,
         float amax = 0.0f;
         for (std::int64_t j = lo; j < hi; ++j) {
             const float a = std::fabs(src[j]);
-            amax = amax > a ? amax : a;
+            if (a <= FLT_MAX) // finite lanes only; NaN compares false
+                amax = amax > a ? amax : a;
         }
         // 127/amax rounds to at most 127*(1+2^-23), so |x|*inv never
         // reaches 127.5: the nearest-even conversion stays in ±127 and
-        // no clamp is needed (or performed) in any variant.
-        const float inv = amax > 0.0f ? 127.0f / amax : 0.0f;
-        scales[b] = amax / 127.0f;
+        // no clamp is needed (or performed) in any variant. Below
+        // 127/FLT_MAX the inverse would overflow, so such a block (and
+        // an all-zero one) gets scale 0 and finite codes 0.
+        const bool normal = amax >= 127.0f / FLT_MAX;
+        const float inv = normal ? 127.0f / amax : 0.0f;
+        scales[b] = normal ? amax / 127.0f : 0.0f;
         std::int64_t j = lo;
-        for (; j < hi; ++j)
-            q[j] = static_cast<std::int8_t>(
-                static_cast<std::int32_t>(std::nearbyintf(src[j] * inv)));
+        for (; j < hi; ++j) {
+            const float x = src[j];
+            std::int32_t code = 0; // NaN
+            if (std::fabs(x) <= FLT_MAX)
+                code = static_cast<std::int32_t>(std::nearbyintf(x * inv));
+            else if (x == x)
+                code = x > 0.0f ? 127 : -127;
+            q[j] = static_cast<std::int8_t>(code);
+        }
         for (; j < lo + 32; ++j)
             q[j] = 0;
     }

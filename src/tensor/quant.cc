@@ -15,9 +15,10 @@ namespace leca {
 namespace {
 
 /**
- * Patch rows per L1-ish panel in the resident conv: a panel's codes
- * stay hot while it sweeps every weight tile, so the weights are
- * re-streamed once per panel instead of once per patch row.
+ * Rows per panel of the int8 GEMM (resident conv patch rows, Linear
+ * input rows): the panel's codes stay hot while the panel kernel
+ * sweeps every channel group, and each weight byte the kernel loads
+ * serves a whole tile of panel rows.
  */
 constexpr std::int64_t kPanelRowsQ8 = 16;
 
@@ -39,18 +40,23 @@ chunkRowsQ8(std::int64_t n, std::int64_t nb)
 }
 
 /**
- * Inline copy of a code span whose length is a multiple of 32 bytes
- * (every code span is: cpad is a whole number of 32-lane blocks).
- * The panel gather issues a handful of ~100-byte copies per patch;
- * libc memcpy's call + size dispatch costs more than the copy itself
- * at that size, so this compiles to a short chain of fixed-width
- * vector moves instead.
+ * Copy a code span into the panel biased by +128 (code XOR 0x80), the
+ * unsigned operand layout of the panel kernel. Every span is a whole
+ * number of 32-code blocks. The panel gather issues a handful of
+ * ~100-byte copies per patch; libc memcpy's call + size dispatch costs
+ * more than the copy itself at that size, so this compiles to a short
+ * chain of fixed-width vector loads, XORs and stores instead.
  */
 inline void
-copyCodeSpan(std::int8_t *dst, const std::int8_t *src, std::int64_t bytes)
+biasCodeSpan(std::uint8_t *dst, const std::int8_t *src, std::int64_t bytes)
 {
-    for (std::int64_t i = 0; i < bytes; i += 32)
-        std::memcpy(dst + i, src + i, 32);
+    for (std::int64_t i = 0; i < bytes; i += 32) {
+        std::uint8_t t[32];
+        std::memcpy(t, src + i, 32);
+        for (int j = 0; j < 32; ++j)
+            t[j] ^= 0x80u;
+        std::memcpy(dst + i, t, 32);
+    }
 }
 
 /**
@@ -136,14 +142,32 @@ dequantizeRowsInto(const QuantTensor &qt, float *dst)
 }
 
 void
-QuantTensor::buildPreBiased()
+QuantTensor::buildPack()
 {
-    if (!qub.empty() || q.empty())
-        return;
-    qub.resize(q.size());
-    const std::uint8_t *src = reinterpret_cast<const std::uint8_t *>(q.data());
-    for (std::size_t i = 0; i < q.size(); ++i)
-        qub[i] = static_cast<std::uint8_t>(src[i] ^ 0x80u);
+    const std::int64_t groups = (rows + 15) / 16;
+    pack.cout = rows;
+    pack.nb = nb;
+    pack.codes.assign(static_cast<std::size_t>(groups * nb * 512), 0);
+    pack.scales.assign(static_cast<std::size_t>(groups * nb * 16), 0.0f);
+    pack.comp.assign(static_cast<std::size_t>(groups * nb * 16), 0);
+    for (std::int64_t co = 0; co < rows; ++co) {
+        const std::int64_t g = co / 16;
+        const std::int64_t l = co % 16;
+        for (std::int64_t b = 0; b < nb; ++b) {
+            const std::int8_t *src = q.data() + (co * nb + b) * kQuantBlock;
+            std::int8_t *dst = pack.codes.data() + (g * nb + b) * 512 + l * 4;
+            std::int32_t sum = 0;
+            for (int s = 0; s < 8; ++s)
+                for (int k = 0; k < 4; ++k) {
+                    dst[s * 64 + k] = src[4 * s + k];
+                    sum += src[4 * s + k];
+                }
+            const std::size_t lane =
+                static_cast<std::size_t>((g * nb + b) * 16 + l);
+            pack.scales[lane] = scales[static_cast<std::size_t>(co * nb + b)];
+            pack.comp[lane] = -128 * sum;
+        }
+    }
 }
 
 QuantTensor
@@ -182,8 +206,7 @@ quantizeConvWeightsHwc(const QuantTensor &chw, int cin, int kh, int kw)
         quantize_row(hwc.data(), cols, out.q.data() + co * out.nb * kQuantBlock,
                      out.scales.data() + co * out.nb);
     }
-    if (activeKernels().dotQ8RowUB != nullptr)
-        out.buildPreBiased();
+    out.buildPack();
     return out;
 }
 
@@ -328,53 +351,45 @@ convForwardResident(const QuantActivation &in, int kh, int kw, int stride,
     LECA_CHECK(epi.a == nullptr || epi.b != nullptr,
                "convForwardResident: affine epilogue needs both a and b");
 
-    // Shape-only tiling: a weight tile sized to stay L1-ish while each
-    // panel re-streams it, panel chunks in whole multiples of
-    // kPanelRowsQ8. Pure partition of independent outputs: each output
-    // is still one dot() in pinned order, so neither the blocking nor
-    // the thread count can change a bit of the result.
-    std::int64_t tile = (32 << 10) / row_bytes;
-    tile = std::max<std::int64_t>(8, tile & ~std::int64_t(7));
+    LECA_CHECK(!wq_hwc.pack.empty() && wq_hwc.pack.nb == row_blocks,
+               "convForwardResident: weights carry no panel pack for ",
+               row_blocks, " blocks");
+
+    // Panel chunks in whole multiples of kPanelRowsQ8, sized from the
+    // shape alone. Pure partition of independent outputs: each output
+    // is one pinned-order chain, so neither the chunking nor the
+    // thread count can change a bit of the result.
     const std::int64_t chunk = chunkRowsQ8(cout, row_blocks);
 
     // Kernel snapshot before the parallel region, like every hot path.
-    const simd::DotQ8RowFn dot = activeKernels().dotQ8Row;
-    const simd::DotQ8RowUBFn dot_ub = activeKernels().dotQ8RowUB;
+    const simd::DotQ8PanelFn panel = activeKernels().dotQ8Panel;
     const simd::QuantizeRowFn quantize_row = activeKernels().quantizeRow;
     const simd::AffineReluRowFn affine = activeKernels().affineReluRow;
-    // The pre-biased weight codes spare the dot its per-block XOR;
-    // only usable when BOTH the cache and the UB dot exist (a
-    // ScopedKernelOverride can remove the latter mid-process). Either
-    // operand form feeds the multiplier the same bytes, so results are
-    // bit-identical.
-    const std::uint8_t *wub = (dot_ub != nullptr && !wq_hwc.qub.empty())
-                                  ? wq_hwc.qub.data()
-                                  : nullptr;
-    const std::int8_t *wq = wq_hwc.q.data();
-    const float *ws = wq_hwc.scales.data();
+    const simd::Q8PackView wp = wq_hwc.pack.view();
 
     parallelFor(0, total, chunk, [&](std::int64_t p0, std::int64_t p1) {
         Arena::Scope scope;
         Arena &arena = Arena::local();
-        std::int8_t *pq = static_cast<std::int8_t *>(arena.allocBytes(
+        std::uint8_t *pq = static_cast<std::uint8_t *>(arena.allocBytes(
             static_cast<std::size_t>(kPanelRowsQ8 * row_bytes)));
         float *ps = arena.alloc(
             static_cast<std::size_t>(kPanelRowsQ8 * row_blocks));
         float *pc =
             arena.alloc(static_cast<std::size_t>(kPanelRowsQ8 * cout));
+        // Output pixel (img, oy, ox) of patch row p, stepped one pixel
+        // per row rather than divided out of p for every row.
+        std::int64_t img = p0 / ohow;
+        int oy = static_cast<int>((p0 - img * ohow) / ow);
+        int ox = static_cast<int>((p0 - img * ohow) % ow);
         for (std::int64_t pp = p0; pp < p1; pp += kPanelRowsQ8) {
             const std::int64_t pe = std::min(p1, pp + kPanelRowsQ8);
             // Gather: each patch row is kh·kw span copies of codes and
             // scales straight from the resident input — the gather IS
             // the panel packing; nothing touches fp32 here.
             for (std::int64_t p = pp; p < pe; ++p) {
-                const std::int64_t img = p / ohow;
-                const std::int64_t rem = p - img * ohow;
-                const int oy = static_cast<int>(rem / ow);
-                const int ox = static_cast<int>(rem % ow);
                 const int y0 = oy * stride - pad;
                 const int x0 = ox * stride - pad;
-                std::int8_t *dq = pq + (p - pp) * row_bytes;
+                std::uint8_t *dq = pq + (p - pp) * row_bytes;
                 float *ds = ps + (p - pp) * row_blocks;
                 for (int ky = 0; ky < kh; ++ky) {
                     const int iy = y0 + ky;
@@ -387,7 +402,7 @@ convForwardResident(const QuantActivation &in, int kh, int kw, int stride,
                         const std::int64_t src =
                             img * hw
                             + static_cast<std::int64_t>(iy) * w + x0;
-                        copyCodeSpan(
+                        biasCodeSpan(
                             dq + static_cast<std::int64_t>(ky) * kw * cpad,
                             in.q + src * cpad, kw * cpad);
                         copyScaleSpan(
@@ -397,16 +412,17 @@ convForwardResident(const QuantActivation &in, int kh, int kw, int stride,
                     }
                     for (int kx = 0; kx < kw; ++kx) {
                         const int kpos = ky * kw + kx;
-                        std::int8_t *q_dst = dq + kpos * cpad;
+                        std::uint8_t *q_dst = dq + kpos * cpad;
                         float *s_dst = ds + kpos * nbc;
                         const int ix = x0 + kx;
                         if (row_ok && ix >= 0 && ix < w) {
                             const std::int64_t src = img * hw + iy * w + ix;
-                            copyCodeSpan(q_dst, in.q + src * cpad, cpad);
+                            biasCodeSpan(q_dst, in.q + src * cpad, cpad);
                             copyScaleSpan(s_dst, in.scales + src * nbc,
                                           nbc);
                         } else {
-                            std::memset(q_dst, 0,
+                            // Zero padding: biased code 0 is 0x80.
+                            std::memset(q_dst, 0x80,
                                         static_cast<std::size_t>(cpad));
                             std::memset(s_dst, 0,
                                         static_cast<std::size_t>(nbc)
@@ -414,22 +430,15 @@ convForwardResident(const QuantActivation &in, int kh, int kw, int stride,
                         }
                     }
                 }
-            }
-            // Dot: sweep every weight tile while the panel is hot.
-            for (std::int64_t j0 = 0; j0 < cout; j0 += tile) {
-                const std::int64_t jn = std::min(tile, cout - j0);
-                for (std::int64_t p = pp; p < pe; ++p) {
-                    const std::int64_t r = p - pp;
-                    if (wub != nullptr)
-                        dot_ub(pq + r * row_bytes, ps + r * row_blocks,
-                               wub + j0 * row_bytes, ws + j0 * row_blocks,
-                               row_blocks, jn, pc + r * cout + j0);
-                    else
-                        dot(pq + r * row_bytes, ps + r * row_blocks,
-                            wq + j0 * row_bytes, ws + j0 * row_blocks,
-                            row_blocks, jn, pc + r * cout + j0);
+                if (++ox == ow) {
+                    ox = 0;
+                    if (++oy == oh) {
+                        oy = 0;
+                        ++img;
+                    }
                 }
             }
+            panel(pq, ps, pe - pp, wp, pc, cout);
             // Epilogue + exit while each output row is still panel-hot.
             for (std::int64_t p = pp; p < pe; ++p) {
                 float *row = pc + (p - pp) * cout;
@@ -593,26 +602,35 @@ void
 linearForwardQuant(const float *x, std::int64_t m, const QuantTensor &wq,
                    const float *bias, float *y)
 {
+    LECA_CHECK(!wq.pack.empty(),
+               "linearForwardQuant: weights carry no panel pack (plan the "
+               "layer after quantizing or restoring it)");
     const std::int64_t in = wq.cols;
     const std::int64_t out = wq.rows;
     const std::int64_t nb = wq.nb;
-    const std::int8_t *qw = wq.q.data();
-    const float *sw = wq.scales.data();
-    parallelFor(0, m, 1, [&](std::int64_t i0, std::int64_t i1) {
+    const simd::QuantizeRowFn quantize_row = activeKernels().quantizeRow;
+    const simd::DotQ8PanelFn panel = activeKernels().dotQ8Panel;
+    const simd::Q8PackView wp = wq.pack.view();
+    parallelFor(0, m, kPanelRowsQ8, [&](std::int64_t i0, std::int64_t i1) {
         Arena::Scope scope;
         Arena &arena = Arena::local();
-        const simd::QuantizeRowFn quantize_row = activeKernels().quantizeRow;
-        const simd::DotQ8RowFn dot = activeKernels().dotQ8Row;
+        const std::int64_t row_bytes = nb * kQuantBlock;
         std::int8_t *qx = static_cast<std::int8_t *>(arena.allocBytes(
-            static_cast<std::size_t>(nb * kQuantBlock)));
-        float *sx = arena.alloc(static_cast<std::size_t>(nb));
-        for (std::int64_t i = i0; i < i1; ++i) {
-            quantize_row(x + i * in, in, qx, sx);
+            static_cast<std::size_t>(kPanelRowsQ8 * row_bytes)));
+        float *sx = arena.alloc(static_cast<std::size_t>(kPanelRowsQ8 * nb));
+        std::uint8_t *px = reinterpret_cast<std::uint8_t *>(qx);
+        for (std::int64_t i = i0; i < i1; i += kPanelRowsQ8) {
+            const std::int64_t rows = std::min(kPanelRowsQ8, i1 - i);
+            for (std::int64_t r = 0; r < rows; ++r)
+                quantize_row(x + (i + r) * in, in, qx + r * row_bytes,
+                             sx + r * nb);
+            biasCodeSpan(px, qx, rows * row_bytes);
             float *yrow = y + i * out;
-            dot(qx, sx, qw, sw, nb, out, yrow);
+            panel(px, sx, rows, wp, yrow, out);
             if (bias)
-                for (std::int64_t j = 0; j < out; ++j)
-                    yrow[j] += bias[j];
+                for (std::int64_t r = 0; r < rows; ++r)
+                    for (std::int64_t j = 0; j < out; ++j)
+                        yrow[r * out + j] += bias[j];
         }
     });
 }

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/simd.hh"
 #include "tensor/tensor.hh"
 
 namespace leca {
@@ -41,6 +42,29 @@ quantBlocks(std::int64_t k)
 {
     return (k + kQuantBlock - 1) / kQuantBlock;
 }
+
+/**
+ * The int8 panel kernel's weight layout (simd::Q8PackView, DESIGN.md
+ * §12): output channels in groups of sixteen, each block's codes as
+ * eight [16 ch × 4 k] steps, the scales as [group][block][16], and the
+ * −128·Σw compensation per (channel, block). A derived cache, never
+ * serialized; one pack serves every KernelSet.
+ */
+struct QuantPack
+{
+    std::int64_t cout = 0;            //!< live output channels
+    std::int64_t nb = 0;              //!< blocks along the reduction axis
+    std::vector<std::int8_t> codes;   //!< groups × nb × 512
+    std::vector<float> scales;        //!< groups × nb × 16
+    std::vector<std::int32_t> comp;   //!< groups × nb × 16
+
+    bool empty() const { return cout == 0; }
+
+    simd::Q8PackView view() const
+    {
+        return {codes.data(), scales.data(), comp.data(), nb, cout};
+    }
+};
 
 /**
  * A weight tensor quantized to int8 blocks. Plain owning container —
@@ -57,18 +81,18 @@ struct QuantTensor
     std::vector<std::int8_t> q;  //!< codes, rows × nb × 32, row-major
     std::vector<float> scales;   //!< scales, rows × nb, row-major
     /**
-     * Derived cache, never serialized: the same codes biased by +128
-     * (q XOR 0x80), the unsigned operand layout the VNNI dot wants.
-     * Built once by buildPreBiased() when the active kernel set has a
-     * dotQ8RowUB slot, so resident convs feed the VNNI dot without a
-     * per-call XOR pass. Empty means "use the signed codes".
+     * The codes and scales re-laid for the int8 panel kernel, rows as
+     * output channels. Built by buildPack() at plan time for the
+     * tensors the int8 GEMM reads (a Linear's weights, a resident
+     * conv's HWC weights); empty otherwise. Any rewrite of the codes
+     * replaces the whole QuantTensor, so a pack is never stale.
      */
-    std::vector<std::uint8_t> qub;
+    QuantPack pack;
 
     bool empty() const { return rows == 0; }
 
-    /** Populate qub from q (idempotent; see the member comment). */
-    void buildPreBiased();
+    /** (Re)build pack from q and scales. */
+    void buildPack();
 
     /** Bytes held by the quantized representation. */
     std::size_t quantBytes() const
@@ -118,8 +142,9 @@ void dequantizeRowsInto(const QuantTensor &qt, float *dst);
 
 /**
  * Quantized linear forward: y (m×out) = quant(x) · Wqᵀ + bias for
- * row-major x (m × in), Wq rows = out, cols = in. Activations are
- * quantized per row into arena scratch inside the parallel region.
+ * row-major x (m × in), Wq rows = out, cols = in; @p wq must carry its
+ * pack. Activations are quantized per row into an arena panel inside
+ * the parallel region and run through the dispatched dotQ8Panel.
  */
 void linearForwardQuant(const float *x, std::int64_t m, const QuantTensor &wq,
                         const float *bias, float *y);
@@ -224,10 +249,10 @@ void quantizeActivationNchw(const float *x, int n, int c, int h, int w,
 /**
  * The resident quantized conv (DESIGN.md §13): im2col over the input's
  * int8 codes — each patch row is kh·kw code/scale span copies gathered
- * straight into a 16-row panel (the gather IS the panel packing; no
- * fp32 materialisation, no requantization) — dotted against HWC-laid
- * weight rows (each panel sweeps L1-sized weight tiles; the cached
- * pre-biased codes feed the VNNI dot when available), then the
+ * straight into a 16-row panel, the codes biased to the panel kernel's
+ * unsigned operand on the way (the gather IS the panel packing; no
+ * fp32 materialisation, no requantization) — run through the
+ * dispatched dotQ8Panel against the pack of @p wq_hwc, then the
  * epilogue and ONE of three exits per output pixel row while it is
  * still panel-hot:
  *
@@ -238,8 +263,9 @@ void quantizeActivationNchw(const float *x, int n, int c, int h, int w,
  *   - out_planes:  fp32 NCHW planes (precision-boundary exit).
  *
  * Work decomposition depends only on the problem shape and every
- * output element is one pinned-order dot + per-element epilogue, so
- * results are bit-identical across LECA_THREADS and ISA variants.
+ * output element is one pinned-order chain + per-element epilogue, so
+ * results are bit-identical across LECA_THREADS, batch composition and
+ * ISA variants.
  */
 void convForwardResident(const QuantActivation &in, int kh, int kw,
                          int stride, int pad, const QuantTensor &wq_hwc,

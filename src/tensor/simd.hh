@@ -21,14 +21,15 @@
  *    -ffp-contract=off, so scalar, AVX2, AVX-512 and NEON variants are
  *    bit-identical (the policy trades the FMA peak for cross-ISA
  *    reproducibility; the throughput headline comes from int8).
- *  - dotQ8Row: integer group dots are exact in any evaluation order;
- *    the float combine is pinned to the lane structure documented at
- *    the declaration — one correctly-rounded fused multiply-add per
- *    block (fmaf / VFMADD / FMLA compute identical bits), so all
- *    variants are bit-identical.
- *  - quantizeRow/dequantizeRow: same absmax reduction (max is exact),
- *    same float divisions, same round-to-nearest-even conversion in
- *    every variant.
+ *  - dotQ8Panel: every block dot is an exact int32 sum; the float
+ *    combine is one pinned chain per output — one correctly-rounded
+ *    fused multiply-add per block (fmaf / VFMADD / FMLA compute
+ *    identical bits) in ascending block order — so all variants are
+ *    bit-identical and no output depends on how a panel is tiled.
+ *  - quantizeRow/dequantizeRow: same absmax reduction over the finite
+ *    lanes (max is exact), same float divisions, same round-to-
+ *    nearest-even conversion and the same non-finite policy in every
+ *    variant.
  */
 
 #ifndef LECA_TENSOR_SIMD_HH
@@ -54,48 +55,58 @@ using MicroF32Fn = void (*)(std::int64_t kc, const float *ap,
                             int mr, int nr, bool first);
 
 /**
- * One row of the block-quantized GEMM: c[j] = dot(a, B row j) for
- * j in [0, n), where a and every B row are nb 32-element int8 blocks
- * with one fp32 scale per block (tails zero-padded, so padded lanes
- * contribute exactly 0).
+ * Read-only view of the weight pack the int8 panel kernel consumes
+ * (built once per layer at plan time by tensor/quant.cc, never
+ * serialized). Output channels are grouped sixteen to a group; the
+ * last group is padded with zero codes, scales and compensation.
  *
- * Pinned evaluation structure (identical in every variant):
- *   - per block b, eight exact int32 "group" dots over elements
- *     [4g, 4g+4) of the block (g = 0..7);
- *   - two banks of eight float accumulators; block b updates bank
- *     (b & 1), lane g, as acc = fma(sa[b]*sb[b], float(group[g]), acc)
- *     — always fused: FMA is correctly rounded, so std::fmaf, VFMADD
- *     and FMLA produce the same bits on every ISA (unlike separate
- *     mul+add this also halves the FP-port traffic per block);
- *   - final reduction v[g] = bank0[g] + bank1[g];
- *     t[g] = v[g] + v[g+4]; u[g] = t[g] + t[g+2]; result u[0] + u[1].
- * This is exactly the shape a 256-bit lane reduction produces, so the
- * scalar reference and the SIMD variants agree bit for bit.
+ *   codes  [group][block][step 0..7][16 ch][4 k] int8: step s of block
+ *          b holds elements [4s, 4s+4) of the block for each channel —
+ *          one VPDPBUSD operand, or two 8-channel AVX2 halves;
+ *   scales [group][block][16] fp32: the (channel, block) weight scale;
+ *   comp   [group][block][16] int32: −128 · Σ codes of that (channel,
+ *          block), which turns Σ (a + 128)·w into Σ a·w.
  */
-using DotQ8RowFn = void (*)(const std::int8_t *qa, const float *sa,
-                            const std::int8_t *qb, const float *sb,
-                            std::int64_t nb, std::int64_t n, float *c);
+struct Q8PackView
+{
+    const std::int8_t *codes;
+    const float *scales;
+    const std::int32_t *comp;
+    std::int64_t nb;   //!< 32-element blocks along the reduction axis
+    std::int64_t cout; //!< live output channels
+};
 
 /**
- * dotQ8Row against a B matrix whose bytes were pre-biased by +128
- * (b XOR 0x80, i.e. reinterpreted as the unsigned operand VPDPBUSD
- * wants). Bit-identical results to DotQ8RowFn on the un-biased bytes —
- * it merely skips the per-(block, row) XOR, which matters because
- * the resident conv reuses every weight row across all patch rows and
- * caches the biased weights once per plan. Optional: only ISAs whose int8 kernel
- * needs an unsigned operand (VNNI) provide it; a null slot means
- * "no benefit here, use dotQ8Row".
+ * One panel of the block-quantized GEMM with output channels on the
+ * vector lanes: c[r·ldc + co] for r < rows and co < w.cout. Panel row r
+ * holds w.nb blocks of 32 activation codes at pa + r·nb·32, each code
+ * biased by +128 (code XOR 0x80, the unsigned operand of VPDPBUSD),
+ * and their scales at sa + r·nb. A code of 0x80 with scale 0 is a
+ * zero-padding pixel.
+ *
+ * Pinned evaluation structure (identical in every variant): each
+ * output is one float chain from +0,
+ *     for b = 0 .. nb-1:
+ *         acc = fma(sa[r][b] · sw[co][b], float(d[b]), acc)
+ * where d[b] is the exact int32 dot Σ a·w over block b (|d| < 2^24, so
+ * float(d) is exact) and sa·sw is one rounded product. FMA is
+ * correctly rounded, so std::fmaf, VFMADD and FMLA produce the same
+ * bits on every ISA, and since nothing couples two outputs, results do
+ * not depend on the panel height, the tiling or the thread count.
  */
-using DotQ8RowUBFn = void (*)(const std::int8_t *qa, const float *sa,
-                              const std::uint8_t *qb_biased,
-                              const float *sb, std::int64_t nb,
-                              std::int64_t n, float *c);
+using DotQ8PanelFn = void (*)(const std::uint8_t *pa, const float *sa,
+                              std::int64_t rows, const Q8PackView &w,
+                              float *c, std::int64_t ldc);
 
 /**
- * Quantize k floats into ceil(k/32) symmetric int8 blocks:
- * scale[b] = absmax/127, q = nearbyint(x * (127/absmax)) — never ±128,
- * which the AVX2 sign-trick kernel relies on. Tail lanes of the final
- * block are written as 0.
+ * Quantize k floats into ceil(k/32) symmetric int8 blocks. absmax is
+ * taken over the block's finite lanes; scale[b] = absmax/127 and
+ * q = nearbyint(x * (127/absmax)). Non-finite lanes never touch their
+ * block's finite lanes: NaN codes 0 and ±Inf codes ±127. A block whose
+ * finite absmax is below 127/FLT_MAX (all-zero, denormal or tiny) gets
+ * scale 0 and finite codes 0. No code is ever −128, which the AVX2
+ * sign-trick kernel relies on. Tail lanes of the final block are
+ * written as 0.
  */
 using QuantizeRowFn = void (*)(const float *src, std::int64_t k,
                                std::int8_t *q, float *scales);
@@ -127,9 +138,9 @@ namespace detail {
 void microF32Scalar(std::int64_t kc, const float *ap, const float *bp,
                     float *c, std::int64_t ldc, int mr, int nr,
                     bool first);
-void dotQ8RowScalar(const std::int8_t *qa, const float *sa,
-                    const std::int8_t *qb, const float *sb,
-                    std::int64_t nb, std::int64_t n, float *c);
+void dotQ8PanelScalar(const std::uint8_t *pa, const float *sa,
+                      std::int64_t rows, const Q8PackView &w, float *c,
+                      std::int64_t ldc);
 void quantizeRowScalar(const float *src, std::int64_t k, std::int8_t *q,
                        float *scales);
 void dequantizeRowScalar(const std::int8_t *q, const float *scales,
@@ -137,14 +148,14 @@ void dequantizeRowScalar(const std::int8_t *q, const float *scales,
 void affineReluRowScalar(const float *src, const float *a, const float *b,
                          std::int64_t k, bool relu, float *dst);
 
-// AVX2 (kernels_avx2.cc; VPMADDUBSW int8 path via the sign trick —
+// AVX2 (kernels_avx2.cc; VPMADDUBSW int8 panel via the sign trick —
 // quantization never emits -128, so pair sums stay below the s16
 // saturation point).
 void microF32Avx2(std::int64_t kc, const float *ap, const float *bp,
                   float *c, std::int64_t ldc, int mr, int nr, bool first);
-void dotQ8RowAvx2(const std::int8_t *qa, const float *sa,
-                  const std::int8_t *qb, const float *sb,
-                  std::int64_t nb, std::int64_t n, float *c);
+void dotQ8PanelAvx2(const std::uint8_t *pa, const float *sa,
+                    std::int64_t rows, const Q8PackView &w, float *c,
+                    std::int64_t ldc);
 void quantizeRowAvx2(const float *src, std::int64_t k, std::int8_t *q,
                      float *scales);
 void dequantizeRowAvx2(const std::int8_t *q, const float *scales,
@@ -152,7 +163,7 @@ void dequantizeRowAvx2(const std::int8_t *q, const float *scales,
 void affineReluRowAvx2(const float *src, const float *a, const float *b,
                        std::int64_t k, bool relu, float *dst);
 
-// AVX-512 F/BW/VL (kernels_avx512.cc). The int8 dot has no AVX-512
+// AVX-512 F/BW/VL (kernels_avx512.cc). The int8 panel has no AVX-512
 // implementation without VNNI — isa.cc falls back to the AVX2 one.
 void microF32Avx512(std::int64_t kc, const float *ap, const float *bp,
                     float *c, std::int64_t ldc, int mr, int nr,
@@ -164,22 +175,16 @@ void dequantizeRowAvx512(const std::int8_t *q, const float *scales,
 void affineReluRowAvx512(const float *src, const float *a, const float *b,
                          std::int64_t k, bool relu, float *dst);
 
-// AVX-512 VNNI (kernels_avx512vnni.cc): VPDPBUSD with the in-register
-// +128 bias and per-group correction term.
-void dotQ8RowVnni(const std::int8_t *qa, const float *sa,
-                  const std::int8_t *qb, const float *sb,
-                  std::int64_t nb, std::int64_t n, float *c);
-void dotQ8RowUBVnni(const std::int8_t *qa, const float *sa,
-                    const std::uint8_t *qb_biased, const float *sb,
-                    std::int64_t nb, std::int64_t n, float *c);
+// AVX-512 VNNI (kernels_avx512vnni.cc): VPDPBUSD over the biased
+// activations, accumulators seeded with the pack's compensation.
+void dotQ8PanelVnni(const std::uint8_t *pa, const float *sa,
+                    std::int64_t rows, const Q8PackView &w, float *c,
+                    std::int64_t ldc);
 
-// NEON / AArch64 (kernels_neon.cc): SDOT when the build targets the
-// dotprod extension, widening SMULL/SMLAL pairwise sums otherwise.
+// NEON / AArch64 (kernels_neon.cc); its int8 panel slot runs the
+// scalar reference.
 void microF32Neon(std::int64_t kc, const float *ap, const float *bp,
                   float *c, std::int64_t ldc, int mr, int nr, bool first);
-void dotQ8RowNeon(const std::int8_t *qa, const float *sa,
-                  const std::int8_t *qb, const float *sb,
-                  std::int64_t nb, std::int64_t n, float *c);
 void affineReluRowNeon(const float *src, const float *a, const float *b,
                        std::int64_t k, bool relu, float *dst);
 
@@ -198,14 +203,11 @@ struct KernelSet
     const char *name;              //!< "scalar" | "avx2" | "avx512" | "neon"
     Isa isa;
     simd::MicroF32Fn microF32;
-    simd::DotQ8RowFn dotQ8Row;
+    simd::DotQ8PanelFn dotQ8Panel;
     simd::QuantizeRowFn quantizeRow;
     simd::DequantizeRowFn dequantizeRow;
     double f32FlopsPerCycle;       //!< theoretical fp32 flops/cycle/core
     double i8MacsPerCycle;         //!< theoretical int8 MACs/cycle/core
-    //! Pre-biased-B dot (see DotQ8RowUBFn); null when dotQ8Row is
-    //! already optimal on raw signed bytes.
-    simd::DotQ8RowUBFn dotQ8RowUB = nullptr;
     //! Resident-activation epilogue (see AffineReluRowFn); every
     //! compiled-in set provides one.
     simd::AffineReluRowFn affineReluRow = nullptr;

@@ -1,21 +1,25 @@
 /**
  * @file
  * The int8 block-quantization contract (DESIGN.md §12): the code
- * format's invariants (range, padding, round-trip error), bit-exact
- * agreement of every compiled kernel set with the scalar reference at
- * adversarial shapes, bit-exact agreement of the pre-biased VNNI dot
- * with the plain one, closeness of quantized layer forwards to fp32
- * (the resident conv's thread invariance and fp32 tracking live in
- * test_resident.cc), the eval-only restriction, the
- * quantized checkpoint round-trip, and heap-silence of the warm
+ * format's invariants (range, padding, round-trip error), the
+ * quantize policy for non-finite and tiny inputs, known answers and
+ * bit-exact agreement of every compiled kernel set's int8 panel with
+ * the scalar reference at adversarial shapes, closeness of quantized
+ * layer forwards to fp32 (the resident conv's thread invariance and
+ * fp32 tracking live in test_resident.cc), the eval-only restriction,
+ * the quantized checkpoint round-trip, and heap-silence of the warm
  * quantized serving path.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "data/serialize.hh"
@@ -60,11 +64,11 @@ struct QuantGemmShape
 };
 
 /**
- * Adversarial shapes for the quantized dot (m A rows, each against n B
- * rows): single rows/columns on both sides, k below / at / just past
- * one 32-element block (nb = 1 and odd nb exercise the kernels'
- * odd-tail path), and n straddling the 4- and 8-row blocking of the
- * VNNI kernel.
+ * Adversarial shapes for the quantized GEMM (m panel rows, each
+ * against n output channels): single rows/columns on both sides, k
+ * below / at / just past one 32-element block (nb = 1 and odd nb), n
+ * straddling the 16-channel groups and the kernels' 2-group tiles, and
+ * m straddling the 4- and 8-row tiles and the 16-row panel.
  */
 const QuantGemmShape kQuantShapes[] = {
     {1, 1, 1},      {1, 1, 32},    {1, 7, 31},    {3, 1, 33},
@@ -90,17 +94,48 @@ quantPair(const QuantGemmShape &s, std::vector<std::int8_t> &qa,
     quantizeRowsInto(b.data(), s.n, s.k, qb.data(), sb.data());
 }
 
-/** C (m×n) = Aq · Bqᵀ, one A row at a time through the active dotQ8Row. */
+/** Codes biased by +128: the panel kernel's activation operand. */
+std::vector<std::uint8_t>
+biased(const std::vector<std::int8_t> &q)
+{
+    std::vector<std::uint8_t> u(q.size());
+    for (std::size_t i = 0; i < q.size(); ++i)
+        u[i] = static_cast<std::uint8_t>(q[i]) ^ 0x80u;
+    return u;
+}
+
+/** A QuantTensor over rows × nb blocks of codes and scales, packed. */
+QuantTensor
+packed(std::int64_t rows, std::int64_t nb, const std::vector<std::int8_t> &q,
+       const std::vector<float> &scales)
+{
+    QuantTensor qt;
+    qt.shape = {static_cast<int>(rows), static_cast<int>(nb * kQuantBlock)};
+    qt.rows = rows;
+    qt.cols = nb * kQuantBlock;
+    qt.nb = nb;
+    qt.q = q;
+    qt.scales = scales;
+    qt.buildPack();
+    return qt;
+}
+
+/**
+ * C (m×n) = Aq · Bqᵀ through the active dotQ8Panel, the m rows fed in
+ * panels of @p panel_rows.
+ */
 std::vector<float>
 dotRows(const QuantGemmShape &s, std::int64_t nb,
         const std::vector<std::int8_t> &qa, const std::vector<float> &sa,
-        const std::vector<std::int8_t> &qb, const std::vector<float> &sb)
+        const QuantTensor &wb, std::int64_t panel_rows)
 {
-    const simd::DotQ8RowFn dot = activeKernels().dotQ8Row;
+    const simd::DotQ8PanelFn panel = activeKernels().dotQ8Panel;
+    const std::vector<std::uint8_t> ua = biased(qa);
     std::vector<float> c(static_cast<std::size_t>(s.m * s.n), -1.0f);
-    for (std::int64_t i = 0; i < s.m; ++i)
-        dot(qa.data() + i * nb * kQuantBlock, sa.data() + i * nb, qb.data(),
-            sb.data(), nb, s.n, c.data() + i * s.n);
+    for (std::int64_t i = 0; i < s.m; i += panel_rows)
+        panel(ua.data() + i * nb * kQuantBlock, sa.data() + i * nb,
+              std::min(panel_rows, s.m - i), wb.pack.view(),
+              c.data() + i * s.n, s.n);
     return c;
 }
 
@@ -173,48 +208,209 @@ TEST_F(QuantTest, EveryCompiledKernelSetMatchesScalarBitForBit)
                 << " k=" << s.k;
         }
 
+        const QuantTensor wb = packed(s.n, nb, qb, sb);
         std::vector<float> want;
         {
             ScopedKernelOverride force(*scalar);
-            want = dotRows(s, nb, qa, sa, qb, sb);
+            want = dotRows(s, nb, qa, sa, wb, 16);
         }
         for (const KernelSet *set : compiledKernelSets()) {
             if (!hostSupportsKernelSet(*set))
                 continue;
             ScopedKernelOverride force(*set);
-            const std::vector<float> got = dotRows(s, nb, qa, sa, qb, sb);
-            EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
-                                     want.size() * sizeof(float)))
-                << set->name << " diverges from scalar at m=" << s.m
-                << " n=" << s.n << " k=" << s.k;
+            // Whole panels, and one row per call: no output may depend
+            // on the panel height the kernel tiles.
+            for (const std::int64_t panel_rows : {std::int64_t{16},
+                                                  std::int64_t{1}}) {
+                const std::vector<float> got =
+                    dotRows(s, nb, qa, sa, wb, panel_rows);
+                EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                         want.size() * sizeof(float)))
+                    << set->name << " diverges from scalar at m=" << s.m
+                    << " n=" << s.n << " k=" << s.k
+                    << " panel rows=" << panel_rows;
+            }
         }
     }
 }
 
-TEST_F(QuantTest, PreBiasedDotMatchesPlainDotBitForBit)
+/** Activation pattern of panel row r, block b (see the KAT below). */
+std::int8_t
+katActivation(std::int64_t r, std::int64_t b, int j)
 {
-    const simd::DotQ8RowFn dot = activeKernels().dotQ8Row;
-    const simd::DotQ8RowUBFn dot_ub = activeKernels().dotQ8RowUB;
-    if (dot_ub == nullptr)
-        GTEST_SKIP() << "active kernel set has no pre-biased dot";
-    for (const QuantGemmShape &s : kQuantShapes) {
-        std::vector<std::int8_t> qa, qb;
-        std::vector<float> sa, sb;
-        std::int64_t nb = 0;
-        quantPair(s, qa, sa, qb, sb, nb);
-        std::vector<std::uint8_t> ub(qb.size());
-        for (std::size_t i = 0; i < qb.size(); ++i)
-            ub[i] = static_cast<std::uint8_t>(
-                static_cast<std::uint8_t>(qb[i]) ^ 0x80u);
-        std::vector<float> plain(static_cast<std::size_t>(s.n));
-        std::vector<float> biased(static_cast<std::size_t>(s.n), -1.0f);
-        dot(qa.data(), sa.data(), qb.data(), sb.data(), nb, s.n,
-            plain.data());
-        dot_ub(qa.data(), sa.data(), ub.data(), sb.data(), nb, s.n,
-               biased.data());
-        EXPECT_EQ(0, std::memcmp(biased.data(), plain.data(),
-                                 plain.size() * sizeof(float)))
-            << "n=" << s.n << " k=" << s.k;
+    switch ((r + b) % 4) {
+      case 0: return 127;                                   // all +127
+      case 1: return static_cast<std::int8_t>(j % 2 ? -127 : 127);
+      case 2: return static_cast<std::int8_t>(              // one spike
+          j == (r + 3 * b) % 32 ? ((r + b) % 8 < 4 ? 127 : -127) : 0);
+      default: return 0;                                    // pad pixel
+    }
+}
+
+/** Weight pattern of output channel co, block b. */
+std::int8_t
+katWeight(std::int64_t co, std::int64_t b, int j)
+{
+    switch ((co + 2 * b) % 3) {
+      case 0: return -127;                                  // all -127
+      case 1: return static_cast<std::int8_t>(j % 2 ? 127 : -127);
+      default: return static_cast<std::int8_t>(             // one spike
+          j == (5 * co + b) % 32 ? (co % 2 ? -127 : 127) : 0);
+    }
+}
+
+TEST_F(QuantTest, PanelKernelKnownAnswersEveryKernelSet)
+{
+    // Hand-built blocks: all +127 against all -127 (the largest block
+    // dot, 32·127·127), alternating signs, single-lane spikes, and
+    // zero-scale pad pixels (biased code 0x80, scale 0). The expected
+    // outputs come from int64 block sums and the same fmaf fold the
+    // slot pins, so a kernel that miscomputes one block dot, drops a
+    // block, reorders the fold or leaks a lane fails the memcmp.
+    for (const std::int64_t nb : {1, 2, 3, 4}) {
+        for (const std::int64_t cout : {1, 3, 8, 16, 17, 33}) {
+            std::vector<std::int8_t> wq(
+                static_cast<std::size_t>(cout * nb * kQuantBlock));
+            std::vector<float> ws(static_cast<std::size_t>(cout * nb));
+            for (std::int64_t co = 0; co < cout; ++co)
+                for (std::int64_t b = 0; b < nb; ++b) {
+                    for (int j = 0; j < kQuantBlock; ++j)
+                        wq[static_cast<std::size_t>(
+                            (co * nb + b) * kQuantBlock + j)] =
+                            katWeight(co, b, j);
+                    ws[static_cast<std::size_t>(co * nb + b)] =
+                        0.0078125f * static_cast<float>(1 + (co + b) % 5)
+                        + 1e-4f * static_cast<float>(co);
+                }
+            const QuantTensor w = packed(cout, nb, wq, ws);
+            for (std::int64_t rows = 1; rows <= 17; ++rows) {
+                std::vector<std::int8_t> aq(
+                    static_cast<std::size_t>(rows * nb * kQuantBlock));
+                std::vector<float> as(static_cast<std::size_t>(rows * nb));
+                for (std::int64_t r = 0; r < rows; ++r)
+                    for (std::int64_t b = 0; b < nb; ++b) {
+                        for (int j = 0; j < kQuantBlock; ++j)
+                            aq[static_cast<std::size_t>(
+                                (r * nb + b) * kQuantBlock + j)] =
+                                katActivation(r, b, j);
+                        as[static_cast<std::size_t>(r * nb + b)] =
+                            (r + b) % 4 == 3
+                                ? 0.0f
+                                : 0.01f * static_cast<float>(1 + r + 2 * b);
+                    }
+                std::vector<float> want(static_cast<std::size_t>(rows * cout));
+                for (std::int64_t r = 0; r < rows; ++r)
+                    for (std::int64_t co = 0; co < cout; ++co) {
+                        float acc = 0.0f;
+                        for (std::int64_t b = 0; b < nb; ++b) {
+                            std::int64_t d = 0;
+                            for (int j = 0; j < kQuantBlock; ++j)
+                                d += std::int64_t{katActivation(r, b, j)}
+                                     * katWeight(co, b, j);
+                            ASSERT_LE(std::abs(d), 32 * 127 * 127);
+                            const float prod =
+                                as[static_cast<std::size_t>(r * nb + b)]
+                                * ws[static_cast<std::size_t>(co * nb + b)];
+                            acc = std::fmaf(prod, static_cast<float>(d), acc);
+                        }
+                        want[static_cast<std::size_t>(r * cout + co)] = acc;
+                    }
+                const std::vector<std::uint8_t> ua = biased(aq);
+                for (const KernelSet *set : compiledKernelSets()) {
+                    if (!hostSupportsKernelSet(*set))
+                        continue;
+                    std::vector<float> got(want.size(), -1.0f);
+                    set->dotQ8Panel(ua.data(), as.data(), rows, w.pack.view(),
+                                    got.data(), cout);
+                    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                             want.size() * sizeof(float)))
+                        << set->name << " nb=" << nb << " cout=" << cout
+                        << " rows=" << rows;
+                }
+            }
+        }
+    }
+}
+
+TEST_F(QuantTest, QuantizeRowNonFinitePolicyEveryKernelSet)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    const float denorm = 1e-40f;
+    ASSERT_LT(denorm, FLT_MIN);
+    struct Case
+    {
+        const char *name;
+        std::int64_t k;          //!< row length (a tail block when < 64)
+        float base;              //!< finite lanes are base·(i - 16)
+        std::vector<std::pair<int, float>> lanes; //!< overrides
+    };
+    const Case cases[] = {
+        {"nan lane", 32, 0.01f, {{5, nan}}},
+        {"nan lane 0", 32, 0.01f, {{0, nan}}},
+        {"+inf lane", 32, 0.01f, {{7, inf}}},
+        {"-inf lane", 32, 0.01f, {{7, -inf}}},
+        {"nan and inf lanes", 64, 0.01f, {{3, nan}, {33, -inf}, {40, inf}}},
+        {"tail nan and inf", 45, 0.01f, {{40, nan}, {44, -inf}}},
+        {"tiny 1e-37", 32, 1e-37f / 16.0f, {}},
+        {"tiny 1e-38", 32, 1e-38f / 16.0f, {}},
+        {"denormal", 32, 0.0f, {{9, denorm}, {10, -denorm}}},
+        {"tiny with inf", 32, 1e-38f / 16.0f, {{2, -inf}, {3, nan}}},
+        {"flt_max lanes", 32, 0.01f, {{1, FLT_MAX}, {30, -FLT_MAX}}},
+        {"all nan", 32, nan, {}},
+    };
+    for (const Case &c : cases) {
+        std::vector<float> x(static_cast<std::size_t>(c.k));
+        for (std::int64_t i = 0; i < c.k; ++i)
+            x[static_cast<std::size_t>(i)] =
+                c.base * static_cast<float>(i % 32 - 16);
+        for (const auto &[lane, v] : c.lanes)
+            x[static_cast<std::size_t>(lane)] = v;
+
+        // The policy, written out: absmax over the finite lanes; a
+        // block below 127/FLT_MAX gets scale 0 and finite codes 0; NaN
+        // codes 0 and ±Inf ±127.
+        const std::int64_t nb = quantBlocks(c.k);
+        std::vector<std::int8_t> want_q(
+            static_cast<std::size_t>(nb * kQuantBlock), 0);
+        std::vector<float> want_s(static_cast<std::size_t>(nb));
+        for (std::int64_t b = 0; b < nb; ++b) {
+            const std::int64_t lo = b * kQuantBlock;
+            const std::int64_t hi = std::min(c.k, lo + kQuantBlock);
+            float amax = 0.0f;
+            for (std::int64_t i = lo; i < hi; ++i)
+                if (std::isfinite(x[static_cast<std::size_t>(i)]))
+                    amax = std::max(amax,
+                                    std::fabs(x[static_cast<std::size_t>(i)]));
+            const bool normal = amax >= 127.0f / FLT_MAX;
+            const float inv = normal ? 127.0f / amax : 0.0f;
+            want_s[static_cast<std::size_t>(b)] = normal ? amax / 127.0f
+                                                         : 0.0f;
+            for (std::int64_t i = lo; i < hi; ++i) {
+                const float v = x[static_cast<std::size_t>(i)];
+                float code = 0.0f;
+                if (std::isfinite(v))
+                    code = std::nearbyintf(v * inv);
+                else if (std::isinf(v))
+                    code = v > 0.0f ? 127.0f : -127.0f;
+                want_q[static_cast<std::size_t>(i)] =
+                    static_cast<std::int8_t>(code);
+            }
+        }
+        for (const KernelSet *set : compiledKernelSets()) {
+            if (!hostSupportsKernelSet(*set))
+                continue;
+            std::vector<std::int8_t> q(want_q.size(), 99);
+            std::vector<float> s(want_s.size(), -1.0f);
+            set->quantizeRow(x.data(), c.k, q.data(), s.data());
+            EXPECT_EQ(0, std::memcmp(q.data(), want_q.data(), q.size()))
+                << set->name << " codes, case " << c.name;
+            EXPECT_EQ(0, std::memcmp(s.data(), want_s.data(),
+                                     s.size() * sizeof(float)))
+                << set->name << " scales, case " << c.name;
+            for (const std::int8_t code : q)
+                EXPECT_NE(code, -128) << set->name << " case " << c.name;
+        }
     }
 }
 
@@ -381,8 +577,10 @@ TEST_F(QuantTest, KernelSetLookupAndOverride)
     {
         ScopedKernelOverride force(*scalar);
         EXPECT_EQ(&activeKernels(), scalar);
-        EXPECT_EQ(activeKernels().dotQ8RowUB, nullptr)
-            << "scalar set must not advertise a pre-biased dot";
+    }
+    for (const KernelSet *set : compiledKernelSets()) {
+        EXPECT_NE(set->dotQ8Panel, nullptr) << set->name;
+        EXPECT_NE(set->affineReluRow, nullptr) << set->name;
     }
     // Override restored on scope exit.
     EXPECT_TRUE(hostSupportsKernelSet(activeKernels()));

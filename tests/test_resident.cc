@@ -253,21 +253,28 @@ TEST_F(ResidentTest, ResidentConvEveryCompiledKernelSetMatchesScalar)
         randomVec(static_cast<std::size_t>(cin) * 10 * 9, 137));
     const ResidentEpilogue epi{nullptr, nullptr, true};
 
+    // Both exits: the requantized codes, and the fp32 planes, which
+    // carry every bit of the int8 panel's output (a requantization can
+    // round two slightly different rows to the same codes).
     std::vector<std::int8_t> want_q;
     std::vector<float> want_s;
+    std::vector<float> want_f(static_cast<std::size_t>(cout) * 10 * 9);
     {
         ScopedKernelOverride force(*scalar);
         conv.prepareResident();
         const ResidentBuffers rb = makeResident(x);
         runResidentConv(rb.act, conv.qweightHwc(), k, 1, 1, epi, want_q,
                         want_s);
+        convForwardResident(rb.act, k, k, 1, 1, conv.qweightHwc(),
+                            ResidentEpilogue{}, nullptr, nullptr, nullptr,
+                            want_f.data());
     }
     for (const KernelSet *set : compiledKernelSets()) {
         if (!hostSupportsKernelSet(*set))
             continue;
         ScopedKernelOverride force(*set);
-        // Re-plan under the override so the pre-biased cache matches
-        // the set's dot availability, like a real plan would.
+        // Re-plan under the override like a real plan would; the pack
+        // is the same bytes for every set.
         conv.prepareResident();
         const ResidentBuffers rb = makeResident(x);
         std::vector<std::int8_t> got_q;
@@ -281,6 +288,13 @@ TEST_F(ResidentTest, ResidentConvEveryCompiledKernelSetMatchesScalar)
                   std::memcmp(got_s.data(), want_s.data(),
                               want_s.size() * sizeof(float)))
             << set->name << " resident scales diverge from scalar";
+        std::vector<float> got_f(want_f.size(), -1.0f);
+        convForwardResident(rb.act, k, k, 1, 1, conv.qweightHwc(),
+                            ResidentEpilogue{}, nullptr, nullptr, nullptr,
+                            got_f.data());
+        EXPECT_EQ(0, std::memcmp(got_f.data(), want_f.data(),
+                                 want_f.size() * sizeof(float)))
+            << set->name << " resident fp32 exit diverges from scalar";
     }
 }
 
