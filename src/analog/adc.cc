@@ -34,13 +34,4 @@ VariableResolutionAdc::convert(double v_diff) const
                         static_cast<float>(_fullScale), levels());
 }
 
-double
-VariableResolutionAdc::dequantize(int code) const
-{
-    LECA_CHECK(code >= 0 && code < levels(), "ADC code ", code,
-               " outside [0, ", levels(), ")");
-    return dequantizeCode(code, static_cast<float>(-_fullScale),
-                          static_cast<float>(_fullScale), levels());
-}
-
 } // namespace leca

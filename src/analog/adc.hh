@@ -47,14 +47,10 @@ class VariableResolutionAdc
      */
     int convert(double v_diff) const;
 
-    /** Voltage corresponding to a code (uniform reconstruction). */
-    double dequantize(int code) const;
-
     /** Code count at the current resolution. */
     int levels() const { return _qbits.levels(); }
 
     QBits qbits() const { return _qbits; }
-    double fullScale() const { return _fullScale; }
 
   private:
     QBits _qbits{4.0};

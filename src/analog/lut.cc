@@ -29,19 +29,6 @@ Lut1d::operator()(double x) const
            + _values[static_cast<std::size_t>(i) + 1] * f;
 }
 
-double
-Lut1d::slope(double x) const
-{
-    LECA_DCHECK(_values.size() >= 2, "slope on empty LUT");
-    const int n = static_cast<int>(_values.size());
-    const double step = (_hi - _lo) / (n - 1);
-    double t = (x - _lo) / step;
-    t = std::clamp(t, 0.0, static_cast<double>(n - 1) - 1e-9);
-    const int i = static_cast<int>(t);
-    return (_values[static_cast<std::size_t>(i) + 1]
-            - _values[static_cast<std::size_t>(i)]) / step;
-}
-
 Lut2d::Lut2d(double x_lo, double x_hi, int nx, double y_lo, double y_hi,
              int ny, const std::function<double(double, double)> &fn)
     : _xLo(x_lo), _xHi(x_hi), _yLo(y_lo), _yHi(y_hi), _nx(nx), _ny(ny)

@@ -29,9 +29,6 @@ class Lut1d
     /** Interpolated lookup; clamps outside [lo, hi]. */
     double operator()(double x) const;
 
-    /** Local slope (derivative of the interpolant) at @p x. */
-    double slope(double x) const;
-
     double lo() const { return _lo; }
     double hi() const { return _hi; }
     int samples() const { return static_cast<int>(_values.size()); }
@@ -59,8 +56,6 @@ class Lut2d
     double operator()(double x, double y) const;
 
     bool empty() const { return _values.empty(); }
-    int sizeX() const { return _nx; }
-    int sizeY() const { return _ny; }
 
   private:
     double _xLo = 0.0, _xHi = 1.0, _yLo = 0.0, _yHi = 1.0;

@@ -30,13 +30,6 @@ struct ScmWeight
 {
     int magnitude = 0;     //!< cap-DAC code, 0 .. dacSteps()
     bool negative = false; //!< steers charge to the negative o-buffer
-
-    /** Signed integer value in [-15, 15]. */
-    int
-    signedCode() const
-    {
-        return negative ? -magnitude : magnitude;
-    }
 };
 
 /**

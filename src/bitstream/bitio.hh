@@ -61,13 +61,6 @@ class BitWriter
         return std::move(_bytes);
     }
 
-    /** Bits written so far (excluding any final padding). */
-    std::size_t
-    bitCount() const
-    {
-        return _bytes.size() * 8 + static_cast<std::size_t>(_nbits);
-    }
-
   private:
     std::vector<std::uint8_t> _bytes;
     std::uint64_t _acc = 0;
@@ -105,9 +98,6 @@ class BitReader
         _nbits -= bits;
         return value;
     }
-
-    /** Bytes consumed from the underlying buffer so far. */
-    std::size_t byteCursor() const { return _pos; }
 
   private:
     const std::uint8_t *_data;

@@ -107,32 +107,26 @@ void
 decodeSectionInto(const Section &s, const std::uint8_t *payload,
                   std::uint8_t *out)
 {
+    // ContainerReader has checked encLen against rawLen for the empty,
+    // raw and packed cases.
     const std::size_t n = static_cast<std::size_t>(s.rawLen);
-    if (n == 0) {
-        // Empty sections carry no payload at all; returning before the
-        // coders also keeps memcpy/BitReader away from null @p out.
-        LECA_CHECK(s.encLen == 0, "corrupt bitstream: empty section ",
-                   s.id, " stores ", s.encLen, " bytes");
-        return;
-    }
+    if (n == 0)
+        return; // no payload; keeps memcpy/BitReader away from null out
     switch (s.coder) {
     case Coder::Raw:
-        LECA_CHECK(s.encLen == s.rawLen, "corrupt bitstream: raw section ",
-                   s.id, " stores ", s.encLen, " bytes for ", s.rawLen);
-        // Length equality just checked against the validated rawLen.
+        // encLen == rawLen, validated by the reader.
         std::memcpy(out, payload, n);  // leca-lint: bitstream-validated
         break;
     case Coder::Packed: {
         const int width = s.aux;
-        LECA_CHECK(width >= 0 && width <= 8,
-                   "corrupt bitstream: packed width ", width,
-                   " in section ", s.id);
-        const std::uint64_t need = (s.rawLen * width + 7) / 8;
-        LECA_CHECK(s.encLen == need, "corrupt bitstream: packed section ",
-                   s.id, " stores ", s.encLen, " bytes, expected ", need);
         BitReader br(payload, static_cast<std::size_t>(s.encLen));
         for (std::size_t i = 0; i < n; ++i)
             out[i] = static_cast<std::uint8_t>(br.get(width));
+        // The encoder pads the last byte with zeros; anything else is
+        // a symbol the section's rawLen disowns.
+        const int pad = static_cast<int>(s.encLen * 8 - n * width);
+        LECA_CHECK(br.get(pad) == 0, "corrupt bitstream: packed section ",
+                   s.id, " has nonzero padding");
         break;
     }
     case Coder::Rans: {

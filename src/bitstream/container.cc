@@ -172,6 +172,21 @@ ContainerReader::ContainerReader(const std::uint8_t *data, std::size_t size)
         LECA_CHECK(s.encLen <= size - table_end - 8,
                    "corrupt bitstream: section ", s.id, " encLen ",
                    s.encLen, " exceeds the container");
+        // rawLen sizes the decoder's output, so bound it by encLen
+        // wherever the coder fixes their ratio.
+        if (s.rawLen == 0) {
+            LECA_CHECK(s.encLen == 0, "corrupt bitstream: empty section ",
+                       s.id, " stores ", s.encLen, " bytes");
+        } else if (s.coder == Coder::Raw) {
+            LECA_CHECK(s.encLen == s.rawLen, "corrupt bitstream: raw section ",
+                       s.id, " stores ", s.encLen, " bytes for ", s.rawLen);
+        } else if (s.coder == Coder::Packed) {
+            LECA_CHECK(s.aux <= 8, "corrupt bitstream: packed width ",
+                       s.aux, " in section ", s.id);
+            const std::uint64_t need = (s.rawLen * s.aux + 7) / 8;
+            LECA_CHECK(s.encLen == need, "corrupt bitstream: packed section ",
+                       s.id, " stores ", s.encLen, " bytes, expected ", need);
+        }
         for (const Section &prev : _sections)
             LECA_CHECK(prev.id != s.id,
                        "corrupt bitstream: duplicate section id ", s.id);

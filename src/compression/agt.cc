@@ -81,8 +81,8 @@ AccumGradientThreshold::processImpl(const Tensor &batch)
     for (std::int64_t image_kept : kept_per_image)
         kept += image_kept;
     const std::int64_t total = static_cast<std::int64_t>(n) * c * h * w;
-    _lastKept = static_cast<double>(kept) / static_cast<double>(total);
-    _lastRatio = 1.0 / std::max(1e-9, _lastKept);
+    _lastRatio = 1.0 / std::max(1e-9, static_cast<double>(kept)
+                                          / static_cast<double>(total));
     return out;
 }
 

@@ -35,13 +35,9 @@ class AccumGradientThreshold : public CompressionMethod
 
     float threshold() const { return _threshold; }
 
-    /** Kept-pixel fraction of the last process() call. */
-    double lastKeptFraction() const { return _lastKept; }
-
   private:
     float _threshold;
     double _lastRatio = 4.0;
-    double _lastKept = 0.25;
 
     /** Process one row of one channel; returns kept count. */
     int processRow(const float *src, float *dst, int width) const;

@@ -51,8 +51,6 @@ class CompressiveSensing : public CompressionMethod
     /** ISTA reconstruction of one block from its measurements. */
     void reconstructBlock(const std::vector<float> &y, float *block) const;
 
-    int measurementCount() const { return _m; }
-
   private:
     int _ratio;
     int _m;         //!< measurements per 64-sample block

@@ -111,31 +111,4 @@ LearnedCodec::train(const Dataset &data, int epochs, double learning_rate,
     _trained = true;
 }
 
-Tensor
-LearnedCodec::processAtLatentLevels(const Tensor &batch, int levels)
-{
-    LECA_CHECK(_trained, "processAtLatentLevels before train()");
-    Tensor latent = _encoder->forward(batch, Mode::Eval);
-    for (std::size_t i = 0; i < latent.numel(); ++i)
-        latent[i] = quantizeUniform(latent[i], -4.0f, 4.0f, levels);
-    Tensor out = _decoder->forward(latent, Mode::Eval);
-    for (std::size_t i = 0; i < out.numel(); ++i)
-        out[i] = std::clamp(out[i], 0.0f, 1.0f);
-    return out;
-}
-
-double
-LearnedCodec::reconstructionMse(const Dataset &data)
-{
-    LECA_CHECK(_trained, "reconstructionMse before train()");
-    const Tensor recon = process(data.images);
-    double acc = 0.0;
-    for (std::size_t i = 0; i < recon.numel(); ++i) {
-        const double d =
-            static_cast<double>(recon[i]) - data.images[i];
-        acc += d * d;
-    }
-    return acc / static_cast<double>(recon.numel());
-}
-
 } // namespace leca

@@ -43,15 +43,6 @@ class LearnedCodec : public CompressionMethod
     void train(const Dataset &data, int epochs = 12,
                double learning_rate = 2e-3, int batch_size = 32);
 
-    /** Mean squared reconstruction error on @p data. */
-    double reconstructionMse(const Dataset &data);
-
-    /**
-     * Decode with the latent re-quantized to @p levels instead of the
-     * nominal 256 — an evaluation hook for rate/distortion probing.
-     */
-    Tensor processAtLatentLevels(const Tensor &batch, int levels);
-
     std::string name() const override { return "Learned"; }
     double compressionRatio() const override;
     Tensor processImpl(const Tensor &batch) override;

@@ -42,11 +42,11 @@ class LecaDecoder : public Layer
     }
 
     /**
-     * Rebuild the decoder stack's quantized execution plan (DESIGN.md
-     * §13). quantizeWeights plans implicitly; this is for restores that
-     * bypass it (Pipeline::loadQuantized).
+     * The decoder stack. Restores that bypass quantizeWeights
+     * (Pipeline::loadQuantized) rebuild its quantized execution plan
+     * through it (DESIGN.md §13).
      */
-    void planQuantized() { _net.planQuantized(); }
+    Sequential &net() { return _net; }
 
     /** Total parameter count (for the Table 2 size discussion). */
     std::size_t parameterCount();

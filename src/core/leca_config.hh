@@ -66,13 +66,6 @@ struct LecaConfig
     }
 };
 
-/**
- * Enumerate the (N_ch, Q_bit) pairs whose Eq. (1) ratio equals
- * @p target_cr for K = 2 (the Fig. 4(b) design-space sweep).
- */
-std::vector<LecaConfig> designPointsForCr(double target_cr,
-                                          int max_nch = 16);
-
 } // namespace leca
 
 #endif // LECA_CORE_LECA_CONFIG_HH

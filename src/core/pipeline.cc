@@ -191,6 +191,7 @@ LecaPipeline::quantize()
     return report;
 }
 
+// leca-analyze: keep: checkpoint API
 void
 LecaPipeline::save(const std::string &path)
 {
@@ -205,6 +206,7 @@ LecaPipeline::load(const std::string &path)
     return loadLayerState(bundle, path);
 }
 
+// leca-analyze: keep: checkpoint API
 void
 LecaPipeline::saveQuantized(const std::string &path)
 {
@@ -213,6 +215,7 @@ LecaPipeline::saveQuantized(const std::string &path)
     saveQuantizedState(bundle, path);
 }
 
+// leca-analyze: keep: checkpoint API
 bool
 LecaPipeline::loadQuantized(const std::string &path)
 {
@@ -222,7 +225,7 @@ LecaPipeline::loadQuantized(const std::string &path)
     // Restores bypass quantizeWeights, so build the resident execution
     // plans here; the HWC layouts derive from the restored CODES, so
     // this inference is bit-identical to a quantize()d pipeline's.
-    _decoder->planQuantized();
+    _decoder->net().planQuantized();
     _backbone->planQuantized();
     _quantized = true;
     return true;

@@ -78,35 +78,6 @@ LecaTrainer::train(const Dataset &train, const Dataset &val,
 }
 
 double
-LecaTrainer::trainCurriculum(const Dataset &train_set, const Dataset &val,
-                             const LecaTrainOptions &options,
-                             double *soft_acc, double *hard_acc)
-{
-    // Stage 1: soft training (no hardware effects).
-    _pipeline.setModality(EncoderModality::Soft);
-    const double soft = train(train_set, val, options);
-    if (soft_acc)
-        *soft_acc = soft;
-
-    // Stage 2: hard training, initialised from the soft weights.
-    _pipeline.setModality(EncoderModality::Hard);
-    const double hard = train(train_set, val, options);
-    if (hard_acc)
-        *hard_acc = hard;
-
-    // Stage 3: noisy fine-tuning of the hard model. Direct noisy
-    // training from scratch converges poorly (Sec. 3.4); fine-tuning
-    // inherits the hard weights by construction.
-    _pipeline.setModality(EncoderModality::Noisy);
-    LecaTrainOptions finetune = options;
-    finetune.incrementalQbit = false; // keep the target Q_bit
-    finetune.learningRate = options.learningRate * 0.3;
-    finetune.epochs = std::max(1, options.epochs / 2);
-    const double noisy = train(train_set, val, finetune);
-    return noisy;
-}
-
-double
 LecaTrainer::evaluate(const Dataset &ds, EncoderModality modality)
 {
     const EncoderModality saved = _pipeline.modality();

@@ -49,16 +49,6 @@ class LecaTrainer
     double train(const Dataset &train, const Dataset &val,
                  const LecaTrainOptions &options);
 
-    /**
-     * The full curriculum: soft training, then hard training from the
-     * soft weights, then noisy fine-tuning (Fig. 9). Returns the final
-     * noisy-eval accuracy; per-stage accuracies via the out-params.
-     */
-    double trainCurriculum(const Dataset &train, const Dataset &val,
-                           const LecaTrainOptions &options,
-                           double *soft_acc = nullptr,
-                           double *hard_acc = nullptr);
-
     /** Evaluate under a given modality (restores the previous one). */
     double evaluate(const Dataset &ds, EncoderModality modality);
 

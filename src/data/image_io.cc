@@ -76,28 +76,4 @@ writePgm(const Tensor &image, const std::string &path, bool normalize)
     }
 }
 
-Tensor
-readPpm(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        fatal("cannot open ", path, " for reading");
-    std::string magic;
-    int w = 0, h = 0, maxval = 0;
-    is >> magic >> w >> h >> maxval;
-    LECA_CHECK(magic == "P6" && maxval == 255, "unsupported PPM ", path);
-    is.get(); // single whitespace after header
-    Tensor img({3, h, w});
-    for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-            for (int c = 0; c < 3; ++c) {
-                const int b = is.get();
-                LECA_CHECK(b >= 0, "truncated PPM ", path);
-                img.at(c, y, x) = static_cast<float>(b) / 255.0f;
-            }
-        }
-    }
-    return img;
-}
-
 } // namespace leca

@@ -24,9 +24,6 @@ void writePpm(const Tensor &image, const std::string &path);
 void writePgm(const Tensor &image, const std::string &path,
               bool normalize = false);
 
-/** Read a binary PPM (P6) back into a [3,H,W] tensor in [0,1]. */
-Tensor readPpm(const std::string &path);
-
 } // namespace leca
 
 #endif // LECA_DATA_IMAGE_IO_HH

@@ -17,7 +17,6 @@ namespace {
 constexpr std::uint32_t kMagic = 0x4C654341;       // "LeCA"
 constexpr std::uint32_t kLegacyLayerMagic = kMagic + 1;
 constexpr std::uint32_t kVersion = 2;
-constexpr std::uint32_t kKindParams = 1;
 constexpr std::uint32_t kKindLayerState = 2;
 constexpr std::uint32_t kKindQuantState = 3;
 
@@ -117,7 +116,7 @@ loadTensors(const std::vector<Tensor *> &tensors, const std::string &path,
     readHashed(is, hash, &file_kind, sizeof(file_kind), path);
     LECA_CHECK(file_kind == kind, "checkpoint ", path, " holds kind ",
                file_kind, ", expected kind ", kind,
-               " (params=1, layer state=2)");
+               " (layer state=2)");
     readHashed(is, hash, &count, sizeof(count), path);
     if (count != tensors.size())
         return false; // different model structure: retrain
@@ -171,26 +170,6 @@ constView(const std::vector<Tensor *> &tensors)
 }
 
 } // namespace
-
-void
-saveParams(const std::vector<Param *> &params, const std::string &path)
-{
-    std::vector<const Tensor *> tensors;
-    tensors.reserve(params.size());
-    for (const Param *p : params)
-        tensors.push_back(&p->value);
-    saveTensors(tensors, path, kKindParams);
-}
-
-bool
-loadParams(const std::vector<Param *> &params, const std::string &path)
-{
-    std::vector<Tensor *> tensors;
-    tensors.reserve(params.size());
-    for (Param *p : params)
-        tensors.push_back(&p->value);
-    return loadTensors(tensors, path, kKindParams);
-}
 
 void
 saveLayerState(Layer &layer, const std::string &path)

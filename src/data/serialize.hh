@@ -1,27 +1,16 @@
 /**
  * @file
- * Flat binary serialization of parameter lists, used to cache
- * pre-trained backbones between bench invocations.
+ * Flat binary checkpoints of a layer's tensors: its parameters and
+ * state (kind 2, the bench cache of pre-trained backbones) and its
+ * quantized serving state (kind 3).
  */
 
 #ifndef LECA_DATA_SERIALIZE_HH
 #define LECA_DATA_SERIALIZE_HH
 
 #include <string>
-#include <vector>
-
-#include "nn/param.hh"
 
 namespace leca {
-
-/** Write every parameter's value tensor to @p path. */
-void saveParams(const std::vector<Param *> &params, const std::string &path);
-
-/**
- * Load parameters saved by saveParams(). Shapes must match exactly.
- * @return false if the file does not exist or is incompatible.
- */
-bool loadParams(const std::vector<Param *> &params, const std::string &path);
 
 /**
  * Save a layer's parameters AND persistent state (e.g. batch-norm

@@ -29,6 +29,7 @@ sliceDataset(const Dataset &ds, int begin, int count)
     return out;
 }
 
+// leca-analyze: keep: test reference — what borrowed batch views match
 Dataset
 gatherBatch(const Dataset &ds, const std::vector<int> &order, int begin,
             int count)

@@ -59,28 +59,4 @@ BandScheduler::schedule() const
     return events;
 }
 
-double
-BandScheduler::bandEndNs() const
-{
-    const auto events = schedule();
-    double end = 0.0;
-    for (const auto &e : events)
-        end = std::max(end, e.endNs);
-    return end;
-}
-
-bool
-BandScheduler::sramWritesHidden() const
-{
-    for (const auto &e : schedule()) {
-        if (e.unit != ScheduleUnit::ControllerS ||
-            e.action.find("SRAM") == std::string::npos)
-            continue;
-        // The matching ROWSEL window starts at the same instant.
-        if (e.durationNs() > _config.pixelRowReadoutNs)
-            return false;
-    }
-    return true;
-}
-
 } // namespace leca

@@ -37,8 +37,6 @@ struct ScheduleEvent
     double endNs;
     ScheduleUnit unit;
     std::string action;
-
-    double durationNs() const { return endNs - startNs; }
 };
 
 /** Printable name of a schedule unit. */
@@ -52,15 +50,6 @@ class BandScheduler
 
     /** The full, time-ordered event list of one band. */
     std::vector<ScheduleEvent> schedule() const;
-
-    /** End time of the band (must equal TimingModel::bandLatencyNs). */
-    double bandEndNs() const;
-
-    /**
-     * True when every local-SRAM weight write lies entirely inside its
-     * row's ROWSEL window (the latency-hiding invariant of step 1).
-     */
-    bool sramWritesHidden() const;
 
     /**
      * Duration actually needed by 16 MAC cycles at the 400 MHz fast

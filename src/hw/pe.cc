@@ -112,11 +112,4 @@ Pe::readOfmap(int kernel_count, PeMode mode, Rng *noise_rng)
     return codes;
 }
 
-double
-Pe::obufferDiff(int k) const
-{
-    LECA_CHECK(k >= 0 && k < 4, "o-buffer index out of range");
-    return _oBuffers[static_cast<std::size_t>(k)].diff();
-}
-
 } // namespace leca

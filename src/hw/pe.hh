@@ -76,9 +76,6 @@ class Pe
     std::vector<int> readOfmap(int kernel_count, PeMode mode,
                                Rng *noise_rng);
 
-    /** Differential o-buffer voltage of kernel @p k (pre-ADC). */
-    double obufferDiff(int k) const;
-
     const ChipStats &stats() const { return _stats; }
     void resetStats() { _stats = ChipStats{}; }
     AnalogChain &chain() { return _chain; }

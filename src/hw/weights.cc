@@ -22,14 +22,6 @@ quantizeWeight(float w, float w_scale, int dac_steps)
     return ScmWeight{roundToInt(level), w < 0.0f};
 }
 
-float
-dequantizeWeight(const ScmWeight &w, float w_scale, int dac_steps)
-{
-    const float mag = static_cast<float>(w.magnitude)
-                      / static_cast<float>(dac_steps) * w_scale;
-    return w.negative ? -mag : mag;
-}
-
 void
 flattenKernelInto(const Tensor &rgb_weights, int k, float w_scale,
                   int dac_steps, ScmWeight *taps)
@@ -60,17 +52,6 @@ flattenKernels(const Tensor &rgb_weights, float w_scale,
                           circuit.dacSteps(), kernels[k].taps.data());
     }
     return kernels;
-}
-
-std::vector<float>
-kernelToFloats(const FlatKernel &kernel, float w_scale)
-{
-    std::vector<float> out(16);
-    for (int i = 0; i < 16; ++i)
-        out[static_cast<std::size_t>(i)] =
-            dequantizeWeight(kernel.taps[static_cast<std::size_t>(i)],
-                             w_scale);
-    return out;
 }
 
 } // namespace leca

@@ -51,10 +51,6 @@ inline constexpr std::array<BayerTap, 16> kBayerTaps = {{
  */
 ScmWeight quantizeWeight(float w, float w_scale, int dac_steps = 15);
 
-/** Real-valued weight represented by an SCM code under @p w_scale. */
-float dequantizeWeight(const ScmWeight &w, float w_scale,
-                       int dac_steps = 15);
-
 /**
  * One encoder kernel flattened onto the raw Bayer 4x4 block
  * (row-major, 16 entries).
@@ -83,12 +79,6 @@ void flattenKernelInto(const Tensor &rgb_weights, int k, float w_scale,
 std::vector<FlatKernel> flattenKernels(const Tensor &rgb_weights,
                                        float w_scale,
                                        const CircuitConfig &circuit = {});
-
-/**
- * Inverse check helper: the real-valued raw-domain weight matrix
- * represented by a flattened kernel (4x4 row-major floats).
- */
-std::vector<float> kernelToFloats(const FlatKernel &kernel, float w_scale);
 
 } // namespace leca
 

@@ -33,9 +33,6 @@ class BatchNorm2d : public Layer
 
     void setStatsRefresh(bool enable) override;
 
-    const Tensor &runningMean() const { return _runningMean; }
-    const Tensor &runningVar() const { return _runningVar; }
-
     /**
      * The eval-mode normalisation as one per-channel affine y = a·x + b
      * with a = gamma/sqrt(var+eps), b = beta − a·mean — the form the

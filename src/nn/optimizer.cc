@@ -14,46 +14,6 @@ Optimizer::zeroGrad()
         p->zeroGrad();
 }
 
-Sgd::Sgd(std::vector<Param *> params, double lr, double momentum,
-         double weight_decay)
-    : Optimizer(std::move(params)), _momentum(momentum),
-      _weightDecay(weight_decay)
-{
-    _lr = lr;
-    _velocity.reserve(_params.size());
-    for (Param *p : _params)
-        _velocity.emplace_back(Tensor::zeros(p->value.shape()));
-}
-
-void
-Sgd::step()
-{
-    for (std::size_t pi = 0; pi < _params.size(); ++pi) {
-        Param *p = _params[pi];
-        if (p->frozen)
-            continue;
-        Tensor &vel = _velocity[pi];
-        const float *gp = p->grad.data();
-        float *vp = vel.data();
-        float *valp = p->value.data();
-        const float wd = static_cast<float>(_weightDecay);
-        const float mom = static_cast<float>(_momentum);
-        const float lr = static_cast<float>(_lr);
-        // Elements update independently, so the parallel split cannot
-        // change any result bit.
-        parallelFor(0, static_cast<std::int64_t>(p->value.numel()), 4096,
-                    [&](std::int64_t i0, std::int64_t i1) {
-                        for (std::int64_t i = i0; i < i1; ++i) {
-                            float g = gp[i];
-                            if (_weightDecay != 0.0)
-                                g += wd * valp[i];
-                            vp[i] = mom * vp[i] + g;
-                            valp[i] -= lr * vp[i];
-                        }
-                    });
-    }
-}
-
 Adam::Adam(std::vector<Param *> params, double lr, double beta1,
            double beta2, double eps)
     : Optimizer(std::move(params)), _beta1(beta1), _beta2(beta2), _eps(eps)

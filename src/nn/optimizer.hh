@@ -1,9 +1,9 @@
 /**
  * @file
- * Optimizers. The paper trains LeCA with Adam (Sec. 5.2); SGD with
- * momentum is used for backbone pre-training.
+ * Optimizers. The paper trains LeCA with Adam (Sec. 5.2), and so does
+ * every trainer here, backbone pre-training included.
  *
- * Both honour Param::frozen: frozen parameters are never updated. Their
+ * Adam honours Param::frozen: frozen parameters are never updated. Their
  * layers still pass gradients through to upstream layers (so those can
  * learn) but compute no gradient for the frozen parameters themselves
  * (nn/param.hh), exactly reproducing the paper's frozen-backbone joint
@@ -42,21 +42,6 @@ class Optimizer
   protected:
     std::vector<Param *> _params;
     double _lr = 1e-3;
-};
-
-/** SGD with classical momentum and optional L2 weight decay. */
-class Sgd : public Optimizer
-{
-  public:
-    Sgd(std::vector<Param *> params, double lr, double momentum = 0.9,
-        double weight_decay = 0.0);
-
-    void step() override;
-
-  private:
-    double _momentum;
-    double _weightDecay;
-    std::vector<Tensor> _velocity;
 };
 
 /** Adam (Kingma & Ba) with bias correction. */

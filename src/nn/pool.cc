@@ -7,76 +7,6 @@
 namespace leca {
 
 Tensor
-MaxPool2d::forward(const Tensor &x, Mode mode)
-{
-    _inShape = x.shape();
-    if (mode == Mode::Train)
-        return maxPool2d(x, _k, &_argmax);
-    return maxPool2d(x, _k, nullptr);
-}
-
-Tensor
-MaxPool2d::backward(const Tensor &grad_out)
-{
-    LECA_CHECK(_argmax.size() == grad_out.numel(),
-               "MaxPool2d backward without forward: cached ", _argmax.size(),
-               " argmaxes, got ", grad_out.numel(), " grads");
-    Tensor dx(_inShape);
-    // Pool windows are non-overlapping (kernel == stride), so distinct
-    // outputs scatter to distinct inputs and the loop parallelizes.
-    const float *gp = grad_out.data();
-    const int *am = _argmax.data();
-    float *dp = dx.data();
-    parallelFor(0, static_cast<std::int64_t>(grad_out.numel()), 4096,
-                [&](std::int64_t i0, std::int64_t i1) {
-                    for (std::int64_t i = i0; i < i1; ++i)
-                        dp[am[i]] += gp[i];
-                });
-    _argmax.clear();
-    return dx;
-}
-
-Tensor
-AvgPool2d::forward(const Tensor &x, Mode mode)
-{
-    (void)mode;
-    _inShape = x.shape();
-    return avgPool2d(x, _k);
-}
-
-Tensor
-AvgPool2d::backward(const Tensor &grad_out)
-{
-    LECA_CHECK(!_inShape.empty(), "AvgPool2d backward without forward");
-    const int n = _inShape[0], c = _inShape[1];
-    const int h = _inShape[2], w = _inShape[3];
-    const int oh = h / _k, ow = w / _k;
-    const float inv = 1.0f / static_cast<float>(_k * _k);
-    Tensor dx(_inShape);
-    parallelFor(0, static_cast<std::int64_t>(n) * c, 1,
-                [&](std::int64_t p0, std::int64_t p1) {
-        for (std::int64_t plane = p0; plane < p1; ++plane) {
-            const float *gp = grad_out.data()
-                + static_cast<std::size_t>(plane) * oh * ow;
-            float *dp = dx.data() + static_cast<std::size_t>(plane) * h * w;
-            for (int oy = 0; oy < oh; ++oy)
-                for (int ox = 0; ox < ow; ++ox) {
-                    const float g = gp[static_cast<std::size_t>(oy) * ow + ox]
-                                    * inv;
-                    for (int ky = 0; ky < _k; ++ky) {
-                        float *row = dp
-                            + static_cast<std::size_t>(oy * _k + ky) * w
-                            + static_cast<std::size_t>(ox) * _k;
-                        for (int kx = 0; kx < _k; ++kx)
-                            row[kx] = g;
-                    }
-                }
-        }
-    });
-    return dx;
-}
-
-Tensor
 Flatten::forward(const Tensor &x, Mode mode)
 {
     (void)mode;

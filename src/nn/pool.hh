@@ -1,7 +1,7 @@
 /**
  * @file
- * Pooling layers: non-overlapping max/average pooling and global
- * average pooling (the backbone's head flattens through the latter).
+ * Pooling layers: global average pooling (the backbone's head
+ * flattens through it) and the dense-head reshape.
  */
 
 #ifndef LECA_NN_POOL_HH
@@ -10,37 +10,6 @@
 #include "nn/layer.hh"
 
 namespace leca {
-
-/** Non-overlapping (kernel == stride) max pooling. */
-class MaxPool2d : public Layer
-{
-  public:
-    explicit MaxPool2d(int k) : _k(k) {}
-
-    Tensor forward(const Tensor &x, Mode mode) override;
-    Tensor backward(const Tensor &grad_out) override;
-    int kernel() const { return _k; }
-
-  private:
-    int _k;
-    std::vector<int> _argmax;
-    std::vector<int> _inShape;
-};
-
-/** Non-overlapping average pooling. */
-class AvgPool2d : public Layer
-{
-  public:
-    explicit AvgPool2d(int k) : _k(k) {}
-
-    Tensor forward(const Tensor &x, Mode mode) override;
-    Tensor backward(const Tensor &grad_out) override;
-    int kernel() const { return _k; }
-
-  private:
-    int _k;
-    std::vector<int> _inShape;
-};
 
 /** [N,C,H,W] -> [N, C*H*W] reshape (for dense heads). */
 class Flatten : public Layer

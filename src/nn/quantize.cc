@@ -56,46 +56,4 @@ quantizeTensor(const Tensor &x, float lo, float hi, int levels)
     return y;
 }
 
-SteQuantizer::SteQuantizer(QBits qbits, float lo, float hi)
-    : _qbits(qbits), _lo(lo), _hi(hi)
-{
-}
-
-Tensor
-SteQuantizer::forward(const Tensor &x, Mode mode)
-{
-    const int levels = _qbits.levels();
-    Tensor y(x.shape());
-    if (mode == Mode::Train)
-        _inside.assign(x.numel(), 0);
-    parallelFor(0, static_cast<std::int64_t>(x.numel()), 4096,
-                [&](std::int64_t i0, std::int64_t i1) {
-                    for (std::int64_t i = i0; i < i1; ++i) {
-                        const std::size_t p = static_cast<std::size_t>(i);
-                        y[p] = quantizeUniform(x[p], _lo, _hi, levels);
-                        if (mode == Mode::Train)
-                            _inside[p] = x[p] >= _lo && x[p] <= _hi;
-                    }
-                });
-    return y;
-}
-
-Tensor
-SteQuantizer::backward(const Tensor &grad_out)
-{
-    LECA_CHECK(_inside.size() == grad_out.numel(),
-               "SteQuantizer backward without forward: cached ",
-               _inside.size(), " flags, got ", grad_out.numel(), " grads");
-    Tensor dx(grad_out.shape());
-    parallelFor(0, static_cast<std::int64_t>(grad_out.numel()), 4096,
-                [&](std::int64_t i0, std::int64_t i1) {
-                    for (std::int64_t i = i0; i < i1; ++i) {
-                        const std::size_t p = static_cast<std::size_t>(i);
-                        dx[p] = _inside[p] ? grad_out[p] : 0.0f;
-                    }
-                });
-    _inside.clear();
-    return dx;
-}
-
 } // namespace leca

@@ -11,9 +11,7 @@
 #ifndef LECA_NN_QUANTIZE_HH
 #define LECA_NN_QUANTIZE_HH
 
-#include <vector>
-
-#include "nn/layer.hh"
+#include "tensor/tensor.hh"
 
 namespace leca {
 
@@ -53,32 +51,6 @@ float quantizeUniform(float x, float lo, float hi, int levels);
 
 /** Elementwise round-trip quantization of a tensor. */
 Tensor quantizeTensor(const Tensor &x, float lo, float hi, int levels);
-
-/**
- * Straight-through-estimator quantization layer (Eq. (2) of the paper):
- * forward emits the quantized value; backward passes the gradient
- * through unchanged inside [lo, hi] and zero outside (clipped STE).
- */
-class SteQuantizer : public Layer
-{
-  public:
-    SteQuantizer(QBits qbits, float lo, float hi);
-
-    Tensor forward(const Tensor &x, Mode mode) override;
-    Tensor backward(const Tensor &grad_out) override;
-
-    QBits qbits() const { return _qbits; }
-
-    /** Change the bit depth (the incremental-Qbit training schedule). */
-    void setQbits(QBits q) { _qbits = q; }
-
-  private:
-    QBits _qbits;
-    float _lo, _hi;
-    // unsigned char, not bool: vector<bool> packs bits, so parallel
-    // writes to distinct elements would race on shared bytes.
-    std::vector<unsigned char> _inside;
-};
 
 } // namespace leca
 

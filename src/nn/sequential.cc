@@ -128,15 +128,8 @@ Sequential::planQuantized()
         }
         QuantStep st;
         st.layer = l;
-        if (auto *mp = dynamic_cast<MaxPool2d *>(l)) {
-            st.kind = QuantStep::Kind::PoolMax;
-            st.poolK = mp->kernel();
-        } else if (auto *ap = dynamic_cast<AvgPool2d *>(l)) {
-            st.kind = QuantStep::Kind::PoolAvg;
-            st.poolK = ap->kernel();
-        } else if (dynamic_cast<GlobalAvgPool *>(l) != nullptr) {
+        if (dynamic_cast<GlobalAvgPool *>(l) != nullptr)
             st.kind = QuantStep::Kind::Gap;
-        }
         steps.push_back(st);
         ++i;
     }
@@ -180,8 +173,6 @@ Sequential::planQuantized()
     const auto consumesQuant = [](QuantStep::Kind k) {
         return k == QuantStep::Kind::ConvResident
                || k == QuantStep::Kind::Residual
-               || k == QuantStep::Kind::PoolMax
-               || k == QuantStep::Kind::PoolAvg
                || k == QuantStep::Kind::Gap;
     };
     bool any_resident = false;
@@ -194,16 +185,12 @@ Sequential::planQuantized()
                              && consumesQuant(steps[s + 1].kind);
         any_resident = any_resident || can_emit;
     }
-    // Pools only pool over codes when a resident producer feeds them;
-    // otherwise they run their plain fp32 forward.
-    for (std::size_t s = 0; s < steps.size(); ++s) {
-        const QuantStep::Kind k = steps[s].kind;
-        const bool pool = k == QuantStep::Kind::PoolMax
-                          || k == QuantStep::Kind::PoolAvg
-                          || k == QuantStep::Kind::Gap;
-        if (pool && !(s > 0 && steps[s - 1].emitQuant))
+    // GAP only pools over codes when a resident producer feeds it;
+    // otherwise it runs its plain fp32 forward.
+    for (std::size_t s = 0; s < steps.size(); ++s)
+        if (steps[s].kind == QuantStep::Kind::Gap
+            && !(s > 0 && steps[s - 1].emitQuant))
             steps[s].kind = QuantStep::Kind::Plain;
-    }
     if (any_resident)
         _plan = std::move(steps);
 }
@@ -350,20 +337,6 @@ Sequential::forwardPlanned(const Tensor &x)
                 cur = std::move(out);
                 resident = false;
             }
-            break;
-          }
-          case QuantStep::Kind::PoolMax: {
-            Tensor out({qa.n, qa.c, qa.h / st.poolK, qa.w / st.poolK});
-            maxPoolResident(qa, st.poolK, out.data());
-            cur = std::move(out);
-            resident = false;
-            break;
-          }
-          case QuantStep::Kind::PoolAvg: {
-            Tensor out({qa.n, qa.c, qa.h / st.poolK, qa.w / st.poolK});
-            avgPoolResident(qa, st.poolK, out.data());
-            cur = std::move(out);
-            resident = false;
             break;
           }
           case QuantStep::Kind::Gap: {

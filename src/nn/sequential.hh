@@ -34,8 +34,8 @@ inline constexpr int kResidentMinCin = 16;
  * quantize()/loadQuantized() time — never per forward (DESIGN.md §13).
  * ConvResident folds a following BatchNorm2d (eval affine) and Relu
  * into the conv epilogue; Residual delegates to
- * ResidualBlock::forwardResident; the pool kinds pool straight over
- * resident codes; Plain runs the layer's normal forward on fp32.
+ * ResidualBlock::forwardResident; Gap pools straight over resident
+ * codes; Plain runs the layer's normal forward on fp32.
  * emitQuant: leave the step's output resident for the next step.
  */
 struct QuantStep
@@ -45,8 +45,6 @@ struct QuantStep
         Plain,
         ConvResident,
         Residual,
-        PoolMax,
-        PoolAvg,
         Gap,
         /** Fp32 producer -> resident consumer boundary with the
          *  intervening BatchNorm/ReLU fused into the entry quantize
@@ -54,12 +52,11 @@ struct QuantStep
         FusedEntry
     };
     Kind kind = Kind::Plain;
-    Layer *layer = nullptr;    //!< Plain/Residual/pool target
+    Layer *layer = nullptr;    //!< Plain/Residual/Gap target
     Conv2d *conv = nullptr;    //!< ConvResident only
     BatchNorm2d *bn = nullptr; //!< folded into the epilogue (may be null)
     bool relu = false;         //!< folded trailing ReLU
     bool emitQuant = false;    //!< output stays resident int8
-    int poolK = 0;             //!< PoolMax/PoolAvg kernel
 };
 
 /** Runs child layers in order; backward runs them in reverse. */
@@ -105,7 +102,7 @@ class Sequential : public Layer
      */
     void planQuantized();
 
-    bool hasQuantPlan() const { return !_plan.empty(); }
+    // leca-analyze: keep: test hook — the planner tests read the plan
     const std::vector<QuantStep> &quantPlan() const { return _plan; }
 
   private:

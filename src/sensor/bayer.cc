@@ -4,18 +4,6 @@
 
 namespace leca {
 
-BayerColor
-bayerColorAt(int y, int x)
-{
-    const bool odd_row = (y & 1) != 0;
-    const bool odd_col = (x & 1) != 0;
-    if (!odd_row && !odd_col)
-        return BayerColor::R;
-    if (odd_row && odd_col)
-        return BayerColor::B;
-    return BayerColor::G;
-}
-
 Tensor
 mosaic(const Tensor &rgb)
 {
@@ -31,71 +19,6 @@ mosaic(const Tensor &rgb)
         }
     }
     return raw;
-}
-
-Tensor
-demosaicCollapse(const Tensor &raw)
-{
-    LECA_CHECK(raw.dim() == 2 && raw.size(0) % 2 == 0 &&
-                raw.size(1) % 2 == 0, "demosaicCollapse expects even [V,H]");
-    const int h = raw.size(0) / 2, w = raw.size(1) / 2;
-    Tensor rgb({3, h, w});
-    for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-            rgb.at(0, y, x) = raw.at(2 * y, 2 * x);
-            rgb.at(1, y, x) = 0.5f * (raw.at(2 * y, 2 * x + 1) +
-                                      raw.at(2 * y + 1, 2 * x));
-            rgb.at(2, y, x) = raw.at(2 * y + 1, 2 * x + 1);
-        }
-    }
-    return rgb;
-}
-
-namespace {
-
-/** Average the in-bounds neighbours of (y, x) that match @p want. */
-float
-neighbourAverage(const Tensor &raw, int y, int x, BayerColor want)
-{
-    static const int offsets[8][2] = {
-        {-1, -1}, {-1, 0}, {-1, 1}, {0, -1},
-        {0, 1},   {1, -1}, {1, 0},  {1, 1},
-    };
-    const int v = raw.size(0), h = raw.size(1);
-    float sum = 0.0f;
-    int count = 0;
-    for (const auto &off : offsets) {
-        const int ny = y + off[0], nx = x + off[1];
-        if (ny < 0 || ny >= v || nx < 0 || nx >= h)
-            continue;
-        if (bayerColorAt(ny, nx) != want)
-            continue;
-        sum += raw.at(ny, nx);
-        ++count;
-    }
-    return count ? sum / static_cast<float>(count) : 0.0f;
-}
-
-} // namespace
-
-Tensor
-demosaicBilinear(const Tensor &raw)
-{
-    LECA_CHECK(raw.dim() == 2, "demosaicBilinear expects [V,H]");
-    const int v = raw.size(0), h = raw.size(1);
-    Tensor rgb({3, v, h});
-    for (int y = 0; y < v; ++y) {
-        for (int x = 0; x < h; ++x) {
-            const BayerColor own = bayerColorAt(y, x);
-            for (int c = 0; c < 3; ++c) {
-                const BayerColor want = static_cast<BayerColor>(c);
-                rgb.at(c, y, x) = (own == want)
-                                      ? raw.at(y, x)
-                                      : neighbourAverage(raw, y, x, want);
-            }
-        }
-    }
-    return rgb;
 }
 
 } // namespace leca

@@ -15,30 +15,11 @@
 
 namespace leca {
 
-/** Colour of a raw Bayer site. */
-enum class BayerColor { R, G, B };
-
-/** RGGB pattern lookup: colour of raw site (y, x). */
-BayerColor bayerColorAt(int y, int x);
-
 /**
  * Mosaic an RGB image [3,H,W] into a raw Bayer frame [2H,2W]
  * (both green sites take the pixel's green value).
  */
 Tensor mosaic(const Tensor &rgb);
-
-/**
- * Exact inverse of mosaic(): collapse a raw [2H,2W] frame back to
- * [3,H,W], averaging the two green sites.
- */
-Tensor demosaicCollapse(const Tensor &raw);
-
-/**
- * Conventional bilinear demosaicing to full raw resolution [3,2H,2W]
- * (the human-centric ISP path of Fig. 1; used by the CNV baseline when
- * full-resolution output is requested).
- */
-Tensor demosaicBilinear(const Tensor &raw);
 
 } // namespace leca
 

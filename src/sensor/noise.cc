@@ -43,11 +43,4 @@ PixelNoiseModel::apply(const Tensor &image, Rng &rng) const
     return out;
 }
 
-double
-PixelNoiseModel::shotSigma(double x) const
-{
-    const double full = _config.fullWellElectrons;
-    return std::sqrt(std::max(0.0, x) * full) / full;
-}
-
 } // namespace leca

@@ -31,9 +31,6 @@ class PixelNoiseModel
     /** Noisy copy of a whole tensor of intensities. */
     Tensor apply(const Tensor &image, Rng &rng) const;
 
-    /** Expected shot-noise sigma (in intensity units) at intensity x. */
-    double shotSigma(double x) const;
-
     const SensorConfig &config() const { return _config; }
 
   private:

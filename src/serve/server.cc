@@ -32,13 +32,6 @@ FrameTicket::done() const
     return _ready;
 }
 
-bool
-FrameTicket::pending() const
-{
-    MutexLock lock(_mutex);
-    return _pending;
-}
-
 void
 FrameTicket::arm(std::uint64_t session, std::uint64_t frame_index)
 {

@@ -126,9 +126,6 @@ class FrameTicket
     /** True when a result is ready (non-blocking). */
     bool done() const LECA_EXCLUDES(_mutex);
 
-    /** True between submit() and completion. */
-    bool pending() const LECA_EXCLUDES(_mutex);
-
   private:
     friend class Server;
 

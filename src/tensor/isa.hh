@@ -50,6 +50,7 @@ bool hostSupportsKernelSet(const KernelSet &set);
  * snapshot taken at each kernel entry). The caller must ensure the
  * host supports the set.
  */
+// leca-analyze: keep: test hook — pins a KernelSet for the cross-ISA tests
 class ScopedKernelOverride
 {
   public:

@@ -678,6 +678,7 @@ im2colRaw(const float *src, int c, int h, int w, int kh, int kw,
     }
 }
 
+// leca-analyze: keep: test reference — the dX fold's adjoint
 void
 col2imRaw(const float *cols, int channels, int height, int width, int kh,
           int kw, int stride, int pad, float *dst)

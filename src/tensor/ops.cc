@@ -70,22 +70,6 @@ im2col(const Tensor &image, int kh, int kw, int stride, int pad)
 }
 
 Tensor
-col2im(const Tensor &cols, int channels, int height, int width, int kh,
-       int kw, int stride, int pad)
-{
-    const int oh = convOutSize(height, kh, stride, pad);
-    const int ow = convOutSize(width, kw, stride, pad);
-    LECA_CHECK(cols.dim() == 2 && cols.size(0) == channels * kh * kw
-                   && cols.size(1) == oh * ow,
-               "col2im shape mismatch: got ", detail::formatShape(cols.shape()),
-               ", expected [", channels * kh * kw, ", ", oh * ow, "]");
-    Tensor image({channels, height, width});
-    col2imRaw(cols.data(), channels, height, width, kh, kw, stride, pad,
-              image.data());
-    return image;
-}
-
-Tensor
 conv2d(const Tensor &x, const Tensor &weight, const Tensor &bias, int stride,
        int pad)
 {
@@ -100,90 +84,6 @@ conv2d(const Tensor &x, const Tensor &weight, const Tensor &bias, int stride,
     Tensor y({n, cout, g.oh(), g.ow()});
     convForward(g, n, x.data(), weight.data(),
                 bias.numel() > 0 ? bias.data() : nullptr, y.data());
-    return y;
-}
-
-Tensor
-avgPool2d(const Tensor &x, int k)
-{
-    LECA_CHECK(x.dim() == 4, "avgPool2d expects [N,C,H,W], got ",
-               detail::formatShape(x.shape()));
-    const int n = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
-    LECA_CHECK(h % k == 0 && w % k == 0, "avgPool2d requires ", h, "x", w,
-               " divisible by ", k);
-    const int oh = h / k, ow = w / k;
-    Tensor y({n, c, oh, ow});
-    const float inv = 1.0f / static_cast<float>(k * k);
-    const float *px = x.data();
-    float *py = y.data();
-    parallelFor(0, static_cast<std::int64_t>(n) * c, 1,
-                [&](std::int64_t p0, std::int64_t p1) {
-        for (std::int64_t p = p0; p < p1; ++p) {
-            const float *plane = px + p * h * w;
-            float *drow = py + p * oh * ow;
-            for (std::int64_t oy = 0; oy < oh; ++oy) {
-                for (std::int64_t ox = 0; ox < ow; ++ox) {
-                    float acc = 0.0f;
-                    const float *win = plane + oy * k * w + ox * k;
-                    for (int ky = 0; ky < k; ++ky) {
-                        const float *row = win + static_cast<std::int64_t>(ky) * w;
-                        for (int kx = 0; kx < k; ++kx)
-                            acc += row[kx];
-                    }
-                    drow[oy * ow + ox] = acc * inv;
-                }
-            }
-        }
-    });
-    return y;
-}
-
-Tensor
-maxPool2d(const Tensor &x, int k, std::vector<int> *argmax)
-{
-    LECA_CHECK(x.dim() == 4, "maxPool2d expects [N,C,H,W], got ",
-               detail::formatShape(x.shape()));
-    const int n = x.size(0), c = x.size(1), h = x.size(2), w = x.size(3);
-    LECA_CHECK(h % k == 0 && w % k == 0, "maxPool2d requires ", h, "x", w,
-               " divisible by ", k);
-    const int oh = h / k, ow = w / k;
-    Tensor y({n, c, oh, ow});
-    if (argmax)
-        argmax->assign(y.numel(), 0);
-    const float *px = x.data();
-    float *py = y.data();
-    parallelFor(0, static_cast<std::int64_t>(n) * c, 1,
-                [&](std::int64_t p0, std::int64_t p1) {
-        for (std::int64_t p = p0; p < p1; ++p) {
-            // Plane-relative pointers; flat indices derived from the
-            // plane index so (image, channel) pairs stay independent.
-            const float *plane = px + p * h * w;
-            const std::int64_t in_base = p * h * w;
-            std::int64_t out_idx = p * oh * ow;
-            for (std::int64_t oy = 0; oy < oh; ++oy) {
-                for (std::int64_t ox = 0; ox < ow; ++ox, ++out_idx) {
-                    float best = -std::numeric_limits<float>::infinity();
-                    std::int64_t best_at = 0;
-                    const float *win = plane + oy * k * w + ox * k;
-                    for (int ky = 0; ky < k; ++ky) {
-                        const float *row =
-                            win + static_cast<std::int64_t>(ky) * w;
-                        for (int kx = 0; kx < k; ++kx) {
-                            if (row[kx] > best) {
-                                best = row[kx];
-                                best_at = in_base + (oy * k + ky) * w
-                                          + ox * k + kx;
-                            }
-                        }
-                    }
-                    py[out_idx] = best;
-                    if (argmax)
-                        (*argmax)[static_cast<std::size_t>(out_idx)] =
-                            static_cast<int>(best_at);
-                }
-            }
-        }
-    });
     return y;
 }
 

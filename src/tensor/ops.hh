@@ -1,7 +1,7 @@
 /**
  * @file
- * Numeric ops over Tensor: matrix multiply variants, im2col/col2im,
- * convolution, pooling, and resampling. These are the only hot loops in
+ * Numeric ops over Tensor: matrix multiply variants, im2col, convolution,
+ * global pooling, and resampling. These are the only hot loops in
  * the training framework; everything in nn/ composes them. The dense
  * inner kernels (packed blocked GEMM, the fp32 conv engine) live in
  * tensor/kernels.hh; this layer adds Tensor shapes and contracts.
@@ -31,14 +31,6 @@ Tensor matmulTransB(const Tensor &a, const Tensor &b);
  */
 Tensor im2col(const Tensor &image, int kh, int kw, int stride, int pad);
 
-/**
- * Fold convolution columns back into an image, accumulating overlaps.
- * Exact adjoint of im2col; used for conv backward-data and transposed
- * convolution.
- */
-Tensor col2im(const Tensor &cols, int channels, int height, int width,
-              int kh, int kw, int stride, int pad);
-
 /** Output spatial extent of a convolution along one axis. */
 int convOutSize(int in, int k, int stride, int pad);
 
@@ -52,12 +44,6 @@ int convOutSize(int in, int k, int stride, int pad);
  */
 Tensor conv2d(const Tensor &x, const Tensor &weight, const Tensor &bias,
               int stride, int pad);
-
-/** Batched average pooling with kernel=stride (non-overlapping blocks). */
-Tensor avgPool2d(const Tensor &x, int k);
-
-/** Batched max pooling with kernel=stride; optionally records argmaxes. */
-Tensor maxPool2d(const Tensor &x, int k, std::vector<int> *argmax = nullptr);
 
 /** Global average pool: [N,C,H,W] -> [N,C]. */
 Tensor globalAvgPool(const Tensor &x);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
-#include <limits>
 
 #include "tensor/isa.hh"
 #include "util/arena.hh"
@@ -468,104 +467,10 @@ convForwardResident(const QuantActivation &in, int kh, int kw, int stride,
     });
 }
 
-// The three pass-through pools below mirror ops.cc's candidate orders
-// exactly (maxPool2d: ky,kx ascending with strict >; avgPool2d: sum
-// over ky,kx then one multiply by 1/(k·k); globalAvgPool: ascending
-// pixels then one multiply by 1/(h·w)), and every candidate is the
-// exact fp32 product q·s — so each is bit-identical to running the
+// The pass-through global pool mirrors ops.cc's globalAvgPool exactly
+// (ascending pixels, then one multiply by 1/(h·w)) and every summand is
+// the exact fp32 product q·s, so it is bit-identical to running the
 // fp32 pool on dequantizeActivationNchw's output (DESIGN.md §13).
-
-// leca-analyze: entry
-void
-maxPoolResident(const QuantActivation &act, int k, float *out_planes)
-{
-    const int c = act.c, h = act.h, w = act.w;
-    LECA_CHECK(h % k == 0 && w % k == 0, "maxPoolResident: ", h, "x", w,
-               " not divisible by ", k);
-    const int oh = h / k, ow = w / k;
-    const std::int64_t hw = static_cast<std::int64_t>(h) * w;
-    const std::int64_t ohow = static_cast<std::int64_t>(oh) * ow;
-    const std::int64_t nbc = act.nbc();
-    const std::int64_t cpad = nbc * kQuantBlock;
-    const std::int64_t total = static_cast<std::int64_t>(act.n) * ohow;
-    const std::int64_t grain = std::max<std::int64_t>(
-        1, (1 << 12) / std::max<std::int64_t>(1, c * k * k));
-    const simd::DequantizeRowFn dequant = activeKernels().dequantizeRow;
-    parallelFor(0, total, grain, [&](std::int64_t p0, std::int64_t p1) {
-        Arena::Scope scope;
-        Arena &arena = Arena::local();
-        float *rowbuf = arena.alloc(static_cast<std::size_t>(c));
-        float *best = arena.alloc(static_cast<std::size_t>(c));
-        for (std::int64_t p = p0; p < p1; ++p) {
-            const std::int64_t img = p / ohow;
-            const std::int64_t rem = p - img * ohow;
-            const int oy = static_cast<int>(rem / ow);
-            const int ox = static_cast<int>(rem % ow);
-            for (int ch = 0; ch < c; ++ch)
-                best[ch] = -std::numeric_limits<float>::infinity();
-            for (int ky = 0; ky < k; ++ky) {
-                const int iy = oy * k + ky;
-                for (int kx = 0; kx < k; ++kx) {
-                    const int ix = ox * k + kx;
-                    const std::int64_t src = img * hw + iy * w + ix;
-                    dequant(act.q + src * cpad, act.scales + src * nbc, c,
-                            rowbuf);
-                    for (int ch = 0; ch < c; ++ch)
-                        if (rowbuf[ch] > best[ch])
-                            best[ch] = rowbuf[ch];
-                }
-            }
-            for (int ch = 0; ch < c; ++ch)
-                out_planes[(img * c + ch) * ohow + rem] = best[ch];
-        }
-    });
-}
-
-// leca-analyze: entry
-void
-avgPoolResident(const QuantActivation &act, int k, float *out_planes)
-{
-    const int c = act.c, h = act.h, w = act.w;
-    LECA_CHECK(h % k == 0 && w % k == 0, "avgPoolResident: ", h, "x", w,
-               " not divisible by ", k);
-    const int oh = h / k, ow = w / k;
-    const std::int64_t hw = static_cast<std::int64_t>(h) * w;
-    const std::int64_t ohow = static_cast<std::int64_t>(oh) * ow;
-    const std::int64_t nbc = act.nbc();
-    const std::int64_t cpad = nbc * kQuantBlock;
-    const std::int64_t total = static_cast<std::int64_t>(act.n) * ohow;
-    const float inv = 1.0f / static_cast<float>(k * k);
-    const std::int64_t grain = std::max<std::int64_t>(
-        1, (1 << 12) / std::max<std::int64_t>(1, c * k * k));
-    const simd::DequantizeRowFn dequant = activeKernels().dequantizeRow;
-    parallelFor(0, total, grain, [&](std::int64_t p0, std::int64_t p1) {
-        Arena::Scope scope;
-        Arena &arena = Arena::local();
-        float *rowbuf = arena.alloc(static_cast<std::size_t>(c));
-        float *acc = arena.alloc(static_cast<std::size_t>(c));
-        for (std::int64_t p = p0; p < p1; ++p) {
-            const std::int64_t img = p / ohow;
-            const std::int64_t rem = p - img * ohow;
-            const int oy = static_cast<int>(rem / ow);
-            const int ox = static_cast<int>(rem % ow);
-            for (int ch = 0; ch < c; ++ch)
-                acc[ch] = 0.0f;
-            for (int ky = 0; ky < k; ++ky) {
-                const int iy = oy * k + ky;
-                for (int kx = 0; kx < k; ++kx) {
-                    const int ix = ox * k + kx;
-                    const std::int64_t src = img * hw + iy * w + ix;
-                    dequant(act.q + src * cpad, act.scales + src * nbc, c,
-                            rowbuf);
-                    for (int ch = 0; ch < c; ++ch)
-                        acc[ch] += rowbuf[ch];
-                }
-            }
-            for (int ch = 0; ch < c; ++ch)
-                out_planes[(img * c + ch) * ohow + rem] = acc[ch] * inv;
-        }
-    });
-}
 
 // leca-analyze: entry
 void

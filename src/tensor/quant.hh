@@ -273,16 +273,13 @@ void convForwardResident(const QuantActivation &in, int kh, int kw,
                          float *out_s, float *out_rows, float *out_planes);
 
 /**
- * Pooling straight over resident codes (the "pass-through" pools):
- * each candidate value is dequantized on the fly as the exact fp32
- * product q·s, so the result is bit-identical to pooling the
+ * Global average pooling straight over resident codes (the
+ * "pass-through" pool): each summand is dequantized on the fly as the
+ * exact fp32 product q·s, so the result is bit-identical to pooling the
  * dequantized tensor — pooling over codes adds NO quantization error
- * (DESIGN.md §13). Outputs are fp32 NCHW planes (max/avg) or [n, c]
- * rows (global): pooling mixes pixels with different scales, so its
- * output is a precision boundary by construction.
+ * (DESIGN.md §13). The output is fp32 [n, c] rows: pooling mixes pixels
+ * with different scales, so it is a precision boundary by construction.
  */
-void maxPoolResident(const QuantActivation &act, int k, float *out_planes);
-void avgPoolResident(const QuantActivation &act, int k, float *out_planes);
 void globalAvgPoolResident(const QuantActivation &act, float *out);
 
 } // namespace leca

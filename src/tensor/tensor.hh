@@ -70,9 +70,6 @@ class Tensor
     static Tensor borrow(std::initializer_list<int> shape,
                          const float *data);
 
-    /** True when this tensor is a non-owning borrow() view. */
-    bool borrowed() const { return _borrowed != nullptr; }
-
     Tensor(const Tensor &other);
     Tensor &operator=(const Tensor &other);
     Tensor(Tensor &&other) noexcept = default;
@@ -135,12 +132,6 @@ class Tensor
 
     /** reshape(), brace form: x.reshape({n, -1}). */
     Tensor reshape(std::initializer_list<int> new_shape) const;
-
-    /** True if both tensors have identical shape. */
-    bool sameShape(const Tensor &other) const
-    {
-        return _shape == other._shape;
-    }
 
     /** In-place elementwise accumulate; shapes must match. */
     Tensor &operator+=(const Tensor &other);

@@ -90,12 +90,14 @@ allocateAlignedOrHandle(std::size_t size, std::size_t alignment)
 } // namespace
 } // namespace alloc_detail
 
+// leca-analyze: keep: test hook — alloc-guard tests skip when compiled out
 bool
 allocGuardEnabled()
 {
     return true;
 }
 
+// leca-analyze: keep: test hook — alloc-guard counter
 std::uint64_t
 totalHeapAllocs()
 {
@@ -289,12 +291,14 @@ operator delete[](void *ptr, std::align_val_t,
 
 namespace leca {
 
+// leca-analyze: keep: test hook — alloc-guard tests skip when compiled out
 bool
 allocGuardEnabled()
 {
     return false;
 }
 
+// leca-analyze: keep: test hook — alloc-guard counter
 std::uint64_t
 totalHeapAllocs()
 {

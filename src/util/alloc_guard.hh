@@ -57,6 +57,7 @@ std::uint64_t totalDenyViolations();
  * thread-local deny would miss exactly the allocations we care about.
  * Scopes nest; the deny is active while at least one is open.
  */
+// leca-analyze: keep: test hook — the steady-state zero-allocation tests
 class DenyAllocScope
 {
   public:

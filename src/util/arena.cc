@@ -124,6 +124,7 @@ Arena::capacityFloats() const
     return total;
 }
 
+// leca-analyze: keep: test hook — Arena counter
 std::uint64_t
 Arena::totalBlockAllocs()
 {
@@ -136,6 +137,7 @@ Arena::maxHighWaterFloats()
     return g_maxHighWater.load(std::memory_order_relaxed);
 }
 
+// leca-analyze: keep: test hook — warms every worker before a DenyAllocScope
 // leca-analyze: cold — deliberate pre-warming growth (see header)
 void
 warmPoolArenas()

@@ -78,9 +78,11 @@ class Arena
     }
 
     /** Floats currently handed out (rounded sizes). */
+    // leca-analyze: keep: test hook — Arena counter
     std::size_t liveFloats() const { return _live; }
 
     /** Largest liveFloats() ever observed on this arena. */
+    // leca-analyze: keep: test hook — Arena counter
     std::size_t highWaterFloats() const { return _highWater; }
 
     /** Largest highWaterFloats() ever observed on ANY thread's arena

@@ -5,7 +5,7 @@
  * std::function type-erases by value: constructing one from a lambda
  * whose captures exceed the small-buffer budget (16 bytes in libstdc++)
  * heap-allocates — which put one hidden allocation on *every*
- * parallelFor / parallelReduce call and therefore inside every hot
+ * parallelFor call and therefore inside every hot
  * kernel (found by tools/leca_analyze.py check `hidden-alloc` and the
  * DenyAllocScope guards; see DESIGN.md §11). FunctionRef erases by
  * reference instead: it stores one void* to the callable and one thunk
@@ -14,7 +14,7 @@
  * Lifetime contract: a FunctionRef does not extend the callable's
  * lifetime. It is only safe where the callable provably outlives every
  * invocation — synchronous APIs that finish before returning, like
- * leca::parallelFor, leca::parallelReduce and the pool's runChunks.
+ * leca::parallelFor and the pool's runChunks.
  * Anything that stores a callable beyond the call (AsyncTask,
  * ServiceThread) keeps taking std::function by value.
  */

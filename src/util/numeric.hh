@@ -43,26 +43,6 @@ roundToInt(F value)
     return static_cast<int>(rounded);
 }
 
-/** Round toward negative infinity, then narrow to int. */
-template <typename F>
-inline int
-floorToInt(F value)
-{
-    const F floored = std::floor(value);
-    detail::dcheckIntRange(floored);
-    return static_cast<int>(floored);
-}
-
-/** Round toward positive infinity, then narrow to int. */
-template <typename F>
-inline int
-ceilToInt(F value)
-{
-    const F ceiled = std::ceil(value);
-    detail::dcheckIntRange(ceiled);
-    return static_cast<int>(ceiled);
-}
-
 /** Truncate toward zero (the C++ default), made explicit. */
 template <typename F>
 inline int

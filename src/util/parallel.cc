@@ -308,6 +308,7 @@ threadCount()
     return ThreadPool::instance().threads();
 }
 
+// leca-analyze: keep: test hook — the cross-thread bit-identity tests
 void
 setThreadCount(int threads)
 {

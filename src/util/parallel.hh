@@ -5,20 +5,16 @@
  * A single lazily-initialized global thread pool (sized from the
  * LECA_THREADS environment variable, default hardware_concurrency,
  * 1 = fully serial) executes every data-parallel loop in the
- * tensor/nn/compression/sensor stack through two primitives:
+ * tensor/nn/compression/sensor stack through one primitive:
  *
  *   parallelFor(begin, end, grain, fn)     — disjoint-write loops
- *   parallelReduce(begin, end, grain, ...) — ordered combination of
- *                                            per-chunk partials
  *
  * Determinism policy (see DESIGN.md): results are bit-identical for
  * every thread count. parallelFor guarantees this as long as distinct
  * indices write distinct locations, because the work decomposition
  * (chunking by @p grain) never depends on how many threads execute it.
- * parallelReduce evaluates one partial per chunk and combines them on
- * the calling thread in ascending chunk order, so floating-point
- * summation order is fixed; with grain == 1 the result is bit-identical
- * to the plain serial accumulation loop it replaces.
+ * A reduction writes one partial per fixed chunk and folds them on the
+ * calling thread in ascending chunk order.
  *
  * Stochastic loops must not share one Rng across indices — pre-split
  * child streams with Rng::split() (util/rng.hh) before the parallel
@@ -28,7 +24,7 @@
  * (enforced by tools/leca_lint.py rule `concurrency-primitive`); all
  * concurrency flows through this one audited primitive.
  *
- * Allocation note: parallelFor / parallelReduce / runChunks take the
+ * Allocation note: parallelFor / runChunks take the
  * loop body as a leca::FunctionRef (util/function_ref.hh), not a
  * std::function — the callable is only invoked synchronously, so the
  * non-owning reference is safe and the hot path stays heap-free (a
@@ -91,36 +87,6 @@ void parallelFor(std::int64_t begin, std::int64_t end, std::int64_t grain,
                  FunctionRef<void(std::int64_t, std::int64_t)> fn);
 
 /**
- * Deterministic reduction: evaluates chunk(chunk_begin, chunk_end) -> T
- * for each grain-sized chunk of [begin, end) in parallel, then folds
- * the partials with combine(acc, partial) in ascending chunk order on
- * the calling thread. Because the chunk boundaries and the combination
- * order are fixed, the result is bit-identical for every thread count;
- * with grain == 1 it is additionally bit-identical to the serial loop
- *     for (i : [begin, end)) acc = combine(acc, chunk(i, i + 1));
- */
-template <typename T, typename ChunkFn, typename CombineFn>
-T
-parallelReduce(std::int64_t begin, std::int64_t end, std::int64_t grain,
-               T init, const ChunkFn &chunk, const CombineFn &combine)
-{
-    const std::int64_t n = end - begin;
-    if (n <= 0)
-        return init;
-    const std::int64_t chunks = detail::chunkCount(n, grain);
-    std::vector<T> partials(static_cast<std::size_t>(chunks));
-    detail::runChunks(chunks, [&](std::int64_t c) {
-        const std::int64_t lo = begin + c * grain;
-        const std::int64_t hi = lo + grain < end ? lo + grain : end;
-        partials[static_cast<std::size_t>(c)] = chunk(lo, hi);
-    });
-    T acc = std::move(init);
-    for (auto &partial : partials)
-        acc = combine(std::move(acc), std::move(partial));
-    return acc;
-}
-
-/**
  * Run @p fn once on the calling thread AND once on every pool worker,
  * with a barrier: no participant returns from fn's chunk until every
  * participant has finished fn. The barrier is what makes participation
@@ -167,9 +133,6 @@ class AsyncTask
     /** Launch fn in the background. A task must not already be pending. */
     void run(std::function<void()> fn);
 
-    /** True between run() and the matching wait(). */
-    bool pending() const { return _running; }
-
     /** Join the task and rethrow the exception it raised, if any. */
     void wait();
 
@@ -204,9 +167,6 @@ class ServiceThread
 
     /** Launch fn. The thread must not already be running. */
     void start(std::function<void()> fn);
-
-    /** True between start() and the matching join(). */
-    bool running() const { return _running; }
 
     /** Join the thread and rethrow the exception it raised, if any. */
     void join();

@@ -66,22 +66,6 @@ Table::print(std::ostream &os) const
 }
 
 void
-Table::printCsv(std::ostream &os) const
-{
-    auto emit_row = [&](const std::vector<std::string> &row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                os << ",";
-            os << row[c];
-        }
-        os << "\n";
-    };
-    emit_row(_headers);
-    for (const auto &row : _rows)
-        emit_row(row);
-}
-
-void
 printBanner(std::ostream &os, const std::string &title)
 {
     os << "\n=== " << title << " ===\n";

@@ -1,6 +1,6 @@
 /**
  * @file
- * Plain-text table and CSV emission used by the benchmark harnesses to
+ * Plain-text table emission used by the benchmark harnesses to
  * print the rows/series of each reproduced paper table and figure.
  */
 
@@ -14,8 +14,8 @@
 namespace leca {
 
 /**
- * Accumulates rows of strings and renders them as an aligned text table
- * or as CSV. Cell helpers format doubles with a fixed precision.
+ * Accumulates rows of strings and renders them as an aligned text
+ * table. Cell helpers format doubles with a fixed precision.
  */
 class Table
 {
@@ -34,12 +34,6 @@ class Table
 
     /** Render with aligned columns and a header rule. */
     void print(std::ostream &os) const;
-
-    /** Render as comma-separated values. */
-    void printCsv(std::ostream &os) const;
-
-    /** Number of data rows added so far. */
-    std::size_t rowCount() const { return _rows.size(); }
 
   private:
     std::vector<std::string> _headers;

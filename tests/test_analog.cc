@@ -54,13 +54,6 @@ TEST(Lut1d, ClampsOutsideDomain)
     EXPECT_DOUBLE_EQ(lut(5.0), 1.0);
 }
 
-TEST(Lut1d, SlopeOfLinearFunction)
-{
-    Lut1d lut = tabulate(0.0, 2.0, 9, [](double x) { return 4.0 * x + 1.0; });
-    EXPECT_NEAR(lut.slope(0.5), 4.0, 1e-9);
-    EXPECT_NEAR(lut.slope(1.9), 4.0, 1e-9);
-}
-
 TEST(SourceFollower, NominalIsDeterministic)
 {
     BufferParams params{0.98, -0.01, 0.0, 0.9, 0.0, 0.0, 0.0};
@@ -257,10 +250,12 @@ TEST(Adc, CalibrationRemovesOffset)
 
 TEST(Adc, DequantizeInverseOnGrid)
 {
+    // Every grid voltage of the uniform [-full scale, +full scale]
+    // reconstruction converts back to its own code.
     VariableResolutionAdc adc;
     adc.configure(QBits(4.0), 0.5);
     for (int code = 0; code < 16; ++code)
-        EXPECT_EQ(adc.convert(adc.dequantize(code)), code);
+        EXPECT_EQ(adc.convert(dequantizeCode(code, -0.5f, 0.5f, 16)), code);
 }
 
 TEST(Chain, IdealEncodeIsDeterministic)

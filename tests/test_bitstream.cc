@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "bitstream/bitio.hh"
@@ -125,6 +126,7 @@ TEST(Bitio, RoundTripMixedWidths)
     Rng rng(7);
     std::vector<std::pair<std::uint32_t, int>> items;
     BitWriter bw;
+    std::size_t bits_written = 0;
     for (int i = 0; i < 5000; ++i) {
         const int bits = rng.uniformInt(0, 32);
         const std::uint32_t mask =
@@ -133,8 +135,8 @@ TEST(Bitio, RoundTripMixedWidths)
             static_cast<std::uint32_t>(rng.next()) & mask;
         items.emplace_back(v, bits);
         bw.put(v, bits);
+        bits_written += static_cast<std::size_t>(bits);
     }
-    const std::size_t bits_written = bw.bitCount();
     const std::vector<std::uint8_t> bytes = bw.finish();
     EXPECT_EQ(bytes.size(), (bits_written + 7) / 8);
     BitReader br(bytes.data(), bytes.size());
@@ -272,6 +274,84 @@ TEST(Container, TruncationAtEveryBoundaryThrows)
     EXPECT_EQ(ok.sectionCount(), 2u);
 }
 
+/** Recompute the header checksum after a forged table field, so the
+ *  reader's bounds, not the checksum, have to reject the forgery. */
+void
+resealHeader(std::vector<std::uint8_t> &bytes)
+{
+    std::uint32_t nsections = 0;
+    std::memcpy(&nsections, bytes.data() + 12, sizeof(nsections));
+    const std::size_t table_end = 16 + std::size_t{nsections} * 40;
+    Fnv1a hash;
+    hash.update(bytes.data() + 4, table_end - 4);
+    const std::uint64_t digest = hash.digest();
+    std::memcpy(bytes.data() + table_end, &digest, sizeof(digest));
+}
+
+/**
+ * Structural mutants of the container @p good: every truncation, a
+ * one-byte insert and a one-byte delete at 64 seeded offsets each, and
+ * every section's rawLen and encLen forged to 0, 1, its value ±1 and
+ * UINT64_MAX behind a resealed header. @p parse must throw CheckError
+ * on each: never another exception, never a clean parse.
+ */
+template <typename Parse>
+void
+expectStructuralMutantsThrow(const std::vector<std::uint8_t> &good,
+                             Parse parse)
+{
+    int failures = 0;
+    const auto expectThrows = [&](const std::vector<std::uint8_t> &bad,
+                                  const std::string &what) {
+        try {
+            parse(bad);
+            if (++failures <= 3)
+                ADD_FAILURE() << what << " parsed cleanly";
+        } catch (const CheckError &) {
+        } catch (const std::exception &e) {
+            if (++failures <= 3)
+                ADD_FAILURE() << what << " escaped as " << e.what();
+        }
+    };
+    for (std::size_t len = 0; len < good.size(); ++len)
+        expectThrows({good.begin(), good.begin() + len},
+                     "truncation to " + std::to_string(len) + " bytes");
+    Rng rng(29);
+    for (int trial = 0; trial < 64; ++trial) {
+        const auto at = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(good.size()) - 1));
+        std::vector<std::uint8_t> bad = good;
+        bad.insert(bad.begin() + static_cast<std::ptrdiff_t>(at),
+                   static_cast<std::uint8_t>(rng.uniformInt(0, 255)));
+        expectThrows(bad, "insert at byte " + std::to_string(at));
+        bad = good;
+        bad.erase(bad.begin() + static_cast<std::ptrdiff_t>(at));
+        expectThrows(bad, "delete of byte " + std::to_string(at));
+    }
+    std::uint32_t nsections = 0;
+    std::memcpy(&nsections, good.data() + 12, sizeof(nsections));
+    for (std::size_t i = 0; i < nsections; ++i)
+        for (const std::size_t field : {16, 24}) { // rawLen, encLen
+            const std::size_t off = 16 + i * 40 + field;
+            std::uint64_t value = 0;
+            std::memcpy(&value, good.data() + off, sizeof(value));
+            for (const std::uint64_t forged :
+                 {std::uint64_t{0}, std::uint64_t{1}, value - 1, value + 1,
+                  ~std::uint64_t{0}}) {
+                if (forged == value)
+                    continue;
+                std::vector<std::uint8_t> bad = good;
+                std::memcpy(bad.data() + off, &forged, sizeof(forged));
+                resealHeader(bad);
+                expectThrows(bad, "section " + std::to_string(i)
+                                      + " length at byte "
+                                      + std::to_string(off) + " forged to "
+                                      + std::to_string(forged));
+            }
+        }
+    EXPECT_EQ(failures, 0);
+}
+
 TEST(Container, EveryBitFlipThrows)
 {
     // A corrupt byte ANYWHERE must be caught: header fields by the
@@ -290,6 +370,28 @@ TEST(Container, EveryBitFlipThrows)
             << "flip of bit " << bit << " in byte " << byte << " undetected";
         bytes[byte] ^= static_cast<std::uint8_t>(1u << bit);
     }
+
+    // Splices and forged lengths: through the reader alone for this raw
+    // sample, and through the whole byte-stream decoder over packed
+    // (widths 8 and 4) and rANS sections (the encoder never codes Raw).
+    expectStructuralMutantsThrow(bytes, [](const std::vector<std::uint8_t> &b) {
+        ContainerReader(b.data(), b.size());
+    });
+    std::set<Coder> coders;
+    for (const std::vector<std::uint8_t> &data :
+         {randomBytes(300, 5), randomBytes(600, 7, 15),
+          skewedBytes(2000, 9)}) {
+        const std::vector<std::uint8_t> stream =
+            bitstream::encodeByteStream(data.data(), data.size(), 0);
+        coders.insert(ContainerReader(stream.data(), stream.size())
+                          .section(0)
+                          .coder);
+        expectStructuralMutantsThrow(
+            stream, [](const std::vector<std::uint8_t> &b) {
+                bitstream::decodeByteStream(b.data(), b.size());
+            });
+    }
+    EXPECT_EQ(coders, (std::set<Coder>{Coder::Packed, Coder::Rans}));
 }
 
 TEST(Container, OversizedLengthFieldsThrow)

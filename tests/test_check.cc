@@ -119,10 +119,6 @@ TEST(Numeric, RoundingHelpersNameTheMode)
     EXPECT_EQ(roundToInt(2.5), 3);
     EXPECT_EQ(roundToInt(-2.5), -3);
     EXPECT_EQ(roundToInt(2.4f), 2);
-    EXPECT_EQ(floorToInt(2.9), 2);
-    EXPECT_EQ(floorToInt(-2.1), -3);
-    EXPECT_EQ(ceilToInt(2.1), 3);
-    EXPECT_EQ(ceilToInt(-2.9), -2);
     EXPECT_EQ(truncToInt(2.9), 2);
     EXPECT_EQ(truncToInt(-2.9), -2);
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the LeCA core: Eq. (1) compression ratios, the design-space
- * enumerator, encoder modalities (including the critical equivalence
+ * Tests for the LeCA core: Eq. (1) compression ratios at the Fig. 4(b)
+ * optima, encoder modalities (including the critical equivalence
  * between the hard training model and the simulated sensor chip),
  * gradient sanity of the hand-derived analog backward pass, the
  * decoder, pipeline composition, and the training curriculum.
@@ -28,6 +28,7 @@
 #include "tensor/ops.hh"
 #include "tensor/quant.hh"
 #include "util/check.hh"
+#include "util/parallel.hh"
 
 namespace leca {
 namespace {
@@ -52,21 +53,17 @@ TEST(LecaConfig, Eq1CompressionRatio)
 TEST(LecaConfig, DesignPointsContainPaperOptima)
 {
     // Fig. 4(b): the best Nch|Qbit per CR are 8|3 (CR4), 4|4 (CR6),
-    // 4|3 (CR8); the enumerator must offer them.
-    auto contains = [](const std::vector<LecaConfig> &points, int nch,
-                       double bits) {
-        for (const auto &p : points)
-            if (p.nch == nch && p.qbits.bits() == bits)
-                return true;
-        return false;
+    // 4|3 (CR8); Eq. (1) must put each at its CR.
+    const auto cr = [](int nch, double bits) {
+        LecaConfig cfg;
+        cfg.kernel = 2;
+        cfg.nch = nch;
+        cfg.qbits = QBits(bits);
+        return cfg.compressionRatio();
     };
-    EXPECT_TRUE(contains(designPointsForCr(4.0), 8, 3.0));
-    EXPECT_TRUE(contains(designPointsForCr(6.0), 4, 4.0));
-    EXPECT_TRUE(contains(designPointsForCr(8.0), 4, 3.0));
-    // And every offered point really has the target CR.
-    for (double cr : {4.0, 6.0, 8.0, 12.0})
-        for (const auto &p : designPointsForCr(cr))
-            EXPECT_DOUBLE_EQ(p.compressionRatio(), cr);
+    EXPECT_DOUBLE_EQ(cr(8, 3.0), 4.0);
+    EXPECT_DOUBLE_EQ(cr(4, 4.0), 6.0);
+    EXPECT_DOUBLE_EQ(cr(4, 3.0), 8.0);
 }
 
 LecaConfig
@@ -108,6 +105,86 @@ TEST(Encoder, SoftOutputIsQuantized)
         const float idx = (f[i] + 1.0f) / 2.0f * 3.0f;
         EXPECT_NEAR(idx, std::round(idx), 1e-4f);
     }
+}
+
+/**
+ * The soft encoder's straight-through estimator (Eq. (2)): the gradient
+ * w.r.t. the conv output is go/s where |pre/s| <= 1, boundaries
+ * included, and exactly 0 outside; the output scale's gradient is
+ * sum(go * -pre / s^2) over the inside elements.
+ */
+TEST(Encoder, SoftBackwardIsClippedSte)
+{
+    // A 2x2 image of ones gives one output pixel per channel, whose
+    // conv output is exactly its channel's (0, 0, 0) weight, and whose
+    // weight gradients all equal that channel's conv-output gradient.
+    const float pre[8] = {-0.75f, -0.5f, -0.2f, 0.0f,
+                          0.3f,   0.5f,  0.5000001f, 1.0f};
+    const bool inside[8] = {false, true, true,  true,
+                            true,  true, false, false};
+    Rng rng(53);
+    LecaEncoder enc(tinyConfig(8, 3.0), CircuitConfig{}, SensorConfig{},
+                    rng);
+    enc.weight().value.fill(0.0f);
+    for (int o = 0; o < 8; ++o)
+        enc.weight().value.at(o, 0, 0, 0) = pre[o];
+    const float s = 0.5f;
+    enc.outScale().value[0] = s;
+    for (Param *p : enc.params())
+        p->zeroGrad();
+
+    const Tensor x = Tensor::full({1, 3, 2, 2}, 1.0f);
+    enc.forward(x, Mode::Train);
+    Tensor go({1, 8, 1, 1});
+    for (int o = 0; o < 8; ++o)
+        go[static_cast<std::size_t>(o)] = 0.25f + 0.125f * o;
+    enc.backward(go);
+
+    double want_gs = 0.0;
+    for (int o = 0; o < 8; ++o) {
+        const float g = go[static_cast<std::size_t>(o)];
+        for (int c = 0; c < 3; ++c)
+            EXPECT_EQ(enc.weight().grad.at(o, c, 1, 1),
+                      inside[o] ? g / s : 0.0f)
+                << "channel " << o;
+        if (inside[o])
+            want_gs += static_cast<double>(g) * -pre[o] / (s * s);
+    }
+    EXPECT_FLOAT_EQ(enc.outScale().grad[0], static_cast<float>(want_gs));
+
+    // The same step on a real batch is bit-identical at every thread
+    // count: weight, output-scale and input gradients.
+    const int saved = threadCount();
+    const auto step = [&](int threads) {
+        setThreadCount(threads);
+        Rng init(59);
+        LecaEncoder e(tinyConfig(8, 3.0), CircuitConfig{}, SensorConfig{},
+                      init);
+        e.outScale().value[0] = 0.6f;
+        Tensor batch({3, 3, 16, 16});
+        Rng scene(61);
+        for (std::size_t i = 0; i < batch.numel(); ++i)
+            batch[i] = static_cast<float>(scene.uniform());
+        const Tensor f = e.forward(batch, Mode::Train);
+        Tensor g(f.shape());
+        for (std::size_t i = 0; i < g.numel(); ++i)
+            g[i] = static_cast<float>(scene.uniform(-1.0, 1.0));
+        Tensor dx = e.backward(g);
+        std::vector<float> out(dx.data(), dx.data() + dx.numel());
+        const Tensor &dw = e.weight().grad;
+        out.insert(out.end(), dw.data(), dw.data() + dw.numel());
+        out.push_back(e.outScale().grad[0]);
+        return out;
+    };
+    const std::vector<float> base = step(1);
+    for (int threads : {2, 5}) {
+        const std::vector<float> got = step(threads);
+        ASSERT_EQ(got.size(), base.size());
+        EXPECT_EQ(0, std::memcmp(got.data(), base.data(),
+                                 base.size() * sizeof(float)))
+            << "threads=" << threads;
+    }
+    setThreadCount(saved);
 }
 
 TEST(Encoder, QuantizedSoftForwardIsConvOverDequantizedCodes)

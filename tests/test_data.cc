@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "data/augment.hh"
@@ -30,6 +31,8 @@
 #include "tensor/ops.hh"
 #include "tensor/quant.hh"
 #include "util/check.hh"
+#include "util/fnv1a.hh"
+#include "util/rng.hh"
 
 namespace leca {
 namespace {
@@ -125,10 +128,24 @@ TEST(ImageIo, PpmRoundTrip)
     const Tensor img = gen.renderImage(1, rng);
     const std::string path = "/tmp/leca_test_roundtrip.ppm";
     writePpm(img, path);
-    const Tensor back = readPpm(path);
-    ASSERT_TRUE(back.sameShape(img));
-    for (std::size_t i = 0; i < img.numel(); ++i)
-        EXPECT_NEAR(back[i], img[i], 1.0f / 255.0f + 1e-4f);
+    // A P6 header, then one byte per channel of each pixel, row-major.
+    std::ifstream is(path, std::ios::binary);
+    std::string magic;
+    int w = 0, h = 0, maxval = 0;
+    is >> magic >> w >> h >> maxval;
+    is.get();
+    ASSERT_EQ(magic, "P6");
+    ASSERT_EQ(h, img.size(1));
+    ASSERT_EQ(w, img.size(2));
+    ASSERT_EQ(maxval, 255);
+    for (int y = 0; y < h; ++y)
+        for (int x = 0; x < w; ++x)
+            for (int c = 0; c < 3; ++c) {
+                const int b = is.get();
+                ASSERT_GE(b, 0) << "truncated PPM";
+                EXPECT_NEAR(static_cast<float>(b) / 255.0f, img.at(c, y, x),
+                            1.0f / 255.0f + 1e-4f);
+            }
     std::remove(path.c_str());
 }
 
@@ -225,8 +242,8 @@ TEST(Serialize, SaveLoadRoundTrip)
     Conv2d a(2, 3, 3, 1, 1, true, rng);
     Conv2d b(2, 3, 3, 1, 1, true, rng);
     const std::string path = "/tmp/leca_test_params.bin";
-    saveParams(a.params(), path);
-    ASSERT_TRUE(loadParams(b.params(), path));
+    saveLayerState(a, path);
+    ASSERT_TRUE(loadLayerState(b, path));
     for (std::size_t i = 0; i < a.weight().value.numel(); ++i)
         EXPECT_EQ(a.weight().value[i], b.weight().value[i]);
     std::remove(path.c_str());
@@ -238,8 +255,8 @@ TEST(Serialize, RejectsShapeMismatch)
     Conv2d a(2, 3, 3, 1, 1, true, rng);
     Linear wrong(4, 4, rng);
     const std::string path = "/tmp/leca_test_params2.bin";
-    saveParams(a.params(), path);
-    EXPECT_FALSE(loadParams(wrong.params(), path));
+    saveLayerState(a, path);
+    EXPECT_FALSE(loadLayerState(wrong, path));
     std::remove(path.c_str());
 }
 
@@ -247,7 +264,7 @@ TEST(Serialize, MissingFileReturnsFalse)
 {
     Rng rng(7);
     Linear fc(2, 2, rng);
-    EXPECT_FALSE(loadParams(fc.params(), "/tmp/leca_does_not_exist.bin"));
+    EXPECT_FALSE(loadLayerState(fc, "/tmp/leca_does_not_exist.bin"));
 }
 
 TEST(Serialize, RejectsCorruptPayloadWithCheckError)
@@ -255,7 +272,7 @@ TEST(Serialize, RejectsCorruptPayloadWithCheckError)
     Rng rng(7);
     Linear fc(4, 4, rng);
     const std::string path = "/tmp/leca_test_corrupt.bin";
-    saveParams(fc.params(), path);
+    saveLayerState(fc, path);
 
     // Flip one payload byte: the trailing checksum must catch it.
     {
@@ -270,7 +287,7 @@ TEST(Serialize, RejectsCorruptPayloadWithCheckError)
         f.write(&byte, 1);
     }
     const float before = fc.params()[0]->value[0];
-    EXPECT_THROW(loadParams(fc.params(), path), CheckError);
+    EXPECT_THROW(loadLayerState(fc, path), CheckError);
     // And the model was not half-overwritten by the attempt.
     EXPECT_EQ(fc.params()[0]->value[0], before);
     std::remove(path.c_str());
@@ -281,10 +298,10 @@ TEST(Serialize, RejectsTruncationWithCheckError)
     Rng rng(7);
     Linear fc(4, 4, rng);
     const std::string path = "/tmp/leca_test_truncated.bin";
-    saveParams(fc.params(), path);
+    saveLayerState(fc, path);
     const auto full = std::filesystem::file_size(path);
     std::filesystem::resize_file(path, full / 2);
-    EXPECT_THROW(loadParams(fc.params(), path), CheckError);
+    EXPECT_THROW(loadLayerState(fc, path), CheckError);
     std::remove(path.c_str());
 }
 
@@ -297,7 +314,7 @@ TEST(Serialize, RejectsForeignFileWithCheckError)
         std::ofstream f(path, std::ios::binary);
         f << "this is not a checkpoint at all";
     }
-    EXPECT_THROW(loadParams(fc.params(), path), CheckError);
+    EXPECT_THROW(loadLayerState(fc, path), CheckError);
     std::remove(path.c_str());
 }
 
@@ -306,7 +323,7 @@ TEST(Serialize, StaleFormatVersionReturnsFalse)
     Rng rng(7);
     Linear fc(2, 2, rng);
     const std::string path = "/tmp/leca_test_stale.bin";
-    saveParams(fc.params(), path);
+    saveLayerState(fc, path);
     {
         // Rewrite the version word (bytes 4..7) to a future version.
         std::fstream f(path,
@@ -315,7 +332,7 @@ TEST(Serialize, StaleFormatVersionReturnsFalse)
         f.seekp(4);
         f.write(reinterpret_cast<const char *>(&future), sizeof(future));
     }
-    EXPECT_FALSE(loadParams(fc.params(), path)); // stale, not corrupt
+    EXPECT_FALSE(loadLayerState(fc, path)); // stale, not corrupt
     std::remove(path.c_str());
 }
 
@@ -325,7 +342,7 @@ TEST(Serialize, RejectsKindMismatchWithCheckError)
     Linear fc(2, 2, rng);
     const std::string path = "/tmp/leca_test_kind.bin";
     saveLayerState(fc, path); // kind = layer state
-    EXPECT_THROW(loadParams(fc.params(), path), CheckError);
+    EXPECT_THROW(loadQuantizedState(fc, path), CheckError);
     std::remove(path.c_str());
 }
 
@@ -396,6 +413,133 @@ expectEveryBitFlipRejected(const std::string &path, Load load)
     std::remove(flipped.c_str());
 }
 
+/** One length field of a checkpoint: where it is and what it holds. */
+struct LengthField
+{
+    std::size_t offset;
+    std::size_t width;
+    std::uint64_t value;
+    std::uint64_t max; //!< its type's max
+};
+
+/**
+ * Walks a kind-2 (or, with @p quantized, kind-3) checkpoint and returns
+ * every length field: the tensor and quantized-tensor counts, each
+ * numel, and each quantized tensor's ndim, dims, rows and cols.
+ */
+std::vector<LengthField>
+checkpointLengthFields(const std::vector<char> &bytes, bool quantized)
+{
+    std::vector<LengthField> fields;
+    std::size_t pos = 12; // magic | version | kind
+    const auto field = [&](std::size_t width, std::uint64_t max) {
+        std::uint64_t value = 0;
+        std::memcpy(&value, bytes.data() + pos, width);
+        fields.push_back({pos, width, value, max});
+        pos += width;
+        return value;
+    };
+    constexpr std::uint64_t kU32 = 0xFFFFFFFFu, kI32 = 0x7FFFFFFFu;
+    constexpr std::uint64_t kU64 = ~std::uint64_t{0};
+    const std::uint64_t count = field(4, kU32);
+    for (std::uint64_t t = 0; t < count; ++t)
+        pos += field(8, kU64) * sizeof(float);
+    if (quantized) {
+        const std::uint64_t qcount = field(4, kU32);
+        for (std::uint64_t t = 0; t < qcount; ++t) {
+            const std::uint64_t ndim = field(4, kU32);
+            for (std::uint64_t d = 0; d < ndim; ++d)
+                field(4, kI32);
+            const std::uint64_t rows = field(8, kU64);
+            const std::uint64_t cols = field(8, kU64);
+            if (ndim != 0)
+                pos += rows * static_cast<std::uint64_t>(quantBlocks(
+                                  static_cast<std::int64_t>(cols)))
+                       * (kQuantBlock + sizeof(float));
+        }
+    }
+    EXPECT_EQ(pos + 8, bytes.size()) << "checkpoint layout walk";
+    return fields;
+}
+
+/**
+ * Structural mutants of the checkpoint at @p path, loaded into a fresh
+ * tinyNet: every truncation, a one-byte insert and a one-byte delete
+ * at 64 seeded offsets each, and every length field forged to 0, 1,
+ * its value ±1 and its type's max with the checksum recomputed, so the
+ * loader's bounds, not the checksum, must reject it. Each load must
+ * end in a CheckError or a false return.
+ */
+template <typename Load>
+void
+expectStructuralMutantsRejected(const std::string &path, bool quantized,
+                                Load load)
+{
+    std::vector<char> good;
+    {
+        std::ifstream f(path, std::ios::binary);
+        good.assign(std::istreambuf_iterator<char>(f), {});
+    }
+    ASSERT_GT(good.size(), 12u);
+    const std::string mutant = path + ".mutant";
+    int failures = 0;
+    const auto expectRejected = [&](const std::vector<char> &bytes,
+                                    const std::string &what) {
+        {
+            std::ofstream f(mutant, std::ios::binary);
+            f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        }
+        const auto fresh = tinyNet(99);
+        try {
+            if (load(*fresh, mutant) && ++failures <= 3)
+                ADD_FAILURE() << what << " loaded cleanly";
+        } catch (const CheckError &) {
+        } catch (const std::exception &e) {
+            if (++failures <= 3)
+                ADD_FAILURE() << what << " escaped as " << e.what();
+        }
+    };
+
+    for (std::size_t len = 0; len < good.size(); ++len)
+        expectRejected({good.begin(), good.begin() + len},
+                       "truncation to " + std::to_string(len) + " bytes");
+    Rng rng(31);
+    for (int trial = 0; trial < 64; ++trial) {
+        const auto at = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(good.size()) - 1));
+        std::vector<char> bytes = good;
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at),
+                     static_cast<char>(rng.uniformInt(0, 255)));
+        expectRejected(bytes, "insert at byte " + std::to_string(at));
+        bytes = good;
+        bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(at));
+        expectRejected(bytes, "delete of byte " + std::to_string(at));
+    }
+    for (const LengthField &f : checkpointLengthFields(good, quantized)) {
+        const std::uint64_t mask =
+            f.width == 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << 32) - 1;
+        for (const std::uint64_t forged :
+             {std::uint64_t{0}, std::uint64_t{1}, (f.value - 1) & mask,
+              (f.value + 1) & mask, f.max}) {
+            if (forged == f.value)
+                continue;
+            std::vector<char> bytes = good;
+            std::memcpy(bytes.data() + f.offset, &forged, f.width);
+            Fnv1a hash;
+            hash.update(bytes.data() + 4, bytes.size() - 12);
+            const std::uint64_t digest = hash.digest();
+            std::memcpy(bytes.data() + bytes.size() - 8, &digest,
+                        sizeof(digest));
+            expectRejected(bytes, "length field at byte "
+                                      + std::to_string(f.offset)
+                                      + " forged to "
+                                      + std::to_string(forged));
+        }
+    }
+    EXPECT_EQ(failures, 0);
+    std::remove(mutant.c_str());
+}
+
 TEST(Serialize, EveryBitFlipEndsInCheckErrorOrFalse)
 {
     const auto net = tinyNet(7);
@@ -407,6 +551,10 @@ TEST(Serialize, EveryBitFlipEndsInCheckErrorOrFalse)
         state_path, [](Layer &l, const std::string &p) {
             return loadLayerState(l, p);
         });
+    expectStructuralMutantsRejected(
+        state_path, false, [](Layer &l, const std::string &p) {
+            return loadLayerState(l, p);
+        });
 
     std::vector<QuantStat> stats;
     net->quantizeWeights(stats);
@@ -414,6 +562,10 @@ TEST(Serialize, EveryBitFlipEndsInCheckErrorOrFalse)
     saveQuantizedState(*net, quant_path);
     expectEveryBitFlipRejected(
         quant_path, [](Layer &l, const std::string &p) {
+            return loadQuantizedState(l, p);
+        });
+    expectStructuralMutantsRejected(
+        quant_path, true, [](Layer &l, const std::string &p) {
             return loadQuantizedState(l, p);
         });
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -66,30 +67,23 @@ TEST(LearnedCodec, TrainingImprovesReconstruction)
 {
     const Dataset ds = codecData(64);
     LearnedCodec codec(12);
+    const auto mse = [&] {
+        const Tensor recon = codec.process(ds.images);
+        double acc = 0.0;
+        for (std::size_t i = 0; i < recon.numel(); ++i) {
+            const double d = static_cast<double>(recon[i]) - ds.images[i];
+            acc += d * d;
+        }
+        return acc / static_cast<double>(recon.numel());
+    };
     codec.train(ds, /*epochs=*/2);
-    const double early = codec.reconstructionMse(ds);
+    const double early = mse();
     // Continue with a decayed learning rate (standard codec recipe).
     codec.train(ds, 10, 3e-3);
     codec.train(ds, 8, 1e-3);
-    const double late = codec.reconstructionMse(ds);
+    const double late = mse();
     EXPECT_LT(late, early);
     EXPECT_LT(late, 0.03);
-}
-
-TEST(LearnedCodec, CoarserLatentQuantizationHurts)
-{
-    // Rate/distortion sanity on the quantizer axis: re-quantizing the
-    // trained latent to 3 levels must reconstruct worse than the
-    // nominal 8-bit latent.
-    const Dataset ds = codecData(64);
-    const Dataset test = codecData(16, 16);
-    LearnedCodec codec(12);
-    codec.train(ds, 12, 3e-3);
-    const double fine =
-        psnrDb(test.images, codec.processAtLatentLevels(test.images, 256));
-    const double coarse =
-        psnrDb(test.images, codec.processAtLatentLevels(test.images, 3));
-    EXPECT_GT(fine, coarse + 1.0);
 }
 
 TEST(LearnedCodec, OutputShapeAndRange)
@@ -98,7 +92,7 @@ TEST(LearnedCodec, OutputShapeAndRange)
     LearnedCodec codec(8);
     codec.train(ds, 4);
     const Tensor out = codec.process(ds.images);
-    ASSERT_TRUE(out.sameShape(ds.images));
+    ASSERT_EQ(out.shape(), ds.images.shape());
     for (std::size_t i = 0; i < out.numel(); ++i) {
         EXPECT_GE(out[i], 0.0f);
         EXPECT_LE(out[i], 1.0f);
@@ -121,17 +115,29 @@ TEST(BandScheduler, EndMatchesTimingModel)
 {
     BandScheduler scheduler;
     TimingModel timing;
-    EXPECT_NEAR(scheduler.bandEndNs(), timing.bandLatencyNs(), 1e-9);
+    double end = 0.0;
+    for (const ScheduleEvent &e : scheduler.schedule())
+        end = std::max(end, e.endNs);
+    EXPECT_NEAR(end, timing.bandLatencyNs(), 1e-9);
 }
 
 TEST(BandScheduler, SramWritesHiddenBehindReadout)
 {
-    BandScheduler scheduler;
-    EXPECT_TRUE(scheduler.sramWritesHidden());
+    // Every local-SRAM weight write must fit inside its row's ROWSEL
+    // window, which starts at the same instant.
+    const auto hidden = [](const TimingConfig &config) {
+        for (const ScheduleEvent &e : BandScheduler(config).schedule())
+            if (e.unit == ScheduleUnit::ControllerS
+                && e.action.find("SRAM") != std::string::npos
+                && e.endNs - e.startNs > config.pixelRowReadoutNs)
+                return false;
+        return true;
+    };
+    EXPECT_TRUE(hidden(TimingConfig{}));
     // And a pathological configuration is detected.
     TimingConfig slow;
     slow.localSramWriteNs = slow.pixelRowReadoutNs + 1.0;
-    EXPECT_FALSE(BandScheduler(slow).sramWritesHidden());
+    EXPECT_FALSE(hidden(slow));
 }
 
 TEST(BandScheduler, EventOrderingWithinRow)

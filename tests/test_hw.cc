@@ -32,7 +32,6 @@ TEST(Weights, QuantizeSignAndMagnitude)
     const ScmWeight neg = quantizeWeight(-1.0f, 1.0f);
     EXPECT_TRUE(neg.negative);
     EXPECT_EQ(neg.magnitude, 15);
-    EXPECT_EQ(neg.signedCode(), -15);
 }
 
 TEST(Weights, QuantizeClampsBeyondScale)
@@ -73,7 +72,8 @@ TEST(Weights, DequantizeRoundTripWithinHalfStep)
     for (int i = 0; i < 100; ++i) {
         const float w = static_cast<float>(rng.uniform(-scale, scale));
         const ScmWeight q = quantizeWeight(w, scale);
-        const float back = dequantizeWeight(q, scale);
+        const float mag = static_cast<float>(q.magnitude) / 15.0f * scale;
+        const float back = q.negative ? -mag : mag;
         EXPECT_LE(std::abs(back - w), scale / 15.0f / 2.0f + 1e-6f);
     }
 }
@@ -86,7 +86,13 @@ TEST(Weights, FlattenHalvesAndDuplicatesGreen)
     w.at(0, 2, 0, 0) = -0.6f; // B at pixel (0,0)
     const auto kernels = flattenKernels(w, 1.0f);
     ASSERT_EQ(kernels.size(), 1u);
-    const auto floats = kernelToFloats(kernels[0], 1.0f);
+    // The raw-domain weight each tap's code represents (4x4 row-major).
+    std::vector<float> floats(16);
+    for (std::size_t i = 0; i < floats.size(); ++i) {
+        const ScmWeight &tap = kernels[0].taps[i];
+        const float mag = static_cast<float>(tap.magnitude) / 15.0f;
+        floats[i] = tap.negative ? -mag : mag;
+    }
     // Raw cell (0,0): R at (0,0), G/2 at (0,1) and (1,0), B at (1,1).
     EXPECT_NEAR(floats[0], 0.9f, 0.04f);
     EXPECT_NEAR(floats[1], 0.4f, 0.04f);
@@ -148,12 +154,14 @@ TEST(Pe, StartBlockResetsObuffers)
     Tensor w = Tensor::full({1, 3, 2, 2}, 0.7f);
     const auto kernels = flattenKernels(w, 1.0f);
     pe.startBlock();
+    // Empty o-buffers read the zero-differential code.
+    const int zero = pe.readOfmap(1, PeMode::Ideal, nullptr)[0];
     pe.loadWeights(kernels, 0, 1, 0);
     pe.loadRow({1.2, 1.2, 1.2, 1.2});
     pe.processRow(1, PeMode::Ideal, nullptr);
-    EXPECT_NE(pe.obufferDiff(0), 0.0);
+    EXPECT_NE(pe.readOfmap(1, PeMode::Ideal, nullptr)[0], zero);
     pe.startBlock();
-    EXPECT_DOUBLE_EQ(pe.obufferDiff(0), 0.0);
+    EXPECT_EQ(pe.readOfmap(1, PeMode::Ideal, nullptr)[0], zero);
 }
 
 TEST(Pe, StatsCountEvents)

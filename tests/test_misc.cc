@@ -1,8 +1,8 @@
 /**
  * @file
  * Edge-case and small-surface tests: augmentation batches, empty
- * datasets, stats merging, config arithmetic, demosaicing on gradients
- * and banner/CSV output helpers.
+ * datasets, stats merging, config arithmetic and the banner/table
+ * output helpers.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "data/trainloop.hh"
 #include "hw/stats.hh"
 #include "nn/linear.hh"
-#include "sensor/bayer.hh"
 #include "util/check.hh"
 #include "util/table.hh"
 
@@ -91,26 +90,6 @@ TEST(CircuitConfig, DacArithmetic)
     EXPECT_EQ(cfg.dacSteps(), 15);
     EXPECT_NEAR(cfg.unitCapFf() * cfg.dacSteps(), cfg.cSampleTotFf,
                 1e-12);
-}
-
-TEST(Bayer, BilinearDemosaicTracksSmoothGradient)
-{
-    // A horizontal luminance ramp must demosaic with small error away
-    // from the borders.
-    const int hw = 8;
-    Tensor rgb({3, hw, hw});
-    for (int c = 0; c < 3; ++c)
-        for (int y = 0; y < hw; ++y)
-            for (int x = 0; x < hw; ++x)
-                rgb.at(c, y, x) = 0.2f + 0.6f * x / (hw - 1);
-    const Tensor raw = mosaic(rgb);
-    const Tensor full = demosaicBilinear(raw);
-    for (int c = 0; c < 3; ++c)
-        for (int y = 2; y < 2 * hw - 2; ++y)
-            for (int x = 2; x < 2 * hw - 2; ++x) {
-                const float expect = 0.2f + 0.6f * (x / 2) / (hw - 1);
-                EXPECT_NEAR(full.at(c, y, x), expect, 0.06f);
-            }
 }
 
 TEST(Table, BannerContainsTitle)

@@ -113,27 +113,6 @@ TEST_F(ParallelTest, ExceptionsPropagateToCaller)
     EXPECT_EQ(sum.load(), 45);
 }
 
-TEST_F(ParallelTest, ReduceMatchesSerialBitwise)
-{
-    // grain == 1 must reproduce the serial accumulation exactly,
-    // including floating-point rounding.
-    const std::int64_t n = 1000;
-    double serial = 0.0;
-    for (std::int64_t i = 0; i < n; ++i)
-        serial += 1.0 / static_cast<double>(i + 1);
-
-    for (int threads : {1, 2, 8}) {
-        setThreadCount(threads);
-        const double parallel = parallelReduce(
-            0, n, 1, 0.0,
-            [](std::int64_t lo, std::int64_t) {
-                return 1.0 / static_cast<double>(lo + 1);
-            },
-            [](double acc, double part) { return acc + part; });
-        EXPECT_EQ(parallel, serial) << "threads " << threads;
-    }
-}
-
 /** Runs fn under each thread count and asserts identical float output. */
 template <typename Fn>
 void

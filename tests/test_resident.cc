@@ -3,8 +3,8 @@
  * The resident int8 activation contract (DESIGN.md §13): per-pixel
  * activation quantization round-trips and stays RTNE-deterministic,
  * the resident conv is bit-identical across thread counts and across
- * every compiled kernel set, pooling straight over codes matches
- * pooling the dequantized planes bit for bit, the Sequential planner
+ * every compiled kernel set, global pooling straight over codes
+ * matches pooling the dequantized planes bit for bit, the Sequential planner
  * places precision boundaries exactly where the step kinds change,
  * mixed quantized/fp32 chains still track the fp32 network, a
  * quantize()d pipeline and a loadQuantized() restore of it infer
@@ -307,21 +307,6 @@ TEST_F(ResidentTest, PoolsOverCodesMatchPoolsOverDequantizedPlanesBitForBit)
     Tensor planes({2, 33, 8, 8});
     dequantizeActivationNchw(rb.act, planes.data());
 
-    for (int k : {2, 4}) {
-        const Tensor want_max = maxPool2d(planes, k);
-        Tensor got_max({2, 33, 8 / k, 8 / k});
-        maxPoolResident(rb.act, k, got_max.data());
-        EXPECT_EQ(0, std::memcmp(got_max.data(), want_max.data(),
-                                 want_max.numel() * sizeof(float)))
-            << "maxPool k=" << k;
-
-        const Tensor want_avg = avgPool2d(planes, k);
-        Tensor got_avg({2, 33, 8 / k, 8 / k});
-        avgPoolResident(rb.act, k, got_avg.data());
-        EXPECT_EQ(0, std::memcmp(got_avg.data(), want_avg.data(),
-                                 want_avg.numel() * sizeof(float)))
-            << "avgPool k=" << k;
-    }
     const Tensor want_gap = globalAvgPool(planes);
     Tensor got_gap({2, 33});
     globalAvgPoolResident(rb.act, got_gap.data());
@@ -336,53 +321,50 @@ TEST_F(ResidentTest, PlannerPlacesPrecisionBoundariesAtConsumerChanges)
     net.emplace<Conv2d>(16, 24, 3, 1, 1, false, rng);
     net.emplace<BatchNorm2d>(24);
     net.emplace<Relu>();
-    net.emplace<MaxPool2d>(2);
     net.emplace<Conv2d>(24, 32, 3, 1, 1, true, rng);
     net.emplace<GlobalAvgPool>();
     net.emplace<Linear>(32, 5, rng);
     std::vector<QuantStat> stats;
     net.quantizeWeights(stats); // plans implicitly
 
-    ASSERT_TRUE(net.hasQuantPlan());
     const auto &plan = net.quantPlan();
-    // conv+bn+relu fold to one step; pool, conv, gap, linear follow.
-    ASSERT_EQ(plan.size(), 5u);
+    // conv+bn+relu fold to one step; conv, gap, linear follow.
+    ASSERT_EQ(plan.size(), 4u);
     EXPECT_EQ(plan[0].kind, QuantStep::Kind::ConvResident);
     EXPECT_NE(plan[0].bn, nullptr);
     EXPECT_TRUE(plan[0].relu);
-    EXPECT_TRUE(plan[0].emitQuant) << "pool consumes codes";
-    EXPECT_EQ(plan[1].kind, QuantStep::Kind::PoolMax);
-    EXPECT_FALSE(plan[1].emitQuant) << "pools always exit fp32";
-    EXPECT_EQ(plan[2].kind, QuantStep::Kind::ConvResident);
-    EXPECT_EQ(plan[2].bn, nullptr);
-    EXPECT_FALSE(plan[2].relu);
-    EXPECT_TRUE(plan[2].emitQuant) << "gap consumes codes";
-    EXPECT_EQ(plan[3].kind, QuantStep::Kind::Gap);
-    EXPECT_EQ(plan[4].kind, QuantStep::Kind::Plain); // fp32 linear
+    EXPECT_TRUE(plan[0].emitQuant) << "the conv consumes codes";
+    EXPECT_EQ(plan[1].kind, QuantStep::Kind::ConvResident);
+    EXPECT_EQ(plan[1].bn, nullptr);
+    EXPECT_FALSE(plan[1].relu);
+    EXPECT_TRUE(plan[1].emitQuant) << "gap consumes codes";
+    EXPECT_EQ(plan[2].kind, QuantStep::Kind::Gap);
+    EXPECT_FALSE(plan[2].emitQuant) << "gap always exits fp32";
+    EXPECT_EQ(plan[3].kind, QuantStep::Kind::Plain); // fp32 linear
 }
 
 TEST_F(ResidentTest, PoolWithoutResidentProducerStaysPlain)
 {
     Rng rng(151);
     Sequential net;
-    // The narrow stem (cin < kResidentMinCin) runs its own fp32 forward
-    // over its codes, so the pool behind it must NOT expect codes.
-    net.emplace<Conv2d>(3, 24, 3, 1, 1, false, rng);
-    net.emplace<MaxPool2d>(2);
-    net.emplace<Conv2d>(24, 24, 3, 1, 1, false, rng);
+    // The clamp runs its own fp32 forward, so the resident conv before
+    // it exits fp32 and the pool behind it must NOT expect codes.
+    net.emplace<Conv2d>(16, 24, 3, 1, 1, false, rng);
+    net.emplace<HardClamp>(-1.0f, 1.0f);
+    net.emplace<GlobalAvgPool>();
     std::vector<QuantStat> stats;
     net.quantizeWeights(stats);
-    ASSERT_TRUE(net.hasQuantPlan());
     const auto &plan = net.quantPlan();
     ASSERT_EQ(plan.size(), 3u);
-    EXPECT_EQ(plan[0].kind, QuantStep::Kind::Plain);
-    EXPECT_EQ(plan[1].kind, QuantStep::Kind::Plain)
+    EXPECT_EQ(plan[0].kind, QuantStep::Kind::ConvResident);
+    EXPECT_FALSE(plan[0].emitQuant) << "the clamp consumes fp32";
+    EXPECT_EQ(plan[1].kind, QuantStep::Kind::Plain);
+    EXPECT_EQ(plan[2].kind, QuantStep::Kind::Plain)
         << "pool demoted: its producer exits fp32";
-    EXPECT_EQ(plan[2].kind, QuantStep::Kind::ConvResident);
 }
 
-/** Mixed chain: quantized conv -> pool -> BN mid-chain (not after a
- *  conv) -> non-quantized linear. The BN and linear run as Plain fp32
+/** Mixed chain: quantized conv -> BN mid-chain (not right after a
+ *  conv) -> pool -> non-quantized linear. The BN and linear run as Plain fp32
  *  steps; the whole planned forward must still track the pre-
  *  quantization fp32 network. */
 TEST_F(ResidentTest, MixedChainTracksFp32Network)
@@ -391,8 +373,7 @@ TEST_F(ResidentTest, MixedChainTracksFp32Network)
     Sequential net;
     net.emplace<Conv2d>(16, 24, 3, 1, 1, true, rng);
     net.emplace<Relu>();
-    net.emplace<AvgPool2d>(2);
-    net.emplace<BatchNorm2d>(24); // mid-chain, no preceding conv step
+    net.emplace<BatchNorm2d>(24); // mid-chain, behind the folded ReLU
     net.emplace<GlobalAvgPool>();
     Linear &fc = net.emplace<Linear>(24, 7, rng);
 
@@ -405,17 +386,17 @@ TEST_F(ResidentTest, MixedChainTracksFp32Network)
     std::vector<QuantStat> stats;
     static_cast<Conv2d &>(net.at(0)).quantizeWeights(stats);
     net.planQuantized();
-    ASSERT_TRUE(net.hasQuantPlan());
     const auto &plan = net.quantPlan();
-    // Conv+ReLU fold into one resident step, then the pool consumes
-    // its codes; BN not behind a resident conv runs Plain on fp32, and
-    // so do GAP (its producer, the BN, exits fp32) and the linear.
-    ASSERT_EQ(plan.size(), 5u);
+    // Conv+ReLU fold into one resident step that exits fp32; BN not
+    // right after the conv runs Plain on fp32, and so do GAP (its
+    // producer, the BN, exits fp32) and the linear.
+    ASSERT_EQ(plan.size(), 4u);
     EXPECT_EQ(plan[0].kind, QuantStep::Kind::ConvResident);
-    EXPECT_EQ(plan[1].kind, QuantStep::Kind::PoolAvg);
+    EXPECT_TRUE(plan[0].relu);
+    EXPECT_FALSE(plan[0].emitQuant);
+    EXPECT_EQ(plan[1].kind, QuantStep::Kind::Plain);
     EXPECT_EQ(plan[2].kind, QuantStep::Kind::Plain);
     EXPECT_EQ(plan[3].kind, QuantStep::Kind::Plain);
-    EXPECT_EQ(plan[4].kind, QuantStep::Kind::Plain);
     EXPECT_TRUE(fc.quantTensors()[0]->empty()) << "linear stayed fp32";
 
     const Tensor y8 = net.forward(x, Mode::Eval);
@@ -446,7 +427,7 @@ TEST_F(ResidentTest, FusedEntryFoldsBnReluIntoBoundary)
 
     std::vector<QuantStat> stats;
     net.quantizeWeights(stats);
-    ASSERT_TRUE(net.hasQuantPlan());
+    ASSERT_FALSE(net.quantPlan().empty());
     const auto &plan = net.quantPlan();
     ASSERT_EQ(plan.size(), 4u);
     EXPECT_EQ(plan[0].kind, QuantStep::Kind::Plain); // narrow stem
@@ -471,6 +452,59 @@ TEST_F(ResidentTest, FusedEntryFoldsBnReluIntoBoundary)
     }
 }
 
+/** One token per plan step: its kind, "+bn"/"+relu" when folded, and
+ *  ">q" when its output stays resident for the next step. */
+std::string
+planGolden(const Sequential &net)
+{
+    using K = QuantStep::Kind;
+    std::string out;
+    for (const QuantStep &st : net.quantPlan()) {
+        if (!out.empty())
+            out += ' ';
+        out += st.kind == K::Plain          ? "plain"
+               : st.kind == K::ConvResident ? "conv"
+               : st.kind == K::Residual     ? "res"
+               : st.kind == K::Gap          ? "gap"
+               : st.kind == K::FusedEntry   ? "entry"
+                                            : "other";
+        if (st.bn != nullptr)
+            out += "+bn";
+        if (st.relu)
+            out += "+relu";
+        if (st.emitQuant)
+            out += ">q";
+    }
+    return out;
+}
+
+/** The plans of the models the pipelines actually quantize: the Proxy
+ *  and Full backbones and the decoder. Any planner change shows up
+ *  here as a diff. */
+TEST_F(ResidentTest, RealModelPlansMatchGolden)
+{
+    for (const BackboneStyle style :
+         {BackboneStyle::Proxy, BackboneStyle::Full}) {
+        Rng rng(7);
+        auto bb = makeBackbone(style, 3, 10, rng);
+        std::vector<QuantStat> stats;
+        bb->quantizeWeights(stats);
+        EXPECT_EQ(planGolden(*bb),
+                  style == BackboneStyle::Proxy
+                      ? "plain entry+bn+relu>q res>q res>q res>q gap plain"
+                      : "plain entry+bn+relu>q res>q res>q res>q res>q "
+                        "res>q gap plain");
+    }
+    LecaConfig cfg;
+    Rng rng(11);
+    LecaDecoder decoder(cfg, rng);
+    std::vector<QuantStat> stats;
+    decoder.quantizeWeights(stats);
+    EXPECT_EQ(planGolden(decoder.net()),
+              "plain plain plain plain plain plain plain plain "
+              "entry+bn+relu>q conv");
+}
+
 TEST_F(ResidentTest, PlannedForwardBitIdenticalAcrossThreadCounts)
 {
     Rng rng(167);
@@ -483,7 +517,7 @@ TEST_F(ResidentTest, PlannedForwardBitIdenticalAcrossThreadCounts)
     net.emplace<Linear>(32, 6, rng);
     std::vector<QuantStat> stats;
     net.quantizeWeights(stats);
-    ASSERT_TRUE(net.hasQuantPlan());
+    ASSERT_FALSE(net.quantPlan().empty());
     Tensor x = Tensor::fromData(
         {3, 16, 12, 12},
         randomVec(static_cast<std::size_t>(3) * 16 * 12 * 12, 173));
@@ -571,7 +605,7 @@ TEST_F(ResidentTest, WarmPlannedForwardRunsUnderDenyAllocScope)
     net.emplace<GlobalAvgPool>();
     std::vector<QuantStat> stats;
     net.quantizeWeights(stats);
-    ASSERT_TRUE(net.hasQuantPlan());
+    ASSERT_FALSE(net.quantPlan().empty());
     Tensor x = Tensor::fromData(
         {2, 16, 12, 12},
         randomVec(static_cast<std::size_t>(2) * 16 * 12 * 12, 191));

@@ -32,11 +32,16 @@ TEST(SensorConfig, VoltageMappingRoundTrip)
 
 TEST(Bayer, PatternIsRggb)
 {
-    EXPECT_EQ(bayerColorAt(0, 0), BayerColor::R);
-    EXPECT_EQ(bayerColorAt(0, 1), BayerColor::G);
-    EXPECT_EQ(bayerColorAt(1, 0), BayerColor::G);
-    EXPECT_EQ(bayerColorAt(1, 1), BayerColor::B);
-    EXPECT_EQ(bayerColorAt(2, 2), BayerColor::R);
+    // One pixel with distinct R, G, B lands on the R G / G B sites.
+    Tensor rgb({3, 1, 1});
+    rgb.at(0, 0, 0) = 0.1f;
+    rgb.at(1, 0, 0) = 0.2f;
+    rgb.at(2, 0, 0) = 0.3f;
+    const Tensor raw = mosaic(rgb);
+    EXPECT_FLOAT_EQ(raw.at(0, 0), 0.1f);
+    EXPECT_FLOAT_EQ(raw.at(0, 1), 0.2f);
+    EXPECT_FLOAT_EQ(raw.at(1, 0), 0.2f);
+    EXPECT_FLOAT_EQ(raw.at(1, 1), 0.3f);
 }
 
 TEST(Bayer, MosaicDoublesGeometry)
@@ -52,11 +57,19 @@ TEST(Bayer, MosaicCollapseRoundTrip)
     Tensor rgb({3, 6, 6});
     for (std::size_t i = 0; i < rgb.numel(); ++i)
         rgb[i] = static_cast<float>(rng.uniform());
+    // Collapsing each RGGB cell (R, the mean of its two greens, B)
+    // recovers the image.
     const Tensor raw = mosaic(rgb);
-    const Tensor back = demosaicCollapse(raw);
-    ASSERT_TRUE(back.sameShape(rgb));
-    for (std::size_t i = 0; i < rgb.numel(); ++i)
-        EXPECT_NEAR(back[i], rgb[i], 1e-6f);
+    ASSERT_EQ(raw.shape(), (std::vector<int>{12, 12}));
+    for (int y = 0; y < 6; ++y)
+        for (int x = 0; x < 6; ++x) {
+            EXPECT_NEAR(raw.at(2 * y, 2 * x), rgb.at(0, y, x), 1e-6f);
+            EXPECT_NEAR(0.5f * (raw.at(2 * y, 2 * x + 1)
+                                + raw.at(2 * y + 1, 2 * x)),
+                        rgb.at(1, y, x), 1e-6f);
+            EXPECT_NEAR(raw.at(2 * y + 1, 2 * x + 1), rgb.at(2, y, x),
+                        1e-6f);
+        }
 }
 
 TEST(Bayer, GreenIsDuplicated)
@@ -66,17 +79,6 @@ TEST(Bayer, GreenIsDuplicated)
     const Tensor raw = mosaic(rgb);
     EXPECT_FLOAT_EQ(raw.at(0, 1), 0.7f);
     EXPECT_FLOAT_EQ(raw.at(1, 0), 0.7f);
-}
-
-TEST(Bayer, BilinearDemosaicConstantImage)
-{
-    // A grey scene must demosaic to the same grey everywhere.
-    Tensor rgb = Tensor::full({3, 4, 4}, 0.5f);
-    const Tensor raw = mosaic(rgb);
-    const Tensor full = demosaicBilinear(raw);
-    EXPECT_EQ(full.shape(), (std::vector<int>{3, 8, 8}));
-    for (std::size_t i = 0; i < full.numel(); ++i)
-        EXPECT_NEAR(full[i], 0.5f, 1e-6f);
 }
 
 TEST(Noise, ZeroIntensityStaysNearZero)
@@ -110,7 +112,9 @@ TEST(Noise, VarianceMatchesShotNoise)
     PixelNoiseModel noise(cfg);
     Rng rng(11);
     const float x = 0.5f;
-    const double expected_sigma = noise.shotSigma(x);
+    // Poisson shot noise: sqrt(electrons), in full-well units.
+    const double full = cfg.fullWellElectrons;
+    const double expected_sigma = std::sqrt(x * full) / full;
     double sum = 0.0, sq = 0.0;
     const int n = 30000;
     for (int i = 0; i < n; ++i) {
@@ -126,7 +130,18 @@ TEST(Noise, BrighterPixelsNoisier)
 {
     SensorConfig cfg;
     PixelNoiseModel noise(cfg);
-    EXPECT_GT(noise.shotSigma(0.9), noise.shotSigma(0.1));
+    const auto sigma = [&](float x) {
+        Rng rng(13);
+        double sum = 0.0, sq = 0.0;
+        const int n = 20000;
+        for (int i = 0; i < n; ++i) {
+            const double v = noise.sampleIntensity(x, rng);
+            sum += v;
+            sq += v * v;
+        }
+        return std::sqrt(sq / n - (sum / n) * (sum / n));
+    };
+    EXPECT_GT(sigma(0.9f), sigma(0.1f));
 }
 
 TEST(PixelArray, ExposeAndReadRow)

@@ -33,19 +33,49 @@ enclosing classes — to check cross-line invariants:
   detached-thread      any .detach() call. Every thread in this repo
                        is joined (ServiceThread / the pool), so
                        shutdown is deterministic and sanitizer-clean.
+  unreached            a src/ function or class that no production
+                       root reaches. The roots are every function
+                       defined under bench/, perfbench/ and examples/,
+                       every operator overload and `main`, and every
+                       definition marked `// leca-analyze: keep:
+                       <reason>`, where the reason starts with `test
+                       hook`, `test reference` (a reference a test
+                       compares against) or `checkpoint API`; a keep
+                       on a class keeps its methods too. Any identifier
+                       in a reached body counts as a use, and so do the
+                       identifiers of a named macro's body and of a
+                       named namespace-scope initializer. A class is
+                       live only when a reached body, or a live class's
+                       members, names it outside a `*_cast<>`; its
+                       methods are reached when their name is used
+                       (constructors, destructors and
+                       lock/unlock/try_lock implicitly). A keep marker
+                       without one of the three reasons is a finding.
+                       Tests are never roots: code only tests call is
+                       dead unless kept.
 
 Engine: uses libclang (python clang.cindex) for the function index
 when available, and falls back to a hand-rolled lexer otherwise — the
 checks themselves are engine-independent, so the tool degrades
 gracefully on machines without a clang toolchain (prints which engine
-ran; never silently weakens).
+ran; never silently weakens). The class, macro and namespace-scope
+initializer indexes of the unreached check always come from the lexer.
 
 Usage:
   tools/leca_analyze.py [DIR-or-FILE ...]       analyze (default: src)
   tools/leca_analyze.py --fixtures DIR          self-test against
                                                 known-bad fixtures with
                                                 `// expect: <check>`
-                                                annotations
+                                                annotations; a line
+                                                marked `// expect-here:
+                                                <check>` must be flagged
+                                                and one marked
+                                                `// expect-none:
+                                                <check>` must not be.
+                                                Each fixture is its own
+                                                program: only its main,
+                                                operators and keeps are
+                                                roots.
   --format text|json                            output format
   --compile-commands PATH                       compile_commands.json,
                                                 used by the libclang
@@ -81,12 +111,10 @@ DEFAULT_ENTRY_POINTS = {
     "runChunks",        # parallel entry that fans a task body out
     # Resident int8 serving hot path (tensor/quant.cc, DESIGN.md §13):
     # the packed-gather conv over codes, the quantize/dequantize
-    # boundary crossings, and the pools that read codes directly.
+    # boundary crossings, and the global pool that reads codes directly.
     "convForwardResident",
     "quantizeActivationNchw",
     "dequantizeActivationNchw",
-    "maxPoolResident",
-    "avgPoolResident",
     "globalAvgPoolResident",
 }
 
@@ -140,13 +168,16 @@ class Function:
 
     def __init__(self, name: str, qualifier: str | None,
                  path: pathlib.Path, line: int, body: str,
-                 body_line: int):
+                 body_line: int, refs: str = "",
+                 span: tuple[int, int] = (0, 0)):
         self.name = name
         self.qualifier = qualifier  # class name, or None for free fns
         self.path = path
         self.line = line            # line of the signature
         self.body = body            # stripped body text (no comments)
         self.body_line = body_line  # line the body's '{' is on
+        self.refs = refs            # return type, parameters, init list
+        self.span = span            # body offsets in the stripped file
         self.cold = False           # `// leca-analyze: cold` marked
 
     @property
@@ -185,10 +216,13 @@ def check_exempt(check: str, path: pathlib.Path) -> bool:
 # Lexer engine: function extraction
 # --------------------------------------------------------------------
 
-# identifier( ... with optional Class:: qualifier; the closing paren
-# is found by matching, not by this regex.
+# identifier( or operator@( ... with optional Class:: qualifier; the
+# closing paren is found by matching, not by this regex.
 SIGNATURE = re.compile(
-    r"(?:([A-Za-z_]\w*)\s*::\s*)?(~?[A-Za-z_]\w*)\s*\(")
+    r"(?:([A-Za-z_]\w*)\s*::\s*)?"
+    r"(operator\s*(?:\(\s*\)|\[\s*\]|(?:new|delete)\b(?:\s*\[\s*\])?"
+    r"|[^\s\w()\[\]{};]+|[A-Za-z_][\w:]*(?:\s*[*&])*)"
+    r"|~?[A-Za-z_]\w*)\s*\(")
 
 # What may legally sit between the parameter list and the body.
 BETWEEN_PARAMS_AND_BODY = re.compile(
@@ -240,6 +274,8 @@ def extract_functions_lexer(path: pathlib.Path,
             break
         pos = match.end()
         name = match.group(2)
+        if name.startswith("operator"):
+            name = re.sub(r"\s+", "", name)
         if name in KEYWORDS or match.group(1) in KEYWORDS:
             continue
         paren_open = match.end() - 1
@@ -259,11 +295,16 @@ def extract_functions_lexer(path: pathlib.Path,
             for start, end, cls in classes:
                 if start < match.start() < end:
                     qualifier = cls
+        # The return type runs back to the previous statement or brace.
+        head = max(stripped.rfind(c, 0, match.start()) for c in ";{}")
         functions.append(Function(
             name, qualifier, path,
             line_of(stripped, match.start()),
             stripped[brace:body_end],
-            line_of(stripped, brace)))
+            line_of(stripped, brace),
+            stripped[head + 1:match.start()]
+            + stripped[paren_open:brace],
+            (brace, body_end)))
         pos = body_end
     return functions
 
@@ -308,6 +349,7 @@ def extract_functions_libclang(path: pathlib.Path, text: str,
             cindex.CursorKind.CXX_METHOD,
             cindex.CursorKind.CONSTRUCTOR,
             cindex.CursorKind.DESTRUCTOR,
+            cindex.CursorKind.CONVERSION_FUNCTION,
             cindex.CursorKind.FUNCTION_TEMPLATE,
         }
         for cursor in tu.cursor.walk_preorder():
@@ -328,10 +370,12 @@ def extract_functions_libclang(path: pathlib.Path, text: str,
                 and parent.kind in (cindex.CursorKind.CLASS_DECL,
                                     cindex.CursorKind.STRUCT_DECL) \
                 else None
+            # Everything before the body except the function's own name.
+            refs = stripped[start:brace].replace(cursor.spelling, " ", 1)
             functions.append(Function(
-                cursor.spelling, qualifier, path,
+                cursor.spelling.replace(" ", ""), qualifier, path,
                 cursor.location.line, stripped[brace:end],
-                line_of(stripped, brace)))
+                line_of(stripped, brace), refs, (brace, end)))
         return functions
     except Exception:
         return None  # any parse hiccup: fall back to the lexer
@@ -592,6 +636,258 @@ def near_marker(fn: Function, markers: set[int]) -> bool:
 
 
 # --------------------------------------------------------------------
+# unreached: every src/ definition has a production caller
+# --------------------------------------------------------------------
+
+# Repo-relative directories whose definitions are the production roots.
+ROOT_DIRS = ("bench", "perfbench", "examples")
+
+# Called by the language, not by name (std::lock_guard and friends).
+IMPLICIT_METHODS = {"lock", "unlock", "try_lock"}
+
+KEEP_MARKER = re.compile(r"//\s*leca-analyze:\s*keep\b:?(.*)")
+# The only reasons a definition may stay without a production caller.
+KEEP_REASONS = ("test hook", "test reference", "checkpoint API")
+IDENT = re.compile(r"\b[A-Za-z_]\w*")
+# A name inside dynamic_cast<...> (or any *_cast) tests for a class; it
+# does not make one.
+CAST = re.compile(r"\b\w+_cast\s*<(?:[^<>]|<[^<>]*>)*>")
+CLASS_DEF = re.compile(
+    r"\b(?:class|struct)\s+(?:LECA_\w+\s*(?:\([^()]*\))?\s*)?"
+    r"([A-Za-z_]\w*)(?:\s+final)?\s*(?::[^;{}()]*)?\{")
+MACRO_DEF = re.compile(r"^[ \t]*#[ \t]*define[ \t]+([A-Za-z_]\w*)"
+                       r"((?:[^\n]*\\\n)*[^\n]*)", re.MULTILINE)
+# NAME = ..., NAME{...}, NAME[...] = ... or `using NAME = ...`.
+NAMED_INIT = re.compile(r"\b([A-Za-z_]\w*)\s*(?:\[[^\]]*\]\s*)?(=(?!=)|\{)")
+# `namespace a::b {`, `enum class E : T {` and the like name a scope.
+SCOPE_NAME = re.compile(r"\b(?:namespace|enum|class|struct|union)\b[\w\s:]*$")
+NOT_A_VARIABLE = KEYWORDS | {
+    "class", "struct", "enum", "union", "const", "constexpr", "override",
+    "final", "mutable", "try", "extern", "public", "private", "protected"}
+
+
+class ClassDef:
+    """One class/struct definition and the text its members name."""
+
+    def __init__(self, name: str, line: int, span: tuple[int, int]):
+        self.name = name
+        self.line = line
+        self.span = span   # class keyword .. closing brace
+        self.members = ""  # head + member declarations, no bodies
+
+
+class Unit:
+    """The unreached check's index of one file."""
+
+    def __init__(self, path: pathlib.Path, functions: list[Function],
+                 text: str, stripped: str):
+        self.path = path
+        self.functions = functions
+        self.classes: list[ClassDef] = []
+        self.macros: list[tuple[str, str]] = []
+        self.inits: list[tuple[str, str]] = []
+        self.keeps: list[tuple[int, str]] = [
+            (line_of(text, m.start()), m.group(1).strip())
+            for m in KEEP_MARKER.finditer(text)]
+
+        bodies = sorted(fn.span for fn in functions)
+
+        def in_body(offset: int) -> bool:
+            return any(a <= offset < b for a, b in bodies)
+
+        for m in CLASS_DEF.finditer(stripped):
+            before = stripped[:m.start()].rstrip()
+            if before.endswith(("enum", "<", ",")) or in_body(m.start()):
+                continue
+            end = match_brace(stripped, m.end() - 1)
+            self.classes.append(ClassDef(
+                m.group(1), line_of(stripped, m.start()), (m.start(), end)))
+        for cls in self.classes:
+            # Member text: the class minus method bodies and nested
+            # classes (each of those is judged on its own).
+            cut = [s for s in bodies if cls.span[0] < s[0] < cls.span[1]]
+            cut += [o.span for o in self.classes if o is not cls
+                    and cls.span[0] < o.span[0] < cls.span[1]]
+            chars = list(stripped[cls.span[0]:cls.span[1]])
+            for a, b in cut:
+                for i in range(a - cls.span[0], b - cls.span[0]):
+                    chars[i] = " "
+            cls.members = "".join(chars)
+
+        for m in MACRO_DEF.finditer(stripped):
+            self.macros.append((m.group(1), m.group(2)))
+
+        # Namespace-scope initializers: outside every body and class.
+        opens = {fn.span[0] for fn in functions}
+        opens |= {stripped.index("{", c.span[0]) for c in self.classes}
+        scopes = bodies + [c.span for c in self.classes]
+        for m in NAMED_INIT.finditer(stripped):
+            name = m.group(1)
+            if name in NOT_A_VARIABLE or SCOPE_NAME.search(
+                    stripped, max(0, m.start() - 80), m.start()):
+                continue
+            if any(a <= m.start() < b for a, b in scopes):
+                continue
+            if m.group(2) == "{":
+                brace = m.end() - 1
+                if brace in opens:
+                    continue
+                self.inits.append((name, stripped[brace:match_brace(
+                    stripped, brace)]))
+            else:
+                end = m.end()
+                depth = 0
+                while end < len(stripped):
+                    c = stripped[end]
+                    if c in "({[":
+                        depth += 1
+                    elif c in ")}]":
+                        depth -= 1
+                    elif c == ";" and depth <= 0:
+                        break
+                    end += 1
+                self.inits.append((name, stripped[m.end():end]))
+
+
+def definition_keeps(unit: Unit) -> tuple[dict[int, str], list[int]]:
+    """Map each keep marker to the definition it annotates: the first
+    function or class whose signature is on the marker's line or within
+    four lines below it. Returns ({definition line: reason}, [lines of
+    markers that annotate nothing])."""
+    lines = sorted({fn.line for fn in unit.functions}
+                   | {c.line for c in unit.classes})
+    attached: dict[int, str] = {}
+    orphans = []
+    for marker, reason in unit.keeps:
+        target = next((ln for ln in lines if marker <= ln <= marker + 4),
+                      None)
+        if target is None:
+            orphans.append(marker)
+        else:
+            attached[target] = reason
+    return attached, orphans
+
+
+def check_unreached(units: list[Unit], flagged: set[pathlib.Path],
+                    roots: set[pathlib.Path]) -> tuple[list[Finding], int]:
+    """Findings for definitions in @p flagged files that no root
+    reaches, plus the number of keep markers with a reason."""
+    classes: dict[str, list[ClassDef]] = {}
+    for unit in units:
+        for cls in unit.classes:
+            classes.setdefault(cls.name, []).append(cls)
+    free: dict[str, list[Function]] = {}
+    methods: dict[str, list[Function]] = {}
+    by_class: dict[str, list[Function]] = {}
+    macros: dict[str, list[str]] = {}
+    inits: dict[str, list[str]] = {}
+    for unit in units:
+        for fn in unit.functions:
+            if fn.qualifier in classes:
+                methods.setdefault(fn.name, []).append(fn)
+                by_class.setdefault(fn.qualifier, []).append(fn)
+            else:
+                free.setdefault(fn.name, []).append(fn)
+        for name, body in unit.macros:
+            macros.setdefault(name, []).append(body)
+        for name, body in unit.inits:
+            inits.setdefault(name, []).append(body)
+
+    named: set[str] = set()       # every identifier a reached text uses
+    live: set[str] = set()        # classes a reached text names
+    reached: set[int] = set()     # id() of reached functions
+    work: list = []               # Function, or (kind, name or text)
+
+    def reach_class(name: str) -> None:
+        if name in live:
+            return
+        live.add(name)
+        for cls in classes[name]:
+            work.append(("members", cls.members))
+        for fn in by_class.get(name, []):
+            if fn.name in named or fn.name in IMPLICIT_METHODS \
+                    or fn.name.lstrip("~") == name:
+                work.append(fn)
+
+    def scan(text: str, members_only: bool) -> None:
+        for name in set(IDENT.findall(CAST.sub(" ", text))):
+            if name in classes:
+                reach_class(name)
+        if members_only:
+            return
+        for name in set(IDENT.findall(text)) - named:
+            named.add(name)
+            work.extend(free.get(name, []))
+            work.extend(fn for fn in methods.get(name, [])
+                        if fn.qualifier in live)
+            work.extend(("text", body) for body in macros.get(name, []))
+            work.extend(("text", body) for body in inits.get(name, []))
+
+    markers = {unit.path: definition_keeps(unit) for unit in units}
+    for unit in units:
+        kept = {line for line, reason in markers[unit.path][0].items()
+                if reason.startswith(KEEP_REASONS)}
+        is_root = unit.path in roots
+        for fn in unit.functions:
+            if is_root or fn.name == "main" \
+                    or fn.name.startswith("operator") or fn.line in kept:
+                work.append(fn)
+        for cls in unit.classes:
+            if is_root or cls.line in kept:
+                work.append(("class", cls.name))
+                work.extend(by_class.get(cls.name, []))
+        if is_root:
+            work.extend(("text", body) for _, body in unit.inits)
+
+    while work:
+        item = work.pop()
+        if isinstance(item, Function):
+            if id(item) not in reached:
+                reached.add(id(item))
+                scan(item.refs + item.body, False)
+        elif item[0] == "class":
+            reach_class(item[1])
+        else:
+            scan(item[1], item[0] == "members")
+
+    keeps = 0
+    findings: list[Finding] = []
+    # A dead class is reported once, not once per method.
+    dead_classes = set(classes) - live
+    for unit in units:
+        if unit.path not in flagged:
+            continue
+        attached, orphans = markers[unit.path]
+        keeps += sum(1 for reason in attached.values()
+                     if reason.startswith(KEEP_REASONS))
+        for line in orphans:
+            findings.append(Finding(
+                "unreached", unit.path, line,
+                "keep marker annotates no definition"))
+        defs = [(c.line, c.name, c.name in live) for c in unit.classes]
+        defs += [(fn.line, fn.qualified, id(fn) in reached)
+                 for fn in unit.functions
+                 if fn.qualifier not in dead_classes]
+        for line, name, ok in sorted(defs):
+            reason = attached.get(line)
+            if reason is not None and not reason.startswith(KEEP_REASONS):
+                findings.append(Finding(
+                    "unreached", unit.path, line,
+                    f"keep marker on '{name}' gives no valid reason: "
+                    f"write `// leca-analyze: keep: <reason>` where the "
+                    f"reason starts with "
+                    f"{', '.join(repr(r) for r in KEEP_REASONS)}"))
+            elif not ok and reason is None:
+                findings.append(Finding(
+                    "unreached", unit.path, line,
+                    f"'{name}' has no production caller: nothing under "
+                    f"{', '.join(d + '/' for d in ROOT_DIRS)} reaches "
+                    f"it; delete it, or mark it `// leca-analyze: keep: "
+                    f"<reason>`"))
+    return findings, keeps
+
+
+# --------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------
 
@@ -613,34 +909,49 @@ def collect(targets: list[str]) -> list[pathlib.Path]:
     return files
 
 
+def index_file(path: pathlib.Path, engine: str,
+               compile_commands: pathlib.Path | None
+               ) -> tuple[list[Function], str, str, bool] | None:
+    """(functions, text, stripped text, libclang used) for one file."""
+    try:
+        text = path.read_text(encoding="utf-8", errors="replace")
+    except OSError:
+        return None
+    stripped = strip_noise(text)
+    fns = None
+    if engine in ("auto", "libclang"):
+        fns = extract_functions_libclang(path, text, compile_commands)
+    used_libclang = fns is not None
+    if fns is None:
+        if engine == "libclang":
+            print(f"leca_analyze: libclang unavailable for {path}, "
+                  f"using lexer", file=sys.stderr)
+        fns = extract_functions_lexer(path, stripped)
+    return fns, text, stripped, used_libclang
+
+
 def analyze(files: list[pathlib.Path], engine: str,
-            compile_commands: pathlib.Path | None
-            ) -> tuple[list[Finding], str]:
+            compile_commands: pathlib.Path | None, tree: bool = True
+            ) -> tuple[list[Finding], str, int]:
+    """Run every check over @p files. In tree mode the unreached check
+    also indexes src/ and the root directories and flags only src/
+    definitions; otherwise (a fixture) the files stand alone.
+    Returns (findings, engine used, keep markers with a reason)."""
     functions: list[Function] = []
     entries = set(DEFAULT_ENTRY_POINTS)
     findings: list[Finding] = []
+    units: list[Unit] = []
     engine_used = "lexer"
     for path in files:
-        try:
-            text = path.read_text(encoding="utf-8", errors="replace")
-        except OSError as err:
-            findings.append(Finding("io", path, 0,
-                                    f"cannot read: {err}"))
+        indexed = index_file(path, engine, compile_commands)
+        if indexed is None:
+            findings.append(Finding("io", path, 0, "cannot read"))
             continue
-        stripped = strip_noise(text)
-
-        fns = None
-        if engine in ("auto", "libclang"):
-            fns = extract_functions_libclang(path, text,
-                                             compile_commands)
-            if fns is not None:
-                engine_used = "libclang"
-        if fns is None:
-            if engine == "libclang":
-                print(f"leca_analyze: libclang unavailable for {path}, "
-                      f"using lexer", file=sys.stderr)
-            fns = extract_functions_lexer(path, stripped)
+        fns, text, stripped, used_libclang = indexed
+        if used_libclang:
+            engine_used = "libclang"
         functions.extend(fns)
+        units.append(Unit(path, fns, text, stripped))
 
         # `// leca-analyze: entry` above a definition promotes it to a
         # hot-path entry point; `// leca-analyze: cold` exempts it (and
@@ -659,8 +970,28 @@ def analyze(files: list[pathlib.Path], engine: str,
     findings.extend(check_hidden_alloc(functions, entries))
     findings.extend(check_arena_escape(functions))
     findings.extend(check_lock_order(functions))
+
+    if tree:
+        targets = {u.path.resolve() for u in units}
+        for path in collect(["src", *ROOT_DIRS]):
+            if path.resolve() in targets:
+                continue
+            indexed = index_file(path, engine, compile_commands)
+            if indexed is not None:
+                units.append(Unit(path, indexed[0], indexed[1],
+                                  indexed[2]))
+        flagged = {u.path for u in units if u.path.resolve() in targets
+                   and (repo_relative(u.path) or "").startswith("src/")}
+        roots = {u.path for u in units
+                 if (repo_relative(u.path) or "").split("/")[0]
+                 in ROOT_DIRS}
+    else:
+        flagged = {u.path for u in units}
+        roots = set()
+    unreached, keeps = check_unreached(units, flagged, roots)
+    findings.extend(unreached)
     findings.sort(key=lambda f: (str(f.path), f.line, f.check))
-    return findings, engine_used
+    return findings, engine_used, keeps
 
 
 def run_fixtures(fixture_dir: pathlib.Path, engine: str,
@@ -684,13 +1015,21 @@ def run_fixtures(fixture_dir: pathlib.Path, engine: str,
                   file=sys.stderr)
             failures += 1
             continue
-        findings, _ = analyze([path], engine, compile_commands)
+        findings, _, _ = analyze([path], engine, compile_commands,
+                                 tree=False)
         found = {f.check for f in findings}
-        missing = expected - found
+        at = {(f.check, f.line) for f in findings}
+        missing = sorted(expected - found)
+        for kind, want in (("here", True), ("none", False)):
+            for m in re.finditer(rf"//\s*expect-{kind}:\s*([\w-]+)",
+                                 text):
+                line = line_of(text, m.start())
+                if ((m.group(1), line) in at) != want:
+                    missing.append(f"{m.group(1)} {kind} at line {line}")
         if missing:
             failures += 1
             print(f"FIXTURE {path.name}: MISSED "
-                  f"{', '.join(sorted(missing))} "
+                  f"{', '.join(missing)} "
                   f"(found: {', '.join(sorted(found)) or 'nothing'})")
             for f in findings:
                 print(f"    {f.text()}")
@@ -729,12 +1068,13 @@ def main(argv: list[str]) -> int:
 
     targets = args.targets or ["src"]
     files = collect(targets)
-    findings, engine_used = analyze(files, args.engine,
-                                    compile_commands)
+    findings, engine_used, keeps = analyze(files, args.engine,
+                                           compile_commands)
     if args.format == "json":
         print(json.dumps({
             "engine": engine_used,
             "files": len(files),
+            "keeps": keeps,
             "findings": [f.as_dict() for f in findings],
         }, indent=2))
     else:
@@ -742,7 +1082,8 @@ def main(argv: list[str]) -> int:
             print(finding.text())
         status = f"{len(findings)} finding(s)" if findings else "OK"
         print(f"leca_analyze: {status} ({len(files)} files, "
-              f"engine: {engine_used})", file=sys.stderr)
+              f"engine: {engine_used}, {keeps} keep markers)",
+              file=sys.stderr)
     return 1 if findings else 0
 
 

@@ -25,7 +25,7 @@ Enforces invariants clang-tidy cannot express:
                      `std::async` / `#pragma omp` outside
                      src/util/parallel.* — all concurrency flows
                      through the one audited deterministic pool
-                     (parallelFor / parallelReduce).
+                     (parallelFor).
   tensor-at-in-kernel
                      no per-element `.at(...)` indexing inside the hot
                      kernel and layer files (src/tensor/{ops,kernels}.cc
@@ -123,8 +123,8 @@ LINE_RULES = [
                    r"(?:std::)?l?l?(?:round|floor|ceil|trunc)\b"
                    r"|\(\s*(?:unsigned\s+)?(?:int|long|short)\s*\)\s*"
                    r"(?:std::)?l?l?(?:round|floor|ceil|trunc)\b"),
-        "float->int narrowing; use leca::roundToInt / floorToInt / "
-        "ceilToInt / truncToInt (util/numeric.hh)",
+        "float->int narrowing; use leca::roundToInt, or leca::truncToInt "
+        "of std::floor / std::ceil (util/numeric.hh)",
         False,
         False,
     ),
@@ -139,8 +139,7 @@ LINE_RULES = [
         "concurrency-primitive",
         re.compile(r"\bstd::j?thread\b|\bstd::async\b"
                    r"|#\s*pragma\s+omp\b"),
-        "raw concurrency primitive; use parallelFor / parallelReduce "
-        "(util/parallel.hh)",
+        "raw concurrency primitive; use parallelFor (util/parallel.hh)",
         False,
         False,
     ),
