@@ -13,17 +13,17 @@ namespace {
 using namespace simd::detail;
 
 // Theoretical per-core, per-cycle peaks for the roofline row —
-// documented estimates, not measurements. f32FlopsPerCycle assumes the
-// non-fused mul+add policy the fp32 micro-kernel pins (one multiply +
-// one add per element on the FP ports). i8MacsPerCycle assumes one
-// widening int8 MAC instruction per cycle (VPDPBUSD / SDOT where
-// present); the int8 panel's per-block scaling is fused-FMA by
-// contract (simd.hh) and does not change the MAC count.
+// documented estimates, not measurements. f32FlopsPerCycle is the FMA
+// peak the fp32 micro-kernel's fused chains (simd.hh) can reach: two
+// FMA instructions per cycle, two flops per lane each (scalar and NEON:
+// two 4-lane FMAs). i8MacsPerCycle assumes one widening int8 MAC
+// instruction per cycle (VPDPBUSD / SDOT where present); the int8
+// panel's per-block scaling does not change the MAC count.
 const KernelSet kScalarSet = {
     "scalar", Isa::Scalar,
     microF32Scalar, dotQ8PanelScalar, quantizeRowScalar,
     dequantizeRowScalar,
-    /*f32FlopsPerCycle=*/8.0, /*i8MacsPerCycle=*/8.0,
+    /*f32FlopsPerCycle=*/16.0, /*i8MacsPerCycle=*/8.0,
     affineReluRowScalar,
 };
 
@@ -31,7 +31,7 @@ const KernelSet kScalarSet = {
 const KernelSet kAvx2Set = {
     "avx2", Isa::Avx2,
     microF32Avx2, dotQ8PanelAvx2, quantizeRowAvx2, dequantizeRowAvx2,
-    /*f32FlopsPerCycle=*/16.0, /*i8MacsPerCycle=*/32.0,
+    /*f32FlopsPerCycle=*/32.0, /*i8MacsPerCycle=*/32.0,
     affineReluRowAvx2,
 };
 #endif
@@ -50,7 +50,7 @@ avx512Set()
             dotQ8PanelScalar,
 #endif
             quantizeRowAvx512, dequantizeRowAvx512,
-            /*f32FlopsPerCycle=*/32.0, /*i8MacsPerCycle=*/32.0,
+            /*f32FlopsPerCycle=*/64.0, /*i8MacsPerCycle=*/32.0,
             affineReluRowAvx512,
         };
 #if defined(LECA_HAVE_AVX512VNNI) && defined(__x86_64__)
@@ -68,8 +68,9 @@ avx512Set()
 #if defined(LECA_HAVE_NEON)
 const KernelSet kNeonSet = {
     "neon", Isa::Neon,
-    microF32Neon, dotQ8PanelScalar, quantizeRowScalar, dequantizeRowScalar,
-    /*f32FlopsPerCycle=*/8.0, /*i8MacsPerCycle=*/8.0,
+    microF32Scalar, dotQ8PanelScalar, quantizeRowScalar,
+    dequantizeRowScalar,
+    /*f32FlopsPerCycle=*/16.0, /*i8MacsPerCycle=*/8.0,
     affineReluRowNeon,
 };
 #endif
@@ -98,7 +99,7 @@ probeKernels()
         return avx512Set();
 #endif
 #if defined(LECA_HAVE_AVX2) && defined(__x86_64__)
-    if (__builtin_cpu_supports("avx2"))
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
         return kAvx2Set;
 #endif
     return kScalarSet;
@@ -156,8 +157,11 @@ hostSupportsKernelSet(const KernelSet &set)
       case Isa::Scalar:
         return true;
       case Isa::Avx2:
+        // The set is built with -mfma: its fp32 tile, int8 panel and
+        // epilogue all issue VFMADD.
 #if defined(__x86_64__)
-        return __builtin_cpu_supports("avx2");
+        return __builtin_cpu_supports("avx2")
+               && __builtin_cpu_supports("fma");
 #else
         return false;
 #endif

@@ -1,6 +1,7 @@
 #include "kernels.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -467,7 +468,7 @@ convBackwardWeightsImage(const ConvGeometry &g, const Im2colIndex &ix,
         Arena::local().alloc(static_cast<std::size_t>(ix.planeFloats)));
     const std::int64_t npix = g.pixels();
     const std::int64_t ldw = g.kdim() + (with_bias ? 1 : 0);
-    // dY is the A operand: cout on the 4-row axis, pixels on k.
+    // dY is the A operand: cout on the kMicroM-row axis, pixels on k.
     float *ap = Arena::local().alloc(
         static_cast<std::size_t>(roundUp(g.cout, MR) * npix));
     packA(dy, npix, false, 0, g.cout, 0, npix, ap);
@@ -540,7 +541,7 @@ convBackwardDataImage(const ConvGeometry &g, simd::MicroF32Fn micro,
         static_cast<std::size_t>(roundUp(npix, NR) * g.cout));
     packB(dy, npix, false, g.cout, npix, bp);
     // Input channels split into groups that own disjoint dX planes; a
-    // multiple of 4 channels keeps the groups' row tiles full.
+    // multiple of kMicroM channels keeps the groups' row tiles full.
     const int group = static_cast<int>(std::min<std::int64_t>(
         g.cin, roundUp(chunkUnits(g.cin, 2 * khkw * npix * g.cout), MR)));
     const std::int64_t rows_max = static_cast<std::int64_t>(group) * khkw;
@@ -638,10 +639,10 @@ gemmReference(std::int64_t m, std::int64_t n, std::int64_t k,
             if (!trans_b) {
                 const float *brow = b + kk * ldb;
                 for (std::int64_t j = 0; j < n; ++j)
-                    crow[j] += av * brow[j];
+                    crow[j] = std::fmaf(av, brow[j], crow[j]);
             } else {
                 for (std::int64_t j = 0; j < n; ++j)
-                    crow[j] += av * b[j * ldb + kk];
+                    crow[j] = std::fmaf(av, b[j * ldb + kk], crow[j]);
             }
         }
     }

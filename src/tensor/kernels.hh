@@ -17,10 +17,11 @@
  *      (util/parallel.hh). Each worker packs its own kMicroM-tall A
  *      panels (k blocked by kBlockK) into thread-local arena scratch
  *      and drives the micro-kernel over the tile grid.
- *   3. The micro-kernel keeps a kMicroM×kMicroN accumulator array in
- *      registers and issues one multiply-add per element per k step,
- *      so every output element accumulates its k contributions in
- *      ascending order with a single accumulator chain.
+ *   3. The micro-kernel keeps a kMicroM×kMicroN (8×16) accumulator
+ *      array in registers and issues one correctly rounded fused
+ *      multiply-add per element per k step, so every output element
+ *      accumulates its k contributions in ascending order with a single
+ *      FMA chain (the microF32 contract, simd.hh).
  *
  * The conv passes instead pack their column-matrix operand one
  * cache-sized panel or block at a time, straight from a zero-padded
@@ -45,8 +46,13 @@
 
 namespace leca {
 
-/** Micro-tile rows: accumulator panel height held in registers. */
-inline constexpr int kMicroM = 4;
+/**
+ * Micro-tile rows: accumulator panel height held in registers — eight
+ * independent FMA chains per lane, enough to cover the FMA latency on
+ * two ports. Packed A panels are this tall; a tile with at most
+ * kMicroM/2 live rows runs only the upper half of its panel.
+ */
+inline constexpr int kMicroM = 8;
 
 /** Micro-tile columns: one or two SIMD vectors of floats. */
 inline constexpr int kMicroN = 16;
@@ -79,8 +85,8 @@ void gemmBlocked(std::int64_t m, std::int64_t n, std::int64_t k,
 
 /**
  * Retained naive reference: serial i-k-j GEMM with the same
- * per-element accumulation order (single chain, k ascending, identical
- * multiply-add expression) as gemmBlocked. Used by tests to pin
+ * per-element accumulation order (single chain, k ascending, one
+ * std::fmaf per step) as gemmBlocked. Used by tests to pin
  * bit-exactness of the blocked kernel and by bench/micro_ops as the
  * pre-blocking baseline.
  */

@@ -1,12 +1,16 @@
 /**
  * @file
- * AVX2 kernels. Compiled with -mavx2 -ffp-contract=off; nothing in
- * this TU may be inlined elsewhere (see simd.hh).
+ * AVX2 kernels. Compiled with -mavx2 -mfma; nothing in this TU may be
+ * inlined elsewhere (see simd.hh).
  *
- * fp32: two 8-lane accumulator vectors per micro-tile row, explicit
- * VMULPS+VADDPS (never VFMADD — the cross-ISA bit-exactness policy).
- * C-edge tiles use VMASKMOVPS so there is no separate tail path; the
- * packed panels are already zero-padded along both k and n.
+ * fp32: two 8-lane accumulator vectors per micro-tile row, one VFMADD
+ * per vector per k step. The 8-row panel runs as two 4×16 halves, one
+ * after the other over the whole k range: each half keeps eight
+ * independent FMA chains in flight and fits the sixteen ymm registers
+ * with its two B vectors and the broadcast, where the whole 8×16 tile
+ * would spill. A tile of at most four live rows runs only its first
+ * half. C-edge tiles use VMASKMOVPS so there is no separate tail path;
+ * the packed panels are already zero-padded along both k and n.
  *
  * int8: the VPMADDUBSW sign trick (ggml-style) with output channels on
  * the lanes. Each 64-byte pack step is read as two 8-channel halves of
@@ -29,11 +33,15 @@
 #include <cfloat>
 #include <cstring>
 
+#include "tensor/kernels.hh"
 #include "tensor/simd.hh"
 
 namespace leca::simd::detail {
 
 namespace {
+
+static_assert(kMicroM == 8 && kMicroN == 16,
+              "the fp32 tile is two four-row halves of two 8-lane vectors");
 
 /** Lane mask for an 8-float vector covering lanes [base, base+8) of a
  *  row whose live extent is @p nr. */
@@ -147,15 +155,19 @@ reduceMaxU32(__m256i v)
     return static_cast<unsigned>(_mm_cvtsi128_si32(m));
 }
 
-} // namespace
-
-void
-microF32Avx2(std::int64_t kc, const float *ap, const float *bp, float *c,
-             std::int64_t ldc, int mr, int nr, bool first)
+/**
+ * Four rows of the micro-tile: panel rows r0 .. r0+3 when @p ap points
+ * at row r0 of the packed A panel (still kMicroM floats per k step) and
+ * @p c at C's row r0; @p mr live rows counted from there.
+ */
+inline void
+microHalfAvx2(std::int64_t kc, const float *ap, const float *bp, float *c,
+              std::int64_t ldc, int mr, __m256i m0, __m256i m1, bool first)
 {
-    const __m256i m0 = laneMask(nr, 0);
-    const __m256i m1 = laneMask(nr, 8);
+    // Every row loop is unrolled, so the accumulators stay in
+    // registers.
     __m256 acc[4][2];
+#pragma GCC unroll 4
     for (int r = 0; r < 4; ++r) {
         if (!first && r < mr) {
             acc[r][0] = _mm256_maskload_ps(c + r * ldc, m0);
@@ -166,19 +178,34 @@ microF32Avx2(std::int64_t kc, const float *ap, const float *bp, float *c,
         }
     }
     for (std::int64_t kk = 0; kk < kc; ++kk) {
-        const __m256 b0 = _mm256_loadu_ps(bp + kk * 16);
-        const __m256 b1 = _mm256_loadu_ps(bp + kk * 16 + 8);
-        const float *arow = ap + kk * 4;
+        const __m256 b0 = _mm256_loadu_ps(bp + kk * kMicroN);
+        const __m256 b1 = _mm256_loadu_ps(bp + kk * kMicroN + 8);
+        const float *arow = ap + kk * kMicroM;
+#pragma GCC unroll 4
         for (int r = 0; r < 4; ++r) {
             const __m256 av = _mm256_broadcast_ss(arow + r);
-            acc[r][0] = _mm256_add_ps(acc[r][0], _mm256_mul_ps(av, b0));
-            acc[r][1] = _mm256_add_ps(acc[r][1], _mm256_mul_ps(av, b1));
+            acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
+            acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
         }
     }
-    for (int r = 0; r < mr; ++r) {
+#pragma GCC unroll 4
+    for (int r = 0; r < 4 && r < mr; ++r) {
         _mm256_maskstore_ps(c + r * ldc, m0, acc[r][0]);
         _mm256_maskstore_ps(c + r * ldc + 8, m1, acc[r][1]);
     }
+}
+
+} // namespace
+
+void
+microF32Avx2(std::int64_t kc, const float *ap, const float *bp, float *c,
+             std::int64_t ldc, int mr, int nr, bool first)
+{
+    const __m256i m0 = laneMask(nr, 0);
+    const __m256i m1 = laneMask(nr, 8);
+    for (int r0 = 0; r0 < mr; r0 += kMicroM / 2)
+        microHalfAvx2(kc, ap + r0, bp, c + r0 * ldc, ldc, mr - r0, m0, m1,
+                      first);
 }
 
 void

@@ -1,12 +1,13 @@
 /**
  * @file
  * AVX-512 (F/BW/VL) kernels. Compiled with -mavx512f -mavx512bw
- * -mavx512vl -ffp-contract=off; nothing here may be inlined elsewhere
- * (see simd.hh).
+ * -mavx512vl; nothing here may be inlined elsewhere (see simd.hh).
  *
  * fp32: one 16-lane accumulator vector per micro-tile row — the whole
- * kMicroN extent in a single register — with explicit VMULPS+VADDPS
- * and masked C loads/stores, so edge tiles share the main path.
+ * kMicroN extent in a single register — so the 8×16 tile keeps eight
+ * independent VFMADD chains in flight, enough to cover the FMA latency
+ * on both ports. A tile of at most four live rows runs a 4×16 body.
+ * Masked C loads/stores let edge tiles share the main path.
  *
  * There is no AVX-512 int8 panel without VNNI (VPSIGNB does not exist
  * in EVEX form); isa.cc pairs this set's microF32 with the VNNI panel
@@ -27,9 +28,37 @@
 #include <cfloat>
 #include <cstring>
 
+#include "tensor/kernels.hh"
 #include "tensor/simd.hh"
 
 namespace leca::simd::detail {
+
+namespace {
+
+static_assert(kMicroM == 8 && kMicroN == 16,
+              "the fp32 tile is eight rows of one 16-lane vector");
+
+/** The first R rows of the panel; @p m masks the live lanes. */
+template <int R>
+inline void
+microTileAvx512(std::int64_t kc, const float *ap, const float *bp, float *c,
+                std::int64_t ldc, int mr, __mmask16 m, bool first)
+{
+    __m512 acc[R];
+    for (int r = 0; r < R; ++r)
+        acc[r] = (!first && r < mr) ? _mm512_maskz_loadu_ps(m, c + r * ldc)
+                                    : _mm512_setzero_ps();
+    for (std::int64_t kk = 0; kk < kc; ++kk) {
+        const __m512 b = _mm512_loadu_ps(bp + kk * kMicroN);
+        const float *arow = ap + kk * kMicroM;
+        for (int r = 0; r < R; ++r)
+            acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(arow[r]), b, acc[r]);
+    }
+    for (int r = 0; r < mr; ++r)
+        _mm512_mask_storeu_ps(c + r * ldc, m, acc[r]);
+}
+
+} // namespace
 
 void
 microF32Avx512(std::int64_t kc, const float *ap, const float *bp, float *c,
@@ -38,20 +67,10 @@ microF32Avx512(std::int64_t kc, const float *ap, const float *bp, float *c,
     const __mmask16 m =
         nr >= 16 ? static_cast<__mmask16>(0xFFFF)
                  : static_cast<__mmask16>((1u << nr) - 1u);
-    __m512 acc[4];
-    for (int r = 0; r < 4; ++r)
-        acc[r] = (!first && r < mr) ? _mm512_maskz_loadu_ps(m, c + r * ldc)
-                                    : _mm512_setzero_ps();
-    for (std::int64_t kk = 0; kk < kc; ++kk) {
-        const __m512 b = _mm512_loadu_ps(bp + kk * 16);
-        const float *arow = ap + kk * 4;
-        for (int r = 0; r < 4; ++r) {
-            const __m512 av = _mm512_set1_ps(arow[r]);
-            acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(av, b));
-        }
-    }
-    for (int r = 0; r < mr; ++r)
-        _mm512_mask_storeu_ps(c + r * ldc, m, acc[r]);
+    if (mr <= kMicroM / 2)
+        microTileAvx512<kMicroM / 2>(kc, ap, bp, c, ldc, mr, m, first);
+    else
+        microTileAvx512<kMicroM>(kc, ap, bp, c, ldc, mr, m, first);
 }
 
 void

@@ -1,16 +1,15 @@
 /**
  * @file
  * Scalar reference kernels: the bit-exactness baseline every SIMD
- * variant is pinned against (DESIGN.md §12). Compiled with
- * -ffp-contract=off like every other kernel TU, so the explicit
- * multiply-then-add chains here are what the AVX2/AVX-512/NEON
- * variants must reproduce exactly.
+ * variant is pinned against (DESIGN.md §12). Every fused operation here
+ * is an explicit correctly rounded fma, which the AVX2/AVX-512/NEON
+ * variants reproduce exactly with VFMADD/FMLA.
  *
- * The fp32 micro-kernel is the original PR 3 compiler-vector kernel,
- * moved verbatim from kernels.cc: the GCC vector extension pins the
- * SIMD axis to the packed-B lane dimension, so even the "scalar"
- * reference autovectorises well under whatever -march the build uses —
- * per-lane chains are identical regardless of vector width.
+ * The fp32 micro-kernel keeps its accumulators in the GCC vector
+ * extension, which pins the SIMD axis to the packed-B lane dimension:
+ * fmaLanes applies __builtin_fmaf lane by lane, which GCC emits as one
+ * vector FMA per row when the build targets FMA hardware and as a
+ * libm fmaf call per lane otherwise — the same bits either way.
  */
 
 #include <cfloat>
@@ -29,25 +28,53 @@ constexpr int NR = kMicroN;
 
 #if defined(__GNUC__) || defined(__clang__)
 typedef float VecN __attribute__((vector_size(NR * sizeof(float))));
+
+/** fma(a, b[l], c[l]) in every lane. */
+inline VecN
+fmaLanes(float a, VecN b, VecN c)
+{
+    for (int l = 0; l < NR; ++l)
+        c[l] = __builtin_fmaf(a, b[l], c[l]);
+    return c;
+}
 #else
 struct VecN { // Portable fallback: plain per-lane arithmetic.
     float v[NR];
     float &operator[](int l) { return v[l]; }
-    VecN &operator+=(const VecN &o)
-    {
-        for (int l = 0; l < NR; ++l)
-            v[l] += o.v[l];
-        return *this;
-    }
-    friend VecN operator*(float s, const VecN &o)
-    {
-        VecN r;
-        for (int l = 0; l < NR; ++l)
-            r.v[l] = s * o.v[l];
-        return r;
-    }
 };
+
+inline VecN
+fmaLanes(float a, VecN b, VecN c)
+{
+    for (int l = 0; l < NR; ++l)
+        c[l] = std::fmaf(a, b[l], c[l]);
+    return c;
+}
 #endif
+
+/** The first R rows of the panel (R = MR, or MR/2 for short tiles). */
+template <int R>
+inline void
+microTile(std::int64_t kc, const float *ap, const float *bp, float *c,
+          std::int64_t ldc, int mr, int nr, bool first)
+{
+    VecN acc[R];
+    for (int r = 0; r < R; ++r)
+        for (int l = 0; l < NR; ++l)
+            acc[r][l] = (!first && r < mr && l < nr) ? c[r * ldc + l] : 0.0f;
+    for (std::int64_t kk = 0; kk < kc; ++kk) {
+        const float *arow = ap + kk * MR;
+        VecN bv;
+        std::memcpy(&bv, bp + kk * NR, sizeof(bv));
+        // Unrolled, so the accumulators stay in registers.
+#pragma GCC unroll 8
+        for (int r = 0; r < R; ++r)
+            acc[r] = fmaLanes(arow[r], bv, acc[r]);
+    }
+    for (int r = 0; r < mr; ++r)
+        for (int l = 0; l < nr; ++l)
+            c[r * ldc + l] = acc[r][l];
+}
 
 } // namespace
 
@@ -55,20 +82,10 @@ void
 microF32Scalar(std::int64_t kc, const float *ap, const float *bp, float *c,
                std::int64_t ldc, int mr, int nr, bool first)
 {
-    VecN acc[MR];
-    for (int r = 0; r < MR; ++r)
-        for (int l = 0; l < NR; ++l)
-            acc[r][l] = (!first && r < mr && l < nr) ? c[r * ldc + l] : 0.0f;
-    for (std::int64_t kk = 0; kk < kc; ++kk) {
-        const float *arow = ap + kk * MR;
-        VecN bv;
-        std::memcpy(&bv, bp + kk * NR, sizeof(bv));
-        for (int r = 0; r < MR; ++r)
-            acc[r] += arow[r] * bv;
-    }
-    for (int r = 0; r < mr; ++r)
-        for (int l = 0; l < nr; ++l)
-            c[r * ldc + l] = acc[r][l];
+    if (mr <= MR / 2)
+        microTile<MR / 2>(kc, ap, bp, c, ldc, mr, nr, first);
+    else
+        microTile<MR>(kc, ap, bp, c, ldc, mr, nr, first);
 }
 
 void

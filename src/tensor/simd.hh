@@ -13,19 +13,20 @@
  * binary must never inherit (an AVX-512 instruction inlined into
  * common code would fault on an AVX2-only host).
  *
- * Determinism contract shared by every implementation of a slot:
+ * Determinism contract shared by every implementation of a slot. Both
+ * float-combining slots follow one rule: each output is one chain of
+ * correctly rounded fused multiply-adds (std::fmaf, VFMADD and FMLA
+ * compute identical bits) in a fixed ascending order, so every variant
+ * is bit-identical and no output depends on how its work is tiled.
+ * Every TU is compiled with -ffp-contract=off, so the only fused
+ * operations are these explicit ones.
  *
- *  - microF32: one non-fused multiply-then-add per element per k step,
- *    ascending k, one accumulator chain per output element. Every TU
- *    that implements or compares this math is compiled with
- *    -ffp-contract=off, so scalar, AVX2, AVX-512 and NEON variants are
- *    bit-identical (the policy trades the FMA peak for cross-ISA
- *    reproducibility; the throughput headline comes from int8).
+ *  - microF32: one fused multiply-add per element per k step,
+ *    ascending k, one chain per output element, starting from +0 or
+ *    from the stored C.
  *  - dotQ8Panel: every block dot is an exact int32 sum; the float
- *    combine is one pinned chain per output — one correctly-rounded
- *    fused multiply-add per block (fmaf / VFMADD / FMLA compute
- *    identical bits) in ascending block order — so all variants are
- *    bit-identical and no output depends on how a panel is tiled.
+ *    combine is one fused multiply-add per block, in ascending block
+ *    order.
  *  - quantizeRow/dequantizeRow: same absmax reduction over the finite
  *    lanes (max is exact), same float divisions, same round-to-
  *    nearest-even conversion and the same non-finite policy in every
@@ -46,9 +47,12 @@ namespace simd {
 
 /**
  * fp32 micro-kernel over one packed kMicroM-tall A panel and one
- * packed kMicroN-wide B panel (layouts produced by tensor/kernels.cc).
- * @p first selects zero-initialised accumulators vs. continuing each
- * element's chain from C; only the live mr×nr corner is stored.
+ * packed kMicroN-wide B panel (layouts produced by tensor/kernels.cc):
+ * for kk = 0 .. kc-1, acc[r][l] = fma(ap[kk·kMicroM + r],
+ * bp[kk·kMicroN + l], acc[r][l]). @p first selects accumulators that
+ * start from +0 vs. continuing each element's chain from C; only the
+ * live mr×nr corner is stored. When mr ≤ kMicroM/2 a variant may run
+ * only the upper half of the panel's rows.
  */
 using MicroF32Fn = void (*)(std::int64_t kc, const float *ap,
                             const float *bp, float *c, std::int64_t ldc,
@@ -181,10 +185,8 @@ void dotQ8PanelVnni(const std::uint8_t *pa, const float *sa,
                     std::int64_t rows, const Q8PackView &w, float *c,
                     std::int64_t ldc);
 
-// NEON / AArch64 (kernels_neon.cc); its int8 panel slot runs the
-// scalar reference.
-void microF32Neon(std::int64_t kc, const float *ap, const float *bp,
-                  float *c, std::int64_t ldc, int mr, int nr, bool first);
+// NEON / AArch64 (kernels_neon.cc); its microF32 and int8 panel slots
+// run the scalar references.
 void affineReluRowNeon(const float *src, const float *a, const float *b,
                        std::int64_t k, bool relu, float *dst);
 
@@ -194,9 +196,8 @@ void affineReluRowNeon(const float *src, const float *a, const float *b,
 
 /**
  * One ISA's full kernel complement plus the static per-cycle peak
- * estimates bench/micro_ops.cc uses for its roofline row. The peaks
- * describe the non-fused mul+add policy (see file comment), not the
- * hardware FMA ceiling.
+ * estimates bench/micro_ops.cc uses for its roofline row. The fp32
+ * peak is the FMA ceiling: two flops per lane per fused multiply-add.
  */
 struct KernelSet
 {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "nn/conv.hh"
+#include "tensor/isa.hh"
 #include "tensor/kernels.hh"
 #include "tensor/ops.hh"
 #include "util/alloc_guard.hh"
@@ -73,6 +74,7 @@ const GemmShape kShapes[] = {
     {kMicroM, 1, 3},
     {kMicroM - 1, kMicroN - 1, 2},   // tails only
     {kMicroM + 1, kMicroN + 1, 2},   // one full tile plus tails
+    {kMicroM / 2, kMicroN + 3, 9},   // the short-tile boundary
     {7, 13, 31},                     // primes
     {3, 61, 17},
     {2 * kMicroM, 2 * kMicroN, 8},   // exact tile multiples
@@ -105,7 +107,10 @@ runBothGemms(const GemmShape &s, bool trans_a, bool trans_b,
                   trans_b, want.data(), s.n, accumulate);
 }
 
-TEST_F(KernelsTest, BlockedMatchesReferenceBitForBit)
+/** gemmBlocked against gemmReference over every shape and operand
+ *  form, under whatever kernel set is active. */
+void
+expectBlockedMatchesReference(const char *set_name)
 {
     for (const GemmShape &s : kShapes)
         for (bool trans_a : {false, true})
@@ -114,10 +119,28 @@ TEST_F(KernelsTest, BlockedMatchesReferenceBitForBit)
                     std::vector<float> got, want;
                     runBothGemms(s, trans_a, trans_b, accumulate, got, want);
                     EXPECT_TRUE(bitEqual(got, want))
-                        << "m=" << s.m << " n=" << s.n << " k=" << s.k
-                        << " trans_a=" << trans_a << " trans_b=" << trans_b
+                        << set_name << " m=" << s.m << " n=" << s.n
+                        << " k=" << s.k << " trans_a=" << trans_a
+                        << " trans_b=" << trans_b
                         << " accumulate=" << accumulate;
                 }
+}
+
+TEST_F(KernelsTest, BlockedMatchesReferenceBitForBit)
+{
+    expectBlockedMatchesReference(activeKernels().name);
+}
+
+TEST_F(KernelsTest, EveryKernelSetMatchesReferenceBitForBit)
+{
+    // Each set's fp32 tile — full, short (at most kMicroM/2 live rows)
+    // and edge — computes gemmReference's fmaf chains exactly.
+    for (const KernelSet *set : compiledKernelSets()) {
+        if (!hostSupportsKernelSet(*set))
+            continue;
+        ScopedKernelOverride force(*set);
+        expectBlockedMatchesReference(set->name);
+    }
 }
 
 TEST_F(KernelsTest, ThreadCountNeverChangesABit)

@@ -586,5 +586,20 @@ TEST_F(QuantTest, KernelSetLookupAndOverride)
     EXPECT_TRUE(hostSupportsKernelSet(activeKernels()));
 }
 
+TEST_F(QuantTest, Avx2SetRequiresFma)
+{
+    // Every fp32 tile, int8 panel and epilogue of the avx2 set issues
+    // VFMADD, so an AVX2 host without FMA must not run it.
+    const KernelSet *avx2 = kernelSetByName("avx2");
+    if (avx2 == nullptr)
+        GTEST_SKIP() << "avx2 set not compiled in";
+#if defined(__x86_64__)
+    EXPECT_EQ(hostSupportsKernelSet(*avx2),
+              __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"));
+#else
+    EXPECT_FALSE(hostSupportsKernelSet(*avx2));
+#endif
+}
+
 } // namespace
 } // namespace leca
