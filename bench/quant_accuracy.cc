@@ -24,6 +24,7 @@
 
 #include "common.hh"
 #include "core/pipeline.hh"
+#include "data/trainloop.hh"
 #include "json_report.hh"
 #include "util/table.hh"
 
@@ -79,7 +80,7 @@ main(int argc, char **argv)
     std::cout << "trained proxy pipeline (Soft): "
               << Table::num(100.0 * trained, 2) << "% val top-1\n";
 
-    const double fp32_top1 = pipeline->evalAccuracy(harness.val);
+    const double fp32_top1 = evalAccuracy(*pipeline, harness.val);
     const int probe = std::min(64, harness.val.count());
     const int c = harness.val.images.size(1);
     const int h = harness.val.images.size(2);
@@ -89,7 +90,7 @@ main(int argc, char **argv)
     const Tensor fp32_logits = pipeline->forward(probe_batch, Mode::Eval);
 
     const LecaPipeline::QuantizationReport quant = pipeline->quantize();
-    const double int8_top1 = pipeline->evalAccuracy(harness.val);
+    const double int8_top1 = evalAccuracy(*pipeline, harness.val);
     const float logit_div =
         logitDivergence(*pipeline, fp32_logits, harness.val, probe);
 

@@ -23,10 +23,9 @@
 #include <cstdint>
 #include <vector>
 
-namespace leca::bitstream {
+#include "bitstream/container.hh"
 
-/** Container kind of an encoded byte stream. */
-inline constexpr std::uint32_t kKindByteStream = 3;
+namespace leca::bitstream {
 
 /**
  * Encode an arbitrary byte-symbol stream (e.g. the per-pixel code

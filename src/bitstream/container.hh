@@ -1,8 +1,8 @@
 /**
  * @file
- * Versioned, checksummed container for entropy-coded payloads
- * (DESIGN.md §14): the framing around every byte stream the sensor
- * sends off-chip (codec.hh).
+ * Versioned, checksummed container (DESIGN.md §14): the framing
+ * around every byte stream the sensor sends off-chip (codec.hh) and
+ * every checkpoint the host saves (data/serialize.hh).
  *
  * Layout (all fields little-endian):
  *
@@ -44,6 +44,11 @@ inline constexpr std::uint32_t kContainerVersion = 1;
 inline constexpr std::uint32_t kMaxSections = 1024;
 /** Upper bound on a single section's decoded size (tripwire: 1 GiB). */
 inline constexpr std::uint64_t kMaxSectionRawLen = 1ULL << 30;
+
+/** Container kinds: one number per format a container frames. */
+inline constexpr std::uint32_t kKindByteStream = 3; //!< codes (codec.hh)
+inline constexpr std::uint32_t kKindLayerState = 4; //!< fp32 checkpoint
+inline constexpr std::uint32_t kKindQuantState = 5; //!< + int8 weights
 
 /** Entropy-coding stage applied to a section's payload. */
 enum class Coder : std::uint8_t {

@@ -8,19 +8,23 @@
 #ifndef LECA_CORE_PIPELINE_HH
 #define LECA_CORE_PIPELINE_HH
 
+#include <array>
 #include <memory>
 #include <string>
 
 #include "core/decoder.hh"
 #include "core/encoder.hh"
-#include "data/dataset.hh"
 #include "nn/sequential.hh"
 #include "sensor/noise.hh"
 
 namespace leca {
 
-/** Encoder + decoder stacked before a (typically frozen) backbone. */
-class LecaPipeline
+/**
+ * Encoder + decoder stacked before a (typically frozen) backbone, as
+ * one Layer: the generic loops (data/trainloop.hh) train, evaluate and
+ * refresh it, and data/serialize.hh checkpoints it.
+ */
+class LecaPipeline : public Layer
 {
   public:
     struct Options
@@ -48,7 +52,7 @@ class LecaPipeline
     EncoderModality modality() const { return _encoder->modality(); }
 
     /** Full forward pass to logits. */
-    Tensor forward(const Tensor &images, Mode mode);
+    Tensor forward(const Tensor &images, Mode mode) override;
 
     /** Encoder+decoder only — the reconstructed image (Fig. 12). */
     Tensor decodeImages(const Tensor &images, Mode mode);
@@ -56,23 +60,21 @@ class LecaPipeline
     /** Encoder only — the quantized feature map (Fig. 12). */
     Tensor encodeFeatures(const Tensor &images, Mode mode);
 
-    /** Backpropagate from logits gradient through the whole stack. */
-    void backward(const Tensor &grad_logits);
+    /** Backpropagate through the whole stack; returns dL/d image. */
+    Tensor backward(const Tensor &grad_logits) override;
 
-    /** Every parameter (backbone ones carry frozen=true by default). */
-    std::vector<Param *> allParams();
+    /** Encoder, decoder, backbone params (the backbone's start frozen). */
+    std::vector<Param *> params() override;
+    std::vector<Param *> allParams() { return params(); }
+
+    /** Decoder then backbone batch-norm running statistics. */
+    std::vector<Tensor *> state() override;
+    void setStatsRefresh(bool enable) override;
+    void quantizeWeights(std::vector<QuantStat> &stats) override;
+    std::vector<QuantTensor *> quantTensors() override;
 
     /** Unfreeze/refreeze the backbone (Sec. 6.4 ablation). */
     void setBackboneFrozen(bool frozen);
-
-    /** Top-1 accuracy of the pipeline on a dataset. */
-    double evalAccuracy(const Dataset &ds, int batch_size = 64);
-
-    /**
-     * Recompute decoder + backbone batch-norm running statistics over
-     * @p ds in the current modality (forward-only).
-     */
-    void refreshStats(const Dataset &ds, int batch_size = 32);
 
     /**
      * Summary of one quantize() conversion: every converted layer's
@@ -92,8 +94,8 @@ class LecaPipeline
      * decoder and backbone Conv2d/Linear layers) to block-quantized
      * int8 for serving. One-way for this process: evaluation-mode
      * forwards run the int8 kernels afterwards, and training-mode
-     * forwards (including refreshStats) become a checked error. Call
-     * after training and after any refreshStats pass.
+     * forwards (including refreshBatchNormStats) become a checked
+     * error. Call after training and after any statistics refresh.
      */
     QuantizationReport quantize();
 
@@ -111,7 +113,7 @@ class LecaPipeline
     bool load(const std::string &path);
 
     /**
-     * Persist the fp32 state AND the int8 weights (checkpoint kind 3),
+     * Persist the fp32 state AND the int8 weights (container kind 5),
      * so a serving replica restores quantized inference bit-exactly
      * without re-running quantization. Requires quantize() first.
      */
@@ -130,6 +132,13 @@ class LecaPipeline
     PixelNoiseModel _pixelNoise;
     Rng _noiseRng;
     bool _quantized = false;
+
+    /** Encoder, decoder, backbone: the order of every enumeration. */
+    std::array<Layer *, 3>
+    children()
+    {
+        return {_encoder.get(), _decoder.get(), _backbone.get()};
+    }
 };
 
 } // namespace leca

@@ -16,23 +16,25 @@
 
 #include "core/pipeline.hh"
 #include "data/dataset.hh"
+#include "data/trainloop.hh"
 
 namespace leca {
 
-/** Options of one LeCA training stage. */
-struct LecaTrainOptions
+/**
+ * Options of one LeCA training stage: trainClassifier()'s, with LeCA's
+ * defaults (8 epochs, seed 7), plus the stage schedule.
+ */
+struct LecaTrainOptions : TrainOptions
 {
-    int epochs = 8;
-    int batchSize = 32;
-    double learningRate = 1e-3;
-    int lrDecayEveryEpochs = 0;
-    double lrDecayFactor = 0.1;
+    LecaTrainOptions()
+    {
+        epochs = 8;
+        seed = 7;
+    }
+
     bool unfreezeBackbone = false; //!< Sec. 6.4 ablation
     bool incrementalQbit = true;   //!< 8-bit pre-train, then target
     int incrementalEpochs = 3;     //!< epochs of the lenient stage
-    bool prefetch = true;          //!< overlap batch prep with compute
-    bool verbose = false;
-    std::uint64_t seed = 7;
 };
 
 /** Drives training of a LecaPipeline. */
@@ -42,9 +44,10 @@ class LecaTrainer
     explicit LecaTrainer(LecaPipeline &pipeline) : _pipeline(pipeline) {}
 
     /**
-     * Train the pipeline in its *current* modality; returns final
-     * validation accuracy. Applies the incremental-Qbit schedule when
-     * the target Q_bit is below 8 and options request it.
+     * Train the pipeline in its *current* modality with
+     * trainClassifier(); returns final validation accuracy. Applies the
+     * incremental-Qbit schedule (a lenient 8-bit stage first) when the
+     * target Q_bit is below 8 and options request it.
      */
     double train(const Dataset &train, const Dataset &val,
                  const LecaTrainOptions &options);
@@ -54,9 +57,6 @@ class LecaTrainer
 
   private:
     LecaPipeline &_pipeline;
-
-    double runEpochs(const Dataset &train, const Dataset &val, int epochs,
-                     const LecaTrainOptions &options);
 };
 
 } // namespace leca

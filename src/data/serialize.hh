@@ -1,8 +1,25 @@
 /**
  * @file
- * Flat binary checkpoints of a layer's tensors: its parameters and
- * state (kind 2, the bench cache of pre-trained backbones) and its
- * quantized serving state (kind 3).
+ * Checkpoints of a layer's tensors, framed as one 'LcBs' container of
+ * Raw sections (bitstream/container.hh, DESIGN.md §14), by section id:
+ *
+ *   0  u64 numel of every fp32 tensor: params() then state()
+ *   1  those tensors' values, concatenated (fp32)
+ *   2  kind 5 only: per quantTensors() entry, seven u64 words
+ *      ndim | 4 dims (0 past ndim) | rows | cols (all 0 when empty)
+ *   3  kind 5 only: the block scales, concatenated (fp32)
+ *   4  kind 5 only: the int8 codes, concatenated
+ *
+ * Container kind 4 (kKindLayerState) holds the fp32 state: the bench
+ * cache of pre-trained backbones and LecaPipeline::save. Kind 5
+ * (kKindQuantState) adds the int8 serving state.
+ *
+ * Loaders return false, with a warning, when the checkpoint cannot be
+ * used but is not damaged: a missing file, a file in the retired
+ * 'LeCA' format or another container version, or a different model
+ * structure. They throw CheckError when it is foreign, truncated,
+ * corrupt, of the other kind, or holds a NaN or ±Inf value or a
+ * negative scale. Either way the model is left untouched.
  */
 
 #ifndef LECA_DATA_SERIALIZE_HH
@@ -19,24 +36,19 @@ namespace leca {
  */
 void saveLayerState(class Layer &layer, const std::string &path);
 
-/** Load a layer's parameters and persistent state. */
+/** Load a checkpoint saved by saveLayerState(). */
 bool loadLayerState(class Layer &layer, const std::string &path);
 
 /**
- * Save a quantized serving checkpoint (format kind 3): the layer's
- * fp32 parameters and state exactly as saveLayerState writes them,
- * followed by every quantTensors() entry (int8 codes + fp32 block
- * scales; not-yet-converted entries round-trip as empty). A reload via
+ * Save a quantized serving checkpoint: the layer's fp32 parameters and
+ * state as saveLayerState writes them, plus every quantTensors() entry
+ * (not-yet-converted entries round-trip as empty). A reload via
  * loadQuantizedState restores int8 serving bit-exactly without
  * re-running quantization.
  */
 void saveQuantizedState(class Layer &layer, const std::string &path);
 
-/**
- * Load a checkpoint saved by saveQuantizedState(). Returns false for
- * recoverable mismatches (missing file, stale version, different model
- * structure); throws CheckError on corruption, like loadLayerState.
- */
+/** Load a checkpoint saved by saveQuantizedState(). */
 bool loadQuantizedState(class Layer &layer, const std::string &path);
 
 } // namespace leca

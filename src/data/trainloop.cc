@@ -136,6 +136,7 @@ BatchPipeline::batch(int b)
 double
 evalAccuracy(Layer &net, const Dataset &ds, int batch_size)
 {
+    LECA_CHECK(batch_size > 0, "evalAccuracy batch size ", batch_size);
     const int n = ds.count();
     if (n == 0)
         return 0.0;
@@ -224,6 +225,8 @@ trainClassifier(Layer &net, const Dataset &train, const Dataset &val,
 void
 refreshBatchNormStats(Layer &net, const Dataset &ds, int batch_size)
 {
+    LECA_CHECK(batch_size > 0, "refreshBatchNormStats batch size ",
+               batch_size);
     const int c = ds.images.size(1), h = ds.images.size(2);
     const int w = ds.images.size(3);
     const std::size_t img_sz = static_cast<std::size_t>(c) * h * w;

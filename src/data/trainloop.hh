@@ -1,8 +1,9 @@
 /**
  * @file
- * Generic mini-batch classifier training loop used to pre-train the
- * backbone networks (the LeCA-specific curriculum lives in core/), and
- * the double-buffered batch pipeline it runs on.
+ * Generic mini-batch classifier training, evaluation and batch-norm
+ * refresh loops over any Layer: they pre-train the backbone networks
+ * and run every stage of the LeCA curriculum (core/trainer.hh) on the
+ * whole pipeline. Also the double-buffered batch pipeline they run on.
  */
 
 #ifndef LECA_DATA_TRAINLOOP_HH

@@ -98,7 +98,8 @@ class Layer
     /**
      * The quantized weight tensors of this layer (and its children) in
      * a fixed traversal order — empty entries mean "not yet converted".
-     * Serialization (data/serialize.cc, kind 3) walks this list.
+     * Quantized checkpoints (data/serialize.hh, container kind 5) walk
+     * this list.
      */
     virtual std::vector<QuantTensor *> quantTensors() { return {}; }
 

@@ -1,6 +1,5 @@
 #include "tensor.hh"
 
-#include <cstdlib>
 #include <numeric>
 #include <utility>
 
@@ -49,17 +48,6 @@ constexpr bool kPoolCompiledIn = true;
 #else
 constexpr bool kPoolCompiledIn = true;
 #endif
-
-bool
-poolEnabled()
-{
-    // LECA_TENSOR_POOL=0 is a debugging kill switch.
-    static const bool enabled = [] {
-        const char *env = std::getenv("LECA_TENSOR_POOL");
-        return env == nullptr || env[0] != '0';
-    }();
-    return kPoolCompiledIn && enabled;
-}
 
 template <typename T>
 class BufferPool
@@ -154,7 +142,7 @@ template <typename T>
 void
 pooledAssign(std::vector<T> &out, std::size_t n, T value)
 {
-    if (poolEnabled() && out.capacity() < n) {
+    if (kPoolCompiledIn && out.capacity() < n) {
         if (BufferPool<T> *pool = localPool<T>())
             pool->acquireInto(out, n);
     }
@@ -167,7 +155,7 @@ void
 pooledCopy(std::vector<T> &out, const T *first, const T *last)
 {
     const std::size_t n = static_cast<std::size_t>(last - first);
-    if (poolEnabled() && out.capacity() < n) {
+    if (kPoolCompiledIn && out.capacity() < n) {
         if (BufferPool<T> *pool = localPool<T>())
             pool->acquireInto(out, n);
     }
@@ -178,7 +166,7 @@ template <typename T>
 void
 retireBuffer(std::vector<T> &&buffer)
 {
-    if (!poolEnabled())
+    if (!kPoolCompiledIn)
         return;
     if (BufferPool<T> *pool = localPool<T>())
         pool->retire(std::move(buffer));

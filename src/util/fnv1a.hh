@@ -1,8 +1,8 @@
 /**
  * @file
- * 64-bit FNV-1a, the checksum of both stored formats: checkpoint files
- * (data/serialize) and wire containers (bitstream/container). Every
- * stored checksum depends on these constants.
+ * 64-bit FNV-1a, the checksum of the one stored format, the 'LcBs'
+ * container (bitstream/container) that frames wire byte streams and
+ * checkpoints. Every stored checksum depends on these constants.
  */
 
 #ifndef LECA_UTIL_FNV1A_HH

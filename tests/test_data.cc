@@ -14,16 +14,20 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bitstream/codec.hh"
+#include "bitstream/container.hh"
 #include "data/augment.hh"
 #include "data/backbone.hh"
 #include "data/dataset.hh"
 #include "data/image_io.hh"
 #include "data/serialize.hh"
 #include "data/trainloop.hh"
+#include "nn/batchnorm.hh"
 #include "nn/conv.hh"
 #include "nn/linear.hh"
 #include "nn/pool.hh"
@@ -274,16 +278,18 @@ TEST(Serialize, RejectsCorruptPayloadWithCheckError)
     const std::string path = "/tmp/leca_test_corrupt.bin";
     saveLayerState(fc, path);
 
-    // Flip one payload byte: the trailing checksum must catch it.
+    // Flip one payload byte: its section checksum must catch it.
     {
         std::fstream f(path,
                        std::ios::binary | std::ios::in | std::ios::out);
-        f.seekp(24); // inside the first tensor's float data
+        // The last byte of the file: inside the fp32 values section.
+        const auto last =
+            static_cast<std::streamoff>(std::filesystem::file_size(path)) - 1;
         char byte = 0;
-        f.seekg(24);
+        f.seekg(last);
         f.read(&byte, 1);
         byte = static_cast<char>(byte ^ 0x40);
-        f.seekp(24);
+        f.seekp(last);
         f.write(&byte, 1);
     }
     const float before = fc.params()[0]->value[0];
@@ -413,62 +419,97 @@ expectEveryBitFlipRejected(const std::string &path, Load load)
     std::remove(flipped.c_str());
 }
 
-/** One length field of a checkpoint: where it is and what it holds. */
-struct LengthField
+/** A pristine checkpoint's container layout. */
+struct Layout
+{
+    std::size_t tableEnd = 0;            //!< where the header checksum sits
+    std::vector<std::size_t> payloadAt;  //!< payload offset per section
+    std::vector<std::size_t> payloadLen; //!< payload bytes per section
+};
+
+Layout
+layoutOf(const std::vector<char> &bytes)
+{
+    const auto *data = reinterpret_cast<const std::uint8_t *>(bytes.data());
+    const bitstream::ContainerReader cr(data, bytes.size());
+    Layout layout;
+    layout.tableEnd = 16 + cr.sectionCount() * 40;
+    for (std::size_t i = 0; i < cr.sectionCount(); ++i) {
+        layout.payloadAt.push_back(
+            static_cast<std::size_t>(cr.payload(i) - data));
+        layout.payloadLen.push_back(cr.section(i).encLen);
+    }
+    return layout;
+}
+
+/**
+ * Recompute every payload checksum and then the header checksum over
+ * the pristine @p layout, so a forged field has to be rejected by the
+ * loader's bounds, not by a checksum.
+ */
+void
+reseal(std::vector<char> &bytes, const Layout &layout)
+{
+    for (std::size_t i = 0; i < layout.payloadAt.size(); ++i) {
+        Fnv1a hash;
+        hash.update(bytes.data() + layout.payloadAt[i], layout.payloadLen[i]);
+        const std::uint64_t digest = hash.digest();
+        std::memcpy(bytes.data() + 16 + i * 40 + 32, &digest, sizeof(digest));
+    }
+    Fnv1a hash;
+    hash.update(bytes.data() + 4, layout.tableEnd - 4);
+    const std::uint64_t digest = hash.digest();
+    std::memcpy(bytes.data() + layout.tableEnd, &digest, sizeof(digest));
+}
+
+/** One count, size or table field of a checkpoint. */
+struct Field
 {
     std::size_t offset;
     std::size_t width;
     std::uint64_t value;
-    std::uint64_t max; //!< its type's max
 };
 
 /**
- * Walks a kind-2 (or, with @p quantized, kind-3) checkpoint and returns
- * every length field: the tensor and quantized-tensor counts, each
- * numel, and each quantized tensor's ndim, dims, rows and cols.
+ * Every count, size and table field of a checkpoint: the container's
+ * version, kind and section count; each section descriptor's id,
+ * coder, predictor, aux, predStride, rawLen and encLen; and every u64
+ * word of the size table (section 0) and, with @p quantized, of the
+ * quantized-tensor table (section 2).
  */
-std::vector<LengthField>
-checkpointLengthFields(const std::vector<char> &bytes, bool quantized)
+std::vector<Field>
+checkpointFields(const std::vector<char> &bytes, const Layout &layout,
+                 bool quantized)
 {
-    std::vector<LengthField> fields;
-    std::size_t pos = 12; // magic | version | kind
-    const auto field = [&](std::size_t width, std::uint64_t max) {
+    std::vector<Field> fields;
+    const auto field = [&](std::size_t offset, std::size_t width) {
         std::uint64_t value = 0;
-        std::memcpy(&value, bytes.data() + pos, width);
-        fields.push_back({pos, width, value, max});
-        pos += width;
-        return value;
+        std::memcpy(&value, bytes.data() + offset, width);
+        fields.push_back({offset, width, value});
     };
-    constexpr std::uint64_t kU32 = 0xFFFFFFFFu, kI32 = 0x7FFFFFFFu;
-    constexpr std::uint64_t kU64 = ~std::uint64_t{0};
-    const std::uint64_t count = field(4, kU32);
-    for (std::uint64_t t = 0; t < count; ++t)
-        pos += field(8, kU64) * sizeof(float);
-    if (quantized) {
-        const std::uint64_t qcount = field(4, kU32);
-        for (std::uint64_t t = 0; t < qcount; ++t) {
-            const std::uint64_t ndim = field(4, kU32);
-            for (std::uint64_t d = 0; d < ndim; ++d)
-                field(4, kI32);
-            const std::uint64_t rows = field(8, kU64);
-            const std::uint64_t cols = field(8, kU64);
-            if (ndim != 0)
-                pos += rows * static_cast<std::uint64_t>(quantBlocks(
-                                  static_cast<std::int64_t>(cols)))
-                       * (kQuantBlock + sizeof(float));
-        }
+    for (const std::size_t offset : {4, 8, 12})
+        field(offset, 4);
+    constexpr std::size_t kDescriptor[][2] = {
+        {0, 4}, {4, 1}, {5, 1}, {6, 2}, {8, 8}, {16, 8}, {24, 8}};
+    for (std::size_t i = 0; i < layout.payloadAt.size(); ++i)
+        for (const auto &[offset, width] : kDescriptor)
+            field(16 + i * 40 + offset, width);
+    for (const std::size_t section : {0, 2}) {
+        if (section == 2 && !quantized)
+            continue;
+        for (std::size_t w = 0; w < layout.payloadLen[section]; w += 8)
+            field(layout.payloadAt[section] + w, 8);
     }
-    EXPECT_EQ(pos + 8, bytes.size()) << "checkpoint layout walk";
     return fields;
 }
 
 /**
  * Structural mutants of the checkpoint at @p path, loaded into a fresh
  * tinyNet: every truncation, a one-byte insert and a one-byte delete
- * at 64 seeded offsets each, and every length field forged to 0, 1,
- * its value ±1 and its type's max with the checksum recomputed, so the
- * loader's bounds, not the checksum, must reject it. Each load must
- * end in a CheckError or a false return.
+ * at 64 seeded offsets each, and every checkpointFields() entry forged
+ * to 0, 1, its value ±1 and its type's max behind recomputed payload
+ * and header checksums. Each load must end in a CheckError or a false
+ * return.
  */
 template <typename Load>
 void
@@ -480,7 +521,8 @@ expectStructuralMutantsRejected(const std::string &path, bool quantized,
         std::ifstream f(path, std::ios::binary);
         good.assign(std::istreambuf_iterator<char>(f), {});
     }
-    ASSERT_GT(good.size(), 12u);
+    const Layout layout = layoutOf(good);
+    ASSERT_EQ(layout.payloadAt.size(), quantized ? 5u : 2u);
     const std::string mutant = path + ".mutant";
     int failures = 0;
     const auto expectRejected = [&](const std::vector<char> &bytes,
@@ -515,23 +557,19 @@ expectStructuralMutantsRejected(const std::string &path, bool quantized,
         bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(at));
         expectRejected(bytes, "delete of byte " + std::to_string(at));
     }
-    for (const LengthField &f : checkpointLengthFields(good, quantized)) {
-        const std::uint64_t mask =
-            f.width == 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << 32) - 1;
+    for (const Field &f : checkpointFields(good, layout, quantized)) {
+        const std::uint64_t max = f.width == 8
+                                      ? ~std::uint64_t{0}
+                                      : (std::uint64_t{1} << (8 * f.width)) - 1;
         for (const std::uint64_t forged :
-             {std::uint64_t{0}, std::uint64_t{1}, (f.value - 1) & mask,
-              (f.value + 1) & mask, f.max}) {
+             {std::uint64_t{0}, std::uint64_t{1}, (f.value - 1) & max,
+              (f.value + 1) & max, max}) {
             if (forged == f.value)
                 continue;
             std::vector<char> bytes = good;
             std::memcpy(bytes.data() + f.offset, &forged, f.width);
-            Fnv1a hash;
-            hash.update(bytes.data() + 4, bytes.size() - 12);
-            const std::uint64_t digest = hash.digest();
-            std::memcpy(bytes.data() + bytes.size() - 8, &digest,
-                        sizeof(digest));
-            expectRejected(bytes, "length field at byte "
-                                      + std::to_string(f.offset)
+            reseal(bytes, layout);
+            expectRejected(bytes, "field at byte " + std::to_string(f.offset)
                                       + " forged to "
                                       + std::to_string(forged));
         }
@@ -591,6 +629,164 @@ TEST(Serialize, EveryBitFlipEndsInCheckErrorOrFalse)
     }
     std::remove(state_path.c_str());
     std::remove(quant_path.c_str());
+}
+
+/** The bytes of the file at @p path. */
+std::vector<std::uint8_t>
+fileBytes(const std::string &path)
+{
+    std::ifstream f(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(f),
+            std::istreambuf_iterator<char>()};
+}
+
+/** Every param and state value of @p layer, concatenated. */
+std::vector<float>
+valuesOf(Layer &layer)
+{
+    std::vector<float> out;
+    for (Param *p : layer.params())
+        out.insert(out.end(), p->value.data(),
+                   p->value.data() + p->value.numel());
+    for (Tensor *t : layer.state())
+        out.insert(out.end(), t->data(), t->data() + t->numel());
+    return out;
+}
+
+/**
+ * Loading @p path into @p layer throws a CheckError that names the
+ * path, and leaves every value and quantized tensor as it was.
+ */
+template <typename Load>
+void
+expectCorruptionRefused(Layer &layer, const std::string &path, Load load)
+{
+    const std::vector<float> values = valuesOf(layer);
+    std::vector<std::vector<std::int8_t>> codes;
+    std::vector<std::vector<float>> scales;
+    for (const QuantTensor *qt : layer.quantTensors()) {
+        codes.push_back(qt->q);
+        scales.push_back(qt->scales);
+    }
+    try {
+        load(layer, path);
+        ADD_FAILURE() << path << " loaded";
+    } catch (const CheckError &e) {
+        EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+            << e.what();
+    }
+    const std::vector<float> after = valuesOf(layer);
+    ASSERT_EQ(after.size(), values.size());
+    EXPECT_EQ(0, std::memcmp(after.data(), values.data(),
+                             values.size() * sizeof(float)));
+    const std::vector<QuantTensor *> qts = layer.quantTensors();
+    for (std::size_t i = 0; i < qts.size(); ++i) {
+        EXPECT_EQ(qts[i]->q, codes[i]) << "quantized tensor " << i;
+        EXPECT_EQ(qts[i]->scales, scales[i]) << "quantized tensor " << i;
+    }
+}
+
+TEST(Serialize, NonFiniteValuesAreCorruption)
+{
+    // The savers write whatever the model holds, so each file below
+    // carries its one bad value behind valid checksums.
+    const std::string dir = ::testing::TempDir();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+
+    const std::string state_path = dir + "/leca_nan_state.bin";
+    {
+        const auto net = tinyNet(7);
+        net->params()[0]->value[5] = nan;
+        saveLayerState(*net, state_path);
+        const auto fresh = tinyNet(99);
+        expectCorruptionRefused(*fresh, state_path, loadLayerState);
+    }
+    {
+        BatchNorm2d bn(4);
+        bn.state()[1]->data()[2] = std::numeric_limits<float>::infinity();
+        saveLayerState(bn, state_path);
+        BatchNorm2d fresh(4);
+        expectCorruptionRefused(fresh, state_path, loadLayerState);
+    }
+
+    const std::string quant_path = dir + "/leca_nan_quant.bin";
+    for (const float bad_scale : {nan, -1.0f}) {
+        const auto net = tinyNet(7);
+        std::vector<QuantStat> stats;
+        net->quantizeWeights(stats);
+        net->quantTensors()[1]->scales[0] = bad_scale;
+        saveQuantizedState(*net, quant_path);
+        const auto fresh = tinyNet(99);
+        expectCorruptionRefused(*fresh, quant_path, loadQuantizedState);
+    }
+    std::remove(state_path.c_str());
+    std::remove(quant_path.c_str());
+}
+
+TEST(Serialize, CheckpointsAndByteStreamsStayApart)
+{
+    // Both are LcBs containers; the kind word keeps each reader to its
+    // own format.
+    const std::string path = ::testing::TempDir() + "/leca_kinds.bin";
+    const auto net = tinyNet(7);
+    saveLayerState(*net, path);
+    const std::vector<std::uint8_t> checkpoint = fileBytes(path);
+    EXPECT_THROW(
+        bitstream::decodeByteStream(checkpoint.data(), checkpoint.size()),
+        CheckError);
+
+    std::vector<std::uint8_t> codes(300);
+    for (std::size_t i = 0; i < codes.size(); ++i)
+        codes[i] = static_cast<std::uint8_t>(i % 7);
+    const std::vector<std::uint8_t> stream =
+        bitstream::encodeByteStream(codes.data(), codes.size(), 0);
+    {
+        std::ofstream f(path, std::ios::binary);
+        f.write(reinterpret_cast<const char *>(stream.data()),
+                static_cast<std::streamsize>(stream.size()));
+    }
+    expectCorruptionRefused(*net, path, loadLayerState);
+    expectCorruptionRefused(*net, path, loadQuantizedState);
+    std::remove(path.c_str());
+}
+
+TEST(Serialize, RetiredLeCAFormatReturnsFalse)
+{
+    // The format before LcBs framing: u32 'LeCA' | u32 version 2 |
+    // u32 kind 2 | u32 count | count x (u64 numel, numel x f32) | u64
+    // FNV-1a of every byte after the magic word. Its unversioned
+    // predecessor opened with 'LeCA' + 1.
+    const std::string path = ::testing::TempDir() + "/leca_retired.bin";
+    const auto net = tinyNet(7);
+    for (const std::uint32_t magic : {0x4C654341u, 0x4C654342u}) {
+        std::vector<char> bytes;
+        const auto put = [&bytes](const void *p, std::size_t n) {
+            const char *c = static_cast<const char *>(p);
+            bytes.insert(bytes.end(), c, c + n);
+        };
+        const std::uint32_t head[] = {
+            magic, 2, 2, static_cast<std::uint32_t>(net->params().size())};
+        put(head, sizeof(head));
+        for (Param *p : net->params()) {
+            const std::uint64_t numel = p->value.numel();
+            put(&numel, sizeof(numel));
+            put(p->value.data(), numel * sizeof(float));
+        }
+        Fnv1a hash;
+        hash.update(bytes.data() + 4, bytes.size() - 4);
+        const std::uint64_t digest = hash.digest();
+        put(&digest, sizeof(digest));
+        {
+            std::ofstream f(path, std::ios::binary);
+            f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        }
+        const auto fresh = tinyNet(99);
+        const std::vector<float> before = valuesOf(*fresh);
+        EXPECT_FALSE(loadLayerState(*fresh, path));
+        EXPECT_FALSE(loadQuantizedState(*fresh, path));
+        EXPECT_EQ(valuesOf(*fresh), before);
+    }
+    std::remove(path.c_str());
 }
 
 TEST(Backbone, OutputShapeMatchesClasses)

@@ -193,11 +193,11 @@ TEST_F(DeployedPipeline, FailureInjectionDeadWeightsGiveChance)
     LecaEncoder &enc = _pipeline->encoder();
     const Tensor saved = enc.weight().value;
     enc.weight().value.fill(0.0f);
-    const double acc = _pipeline->evalAccuracy(*_val);
+    const double acc = evalAccuracy(*_pipeline, *_val);
     enc.weight().value = saved;
     EXPECT_LT(acc, 0.45);
     // And the pipeline recovers once weights are restored.
-    EXPECT_GT(_pipeline->evalAccuracy(*_val), 0.6);
+    EXPECT_GT(evalAccuracy(*_pipeline, *_val), 0.6);
 }
 
 TEST_F(DeployedPipeline, FailureInjectionTinyAdcRangeSaturates)
@@ -205,7 +205,7 @@ TEST_F(DeployedPipeline, FailureInjectionTinyAdcRangeSaturates)
     LecaEncoder &enc = _pipeline->encoder();
     const float saved = enc.outScale().value[0];
     enc.outScale().value[0] = 0.0001f; // clamped to 0.02 internally
-    const double acc = _pipeline->evalAccuracy(*_val);
+    const double acc = evalAccuracy(*_pipeline, *_val);
     enc.outScale().value[0] = saved;
     EXPECT_LT(acc, _hardAcc + 1e-9); // can only hurt
 }
