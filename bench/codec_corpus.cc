@@ -190,9 +190,8 @@ main(int argc, char **argv)
 
     WireStream leca_ws;
     leca_ws.symbols.resize(features.numel());
-    for (std::size_t i = 0; i < leca_ws.symbols.size(); ++i)
-        leca_ws.symbols[i] = static_cast<std::uint8_t>(
-            quantizeCode(features.data()[i], -1.0f, 1.0f, levels));
+    quantizeCodes(features.data(), leca_ws.symbols.size(), -1.0f, 1.0f,
+                  levels, leca_ws.symbols.data());
     leca_ws.rawBits = pipeline->encoder().qbits().bits()
                       * static_cast<double>(leca_ws.symbols.size());
     leca_ws.predStride = static_cast<std::uint64_t>(ow);

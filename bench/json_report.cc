@@ -1,7 +1,6 @@
 #include "json_report.hh"
 
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
@@ -44,10 +43,6 @@ JsonReport::JsonReport(int &argc, char **argv)
             argc -= 2;
             break;
         }
-    }
-    if (_path.empty()) {
-        if (const char *env = std::getenv("LECA_BENCH_JSON"))
-            _path = env;
     }
 }
 

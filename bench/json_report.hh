@@ -5,9 +5,8 @@
  * tracked across PRs.
  *
  * The output path comes from `--json <path>` on the command line
- * (consumed from argv) or, failing that, the LECA_BENCH_JSON
- * environment variable. When neither is set the report is disabled
- * and add() calls are no-ops.
+ * (consumed from argv). Without it the report is disabled and add()
+ * calls are no-ops.
  */
 
 #ifndef LECA_BENCH_JSON_REPORT_HH
@@ -24,8 +23,8 @@ class JsonReport
 {
   public:
     /**
-     * Parse `--json <path>` out of argv (removing it so downstream
-     * flag parsers never see it) and fall back to LECA_BENCH_JSON.
+     * Parse `--json <path>` out of argv, removing it so downstream flag
+     * parsers never see it.
      */
     JsonReport(int &argc, char **argv);
 

@@ -6,8 +6,8 @@
  * block reconstruction. After the google-benchmark run, a blocked-vs-naive
  * comparison table with GFLOP/s and speedups is printed to stdout.
  *
- * Pass --json <path> (or set LECA_BENCH_JSON) to additionally emit a
- * machine-readable wall-time/throughput report of the key kernels.
+ * Pass --json <path> to additionally emit a machine-readable
+ * wall-time/throughput report of the key kernels.
  */
 
 #include <benchmark/benchmark.h>
@@ -258,10 +258,11 @@ BM_CsBlockReconstruction(benchmark::State &state)
     float block[64];
     for (auto &v : block)
         v = static_cast<float>(rng.uniform());
-    const auto y = cs.measureBlock(block);
+    std::uint8_t codes[32]; // 16 measurements, two bytes each
+    cs.measureBlock(block, codes);
     float recon[64];
     for (auto _ : state) {
-        cs.reconstructBlock(y, recon);
+        cs.reconstructBlock(codes, recon);
         benchmark::DoNotOptimize(recon);
     }
 }

@@ -21,8 +21,17 @@ class AccumGradientThreshold : public CompressionMethod
     explicit AccumGradientThreshold(float threshold = 0.12f);
 
     std::string name() const override { return "AGT"; }
+
+    /** Pixels per kept sample in the last encoded batch. */
     double compressionRatio() const override { return _lastRatio; }
-    Tensor processImpl(const Tensor &batch) override;
+
+    /**
+     * Wire: per row, one (LEB128 gap from the previous kept pixel,
+     * 8-bit code) pair per kept sample. The first pixel (gap 0) and the
+     * last are always kept, so the decoder knows where a row ends.
+     * rawBits counts the 8-bit codes only, the paper's accounting.
+     */
+    WireStream wireSymbols(const Tensor &batch) override;
     EncodingDomain domain() const override { return EncodingDomain::Mixed; }
     Objective objective() const override { return Objective::TaskAgnostic; }
     std::string hardwareOverhead() const override { return "Medium"; }
@@ -33,14 +42,16 @@ class AccumGradientThreshold : public CompressionMethod
      */
     void calibrate(const Tensor &calibration, double target_ratio);
 
-    float threshold() const { return _threshold; }
-
   private:
+    Tensor decode(const WireStream &ws,
+                  const std::vector<int> &shape) override;
+
     float _threshold;
     double _lastRatio = 4.0;
 
-    /** Process one row of one channel; returns kept count. */
-    int processRow(const float *src, float *dst, int width) const;
+    /** Append one row's kept samples to @p out; returns their count. */
+    int encodeRow(const float *src, int width,
+                  std::vector<std::uint8_t> &out) const;
 };
 
 } // namespace leca

@@ -5,7 +5,6 @@
 
 #include "nn/quantize.hh"
 #include "util/check.hh"
-#include "util/parallel.hh"
 #include "util/rng.hh"
 
 namespace leca {
@@ -37,8 +36,7 @@ CompressiveSensing::CompressiveSensing(int ratio, std::uint64_t seed,
         for (int k = 0; k < 64; ++k) {
             float acc = 0.0f;
             for (int p = 0; p < 64; ++p)
-                acc += _phi[static_cast<std::size_t>(i) * 64 + p]
-                       * basis[static_cast<std::size_t>(p) * 64 + k];
+                acc += _phi[i * 64 + p] * basis[p * 64 + k];
             _a[static_cast<std::size_t>(i) * 64 + k] = acc;
         }
 
@@ -50,185 +48,151 @@ CompressiveSensing::CompressiveSensing(int ratio, std::uint64_t seed,
     _lambda = 0.05;
 }
 
-std::vector<float>
-CompressiveSensing::measureBlock(const float *block) const
+void
+CompressiveSensing::measureBlock(const float *block, std::uint8_t *codes) const
 {
-    std::vector<float> y(static_cast<std::size_t>(_m));
     for (int i = 0; i < _m; ++i) {
         float acc = 0.0f;
         for (int p = 0; p < 64; ++p)
             acc += _phi[static_cast<std::size_t>(i) * 64 + p] * block[p];
         // 10-bit measurement quantization (CS needs high resolution).
-        y[static_cast<std::size_t>(i)] =
-            quantizeUniform(acc, -4.0f, 4.0f, 1024);
+        const int code = quantizeCode(acc, -4.0f, 4.0f, 1024);
+        codes[2 * i] = static_cast<std::uint8_t>(code & 0xFF);
+        codes[2 * i + 1] = static_cast<std::uint8_t>(code >> 8);
     }
-    return y;
 }
 
 void
-CompressiveSensing::reconstructBlock(const std::vector<float> &y,
+CompressiveSensing::reconstructBlock(const std::uint8_t *codes,
                                      float *block) const
 {
+    float y[64];
+    for (int i = 0; i < _m; ++i)
+        y[i] = dequantizeCode(codes[2 * i] | codes[2 * i + 1] << 8, -4.0f,
+                              4.0f, 1024);
+
     // FISTA with lambda continuation: start with a strong sparsity
     // prior and relax it, which speeds up the slowly-converging
     // optimization the paper attributes to CS decoders (Sec. 2.2).
-    std::vector<float> s(64, 0.0f);     // DCT coefficients
-    std::vector<float> s_prev(64, 0.0f);
-    std::vector<float> z(64, 0.0f);     // momentum point
-    std::vector<float> residual(static_cast<std::size_t>(_m));
+    const float *a = _a.data();
+    const float step = static_cast<float>(_step);
+    float s[64] = {};      // DCT coefficients
+    float s_prev[64] = {};
+    float z[64] = {};      // momentum point
+    float residual[64];
     double t_momentum = 1.0;
     for (int iter = 0; iter < _istaIters; ++iter) {
         const double lambda_iter =
             _lambda * (1.0 + 9.0 * (1.0 - static_cast<double>(iter)
                                               / _istaIters));
+        const float thr = static_cast<float>(_step * lambda_iter);
         // residual = y - A z
         for (int i = 0; i < _m; ++i) {
             float acc = 0.0f;
             for (int k = 0; k < 64; ++k)
-                acc += _a[static_cast<std::size_t>(i) * 64 + k]
-                       * z[static_cast<std::size_t>(k)];
-            residual[static_cast<std::size_t>(i)] =
-                y[static_cast<std::size_t>(i)] - acc;
+                acc += a[i * 64 + k] * z[k];
+            residual[i] = y[i] - acc;
         }
         // s = soft(z + step * A^T residual).
         for (int k = 0; k < 64; ++k) {
             float grad = 0.0f;
             for (int i = 0; i < _m; ++i)
-                grad += _a[static_cast<std::size_t>(i) * 64 + k]
-                        * residual[static_cast<std::size_t>(i)];
-            float v = z[static_cast<std::size_t>(k)]
-                      + static_cast<float>(_step) * grad;
-            const float thr =
-                static_cast<float>(_step * lambda_iter);
-            if (v > thr) {
-                v -= thr;
-            } else if (v < -thr) {
-                v += thr;
-            } else {
-                v = 0.0f;
-            }
-            s[static_cast<std::size_t>(k)] = v;
+                grad += a[i * 64 + k] * residual[i];
+            const float v = z[k] + step * grad;
+            s[k] = v > thr ? v - thr : v < -thr ? v + thr : 0.0f;
         }
         // FISTA momentum update.
         const double t_next =
             0.5 * (1.0 + std::sqrt(1.0 + 4.0 * t_momentum * t_momentum));
         const float beta = static_cast<float>(
             (t_momentum - 1.0) / t_next);
-        for (int k = 0; k < 64; ++k) {
-            z[static_cast<std::size_t>(k)] =
-                s[static_cast<std::size_t>(k)]
-                + beta * (s[static_cast<std::size_t>(k)]
-                          - s_prev[static_cast<std::size_t>(k)]);
-        }
-        s_prev = s;
+        for (int k = 0; k < 64; ++k)
+            z[k] = s[k] + beta * (s[k] - s_prev[k]);
+        std::copy(s, s + 64, s_prev);
         t_momentum = t_next;
     }
 
     // Debias: least-squares refit restricted to the recovered support
     // (removes the soft-threshold shrinkage bias).
-    std::vector<bool> support(64, false);
+    bool support[64];
     for (int k = 0; k < 64; ++k)
-        support[static_cast<std::size_t>(k)] =
-            std::abs(s[static_cast<std::size_t>(k)]) > 1e-5f;
+        support[k] = std::abs(s[k]) > 1e-5f;
     for (int iter = 0; iter < 60; ++iter) {
         for (int i = 0; i < _m; ++i) {
             float acc = 0.0f;
             for (int k = 0; k < 64; ++k)
-                acc += _a[static_cast<std::size_t>(i) * 64 + k]
-                       * s[static_cast<std::size_t>(k)];
-            residual[static_cast<std::size_t>(i)] =
-                y[static_cast<std::size_t>(i)] - acc;
+                acc += a[i * 64 + k] * s[k];
+            residual[i] = y[i] - acc;
         }
         for (int k = 0; k < 64; ++k) {
-            if (!support[static_cast<std::size_t>(k)])
+            if (!support[k])
                 continue;
             float grad = 0.0f;
             for (int i = 0; i < _m; ++i)
-                grad += _a[static_cast<std::size_t>(i) * 64 + k]
-                        * residual[static_cast<std::size_t>(i)];
-            s[static_cast<std::size_t>(k)] +=
-                static_cast<float>(_step) * grad;
+                grad += a[i * 64 + k] * residual[i];
+            s[k] += step * grad;
         }
     }
 
     // x = B s via the inverse DCT.
-    _dct.inverse(s.data(), block);
-}
-
-Tensor
-CompressiveSensing::processImpl(const Tensor &batch)
-{
-    LECA_CHECK(batch.dim() == 4, "CS expects [N,C,H,W]");
-    const int n = batch.size(0), c = batch.size(1);
-    const int h = batch.size(2), w = batch.size(3);
-    LECA_CHECK(h % 8 == 0 && w % 8 == 0, "CS needs 8x8-divisible frames");
-
-    Tensor out(batch.shape());
-    // measureBlock/reconstructBlock are const and every block writes a
-    // disjoint 8x8 tile, so the batch parallelizes with per-image
-    // scratch.
-    parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-        float block[64];
-        float recon[64];
-        for (int i = static_cast<int>(n0); i < n1; ++i)
-            for (int ch = 0; ch < c; ++ch)
-                for (int by = 0; by < h / 8; ++by)
-                    for (int bx = 0; bx < w / 8; ++bx) {
-                        for (int y = 0; y < 8; ++y)
-                            for (int x = 0; x < 8; ++x)
-                                block[y * 8 + x] = batch.at(
-                                    i, ch, by * 8 + y, bx * 8 + x);
-                        const auto y_meas = measureBlock(block);
-                        reconstructBlock(y_meas, recon);
-                        for (int y = 0; y < 8; ++y)
-                            for (int x = 0; x < 8; ++x)
-                                out.at(i, ch, by * 8 + y, bx * 8 + x) =
-                                    std::clamp(recon[y * 8 + x], 0.0f, 1.0f);
-                    }
-    });
-    return out;
+    _dct.inverse(s, block);
 }
 
 WireStream
 CompressiveSensing::wireSymbols(const Tensor &batch)
 {
-    LECA_CHECK(batch.dim() == 4, "CS expects [N,C,H,W]");
     const int n = batch.size(0), c = batch.size(1);
     const int h = batch.size(2), w = batch.size(3);
     LECA_CHECK(h % 8 == 0 && w % 8 == 0, "CS needs 8x8-divisible frames");
+    const std::size_t per_image =
+        static_cast<std::size_t>(c) * (h / 8) * (w / 8) * 2 * _m;
 
     WireStream ws;
-    ws.symbols.reserve(static_cast<std::size_t>(n) * c * (h / 8) * (w / 8)
-                       * _m * 2);
-    float block[64];
-    for (int i = 0; i < n; ++i)
-        for (int ch = 0; ch < c; ++ch)
+    ws.symbols.resize(n * per_image);
+    forEachImage(n, [&](int i) {
+        std::uint8_t *codes = ws.symbols.data() + i * per_image;
+        float block[64];
+        for (int ch = 0; ch < c; ++ch) {
+            const float *plane =
+                batch.data() + (static_cast<std::size_t>(i) * c + ch) * h * w;
             for (int by = 0; by < h / 8; ++by)
-                for (int bx = 0; bx < w / 8; ++bx) {
-                    for (int y = 0; y < 8; ++y)
-                        for (int x = 0; x < 8; ++x)
-                            block[y * 8 + x] =
-                                batch.at(i, ch, by * 8 + y, bx * 8 + x);
-                    // Same projection as measureBlock, but kept as the
-                    // 10-bit ADC codes a sensor would ship.
-                    for (int mi = 0; mi < _m; ++mi) {
-                        float acc = 0.0f;
-                        for (int p = 0; p < 64; ++p)
-                            acc += _phi[static_cast<std::size_t>(mi) * 64
-                                        + p]
-                                   * block[p];
-                        const int code =
-                            quantizeCode(acc, -4.0f, 4.0f, 1024);
-                        ws.symbols.push_back(
-                            static_cast<std::uint8_t>(code & 0xFF));
-                        ws.symbols.push_back(
-                            static_cast<std::uint8_t>(code >> 8));
-                    }
+                for (int bx = 0; bx < w / 8; ++bx, codes += 2 * _m) {
+                    forTile8(plane, w, by, bx,
+                             [&](float v, int k) { block[k] = v; });
+                    measureBlock(block, codes);
                 }
+        }
+    });
     ws.rawBits = 10.0 * static_cast<double>(ws.symbols.size() / 2);
     // Delta across corresponding bytes of consecutive measurements.
     ws.predStride = 2;
     return ws;
+}
+
+Tensor
+CompressiveSensing::decode(const WireStream &ws,
+                           const std::vector<int> &shape)
+{
+    const int n = shape[0], c = shape[1], h = shape[2], w = shape[3];
+    const std::size_t per_image = ws.symbols.size() / n;
+
+    Tensor out(shape);
+    forEachImage(n, [&](int i) {
+        const std::uint8_t *codes = ws.symbols.data() + i * per_image;
+        float recon[64];
+        for (int ch = 0; ch < c; ++ch) {
+            float *plane =
+                out.data() + (static_cast<std::size_t>(i) * c + ch) * h * w;
+            for (int by = 0; by < h / 8; ++by)
+                for (int bx = 0; bx < w / 8; ++bx, codes += 2 * _m) {
+                    reconstructBlock(codes, recon);
+                    forTile8(plane, w, by, bx, [&](float &v, int k) {
+                        v = std::clamp(recon[k], 0.0f, 1.0f);
+                    });
+                }
+        }
+    });
+    return out;
 }
 
 } // namespace leca

@@ -31,12 +31,7 @@ class CompressiveSensing : public CompressionMethod
                                 int ista_iters = 120);
 
     std::string name() const override { return "CS"; }
-    double
-    compressionRatio() const override
-    {
-        return static_cast<double>(_ratio);
-    }
-    Tensor processImpl(const Tensor &batch) override;
+    double compressionRatio() const override { return _ratio; }
 
     /** Wire: 10-bit measurement codes, two little-endian bytes each. */
     WireStream wireSymbols(const Tensor &batch) override;
@@ -45,15 +40,18 @@ class CompressiveSensing : public CompressionMethod
     Objective objective() const override { return Objective::TaskAgnostic; }
     std::string hardwareOverhead() const override { return "Low"; }
 
-    /** Measurements for one 8x8 block (exposed for tests). */
-    std::vector<float> measureBlock(const float *block) const;
+    /** Project an 8x8 block to its measurements' wire codes. */
+    void measureBlock(const float *block, std::uint8_t *codes) const;
 
-    /** ISTA reconstruction of one block from its measurements. */
-    void reconstructBlock(const std::vector<float> &y, float *block) const;
+    /** FISTA reconstruction of one block from its measureBlock() codes. */
+    void reconstructBlock(const std::uint8_t *codes, float *block) const;
 
   private:
+    Tensor decode(const WireStream &ws,
+                  const std::vector<int> &shape) override;
+
     int _ratio;
-    int _m;         //!< measurements per 64-sample block
+    int _m;         //!< measurements per 64-sample block (<= 64)
     int _istaIters;
     Dct8 _dct;
     std::vector<float> _phi; //!< m x 64 random +/-1/sqrt(m)

@@ -1,13 +1,15 @@
 /**
  * @file
- * 8x8 type-II DCT used by the JPEG codec and as the sparsifying basis
- * of the compressive-sensing reconstruction.
+ * 8x8 type-II DCT used by the JPEG and zonal DCT codecs and as the
+ * sparsifying basis of the compressive-sensing reconstruction, plus
+ * the 8x8 tile gather/scatter all three block codecs share.
  */
 
 #ifndef LECA_COMPRESSION_DCT_HH
 #define LECA_COMPRESSION_DCT_HH
 
 #include <array>
+#include <cstddef>
 
 namespace leca {
 
@@ -22,6 +24,20 @@ inline constexpr std::array<int, 64> kZigzag8 = {
     35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
     58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
 };
+
+/**
+ * The 8x8 gather/scatter of every block codec: @p f(sample, k) on each
+ * sample of tile (by, bx) of a plane @p w wide, k its index in the block.
+ */
+template <class T, class F>
+void
+forTile8(T *plane, int w, int by, int bx, F f)
+{
+    T *tile = plane + static_cast<std::size_t>(by) * 8 * w + bx * 8;
+    for (int y = 0; y < 8; ++y)
+        for (int x = 0; x < 8; ++x)
+            f(tile[y * w + x], y * 8 + x);
+}
 
 /** 8x8 block DCT helper (orthonormal type-II). */
 class Dct8
@@ -39,7 +55,7 @@ class Dct8
     double basis(int k, int n) const { return _c[k][n]; }
 
   private:
-    std::array<std::array<double, 8>, 8> _c;
+    double _c[8][8];
 };
 
 } // namespace leca

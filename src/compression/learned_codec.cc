@@ -8,9 +8,7 @@
 #include "nn/conv_transpose.hh"
 #include "nn/loss.hh"
 #include "nn/optimizer.hh"
-#include "nn/quantize.hh"
 #include "util/check.hh"
-#include "util/parallel.hh"
 #include "util/rng.hh"
 
 namespace leca {
@@ -49,35 +47,29 @@ LearnedCodec::compressionRatio() const
     return 4.0 * 4.0 * 3.0 / static_cast<double>(_latentChannels);
 }
 
-Tensor
-LearnedCodec::encodeQuantized(const Tensor &batch, Mode mode)
-{
-    Tensor latent = _encoder->forward(batch, mode);
-    // 8-bit uniform quantization of the clamped latent.
-    parallelFor(0, static_cast<std::int64_t>(latent.numel()), 4096,
-                [&](std::int64_t i0, std::int64_t i1) {
-                    for (std::int64_t i = i0; i < i1; ++i)
-                        latent[static_cast<std::size_t>(i)] = quantizeUniform(
-                            latent[static_cast<std::size_t>(i)], -4.0f, 4.0f,
-                            256);
-                });
-    return latent;
-}
-
-Tensor
-LearnedCodec::processImpl(const Tensor &batch)
+WireStream
+LearnedCodec::wireSymbols(const Tensor &batch)
 {
     LECA_CHECK(_trained,
                 "LearnedCodec::process before train() — the learned "
                 "baseline must be fitted first");
-    const Tensor latent = encodeQuantized(batch, Mode::Eval);
+    return codeWire(_encoder->forward(batch, Mode::Eval), -4.0f, 4.0f,
+                    QBits(8.0));
+}
+
+Tensor
+LearnedCodec::decode(const WireStream &ws, const std::vector<int> &shape)
+{
+    const Tensor latent = codeValues(
+        ws, {shape[0], _latentChannels, shape[2] / 4, shape[3] / 4}, -4.0f,
+        4.0f, QBits(8.0));
     Tensor out = _decoder->forward(latent, Mode::Eval);
-    parallelFor(0, static_cast<std::int64_t>(out.numel()), 4096,
-                [&](std::int64_t i0, std::int64_t i1) {
-                    for (std::int64_t i = i0; i < i1; ++i)
-                        out[static_cast<std::size_t>(i)] = std::clamp(
-                            out[static_cast<std::size_t>(i)], 0.0f, 1.0f);
-                });
+    const std::size_t per_image = out.numel() / shape[0];
+    forEachImage(shape[0], [&](int i) {
+        float *image = out.data() + i * per_image;
+        for (std::size_t k = 0; k < per_image; ++k)
+            image[k] = std::clamp(image[k], 0.0f, 1.0f);
+    });
     return out;
 }
 

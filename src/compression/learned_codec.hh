@@ -45,7 +45,10 @@ class LearnedCodec : public CompressionMethod
 
     std::string name() const override { return "Learned"; }
     double compressionRatio() const override;
-    Tensor processImpl(const Tensor &batch) override;
+
+    /** Wire: the 8-bit codes of the latent on [-4, 4]. */
+    WireStream wireSymbols(const Tensor &batch) override;
+
     EncodingDomain domain() const override
     {
         return EncodingDomain::Digital;
@@ -53,15 +56,14 @@ class LearnedCodec : public CompressionMethod
     Objective objective() const override { return Objective::TaskAgnostic; }
     std::string hardwareOverhead() const override { return "Medium"; }
 
-    bool trained() const { return _trained; }
-
   private:
+    Tensor decode(const WireStream &ws,
+                  const std::vector<int> &shape) override;
+
     int _latentChannels;
     std::unique_ptr<Sequential> _encoder;
     std::unique_ptr<Sequential> _decoder;
     bool _trained = false;
-
-    Tensor encodeQuantized(const Tensor &batch, Mode mode);
 };
 
 } // namespace leca

@@ -4,7 +4,6 @@
 
 #include "nn/quantize.hh"
 #include "util/check.hh"
-#include "util/parallel.hh"
 
 namespace leca {
 
@@ -34,80 +33,67 @@ Microshift::shiftAt(int y, int x) const
            - 0.5f;
 }
 
-Tensor
-Microshift::processImpl(const Tensor &batch)
-{
-    LECA_CHECK(batch.dim() == 4, "MS expects [N,C,H,W]");
-    const int n = batch.size(0), c = batch.size(1);
-    const int h = batch.size(2), w = batch.size(3);
-    const float step = 1.0f / static_cast<float>(_levels - 1);
-
-    Tensor dequant(batch.shape());
-    parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-        for (int i = static_cast<int>(n0); i < n1; ++i)
-            for (int ch = 0; ch < c; ++ch)
-                for (int y = 0; y < h; ++y)
-                    for (int x = 0; x < w; ++x) {
-                        const float shift = shiftAt(y, x) * step;
-                        const float q = quantizeUniform(
-                            batch.at(i, ch, y, x) + shift, 0.0f, 1.0f,
-                            _levels);
-                        dequant.at(i, ch, y, x) =
-                            std::clamp(q - shift, 0.0f, 1.0f);
-                    }
-    });
-
-    // Decoder smoothing: neighbouring pixels carry different shifts, so
-    // a local average recovers intermediate intensities. The smoothing
-    // pass reads only `dequant` (fully materialised above) and writes
-    // only `out`, so it parallelizes per image too.
-    Tensor out(batch.shape());
-    parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-        for (int i = static_cast<int>(n0); i < n1; ++i)
-            for (int ch = 0; ch < c; ++ch)
-                for (int y = 0; y < h; ++y)
-                    for (int x = 0; x < w; ++x) {
-                        float acc = 0.0f;
-                        int count = 0;
-                        for (int dy = -1; dy <= 1; ++dy)
-                            for (int dx = -1; dx <= 1; ++dx) {
-                                const int yy = y + dy, xx = x + dx;
-                                if (yy < 0 || yy >= h || xx < 0 || xx >= w)
-                                    continue;
-                                acc += dequant.at(i, ch, yy, xx);
-                                ++count;
-                            }
-                        const float smooth = acc / static_cast<float>(count);
-                        out.at(i, ch, y, x) =
-                            0.5f * dequant.at(i, ch, y, x) + 0.5f * smooth;
-                    }
-    });
-    return out;
-}
-
 WireStream
 Microshift::wireSymbols(const Tensor &batch)
 {
-    LECA_CHECK(batch.dim() == 4, "MS expects [N,C,H,W]");
     const int n = batch.size(0), c = batch.size(1);
     const int h = batch.size(2), w = batch.size(3);
     const float step = 1.0f / static_cast<float>(_levels - 1);
+    const std::size_t per_image = static_cast<std::size_t>(c) * h * w;
 
     WireStream ws;
-    ws.symbols.reserve(batch.numel());
-    for (int i = 0; i < n; ++i)
+    ws.symbols.resize(batch.numel());
+    forEachImage(n, [&](int i) {
+        const float *src = batch.data() + i * per_image;
+        std::uint8_t *code = ws.symbols.data() + i * per_image;
         for (int ch = 0; ch < c; ++ch)
             for (int y = 0; y < h; ++y)
-                for (int x = 0; x < w; ++x) {
-                    const float shift = shiftAt(y, x) * step;
-                    ws.symbols.push_back(static_cast<std::uint8_t>(
-                        quantizeCode(batch.at(i, ch, y, x) + shift, 0.0f,
-                                     1.0f, _levels)));
-                }
-    ws.rawBits = static_cast<double>(_bits)
-                 * static_cast<double>(batch.numel());
+                for (int x = 0; x < w; ++x)
+                    *code++ = static_cast<std::uint8_t>(quantizeCode(
+                        *src++ + shiftAt(y, x) * step, 0.0f, 1.0f, _levels));
+    });
+    ws.rawBits = _bits * static_cast<double>(batch.numel());
     ws.predStride = static_cast<std::uint64_t>(w);
     return ws;
+}
+
+Tensor
+Microshift::decode(const WireStream &ws, const std::vector<int> &shape)
+{
+    const int n = shape[0], c = shape[1], h = shape[2], w = shape[3];
+    const float step = 1.0f / static_cast<float>(_levels - 1);
+
+    Tensor dequant(shape), out(shape);
+    forEachImage(n, [&](int i) {
+        for (int ch = 0; ch < c; ++ch) {
+            const std::size_t off =
+                (static_cast<std::size_t>(i) * c + ch) * h * w;
+            const std::uint8_t *code = ws.symbols.data() + off;
+            float *dq = dequant.data() + off;
+            for (int y = 0; y < h; ++y)
+                for (int x = 0; x < w; ++x)
+                    dq[y * w + x] = std::clamp(
+                        dequantizeCode(*code++, 0.0f, 1.0f, _levels)
+                            - shiftAt(y, x) * step,
+                        0.0f, 1.0f);
+            // Smoothing: neighbouring pixels carry different shifts, so
+            // a local average recovers intermediate intensities.
+            float *dst = out.data() + off;
+            for (int y = 0; y < h; ++y)
+                for (int x = 0; x < w; ++x) {
+                    float acc = 0.0f;
+                    int count = 0;
+                    for (int yy = std::max(y - 1, 0);
+                         yy <= std::min(y + 1, h - 1); ++yy)
+                        for (int xx = std::max(x - 1, 0);
+                             xx <= std::min(x + 1, w - 1); ++xx, ++count)
+                            acc += dq[yy * w + xx];
+                    const float smooth = acc / static_cast<float>(count);
+                    dst[y * w + x] = 0.5f * dq[y * w + x] + 0.5f * smooth;
+                }
+        }
+    });
+    return out;
 }
 
 } // namespace leca

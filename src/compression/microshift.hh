@@ -21,13 +21,8 @@ class Microshift : public CompressionMethod
     explicit Microshift(int bits = 2);
 
     std::string name() const override { return "MS"; }
-    double
-    compressionRatio() const override
-    {
-        // Image dependent 4x..5x in the paper; nominal bit ratio here.
-        return 8.0 / _bits;
-    }
-    Tensor processImpl(const Tensor &batch) override;
+    /** Image dependent 4x..5x in the paper; nominal bit ratio here. */
+    double compressionRatio() const override { return 8.0 / _bits; }
 
     /** Wire: the shifted coarse Q_bit codes, one per pixel. */
     WireStream wireSymbols(const Tensor &batch) override;
@@ -43,6 +38,9 @@ class Microshift : public CompressionMethod
     float shiftAt(int y, int x) const;
 
   private:
+    Tensor decode(const WireStream &ws,
+                  const std::vector<int> &shape) override;
+
     int _bits;
     int _levels;
 };

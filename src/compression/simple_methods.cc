@@ -2,20 +2,12 @@
 
 #include "tensor/ops.hh"
 #include "util/check.hh"
-#include "util/parallel.hh"
 
 namespace leca {
 
-Tensor
-ConventionalSensor::processImpl(const Tensor &batch)
+WireStream
+SpatialDownsample::wireSymbols(const Tensor &batch)
 {
-    return quantizeTensor(batch, 0.0f, 1.0f, 256);
-}
-
-Tensor
-SpatialDownsample::pooledAverage(const Tensor &batch) const
-{
-    LECA_CHECK(batch.dim() == 4, "SD expects [N,C,H,W]");
     const int n = batch.size(0), c = batch.size(1);
     const int h = batch.size(2), w = batch.size(3);
     const int oh = h / _kh, ow = w / _kw;
@@ -23,63 +15,44 @@ SpatialDownsample::pooledAverage(const Tensor &batch) const
 
     Tensor pooled({n, c, oh, ow});
     const float inv = 1.0f / static_cast<float>(_kh * _kw);
-    parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-        for (int i = static_cast<int>(n0); i < n1; ++i)
-            for (int ch = 0; ch < c; ++ch)
-                for (int oy = 0; oy < oh; ++oy)
-                    for (int ox = 0; ox < ow; ++ox) {
-                        float acc = 0.0f;
-                        for (int ky = 0; ky < _kh; ++ky)
-                            for (int kx = 0; kx < _kw; ++kx)
-                                acc += batch.at(i, ch, oy * _kh + ky,
-                                                ox * _kw + kx);
-                        pooled.at(i, ch, oy, ox) = acc * inv;
-                    }
+    forEachImage(n, [&](int i) {
+        float *dst = pooled.data() + static_cast<std::size_t>(i) * c * oh * ow;
+        for (int ch = 0; ch < c; ++ch) {
+            const float *src =
+                batch.data() + (static_cast<std::size_t>(i) * c + ch) * h * w;
+            for (int oy = 0; oy < oh; ++oy, src += _kh * w)
+                for (int ox = 0; ox < ow; ++ox) {
+                    float acc = 0.0f;
+                    for (int ky = 0; ky < _kh; ++ky)
+                        for (int kx = 0; kx < _kw; ++kx)
+                            acc += src[ky * w + ox * _kw + kx];
+                    *dst++ = acc * inv;
+                }
+        }
     });
-    return pooled;
+    return codeWire(pooled, 0.0f, 1.0f, QBits(8.0));
 }
 
 Tensor
-SpatialDownsample::processImpl(const Tensor &batch)
+SpatialDownsample::decode(const WireStream &ws,
+                          const std::vector<int> &shape)
 {
-    // 8-bit quantization of the pooled samples, then upsampling.
     const Tensor pooled =
-        quantizeTensor(pooledAverage(batch), 0.0f, 1.0f, 256);
-    return bilinearResize(pooled, batch.size(2), batch.size(3));
-}
-
-WireStream
-SpatialDownsample::wireSymbols(const Tensor &batch)
-{
-    const Tensor pooled = pooledAverage(batch);
-    WireStream ws;
-    ws.symbols.reserve(pooled.numel());
-    for (std::size_t i = 0; i < pooled.numel(); ++i)
-        ws.symbols.push_back(static_cast<std::uint8_t>(
-            quantizeCode(pooled[i], 0.0f, 1.0f, 256)));
-    ws.rawBits = 8.0 * static_cast<double>(pooled.numel());
-    ws.predStride = static_cast<std::uint64_t>(pooled.size(3));
-    return ws;
-}
-
-Tensor
-LowResQuantizer::processImpl(const Tensor &batch)
-{
-    return quantizeTensor(batch, 0.0f, 1.0f, _qbits.levels());
+        codeValues(ws, {shape[0], shape[1], shape[2] / _kh, shape[3] / _kw},
+                   0.0f, 1.0f, QBits(8.0));
+    return bilinearResize(pooled, shape[2], shape[3]);
 }
 
 WireStream
 LowResQuantizer::wireSymbols(const Tensor &batch)
 {
-    const int levels = _qbits.levels();
-    WireStream ws;
-    ws.symbols.reserve(batch.numel());
-    for (std::size_t i = 0; i < batch.numel(); ++i)
-        ws.symbols.push_back(static_cast<std::uint8_t>(
-            quantizeCode(batch[i], 0.0f, 1.0f, levels)));
-    ws.rawBits = _qbits.bits() * static_cast<double>(batch.numel());
-    ws.predStride = static_cast<std::uint64_t>(batch.size(3));
-    return ws;
+    return codeWire(batch, 0.0f, 1.0f, _qbits);
+}
+
+Tensor
+LowResQuantizer::decode(const WireStream &ws, const std::vector<int> &shape)
+{
+    return codeValues(ws, shape, 0.0f, 1.0f, _qbits);
 }
 
 } // namespace leca

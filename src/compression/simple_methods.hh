@@ -9,21 +9,8 @@
 #define LECA_COMPRESSION_SIMPLE_METHODS_HH
 
 #include "compression/method.hh"
-#include "nn/quantize.hh"
 
 namespace leca {
-
-/** Conventional sensor: pixel-wise uniform 8-bit quantization. */
-class ConventionalSensor : public CompressionMethod
-{
-  public:
-    std::string name() const override { return "CNV"; }
-    double compressionRatio() const override { return 1.0; }
-    Tensor processImpl(const Tensor &batch) override;
-    EncodingDomain domain() const override { return EncodingDomain::Analog; }
-    Objective objective() const override { return Objective::TaskAgnostic; }
-    std::string hardwareOverhead() const override { return "None"; }
-};
 
 /**
  * Spatial down-sampling: (kh x kw) block averaging at 8 bits, bilinear
@@ -36,14 +23,9 @@ class SpatialDownsample : public CompressionMethod
     SpatialDownsample(int kh, int kw) : _kh(kh), _kw(kw) {}
 
     std::string name() const override { return "SD"; }
-    double
-    compressionRatio() const override
-    {
-        return static_cast<double>(_kh * _kw);
-    }
-    Tensor processImpl(const Tensor &batch) override;
+    double compressionRatio() const override { return _kh * _kw; }
 
-    /** Wire: the 8-bit codes of the pooled (oh x ow) samples. */
+    /** Wire: the 8-bit codes of the pooled (H/kh x W/kw) samples. */
     WireStream wireSymbols(const Tensor &batch) override;
 
     EncodingDomain domain() const override { return EncodingDomain::Mixed; }
@@ -51,10 +33,10 @@ class SpatialDownsample : public CompressionMethod
     std::string hardwareOverhead() const override { return "Low"; }
 
   private:
-    int _kh, _kw;
+    Tensor decode(const WireStream &ws,
+                  const std::vector<int> &shape) override;
 
-    /** Block-averaged [N,C,H/kh,W/kw] samples (shared encode stage). */
-    Tensor pooledAverage(const Tensor &batch) const;
+    int _kh, _kw;
 };
 
 /** Pixel-wise uniform quantization at Q_bit < 8. */
@@ -64,12 +46,7 @@ class LowResQuantizer : public CompressionMethod
     explicit LowResQuantizer(QBits qbits) : _qbits(qbits) {}
 
     std::string name() const override { return "LR"; }
-    double
-    compressionRatio() const override
-    {
-        return 8.0 / _qbits.bits();
-    }
-    Tensor processImpl(const Tensor &batch) override;
+    double compressionRatio() const override { return 8.0 / _qbits.bits(); }
 
     /** Wire: one Q_bit code per pixel (rawBits uses the real depth). */
     WireStream wireSymbols(const Tensor &batch) override;
@@ -78,10 +55,20 @@ class LowResQuantizer : public CompressionMethod
     Objective objective() const override { return Objective::TaskAgnostic; }
     std::string hardwareOverhead() const override { return "None"; }
 
-    QBits qbits() const { return _qbits; }
-
   private:
+    Tensor decode(const WireStream &ws,
+                  const std::vector<int> &shape) override;
+
     QBits _qbits;
+};
+
+/** Conventional sensor: the pixel-wise quantizer at 8 bits. */
+class ConventionalSensor : public LowResQuantizer
+{
+  public:
+    ConventionalSensor() : LowResQuantizer(QBits(8.0)) {}
+
+    std::string name() const override { return "CNV"; }
 };
 
 } // namespace leca

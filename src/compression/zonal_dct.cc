@@ -4,7 +4,6 @@
 
 #include "nn/quantize.hh"
 #include "util/check.hh"
-#include "util/parallel.hh"
 
 namespace leca {
 
@@ -14,81 +13,71 @@ ZonalDct::ZonalDct(int kept) : _kept(kept)
                "ZonalDct keeps 1..64 coefficients, got ", kept);
 }
 
-Tensor
-ZonalDct::processImpl(const Tensor &batch)
-{
-    const int n = batch.size(0), c = batch.size(1);
-    const int h = batch.size(2), w = batch.size(3);
-    LECA_CHECK(h % 8 == 0 && w % 8 == 0, "DCT needs 8x8 tiles");
-
-    Tensor out(batch.shape());
-    parallelFor(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-        float block[64], coeffs[64];
-        for (int i = static_cast<int>(n0); i < n1; ++i)
-            for (int ch = 0; ch < c; ++ch)
-                for (int by = 0; by < h / 8; ++by)
-                    for (int bx = 0; bx < w / 8; ++bx) {
-                        for (int y = 0; y < 8; ++y)
-                            for (int x = 0; x < 8; ++x)
-                                block[y * 8 + x] =
-                                    batch.at(i, ch, by * 8 + y, bx * 8 + x)
-                                    - 0.5f;
-                        _dct.forward(block, coeffs);
-                        // Zonal truncation + 8-bit round-trip of the
-                        // kept low-frequency coefficients.
-                        for (int k = 0; k < 64; ++k) {
-                            const int rm =
-                                kZigzag8[static_cast<std::size_t>(k)];
-                            coeffs[rm] =
-                                k < _kept
-                                    ? quantizeUniform(coeffs[rm],
-                                                      -kCoeffRange,
-                                                      kCoeffRange, 256)
-                                    : 0.0f;
-                        }
-                        _dct.inverse(coeffs, block);
-                        for (int y = 0; y < 8; ++y)
-                            for (int x = 0; x < 8; ++x)
-                                out.at(i, ch, by * 8 + y, bx * 8 + x) =
-                                    std::clamp(block[y * 8 + x] + 0.5f,
-                                               0.0f, 1.0f);
-                    }
-    });
-    return out;
-}
-
 WireStream
 ZonalDct::wireSymbols(const Tensor &batch)
 {
     const int n = batch.size(0), c = batch.size(1);
     const int h = batch.size(2), w = batch.size(3);
     LECA_CHECK(h % 8 == 0 && w % 8 == 0, "DCT needs 8x8 tiles");
+    const std::size_t per_image =
+        static_cast<std::size_t>(c) * (h / 8) * (w / 8) * _kept;
 
     WireStream ws;
-    ws.symbols.reserve(static_cast<std::size_t>(n) * c * (h / 8) * (w / 8)
-                       * _kept);
-    float block[64], coeffs[64];
-    for (int i = 0; i < n; ++i)
-        for (int ch = 0; ch < c; ++ch)
+    ws.symbols.resize(n * per_image);
+    forEachImage(n, [&](int i) {
+        std::uint8_t *code = ws.symbols.data() + i * per_image;
+        float block[64], coeffs[64];
+        for (int ch = 0; ch < c; ++ch) {
+            const float *plane =
+                batch.data() + (static_cast<std::size_t>(i) * c + ch) * h * w;
             for (int by = 0; by < h / 8; ++by)
                 for (int bx = 0; bx < w / 8; ++bx) {
-                    for (int y = 0; y < 8; ++y)
-                        for (int x = 0; x < 8; ++x)
-                            block[y * 8 + x] =
-                                batch.at(i, ch, by * 8 + y, bx * 8 + x)
-                                - 0.5f;
+                    forTile8(plane, w, by, bx, [&](float v, int k) {
+                        block[k] = v - 0.5f;
+                    });
                     _dct.forward(block, coeffs);
                     for (int k = 0; k < _kept; ++k)
-                        ws.symbols.push_back(static_cast<std::uint8_t>(
-                            quantizeCode(
-                                coeffs[kZigzag8[static_cast<std::size_t>(
-                                    k)]],
-                                -kCoeffRange, kCoeffRange, 256)));
+                        *code++ = static_cast<std::uint8_t>(quantizeCode(
+                            coeffs[kZigzag8[static_cast<std::size_t>(k)]],
+                            -kCoeffRange, kCoeffRange, 256));
                 }
+        }
+    });
     ws.rawBits = 8.0 * static_cast<double>(ws.symbols.size());
     // Delta against the same zig-zag position in the previous block.
     ws.predStride = static_cast<std::uint64_t>(_kept);
     return ws;
+}
+
+Tensor
+ZonalDct::decode(const WireStream &ws, const std::vector<int> &shape)
+{
+    const int n = shape[0], c = shape[1], h = shape[2], w = shape[3];
+    const std::size_t per_image = ws.symbols.size() / n;
+
+    Tensor out(shape);
+    forEachImage(n, [&](int i) {
+        const std::uint8_t *code = ws.symbols.data() + i * per_image;
+        float block[64], coeffs[64];
+        for (int ch = 0; ch < c; ++ch) {
+            float *plane =
+                out.data() + (static_cast<std::size_t>(i) * c + ch) * h * w;
+            for (int by = 0; by < h / 8; ++by)
+                for (int bx = 0; bx < w / 8; ++bx) {
+                    // Only the first `kept` zig-zag coefficients came.
+                    std::fill(coeffs, coeffs + 64, 0.0f);
+                    for (int k = 0; k < _kept; ++k)
+                        coeffs[kZigzag8[static_cast<std::size_t>(k)]] =
+                            dequantizeCode(*code++, -kCoeffRange,
+                                           kCoeffRange, 256);
+                    _dct.inverse(coeffs, block);
+                    forTile8(plane, w, by, bx, [&](float &v, int k) {
+                        v = std::clamp(block[k] + 0.5f, 0.0f, 1.0f);
+                    });
+                }
+        }
+    });
+    return out;
 }
 
 } // namespace leca

@@ -24,12 +24,7 @@ class ZonalDct : public CompressionMethod
     explicit ZonalDct(int kept = 16);
 
     std::string name() const override { return "DCT"; }
-    double
-    compressionRatio() const override
-    {
-        return 64.0 / static_cast<double>(_kept);
-    }
-    Tensor processImpl(const Tensor &batch) override;
+    double compressionRatio() const override { return 64.0 / _kept; }
 
     /** Wire: 8-bit codes of the kept coefficients, zig-zag order. */
     WireStream wireSymbols(const Tensor &batch) override;
@@ -41,9 +36,10 @@ class ZonalDct : public CompressionMethod
     Objective objective() const override { return Objective::TaskAgnostic; }
     std::string hardwareOverhead() const override { return "Medium"; }
 
-    int kept() const { return _kept; }
-
   private:
+    Tensor decode(const WireStream &ws,
+                  const std::vector<int> &shape) override;
+
     int _kept;
     Dct8 _dct;
 

@@ -265,8 +265,7 @@ LecaEncoder::forwardHard(const Tensor &x, Mode mode, bool noisy)
                     const double diff = readOut(dev, rails);
                     const int q = quantizeCode(
                         static_cast<float>(diff), -fs, fs, levels);
-                    feat[e] = 2.0f * static_cast<float>(q)
-                              / static_cast<float>(levels - 1) - 1.0f;
+                    feat[e] = dequantizeCode(q, -1.0f, 1.0f, levels);
                     if (cache)
                         _diff[e] = static_cast<float>(diff);
                 }

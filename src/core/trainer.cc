@@ -12,11 +12,13 @@ LecaTrainer::train(const Dataset &train, const Dataset &val,
     const QBits target = _pipeline.encoder().qbits();
     if (options.incrementalQbit && target.bits() < 8.0 &&
         options.incrementalEpochs > 0) {
-        // Lenient 8-bit pre-training stage (Sec. 3.4).
+        // Lenient 8-bit pre-training stage (Sec. 3.4). The target
+        // stage ends with its own batch-norm refresh, which replaces
+        // every running statistic, so this stage needs none.
         TrainOptions lenient = options;
         lenient.epochs = options.incrementalEpochs;
         _pipeline.encoder().setQbits(QBits(8.0));
-        trainClassifier(_pipeline, train, val, lenient);
+        trainEpochs(_pipeline, train, lenient);
         _pipeline.encoder().setQbits(target);
     }
     const double acc = trainClassifier(_pipeline, train, val, options);

@@ -46,8 +46,8 @@ class LecaTrainer
     /**
      * Train the pipeline in its *current* modality with
      * trainClassifier(); returns final validation accuracy. Applies the
-     * incremental-Qbit schedule (a lenient 8-bit stage first) when the
-     * target Q_bit is below 8 and options request it.
+     * incremental-Qbit schedule (a lenient 8-bit stage of trainEpochs()
+     * first) when the target Q_bit is below 8 and options request it.
      */
     double train(const Dataset &train, const Dataset &val,
                  const LecaTrainOptions &options);

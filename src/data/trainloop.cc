@@ -7,7 +7,6 @@
 #include "nn/loss.hh"
 #include "nn/optimizer.hh"
 #include "util/check.hh"
-#include "util/logging.hh"
 
 namespace leca {
 
@@ -161,9 +160,8 @@ evalAccuracy(Layer &net, const Dataset &ds, int batch_size)
     return static_cast<double>(correct) / static_cast<double>(n);
 }
 
-double
-trainClassifier(Layer &net, const Dataset &train, const Dataset &val,
-                const TrainOptions &options)
+void
+trainEpochs(Layer &net, const Dataset &train, const TrainOptions &options)
 {
     Rng rng(options.seed);
     Adam adam(net.params(), options.learningRate);
@@ -175,8 +173,7 @@ trainClassifier(Layer &net, const Dataset &train, const Dataset &val,
     for (int epoch = 0; epoch < options.epochs; ++epoch) {
         if (options.lrDecayEveryEpochs > 0 && epoch > 0 &&
             epoch % options.lrDecayEveryEpochs == 0) {
-            adam.setLearningRate(adam.learningRate()
-                                 * options.lrDecayFactor);
+            adam.setLearningRate(adam.learningRate() * 0.1);
         }
         // Fisher-Yates shuffle.
         for (int i = train.count() - 1; i > 0; --i) {
@@ -210,14 +207,17 @@ trainClassifier(Layer &net, const Dataset &train, const Dataset &val,
             net.backward(loss.backward());
             adam.step();
         }
-        const double mean_loss = epoch_loss / std::max(1, batch_count);
         if (options.epochLosses)
-            options.epochLosses->push_back(mean_loss);
-        if (options.verbose) {
-            inform("epoch ", epoch + 1, "/", options.epochs, " loss ",
-                   mean_loss);
-        }
+            options.epochLosses->push_back(epoch_loss
+                                           / std::max(1, batch_count));
     }
+}
+
+double
+trainClassifier(Layer &net, const Dataset &train, const Dataset &val,
+                const TrainOptions &options)
+{
+    trainEpochs(net, train, options);
     refreshBatchNormStats(net, train, options.batchSize);
     return evalAccuracy(net, val);
 }

@@ -19,17 +19,15 @@
 
 namespace leca {
 
-/** Options for trainClassifier(). */
+/** Options for trainEpochs() and trainClassifier(). */
 struct TrainOptions
 {
     int epochs = 10;
     int batchSize = 32;
     double learningRate = 1e-3;
-    int lrDecayEveryEpochs = 0;   //!< 0 = no decay
-    double lrDecayFactor = 0.1;
+    int lrDecayEveryEpochs = 0;   //!< 0 = no decay; else x0.1 that often
     bool augment = false;         //!< random flip + rotation (Sec. 5.2)
     bool prefetch = true;         //!< overlap batch prep with compute
-    bool verbose = false;
     std::uint64_t seed = 1234;
     /** When set, receives the mean loss of each epoch (appended). */
     std::vector<double> *epochLosses = nullptr;
@@ -102,9 +100,13 @@ void refreshBatchNormStats(Layer &net, const Dataset &ds,
 /** Evaluation-mode top-1 accuracy of @p net on @p ds. */
 double evalAccuracy(Layer &net, const Dataset &ds, int batch_size = 64);
 
+/** Train @p net with Adam + cross entropy, shuffling every epoch. */
+void trainEpochs(Layer &net, const Dataset &train,
+                 const TrainOptions &options);
+
 /**
- * Train @p net with Adam + cross entropy on @p train, shuffling every
- * epoch. Returns the final accuracy on @p val.
+ * trainEpochs(), then refresh the batch-norm statistics over @p train;
+ * returns the final accuracy on @p val.
  */
 double trainClassifier(Layer &net, const Dataset &train, const Dataset &val,
                        const TrainOptions &options);

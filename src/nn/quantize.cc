@@ -5,7 +5,6 @@
 
 #include "util/check.hh"
 #include "util/numeric.hh"
-#include "util/parallel.hh"
 
 namespace leca {
 
@@ -30,6 +29,17 @@ quantizeCode(float x, float lo, float hi, int levels)
     return std::clamp(code, 0, levels - 1);
 }
 
+void
+quantizeCodes(const float *x, std::size_t n, float lo, float hi, int levels,
+              std::uint8_t *codes)
+{
+    LECA_DCHECK(levels <= 256, "byte codes hold at most 256 levels, got ",
+                levels);
+    for (std::size_t i = 0; i < n; ++i)
+        codes[i] = static_cast<std::uint8_t>(quantizeCode(x[i], lo, hi,
+                                                          levels));
+}
+
 float
 dequantizeCode(int code, float lo, float hi, int levels)
 {
@@ -41,19 +51,6 @@ float
 quantizeUniform(float x, float lo, float hi, int levels)
 {
     return dequantizeCode(quantizeCode(x, lo, hi, levels), lo, hi, levels);
-}
-
-Tensor
-quantizeTensor(const Tensor &x, float lo, float hi, int levels)
-{
-    Tensor y(x.shape());
-    parallelFor(0, static_cast<std::int64_t>(x.numel()), 4096,
-                [&](std::int64_t i0, std::int64_t i1) {
-                    for (std::int64_t i = i0; i < i1; ++i)
-                        y[static_cast<std::size_t>(i)] = quantizeUniform(
-                            x[static_cast<std::size_t>(i)], lo, hi, levels);
-                });
-    return y;
 }
 
 } // namespace leca

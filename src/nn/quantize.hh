@@ -11,7 +11,8 @@
 #ifndef LECA_NN_QUANTIZE_HH
 #define LECA_NN_QUANTIZE_HH
 
-#include "tensor/tensor.hh"
+#include <cstddef>
+#include <cstdint>
 
 namespace leca {
 
@@ -43,14 +44,15 @@ class QBits
 /** Nearest-level code for @p x clamped into [lo, hi], in [0, levels). */
 int quantizeCode(float x, float lo, float hi, int levels);
 
+/** quantizeCode() of @p n values at @p x as bytes (levels <= 256). */
+void quantizeCodes(const float *x, std::size_t n, float lo, float hi,
+                   int levels, std::uint8_t *codes);
+
 /** Dequantized value of @p code on the same uniform grid. */
 float dequantizeCode(int code, float lo, float hi, int levels);
 
 /** Round-trip quantize+dequantize of a scalar. */
 float quantizeUniform(float x, float lo, float hi, int levels);
-
-/** Elementwise round-trip quantization of a tensor. */
-Tensor quantizeTensor(const Tensor &x, float lo, float hi, int levels);
 
 } // namespace leca
 

@@ -439,12 +439,9 @@ pipelineWireEncoder(LecaPipeline &pipeline)
         // The encoder emits exact quantizer grid values in [-1, 1], so
         // nearest-level requantization recovers the integer code of
         // every feature losslessly.
-        const int levels = pipeline.encoder().qbits().levels();
-        const float *f = features.data();
         std::vector<std::uint8_t> codes(features.numel());
-        for (std::size_t i = 0; i < codes.size(); ++i)
-            codes[i] = static_cast<std::uint8_t>(
-                quantizeCode(f[i], -1.0f, 1.0f, levels));
+        quantizeCodes(features.data(), codes.size(), -1.0f, 1.0f,
+                      pipeline.encoder().qbits().levels(), codes.data());
 
         // Delta against the same x in the previous feature row — the
         // natural image-like prediction stride for [C, OH, OW] codes.

@@ -46,11 +46,6 @@ Enforces invariants clang-tidy cannot express:
                      runtime admits work only through the bounded ring
                      in serve/queue.hh, so overload surfaces as
                      backpressure or shedding, never as queue growth.
-  serve-detached-thread
-                     no `.detach()` or `std::thread` in src/serve/ —
-                     the runtime's only thread is a util/parallel
-                     ServiceThread, which is always joined so shutdown
-                     is deterministic and sanitizer-clean.
   bitstream-unvalidated-read
                      every raw byte read (`std::memcpy` /
                      `reinterpret_cast`) in src/bitstream/ decode paths
@@ -60,19 +55,9 @@ Enforces invariants clang-tidy cannot express:
                      marker on or above the line — untrusted wire bytes
                      are never indexed on faith.
 
-Tier interplay (DESIGN.md §11): rules listed in CLANG_PREFERRED_RULES
-are better expressed by the Tier-2 semantic analyzer
-(tools/leca_analyze.py on libclang). When python libclang is
-importable this linter skips them — the semantic tier owns them — but
-when it is absent they still run here, so coverage never silently
-drops on machines without a clang toolchain. --all-rules forces them
-on regardless.
-
 Usage:  tools/leca_lint.py [DIR-or-FILE ...]
         (defaults to: src tests bench examples)
         --format text|json|sarif   output format (default text)
-        --all-rules                run clang-preferred rules even when
-                                   libclang is available
         --fixtures DIR             self-test: lint the known-bad
                                    fixtures under DIR and require each
                                    '// lint-expect: <rule>' line to be
@@ -170,14 +155,6 @@ LINE_RULES = [
         False,
     ),
     (
-        "serve-detached-thread",
-        re.compile(r"\.detach\s*\(\s*\)"),
-        "detached thread in the serve runtime; use a joined "
-        "leca::ServiceThread (util/parallel.hh)",
-        True,
-        False,
-    ),
-    (
         "precision-boundary",
         re.compile(r"\bdequantizeActivationNchw\s*\("
                    r"|\bdequantizeRowMajor\s*\("),
@@ -227,18 +204,6 @@ RULE_EXEMPT_PATHS = {
 # them would just restate the intent).
 SKIP_PATHS = re.compile(r"^tests/analysis/fixtures/")
 
-# Rules the Tier-2 semantic analyzer (tools/leca_analyze.py) owns when
-# python libclang is available; see the module docstring.
-CLANG_PREFERRED_RULES = {"serve-detached-thread"}
-
-
-def libclang_available() -> bool:
-    try:
-        import clang.cindex  # type: ignore  # noqa: F401
-        return True
-    except Exception:
-        return False
-
 # Rule name -> repo-relative paths the rule is restricted to (the rule
 # applies only there; everywhere else it is silent).
 RULE_ONLY_PATHS = {
@@ -256,9 +221,8 @@ RULE_ONLY_PATHS = {
     # Gradient-partial storage on the training path.
     "tensor-vector-partials": re.compile(
         r"^src/nn/.*\.cc$|^src/core/encoder\.cc$"),
-    # The serve runtime must stay bounded-memory and join-on-shutdown.
+    # The serve runtime must stay bounded-memory.
     "serve-unbounded-queue": re.compile(r"^src/serve/.*$"),
-    "serve-detached-thread": re.compile(r"^src/serve/.*$"),
     # The quantized Eval executors and the serving layer: the files
     # where a stray dequantize would silently re-materialise fp32
     # planes mid-chain. The implementation TU (tensor/quant.cc) and a
@@ -434,12 +398,10 @@ def check_kernel_tu(path: pathlib.Path, rel: pathlib.Path,
 
 
 def lint_file(path: pathlib.Path,
-              active_rules: list | None = None,
               rel_override: pathlib.Path | None = None) -> list[dict]:
     """Lint one file; rel_override makes it lint AS IF it lived at that
     repo-relative path (used by --fixtures so a known-bad snippet under
     tests/analysis/fixtures/ can exercise path-scoped rules)."""
-    rules = active_rules if active_rules is not None else LINE_RULES
     findings: list[dict] = []
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
@@ -458,7 +420,7 @@ def lint_file(path: pathlib.Path,
         code, in_block = strip_noise(raw, in_block)
         if not code.strip() and "#" not in raw:
             continue
-        for name, pattern, message, src_only, scan_raw in rules:
+        for name, pattern, message, src_only, scan_raw in LINE_RULES:
             if src_only and not in_src:
                 continue
             exempt = RULE_EXEMPT_PATHS.get(name)
@@ -610,9 +572,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text", dest="fmt",
                         help="output format (default: text)")
-    parser.add_argument("--all-rules", action="store_true",
-                        help="run clang-preferred rules even when "
-                             "libclang is available")
     parser.add_argument("--fixtures", metavar="DIR",
                         help="self-test mode: verify '// lint-expect:' "
                              "annotated fixtures under DIR are flagged "
@@ -622,17 +581,10 @@ def main(argv: list[str]) -> int:
     if args.fixtures:
         return run_lint_fixtures(args.fixtures)
 
-    active_rules = LINE_RULES
-    skipped_rules: list[str] = []
-    if not args.all_rules and libclang_available():
-        active_rules = [r for r in LINE_RULES
-                        if r[0] not in CLANG_PREFERRED_RULES]
-        skipped_rules = sorted(CLANG_PREFERRED_RULES)
-
     files = collect(args.targets)
     findings: list[dict] = []
     for path in files:
-        findings.extend(lint_file(path, active_rules))
+        findings.extend(lint_file(path))
 
     if args.fmt == "json":
         emit_json(findings, len(files))
@@ -642,9 +594,6 @@ def main(argv: list[str]) -> int:
         for item in findings:
             print(format_text(item))
 
-    if skipped_rules:
-        print(f"leca_lint: deferred to tier-2 analyzer (libclang "
-              f"present): {', '.join(skipped_rules)}", file=sys.stderr)
     if findings:
         print(f"leca_lint: {len(findings)} finding(s) in "
               f"{len(files)} file(s)", file=sys.stderr)
