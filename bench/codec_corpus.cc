@@ -28,8 +28,10 @@
 #include "bitstream/codec.hh"
 #include "bitstream/rans.hh"
 #include "common.hh"
+#include "compression/agt.hh"
 #include "compression/compressive_sensing.hh"
 #include "compression/jpeg.hh"
+#include "compression/learned_codec.hh"
 #include "compression/microshift.hh"
 #include "compression/simple_methods.hh"
 #include "compression/zonal_dct.hh"
@@ -141,7 +143,7 @@ main(int argc, char **argv)
         return wire_bpp;
     };
 
-    // --- The six task-agnostic baselines ------------------------------
+    // --- The nine compression baselines -------------------------------
     const auto baseline = [&](const std::string &key,
                               CompressionMethod &method) {
         const double accuracy = baselineAccuracy(harness, method);
@@ -149,8 +151,8 @@ main(int argc, char **argv)
             measureStream(method.wireSymbols(corpus), iters);
         const double bpp = addRow(method.name(), method.compressionRatio(),
                                   accuracy, cost);
-        report.addValue("codec_bpp_" + key, bpp);
-        report.addValue("codec_acc_" + key, 100.0 * accuracy);
+        report.add("codec_bpp_" + key, bpp, "bpp", Better::Lower);
+        report.add("codec_acc_" + key, 100.0 * accuracy, "%", Better::Higher);
     };
     {
         JpegCodec jpeg(50);
@@ -175,6 +177,20 @@ main(int argc, char **argv)
     {
         LowResQuantizer lr{QBits(2.0)};
         baseline("lr", lr);
+    }
+    {
+        ConventionalSensor cnv;
+        baseline("cnv", cnv);
+    }
+    {
+        AccumGradientThreshold agt;
+        agt.calibrate(harness.val.images, 4.0); // fig10's operating point
+        baseline("agt", agt);
+    }
+    {
+        LearnedCodec learned(12);
+        learned.train(harness.train, fastMode() ? 4 : 12);
+        baseline("learned", learned);
     }
 
     // --- LeCA: per-frame feature-code payloads, as leca::serve sends --
@@ -255,12 +271,13 @@ main(int argc, char **argv)
               << Table::num(encode_mb_s, 1) << " MB/s, decode "
               << Table::num(decode_mb_s, 1) << " MB/s\n";
 
-    report.addValue("leca_bpp", leca_bpp);
-    report.addValue("leca_bpp_raw8", leca_bpp_raw8);
-    report.addValue("leca_wire_compression", leca_bpp_raw8 / leca_bpp);
-    report.addValue("leca_acc", 100.0 * leca_acc);
-    report.addValue("encode_mb_s", encode_mb_s);
-    report.addValue("decode_mb_s", decode_mb_s);
+    report.add("leca_bpp", leca_bpp, "bpp", Better::Lower);
+    report.add("leca_bpp_raw8", leca_bpp_raw8, "bpp", Better::Lower);
+    report.add("leca_wire_compression", leca_bpp_raw8 / leca_bpp, "x",
+               Better::Higher);
+    report.add("leca_acc", 100.0 * leca_acc, "%", Better::Higher);
+    report.add("encode_mb_s", encode_mb_s, "MB/s", Better::Higher);
+    report.add("decode_mb_s", decode_mb_s, "MB/s", Better::Higher);
 
     if (!all_exact || !leca_cost.exact) {
         std::cout << "FAIL: a wire stream did not decode bit-exactly\n";

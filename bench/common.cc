@@ -5,6 +5,7 @@
 
 #include "compression/method.hh"
 #include "data/serialize.hh"
+#include "util/check.hh"
 #include "util/logging.hh"
 
 namespace leca::bench {
@@ -88,15 +89,15 @@ makePipeline(const Harness &harness, const LecaConfig &config,
     auto &src_layer = const_cast<Sequential &>(*harness.backbone);
     auto src = src_layer.params();
     auto dst = backbone->params();
-    LECA_ASSERT(src.size() == dst.size(), "backbone clone mismatch");
+    LECA_CHECK(src.size() == dst.size(), "backbone clone mismatch");
     for (std::size_t i = 0; i < src.size(); ++i)
         dst[i]->value = src[i]->value;
     // Running statistics must be cloned too, or evaluation-mode
     // batch-norm runs on fresh (wrong) statistics.
     auto src_state = src_layer.state();
     auto dst_state = backbone->state();
-    LECA_ASSERT(src_state.size() == dst_state.size(),
-                "backbone state clone mismatch");
+    LECA_CHECK(src_state.size() == dst_state.size(),
+               "backbone state clone mismatch");
     for (std::size_t i = 0; i < src_state.size(); ++i)
         *dst_state[i] = *src_state[i];
 

@@ -16,9 +16,8 @@
  * 11 % / 57 % / 31 % more than LeCA(CR 4).
  */
 
+#include <algorithm>
 #include <iostream>
-
-#include "util/logging.hh"
 
 #include "common.hh"
 #include "compression/agt.hh"
@@ -30,6 +29,7 @@
 #include "energy/energy_model.hh"
 #include "hw/sensor_chip.hh"
 #include "hw/weights.hh"
+#include "util/check.hh"
 #include "util/table.hh"
 
 namespace {
@@ -149,10 +149,12 @@ main()
 
     // Headline ratios.
     auto total_of = [&](const std::string &name) {
-        for (const auto &row : rows)
-            if (row.name.rfind(name, 0) == 0)
-                return row.energy;
-        fatal("row ", name, " missing");
+        const auto row = std::find_if(rows.begin(), rows.end(),
+                                      [&](const auto &r) {
+                                          return r.name.rfind(name, 0) == 0;
+                                      });
+        LECA_CHECK(row != rows.end(), "row ", name, " missing");
+        return row->energy;
     };
     const EnergyBreakdown cnv = total_of("CNV");
     const EnergyBreakdown cs = total_of("CS");

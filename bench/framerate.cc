@@ -45,7 +45,7 @@ measureSimulatorThroughput(leca::bench::JsonReport &report)
         Tensor codes = chip.encodeFrame(scene, PeMode::Ideal, frame_rng,
                                         false);
     }, 5);
-    report.add("sim_frame_encode_64", ms, 1000.0 / ms);
+    report.add("sim_frame_encode_64", ms, "ms", bench::Better::Lower);
     std::cout << "\nsimulator wall-clock (64x64 ideal encode, "
               << threadCount() << " threads): "
               << Table::num(1000.0 / ms, 1) << " frames/s\n";
@@ -75,7 +75,7 @@ measurePipelineThroughput(leca::bench::JsonReport &report)
     const double eval_ms = bench::timeWallMs([&] {
         Tensor logits = pipeline.forward(frame, Mode::Eval);
     }, 10);
-    report.add("pipeline_frame_eval_64", eval_ms, 1000.0 / eval_ms);
+    report.add("pipeline_frame_eval_64", eval_ms, "ms", bench::Better::Lower);
 
     Adam adam(pipeline.allParams(), 1e-3);
     SoftmaxCrossEntropy loss;
@@ -86,7 +86,8 @@ measurePipelineThroughput(leca::bench::JsonReport &report)
         pipeline.backward(loss.backward());
         adam.step();
     }, 10);
-    report.add("pipeline_frame_train_64", train_ms, 1000.0 / train_ms);
+    report.add("pipeline_frame_train_64", train_ms, "ms",
+               bench::Better::Lower);
 
     std::cout << "software pipeline (64x64, " << threadCount()
               << " threads): " << Table::num(1000.0 / eval_ms, 1)
@@ -155,11 +156,10 @@ main(int argc, char **argv)
               << (timing.framesPerSecond(1080, 4) >= 60.0 ? "yes" : "NO")
               << "\n";
 
-    report.add("model_448_nch4_fps", timing.frameLatencyUs(448, 4) / 1000.0,
-               timing.framesPerSecond(448, 4));
-    report.add("model_1080p_nch4_fps",
-               timing.frameLatencyUs(1080, 4) / 1000.0,
-               timing.framesPerSecond(1080, 4));
+    report.add("model_448_nch4_fps", timing.framesPerSecond(448, 4), "fps",
+               bench::Better::Higher);
+    report.add("model_1080p_nch4_fps", timing.framesPerSecond(1080, 4), "fps",
+               bench::Better::Higher);
     measureSimulatorThroughput(report);
     measurePipelineThroughput(report);
     return 0;

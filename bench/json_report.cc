@@ -52,27 +52,18 @@ JsonReport::~JsonReport()
 }
 
 void
-JsonReport::add(const std::string &name, double wall_ms,
-                double images_per_sec, double gflops)
+JsonReport::add(const std::string &name, double value,
+                const std::string &unit, Better better)
 {
-    if (!enabled())
+    if (_path.empty())
         return;
-    _entries.push_back(Entry{name, wall_ms, images_per_sec, gflops,
-                             0.0, false});
-}
-
-void
-JsonReport::addValue(const std::string &name, double value)
-{
-    if (!enabled())
-        return;
-    _entries.push_back(Entry{name, 0.0, 0.0, 0.0, value, true});
+    _entries.push_back(Entry{name, value, unit, better});
 }
 
 void
 JsonReport::write()
 {
-    if (!enabled() || _written)
+    if (_path.empty() || _written)
         return;
     std::ofstream out(_path);
     if (!out) {
@@ -80,22 +71,16 @@ JsonReport::write()
         return;
     }
     out << "{\n"
-        << "  \"schema\": \"leca-bench-v1\",\n"
+        << "  \"schema\": \"leca-bench-v2\",\n"
         << "  \"threads\": " << threadCount() << ",\n"
         << "  \"entries\": [\n";
     for (std::size_t i = 0; i < _entries.size(); ++i) {
         const Entry &e = _entries[i];
-        out << "    {\"name\": \"" << escape(e.name) << "\", ";
-        if (e.isValue) {
-            out << "\"value\": " << e.value;
-        } else {
-            out << "\"wall_ms\": " << e.wallMs;
-            if (e.imagesPerSec > 0.0)
-                out << ", \"images_per_sec\": " << e.imagesPerSec;
-            if (e.gflops > 0.0)
-                out << ", \"gflops\": " << e.gflops;
-        }
-        out << "}" << (i + 1 < _entries.size() ? "," : "") << "\n";
+        out << "    {\"name\": \"" << escape(e.name) << "\", \"value\": "
+            << e.value << ", \"unit\": \"" << escape(e.unit)
+            << "\", \"better\": \""
+            << (e.better == Better::Lower ? "lower" : "higher") << "\"}"
+            << (i + 1 < _entries.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     _written = true;

@@ -1,8 +1,10 @@
 /**
  * @file
- * Machine-readable benchmark output. Every bench harness can emit a
- * JSON report of wall-time and throughput so the perf trajectory is
- * tracked across PRs.
+ * Machine-readable benchmark output: the one report every bench
+ * harness writes, schema "leca-bench-v2". Each entry is
+ * {name, value, unit, better}: the value is what the name says, in
+ * `unit`, and `better` says which way it improves. That is all
+ * tools/bench_compare.py needs to judge a number against a baseline.
  *
  * The output path comes from `--json <path>` on the command line
  * (consumed from argv). Without it the report is disabled and add()
@@ -18,7 +20,14 @@
 
 namespace leca::bench {
 
-/** Collects named timing entries and writes them as one JSON file. */
+/** Which direction of an entry's value is an improvement. */
+enum class Better
+{
+    Lower, //!< times, bits per pixel, errors
+    Higher //!< rates, speedups, accuracies, ratios
+};
+
+/** Collects named entries and writes them as one JSON file. */
 class JsonReport
 {
   public:
@@ -31,30 +40,9 @@ class JsonReport
     /** Writes the report if a path was configured. */
     ~JsonReport();
 
-    bool enabled() const { return !_path.empty(); }
-    const std::string &path() const { return _path; }
-
-    /**
-     * Record one benchmark: wall time per iteration in milliseconds
-     * and throughput in images (or frames / items) per second. A rate
-     * of 0 means "not meaningful for this entry" and omits the key
-     * from the JSON — entries never report a bogus zero rate. Entries
-     * with a known FLOP count can additionally report arithmetic
-     * throughput in GFLOP/s (emitted as an extra "gflops" key; 0
-     * omits it, keeping the schema backward compatible).
-     */
-    void add(const std::string &name, double wall_ms,
-             double images_per_sec, double gflops = 0.0);
-
-    /**
-     * Record one value metric — a quantity that is not a timing
-     * (accuracy delta in points, max-abs quantization error, a
-     * compression ratio). Emitted as {"name": ..., "value": ...} with
-     * no wall_ms key, so tools/bench_compare.py compares it with an
-     * absolute bound (tolerances.json "max") instead of a relative
-     * timing threshold.
-     */
-    void addValue(const std::string &name, double value);
+    /** Record one entry: @p value in @p unit (e.g. "ms", "bpp", "x"). */
+    void add(const std::string &name, double value, const std::string &unit,
+             Better better);
 
     /** Force the write now (also happens in the destructor). */
     void write();
@@ -63,11 +51,9 @@ class JsonReport
     struct Entry
     {
         std::string name;
-        double wallMs;
-        double imagesPerSec;
-        double gflops;
-        double value = 0.0;
-        bool isValue = false;
+        double value;
+        std::string unit;
+        Better better;
     };
 
     std::string _path;
@@ -80,6 +66,17 @@ class JsonReport
  * warm-up run excluded).
  */
 double timeWallMs(const std::function<void()> &fn, int iters);
+
+/**
+ * Make @p value, and any memory it points to, look used, so the
+ * optimizer keeps the work that produced it.
+ */
+template <typename T>
+inline void
+sink(const T &value)
+{
+    asm volatile("" : : "r,m"(value) : "memory");
+}
 
 } // namespace leca::bench
 

@@ -1,20 +1,18 @@
 /**
  * @file
- * google-benchmark micro-benchmarks of the hot substrate operations:
- * matmul (blocked and naive-reference), im2col convolution (the conv
- * engine and naive), the SCM MAC chain, a full-frame chip encode, and CS
- * block reconstruction. After the google-benchmark run, a blocked-vs-naive
- * comparison table with GFLOP/s and speedups is printed to stdout.
+ * Micro-benchmarks of the hot substrate operations, each a wall time:
+ * the blocked kernels against the naive reference (GEMM and conv, with
+ * GF/s), the int8 kernels against fp32 plus a roofline, every
+ * Full-backbone conv shape in fp32 and resident int8, the SCM MAC
+ * chain, a full-frame chip encode, CS block reconstruction, and a
+ * training epoch. Every section runs on every call and prints a table.
  *
- * Pass --json <path> to additionally emit a machine-readable
- * wall-time/throughput report of the key kernels.
+ * Pass --json <path> to also write every row as one leca-bench-v2
+ * report (json_report.hh).
  */
-
-#include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -39,6 +37,9 @@
 namespace {
 
 using namespace leca;
+using bench::Better;
+using bench::sink;
+using bench::timeWallMs;
 
 Tensor
 randomTensor(std::vector<int> shape, std::uint64_t seed)
@@ -49,34 +50,6 @@ randomTensor(std::vector<int> shape, std::uint64_t seed)
         t[i] = static_cast<float>(rng.uniform(-1, 1));
     return t;
 }
-
-void
-BM_Matmul256(benchmark::State &state)
-{
-    const Tensor a = randomTensor({256, 256}, 1);
-    const Tensor b = randomTensor({256, 256}, 2);
-    for (auto _ : state) {
-        Tensor c = matmul(a, b);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 2LL * 256 * 256 * 256);
-}
-BENCHMARK(BM_Matmul256);
-
-void
-BM_Matmul256Naive(benchmark::State &state)
-{
-    const Tensor a = randomTensor({256, 256}, 1);
-    const Tensor b = randomTensor({256, 256}, 2);
-    Tensor c({256, 256});
-    for (auto _ : state) {
-        gemmReference(256, 256, 256, a.data(), 256, false, b.data(), 256,
-                      false, c.data(), 256, false);
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 2LL * 256 * 256 * 256);
-}
-BENCHMARK(BM_Matmul256Naive);
 
 /** The pre-blocking conv path: materialised im2col + naive GEMM. */
 Tensor
@@ -103,88 +76,6 @@ convNaive(const Tensor &x, const Tensor &w, const Tensor &b, int stride,
     }
     return y;
 }
-
-void
-BM_Conv2d(benchmark::State &state)
-{
-    const Tensor x = randomTensor({1, 16, 32, 32}, 3);
-    const Tensor w = randomTensor({32, 16, 3, 3}, 4);
-    const Tensor b = randomTensor({32}, 5);
-    for (auto _ : state) {
-        Tensor y = conv2d(x, w, b, 1, 1);
-        benchmark::DoNotOptimize(y.data());
-    }
-}
-BENCHMARK(BM_Conv2d);
-
-void
-BM_Conv2dNaive(benchmark::State &state)
-{
-    const Tensor x = randomTensor({1, 16, 32, 32}, 3);
-    const Tensor w = randomTensor({32, 16, 3, 3}, 4);
-    const Tensor b = randomTensor({32}, 5);
-    for (auto _ : state) {
-        Tensor y = convNaive(x, w, b, 1, 1);
-        benchmark::DoNotOptimize(y.data());
-    }
-}
-BENCHMARK(BM_Conv2dNaive);
-
-void
-BM_Im2col(benchmark::State &state)
-{
-    const Tensor img = randomTensor({16, 64, 64}, 6);
-    for (auto _ : state) {
-        Tensor cols = im2col(img, 3, 3, 1, 1);
-        benchmark::DoNotOptimize(cols.data());
-    }
-}
-BENCHMARK(BM_Im2col);
-
-void
-BM_ScmMacChain16(benchmark::State &state)
-{
-    CircuitConfig cfg;
-    AnalogChain chain = AnalogChain::nominal(cfg);
-    chain.adc.configure(QBits(3.0), 0.3);
-    Rng rng(7);
-    std::vector<double> pixels(16);
-    std::vector<ScmWeight> weights(16);
-    for (int i = 0; i < 16; ++i) {
-        pixels[static_cast<std::size_t>(i)] = rng.uniform(0.4, 1.4);
-        weights[static_cast<std::size_t>(i)] =
-            ScmWeight{rng.uniformInt(0, 15), rng.uniform() < 0.5};
-    }
-    for (auto _ : state) {
-        const int code = chain.encode(pixels, weights, true, nullptr);
-        benchmark::DoNotOptimize(code);
-    }
-    state.SetItemsProcessed(state.iterations() * 16);
-}
-BENCHMARK(BM_ScmMacChain16);
-
-void
-BM_ChipFrameEncode64(benchmark::State &state)
-{
-    ChipConfig cfg;
-    cfg.rgbHeight = 64;
-    cfg.rgbWidth = 64;
-    cfg.monteCarlo = false;
-    LecaSensorChip chip(cfg);
-    Tensor w = randomTensor({4, 3, 2, 2}, 8);
-    chip.loadKernels(flattenKernels(w, 1.0f));
-    const Tensor scene = randomTensor({3, 64, 64}, 9);
-    Tensor clipped = scene;
-    for (std::size_t i = 0; i < clipped.numel(); ++i)
-        clipped[i] = 0.5f + 0.4f * clipped[i];
-    Rng rng(1);
-    for (auto _ : state) {
-        Tensor codes = chip.encodeFrame(clipped, PeMode::Ideal, rng,
-                                        false);
-        benchmark::DoNotOptimize(codes.data());
-    }
-}
-BENCHMARK(BM_ChipFrameEncode64);
 
 /**
  * The int8 GEMM shape (A: 256x1024, B: 256x1024) as the production
@@ -218,66 +109,15 @@ struct Conv1x1Gemm
     }
 };
 
-void
-BM_GemmQ8_256x1024(benchmark::State &state)
-{
-    using G = Conv1x1Gemm;
-    G gemm(randomTensor({(int)G::m, (int)G::k}, 11),
-           randomTensor({(int)G::n, (int)G::k}, 12));
-    std::vector<float> c(static_cast<std::size_t>(G::m * G::n));
-    for (auto _ : state) {
-        gemm.run(c.data());
-        benchmark::DoNotOptimize(c.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 2 * G::m * G::n * G::k);
-}
-BENCHMARK(BM_GemmQ8_256x1024);
-
-void
-BM_QuantizeRows(benchmark::State &state)
-{
-    const std::int64_t m = 256, cols = 1024;
-    const Tensor src = randomTensor({(int)m, (int)cols}, 13);
-    const std::int64_t nb = quantBlocks(cols);
-    std::vector<std::int8_t> q(static_cast<std::size_t>(m * nb
-                                                        * kQuantBlock));
-    std::vector<float> scales(static_cast<std::size_t>(m * nb));
-    for (auto _ : state) {
-        quantizeRowsInto(src.data(), m, cols, q.data(), scales.data());
-        benchmark::DoNotOptimize(q.data());
-    }
-    state.SetItemsProcessed(state.iterations() * m * cols);
-}
-BENCHMARK(BM_QuantizeRows);
-
-void
-BM_CsBlockReconstruction(benchmark::State &state)
-{
-    CompressiveSensing cs(4);
-    Rng rng(10);
-    float block[64];
-    for (auto &v : block)
-        v = static_cast<float>(rng.uniform());
-    std::uint8_t codes[32]; // 16 measurements, two bytes each
-    cs.measureBlock(block, codes);
-    float recon[64];
-    for (auto _ : state) {
-        cs.reconstructBlock(codes, recon);
-        benchmark::DoNotOptimize(recon);
-    }
-}
-BENCHMARK(BM_CsBlockReconstruction);
-
 /**
  * Head-to-head timing of the blocked kernels against the retained
  * naive reference on the large-GEMM and conv shapes: prints a
- * GFLOP/s + speedup table and records both sides in the JSON report
- * (kernel-compare entries carry a "gflops" key).
+ * GFLOP/s + speedup table and records both sides' times in the
+ * report.
  */
 void
 compareKernels(leca::bench::JsonReport &report)
 {
-    using leca::bench::timeWallMs;
     Table table({"kernel", "naive ms", "blocked ms", "naive GF/s",
                  "blocked GF/s", "speedup"});
 
@@ -289,8 +129,8 @@ compareKernels(leca::bench::JsonReport &report)
                       Table::num(blocked_ms, 3), Table::num(ngf, 2),
                       Table::num(bgf, 2),
                       Table::num(naive_ms / blocked_ms, 2) + "x"});
-        report.add(name + "_naive", naive_ms, 0.0, ngf);
-        report.add(name + "_blocked", blocked_ms, 0.0, bgf);
+        report.add(name + "_naive", naive_ms, "ms", Better::Lower);
+        report.add(name + "_blocked", blocked_ms, "ms", Better::Lower);
     };
 
     {
@@ -300,12 +140,12 @@ compareKernels(leca::bench::JsonReport &report)
         const double naive_ms = timeWallMs([&] {
             gemmReference(256, 256, 256, a.data(), 256, false, b.data(),
                           256, false, c.data(), 256, false);
-            benchmark::DoNotOptimize(c.data());
+            sink(c.data());
         }, 20);
         const double blocked_ms = timeWallMs([&] {
             gemmBlocked(256, 256, 256, a.data(), 256, false, b.data(),
                         256, false, c.data(), 256, false);
-            benchmark::DoNotOptimize(c.data());
+            sink(c.data());
         }, 20);
         row("gemm_256", 2.0 * 256 * 256 * 256, naive_ms, blocked_ms);
     }
@@ -315,11 +155,11 @@ compareKernels(leca::bench::JsonReport &report)
         const Tensor b = randomTensor({32}, 5);
         const double naive_ms = timeWallMs([&] {
             Tensor y = convNaive(x, w, b, 1, 1);
-            benchmark::DoNotOptimize(y.data());
+            sink(y.data());
         }, 50);
         const double blocked_ms = timeWallMs([&] {
             Tensor y = conv2d(x, w, b, 1, 1);
-            benchmark::DoNotOptimize(y.data());
+            sink(y.data());
         }, 50);
         // FLOPs = 2 * Cout * (Cin*K*K) * OH*OW.
         row("conv_16x32x32", 2.0 * 32 * (16 * 9) * 32 * 32, naive_ms,
@@ -337,16 +177,11 @@ compareKernels(leca::bench::JsonReport &report)
  * latency on every x86-64 and AArch64 core this targets (the loop
  * branch hides under the chain). Gives the roofline a denominator
  * without reading MSRs. Turbo and frequency scaling make this an
- * estimate; set LECA_PEAK_GHZ to pin the nominal clock instead.
+ * estimate.
  */
 double
 estimateClockGhz()
 {
-    if (const char *env = std::getenv("LECA_PEAK_GHZ")) {
-        const double pinned = std::atof(env);
-        if (pinned > 0.0)
-            return pinned;
-    }
     constexpr std::int64_t iters = 1 << 25;
     constexpr double cycles_per_iter = 6.0;
     std::uint64_t x = 88172645463325252ULL;
@@ -357,7 +192,7 @@ estimateClockGhz()
         x ^= x << 17;
     }
     const auto stop = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(x);
+    sink(x);
     const double ns =
         std::chrono::duration<double, std::nano>(stop - start).count();
     return cycles_per_iter * static_cast<double>(iters) / ns;
@@ -373,7 +208,6 @@ estimateClockGhz()
 void
 compareQuantKernels(leca::bench::JsonReport &report)
 {
-    using leca::bench::timeWallMs;
     const std::int64_t m = Conv1x1Gemm::m, n = Conv1x1Gemm::n,
                        k = Conv1x1Gemm::k;
     const double ops = 2.0 * static_cast<double>(m) * n * k;
@@ -387,11 +221,11 @@ compareQuantKernels(leca::bench::JsonReport &report)
     const double f32_ms = timeWallMs([&] {
         gemmBlocked(m, n, k, a.data(), k, false, b.data(), k, true,
                     c.data(), n, false);
-        benchmark::DoNotOptimize(c.data());
+        sink(c.data());
     }, 20);
     const double i8_ms = timeWallMs([&] {
         gemm.run(c.data());
-        benchmark::DoNotOptimize(c.data());
+        sink(c.data());
     }, 20);
     const double f32_gfs = ops / f32_ms / 1e6;
     const double i8_gops = ops / i8_ms / 1e6;
@@ -405,12 +239,11 @@ compareQuantKernels(leca::bench::JsonReport &report)
         static_cast<double>(m) * (4.0 * k + nb * (kQuantBlock + 4.0));
     const double quant_ms = timeWallMs([&] {
         quantizeRowsInto(a.data(), m, k, q.data(), scales.data());
-        benchmark::DoNotOptimize(q.data());
+        sink(q.data());
     }, 50);
-    Tensor back({(int)m, (int)k});
     const double dequant_ms = timeWallMs([&] {
         const Tensor t = dequantizeRowMajor(qa);
-        benchmark::DoNotOptimize(t.data());
+        sink(t.data());
     }, 50);
     const double quant_gbps = quant_bytes / quant_ms / 1e6;
     const double dequant_gbps = quant_bytes / dequant_ms / 1e6;
@@ -429,13 +262,14 @@ compareQuantKernels(leca::bench::JsonReport &report)
     std::cout << "int8 GEMM speedup over fp32: "
               << Table::num(f32_ms / i8_ms, 2) << "x\n";
 
-    report.add("gemm_f32_256x1024", f32_ms, 0.0, f32_gfs);
-    report.add("gemm_q8_256x1024", i8_ms, 0.0, i8_gops);
-    report.add("quantize_rows_256x1024", quant_ms, 0.0);
-    report.add("dequantize_rows_256x1024", dequant_ms, 0.0);
-    report.addValue("quantize_rows_gbps", quant_gbps);
-    report.addValue("dequantize_rows_gbps", dequant_gbps);
-    report.addValue("gemm_q8_speedup_vs_f32", f32_ms / i8_ms);
+    report.add("gemm_f32_256x1024", f32_ms, "ms", Better::Lower);
+    report.add("gemm_q8_256x1024", i8_ms, "ms", Better::Lower);
+    report.add("quantize_rows_256x1024", quant_ms, "ms", Better::Lower);
+    report.add("dequantize_rows_256x1024", dequant_ms, "ms", Better::Lower);
+    report.add("quantize_rows_gbps", quant_gbps, "GB/s", Better::Higher);
+    report.add("dequantize_rows_gbps", dequant_gbps, "GB/s", Better::Higher);
+    report.add("gemm_q8_speedup_vs_f32", f32_ms / i8_ms, "x",
+               Better::Higher);
 
     // Roofline: the dispatched KernelSet advertises its per-core
     // per-cycle peak; scale by estimated clock and pool width. int8
@@ -454,13 +288,14 @@ compareQuantKernels(leca::bench::JsonReport &report)
                  Table::num(i8_gops, 2) + " GOP/s",
                  Table::num(i8_peak, 2),
                  Table::num(100.0 * i8_gops / i8_peak, 1)});
-    printBanner(std::cout, "roofline (clock est. "
-                               + Table::num(ghz, 2)
-                               + " GHz, LECA_PEAK_GHZ overrides)");
+    printBanner(std::cout,
+                "roofline (clock est. " + Table::num(ghz, 2) + " GHz)");
     roof.print(std::cout);
-    report.addValue("clock_ghz_est", ghz);
-    report.addValue("roofline_f32_pct_peak", 100.0 * f32_gfs / f32_peak);
-    report.addValue("roofline_i8_pct_peak", 100.0 * i8_gops / i8_peak);
+    report.add("clock_ghz_est", ghz, "GHz", Better::Higher);
+    report.add("roofline_f32_pct_peak", 100.0 * f32_gfs / f32_peak, "%",
+               Better::Higher);
+    report.add("roofline_i8_pct_peak", 100.0 * i8_gops / i8_peak, "%",
+               Better::Higher);
 }
 
 /**
@@ -477,7 +312,7 @@ timeBackwardMs(Conv2d &conv, const Tensor &x, const Tensor &dy, int iters)
         const auto start = std::chrono::steady_clock::now();
         const Tensor dx = conv.backward(dy);
         const auto stop = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(dx.data());
+        sink(dx.data());
         if (i > 0)
             total += std::chrono::duration<double, std::milli>(stop - start)
                          .count();
@@ -501,8 +336,6 @@ timeBackwardMs(Conv2d &conv, const Tensor &x, const Tensor &dy, int iters)
 void
 compareConvPaths(leca::bench::JsonReport &report)
 {
-    using leca::bench::timeWallMs;
-
     struct Shape
     {
         const char *name;
@@ -542,7 +375,7 @@ compareConvPaths(leca::bench::JsonReport &report)
 
         const double f32_ms = timeWallMs([&] {
             Tensor y = conv2d(x, w, b, s.stride, s.pad);
-            benchmark::DoNotOptimize(y.data());
+            sink(y.data());
         }, reps);
 
         // Resident: codes in, codes out, bias epilogue fused.
@@ -572,7 +405,7 @@ compareConvPaths(leca::bench::JsonReport &report)
             convForwardResident(act, s.k, s.k, s.stride, s.pad, wq_hwc,
                                 epi, o_q.data(), o_s.data(), nullptr,
                                 nullptr);
-            benchmark::DoNotOptimize(o_q.data());
+            sink(o_q.data());
         }, reps);
         // The same conv over the first image alone.
         const QuantActivation act1{1, s.cin, s.hw, s.hw, in_q.data(),
@@ -581,7 +414,7 @@ compareConvPaths(leca::bench::JsonReport &report)
             convForwardResident(act1, s.k, s.k, s.stride, s.pad, wq_hwc,
                                 epi, o_q.data(), o_s.data(), nullptr,
                                 nullptr);
-            benchmark::DoNotOptimize(o_q.data());
+            sink(o_q.data());
         }, reps * batch);
 
         // Backward as training runs it: the frozen backbone's dX alone,
@@ -598,10 +431,12 @@ compareConvPaths(leca::bench::JsonReport &report)
                       Table::num(f32_ms / res_ms, 2) + "x",
                       Table::num(res_b1_ms, 3), Table::num(bwd_ms, 3),
                       s.trained ? "dW+dX" : "dX"});
-        report.add(std::string(s.name) + "_f32", f32_ms, 0.0);
-        report.add(std::string(s.name) + "_resident_i8", res_ms, 0.0);
-        report.add(std::string(s.name) + "_resident_i8_b1", res_b1_ms, 0.0);
-        report.add(bwd_row, bwd_ms, 0.0);
+        report.add(std::string(s.name) + "_f32", f32_ms, "ms", Better::Lower);
+        report.add(std::string(s.name) + "_resident_i8", res_ms, "ms",
+                   Better::Lower);
+        report.add(std::string(s.name) + "_resident_i8_b1", res_b1_ms, "ms",
+                   Better::Lower);
+        report.add(bwd_row, bwd_ms, "ms", Better::Lower);
     }
     printBanner(std::cout,
                 "conv paths per backbone shape (batch 8, serving geometry)");
@@ -609,15 +444,15 @@ compareConvPaths(leca::bench::JsonReport &report)
 }
 
 /**
- * End-to-end training-path throughput: full trainClassifier calls
- * (gather + augment + forward + backward + Adam + batch-norm refresh)
- * on a small SyntheticVision problem shaped like the fig10/fig11
- * training workloads, reported as images/sec over the epoch loop.
+ * End-to-end training-path time: full trainClassifier calls (gather +
+ * augment + forward + backward + Adam + batch-norm refresh) on a small
+ * SyntheticVision problem shaped like the fig10/fig11 training
+ * workloads. Records the wall time of the epoch loop and prints it as
+ * images/sec.
  */
 void
 reportTrainEpoch(leca::bench::JsonReport &report)
 {
-    using leca::bench::timeWallMs;
     SyntheticVision::Config cfg;
     cfg.resolution = 32;
     cfg.numClasses = 4;
@@ -640,41 +475,60 @@ reportTrainEpoch(leca::bench::JsonReport &report)
     };
     const double images = static_cast<double>(kEpochs) * train.count();
     const double ms = timeWallMs([&] { run(false); }, 2);
-    report.add("train_epoch_proxy32", ms, images * 1000.0 / ms);
+    report.add("train_epoch_proxy32", ms, "ms", Better::Lower);
     const double aug_ms = timeWallMs([&] { run(true); }, 2);
-    report.add("train_epoch_proxy32_aug", aug_ms,
-               images * 1000.0 / aug_ms);
+    report.add("train_epoch_proxy32_aug", aug_ms, "ms", Better::Lower);
     std::cout << "train_epoch_proxy32: "
               << Table::num(images * 1000.0 / ms, 1)
               << " images/s (augmented: "
               << Table::num(images * 1000.0 / aug_ms, 1) << ")\n";
 }
 
-/** Wall-clock timing of the key kernels for the JSON report. */
+/**
+ * The substrate calls outside the comparisons above: a 256x256 matmul,
+ * a batch-8 conv, a 16-tap SCM MAC chain, a 64x64 ideal chip encode
+ * and one CS block reconstruction.
+ */
 void
-reportJson(leca::bench::JsonReport &report)
+timeSubstrate(leca::bench::JsonReport &report)
 {
-    using leca::bench::timeWallMs;
+    Table table({"kernel", "us"});
+    const auto row = [&](const std::string &name, double ms) {
+        table.addRow({name, Table::num(1000.0 * ms, 2)});
+        report.add(name, ms, "ms", Better::Lower);
+    };
     {
         const Tensor a = randomTensor({256, 256}, 1);
         const Tensor b = randomTensor({256, 256}, 2);
-        const double ms = timeWallMs([&] {
+        row("matmul_256", timeWallMs([&] {
             Tensor c = matmul(a, b);
-            benchmark::DoNotOptimize(c.data());
-        }, 20);
-        report.add("matmul_256", ms, 1000.0 / ms,
-                   2.0 * 256 * 256 * 256 / ms / 1e6);
+            sink(c.data());
+        }, 20));
     }
     {
         const Tensor x = randomTensor({8, 16, 32, 32}, 3);
         const Tensor w = randomTensor({32, 16, 3, 3}, 4);
         const Tensor b = randomTensor({32}, 5);
-        const double ms = timeWallMs([&] {
+        row("conv2d_batch8", timeWallMs([&] {
             Tensor y = conv2d(x, w, b, 1, 1);
-            benchmark::DoNotOptimize(y.data());
-        }, 20);
-        report.add("conv2d_batch8", ms, 8.0 * 1000.0 / ms,
-                   8.0 * 2.0 * 32 * (16 * 9) * 32 * 32 / ms / 1e6);
+            sink(y.data());
+        }, 20));
+    }
+    {
+        CircuitConfig cfg;
+        AnalogChain chain = AnalogChain::nominal(cfg);
+        chain.adc.configure(QBits(3.0), 0.3);
+        Rng rng(7);
+        std::vector<double> pixels(16);
+        std::vector<ScmWeight> weights(16);
+        for (int i = 0; i < 16; ++i) {
+            pixels[static_cast<std::size_t>(i)] = rng.uniform(0.4, 1.4);
+            weights[static_cast<std::size_t>(i)] =
+                ScmWeight{rng.uniformInt(0, 15), rng.uniform() < 0.5};
+        }
+        row("scm_mac_chain16", timeWallMs([&] {
+            sink(chain.encode(pixels, weights, true, nullptr));
+        }, 20000));
     }
     {
         ChipConfig cfg;
@@ -688,13 +542,28 @@ reportJson(leca::bench::JsonReport &report)
         for (std::size_t i = 0; i < scene.numel(); ++i)
             scene[i] = 0.5f + 0.4f * scene[i];
         Rng rng(1);
-        const double ms = timeWallMs([&] {
+        row("chip_frame_encode_64", timeWallMs([&] {
             Tensor codes =
                 chip.encodeFrame(scene, PeMode::Ideal, rng, false);
-            benchmark::DoNotOptimize(codes.data());
-        }, 5);
-        report.add("chip_frame_encode_64", ms, 1000.0 / ms);
+            sink(codes.data());
+        }, 5));
     }
+    {
+        CompressiveSensing cs(4);
+        Rng rng(10);
+        float block[64];
+        for (auto &v : block)
+            v = static_cast<float>(rng.uniform());
+        std::uint8_t codes[32]; // 16 measurements, two bytes each
+        cs.measureBlock(block, codes);
+        float recon[64];
+        row("cs_block_reconstruction", timeWallMs([&] {
+            cs.reconstructBlock(codes, recon);
+            sink(&recon[0]);
+        }, 200));
+    }
+    printBanner(std::cout, "substrate calls");
+    table.print(std::cout);
 }
 
 } // namespace
@@ -703,17 +572,14 @@ int
 main(int argc, char **argv)
 {
     leca::bench::JsonReport report(argc, argv);
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    if (argc > 1) {
+        std::cerr << "usage: micro_ops [--json PATH]\n";
+        return 2;
+    }
     compareKernels(report);
     compareQuantKernels(report);
     compareConvPaths(report);
-    if (report.enabled()) {
-        reportJson(report);
-        reportTrainEpoch(report);
-    }
+    timeSubstrate(report);
+    reportTrainEpoch(report);
     return 0;
 }

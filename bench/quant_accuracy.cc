@@ -113,12 +113,13 @@ main(int argc, char **argv)
               << ", max logit divergence: " << Table::num(logit_div, 5)
               << "\n";
 
-    report.addValue("quant_top1_fp32_pct", 100.0 * fp32_top1);
-    report.addValue("quant_top1_int8_pct", 100.0 * int8_top1);
-    report.addValue("quant_top1_delta_pts", delta_pts);
-    report.addValue("quant_weight_max_abs_err", quant.maxAbsError());
-    report.addValue("quant_logit_div_max", logit_div);
-    report.addValue("quant_compression_ratio", ratio);
+    report.add("quant_top1_fp32_pct", 100.0 * fp32_top1, "%", Better::Higher);
+    report.add("quant_top1_int8_pct", 100.0 * int8_top1, "%", Better::Higher);
+    report.add("quant_top1_delta_pts", delta_pts, "pts", Better::Lower);
+    report.add("quant_weight_max_abs_err", quant.maxAbsError(), "weight",
+               Better::Lower);
+    report.add("quant_logit_div_max", logit_div, "logit", Better::Lower);
+    report.add("quant_compression_ratio", ratio, "x", Better::Higher);
 
     if (delta_pts > max_delta) {
         std::cout << "FAIL: int8 top-1 delta " << Table::num(delta_pts, 2)

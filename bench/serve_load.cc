@@ -348,16 +348,16 @@ main(int argc, char **argv)
 
     const RunResult unbatched =
         runClosedLoop(sessions, frames, 1, 0);
-    report.add("serve_closed_batch1", unbatched.wallMs,
-               unbatched.framesPerSec);
+    report.add("serve_closed_batch1", unbatched.wallMs, "ms",
+               bench::Better::Lower);
     std::cout << "closed loop, maxBatch=1: "
               << Table::num(unbatched.framesPerSec, 1) << " frames/s\n";
     printLatencies("  latency", unbatched.metrics);
 
     const RunResult batched =
         runClosedLoop(sessions, frames, sessions, wait_us);
-    report.add("serve_closed_batch8", batched.wallMs,
-               batched.framesPerSec);
+    report.add("serve_closed_batch8", batched.wallMs, "ms",
+               bench::Better::Lower);
     std::cout << "closed loop, maxBatch=" << sessions << ": "
               << Table::num(batched.framesPerSec, 1) << " frames/s\n";
     printLatencies("  latency", batched.metrics);
@@ -371,13 +371,14 @@ main(int argc, char **argv)
     const int quant_frames = std::max(frames / 8, fast ? 8 : 20);
     RunResult quant_f32, quant_i8;
     runQuantComparison(sessions, quant_frames, quant_f32, quant_i8);
-    report.add("serve_quant_fp32", quant_f32.wallMs,
-               quant_f32.framesPerSec);
-    report.add("serve_quant_int8", quant_i8.wallMs,
-               quant_i8.framesPerSec);
+    report.add("serve_quant_fp32", quant_f32.wallMs, "ms",
+               bench::Better::Lower);
+    report.add("serve_quant_int8", quant_i8.wallMs, "ms",
+               bench::Better::Lower);
     const double quant_speedup =
         quant_i8.framesPerSec / quant_f32.framesPerSec;
-    report.addValue("serve_quant_speedup", quant_speedup);
+    report.add("serve_quant_speedup", quant_speedup, "x",
+               bench::Better::Higher);
     std::cout << "quantized serving (" << kQuantHw << "x"
               << kQuantHw << ", " << quant_frames
               << " frames/session):\n  fp32 backend: "
@@ -388,8 +389,8 @@ main(int argc, char **argv)
               << Table::num(quant_speedup, 2) << "x\n\n";
 
     const RunResult overload = runOpenLoopOverload(sessions, frames);
-    report.add("serve_open_overload_10x", overload.wallMs,
-               overload.framesPerSec);
+    report.add("serve_open_overload_10x", overload.wallMs, "ms",
+               bench::Better::Lower);
     const MetricsSnapshot &m = overload.metrics;
     std::cout << "open loop overload (DropOldest, capacity 32): "
               << Table::num(overload.framesPerSec, 1)

@@ -16,7 +16,7 @@ Lut1d::Lut1d(double lo, double hi, std::vector<double> values)
 double
 Lut1d::operator()(double x) const
 {
-    LECA_DCHECK(!_values.empty(), "lookup on empty LUT");
+    LECA_CHECK(!_values.empty(), "lookup on empty LUT");
     const int n = static_cast<int>(_values.size());
     const double t = (x - _lo) / (_hi - _lo) * (n - 1);
     if (t <= 0.0)
@@ -48,7 +48,7 @@ Lut2d::Lut2d(double x_lo, double x_hi, int nx, double y_lo, double y_hi,
 double
 Lut2d::operator()(double x, double y) const
 {
-    LECA_DCHECK(!_values.empty(), "lookup on empty 2-D LUT");
+    LECA_CHECK(!_values.empty(), "lookup on empty 2-D LUT");
     double tx = (x - _xLo) / (_xHi - _xLo) * (_nx - 1);
     double ty = (y - _yLo) / (_yHi - _yLo) * (_ny - 1);
     tx = std::clamp(tx, 0.0, static_cast<double>(_nx - 1));

@@ -36,10 +36,10 @@ class BitWriter
     void
     put(std::uint32_t value, int bits)
     {
-        LECA_DCHECK(bits >= 0 && bits <= 32, "BitWriter::put width ",
-                    bits);
-        LECA_DCHECK(bits == 32 || (value >> bits) == 0,
-                    "BitWriter::put value wider than ", bits, " bits");
+        LECA_CHECK(bits >= 0 && bits <= 32, "BitWriter::put width ",
+                   bits);
+        LECA_CHECK(bits == 32 || (value >> bits) == 0,
+                   "BitWriter::put value wider than ", bits, " bits");
         _acc |= static_cast<std::uint64_t>(value) << _nbits;
         _nbits += bits;
         while (_nbits >= 8) {
@@ -82,8 +82,8 @@ class BitReader
     std::uint32_t
     get(int bits)
     {
-        LECA_DCHECK(bits >= 0 && bits <= 32, "BitReader::get width ",
-                    bits);
+        LECA_CHECK(bits >= 0 && bits <= 32, "BitReader::get width ",
+                   bits);
         while (_nbits < bits) {
             LECA_CHECK(_pos < _size,
                        "corrupt bitstream: bit read past the end (byte ",

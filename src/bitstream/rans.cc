@@ -137,8 +137,8 @@ ransEncode(const std::uint8_t *data, std::size_t n,
     for (std::size_t i = n; i-- > 0;) {
         const std::uint8_t s = data[i];
         const std::uint32_t f = table.freq[s];
-        LECA_DCHECK(f > 0, "ransEncode symbol ", int(s),
-                    " has zero frequency");
+        LECA_CHECK(f > 0, "ransEncode symbol ", int(s),
+                   " has zero frequency");
         std::uint32_t &r = x[i & 1];
         const std::uint32_t x_max =
             ((kRansLowerBound >> kProbBits) << 8) * f;

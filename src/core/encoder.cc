@@ -7,7 +7,6 @@
 #include "hw/weights.hh"
 #include "util/arena.hh"
 #include "util/check.hh"
-#include "util/logging.hh"
 #include "util/parallel.hh"
 
 namespace leca {
@@ -97,7 +96,8 @@ LecaEncoder::forward(const Tensor &x, Mode mode)
       case EncoderModality::Noisy:
         return forwardHard(x, mode, true);
     }
-    panic("unknown modality");
+    throw CheckError("known modality", __FILE__, __LINE__,
+                     "unknown modality " + std::to_string(int(_modality)));
 }
 
 Tensor

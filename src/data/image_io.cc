@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "util/check.hh"
-#include "util/logging.hh"
 
 namespace leca {
 
@@ -27,8 +26,7 @@ writePpm(const Tensor &image, const std::string &path)
                 "writePpm expects [3,H,W]");
     const int h = image.size(1), w = image.size(2);
     std::ofstream os(path, std::ios::binary);
-    if (!os)
-        fatal("cannot open ", path, " for writing");
+    LECA_CHECK(os.is_open(), "cannot open ", path, " for writing");
     os << "P6\n" << w << " " << h << "\n255\n";
     for (int y = 0; y < h; ++y) {
         for (int x = 0; x < w; ++x) {
@@ -38,6 +36,8 @@ writePpm(const Tensor &image, const std::string &path)
             }
         }
     }
+    os.close();
+    LECA_CHECK(!os.fail(), "cannot write ", path);
 }
 
 void
@@ -64,8 +64,7 @@ writePgm(const Tensor &image, const std::string &path, bool normalize)
     }
 
     std::ofstream os(path, std::ios::binary);
-    if (!os)
-        fatal("cannot open ", path, " for writing");
+    LECA_CHECK(os.is_open(), "cannot open ", path, " for writing");
     os << "P5\n" << w << " " << h << "\n255\n";
     for (int y = 0; y < h; ++y) {
         for (int x = 0; x < w; ++x) {
@@ -74,6 +73,8 @@ writePgm(const Tensor &image, const std::string &path, bool normalize)
             os.write(reinterpret_cast<const char *>(&b), 1);
         }
     }
+    os.close();
+    LECA_CHECK(!os.fail(), "cannot write ", path);
 }
 
 } // namespace leca

@@ -209,10 +209,11 @@ saveCheckpoint(Layer &layer, const std::string &path, std::uint32_t kind)
     }
     const std::vector<std::uint8_t> bytes = cw.finish();
     std::ofstream os(path, std::ios::binary);
-    if (!os)
-        fatal("cannot open ", path, " for writing");
+    LECA_CHECK(os.is_open(), "cannot open checkpoint ", path, " for writing");
     os.write(reinterpret_cast<const char *>(bytes.data()),
              static_cast<std::streamsize>(bytes.size()));
+    os.close();
+    LECA_CHECK(!os.fail(), "cannot write checkpoint ", path);
 }
 
 /**

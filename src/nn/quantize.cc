@@ -21,8 +21,8 @@ QBits::levels() const
 int
 quantizeCode(float x, float lo, float hi, int levels)
 {
-    LECA_DCHECK(levels >= 2 && hi > lo, "bad quantizer configuration: levels=",
-                levels, " range [", lo, ", ", hi, ")");
+    LECA_CHECK(levels >= 2 && hi > lo, "bad quantizer configuration: levels=",
+               levels, " range [", lo, ", ", hi, ")");
     const float clamped = std::clamp(x, lo, hi);
     const float t = (clamped - lo) / (hi - lo);
     const int code = roundToInt(t * static_cast<float>(levels - 1));
@@ -33,8 +33,8 @@ void
 quantizeCodes(const float *x, std::size_t n, float lo, float hi, int levels,
               std::uint8_t *codes)
 {
-    LECA_DCHECK(levels <= 256, "byte codes hold at most 256 levels, got ",
-                levels);
+    LECA_CHECK(levels <= 256, "byte codes hold at most 256 levels, got ",
+               levels);
     for (std::size_t i = 0; i < n; ++i)
         codes[i] = static_cast<std::uint8_t>(quantizeCode(x[i], lo, hi,
                                                           levels));

@@ -55,21 +55,6 @@ convOutSize(int in, int k, int stride, int pad)
 }
 
 Tensor
-im2col(const Tensor &image, int kh, int kw, int stride, int pad)
-{
-    LECA_CHECK(image.dim() == 3, "im2col expects [C,H,W], got ",
-               detail::formatShape(image.shape()));
-    LECA_CHECK(kh > 0 && kw > 0 && stride > 0 && pad >= 0,
-               "im2col kernel ", kh, "x", kw, " stride ", stride, " pad ", pad);
-    const int c = image.size(0), h = image.size(1), w = image.size(2);
-    const int oh = convOutSize(h, kh, stride, pad);
-    const int ow = convOutSize(w, kw, stride, pad);
-    Tensor cols({c * kh * kw, oh * ow});
-    im2colRaw(image.data(), c, h, w, kh, kw, stride, pad, cols.data());
-    return cols;
-}
-
-Tensor
 conv2d(const Tensor &x, const Tensor &weight, const Tensor &bias, int stride,
        int pad)
 {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Numeric ops over Tensor: matrix multiply variants, im2col, convolution,
- * global pooling, and resampling. These are the only hot loops in
+ * Numeric ops over Tensor: matrix multiply variants, convolution, global
+ * pooling, and resampling. These are the only hot loops in
  * the training framework; everything in nn/ composes them. The dense
  * inner kernels (packed blocked GEMM, the fp32 conv engine) live in
  * tensor/kernels.hh; this layer adds Tensor shapes and contracts.
@@ -22,14 +22,6 @@ Tensor matmulTransA(const Tensor &a, const Tensor &b);
 
 /** C = A * B^T where A is (MxK), B is (NxK) -> C is (MxN). */
 Tensor matmulTransB(const Tensor &a, const Tensor &b);
-
-/**
- * Unfold one image [C,H,W] into convolution columns.
- *
- * @return a (C*kh*kw) x (OH*OW) matrix where OH/OW are the output extents
- *         for the given stride/padding.
- */
-Tensor im2col(const Tensor &image, int kh, int kw, int stride, int pad);
 
 /** Output spatial extent of a convolution along one axis. */
 int convOutSize(int in, int k, int stride, int pad);

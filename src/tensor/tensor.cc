@@ -312,47 +312,47 @@ Tensor::size(int d) const
 float &
 Tensor::at(int i)
 {
-    LECA_DCHECK(!_borrowed, "mutable access to a borrowed tensor view");
-    LECA_DCHECK(dim() == 1, "rank-1 access on rank-", dim(), " tensor");
-    LECA_DCHECK(i >= 0 && i < _shape[0], "index ", i, " out of range");
+    LECA_CHECK(!_borrowed, "mutable access to a borrowed tensor view");
+    LECA_CHECK(dim() == 1, "rank-1 access on rank-", dim(), " tensor");
+    LECA_CHECK(i >= 0 && i < _shape[0], "index ", i, " out of range");
     return _data[static_cast<std::size_t>(i)];
 }
 
 float
 Tensor::at(int i) const
 {
-    LECA_DCHECK(dim() == 1, "rank-1 access on rank-", dim(), " tensor");
-    LECA_DCHECK(i >= 0 && i < _shape[0], "index ", i, " out of range");
+    LECA_CHECK(dim() == 1, "rank-1 access on rank-", dim(), " tensor");
+    LECA_CHECK(i >= 0 && i < _shape[0], "index ", i, " out of range");
     return data()[static_cast<std::size_t>(i)];
 }
 
 float &
 Tensor::at(int i, int j)
 {
-    LECA_DCHECK(!_borrowed, "mutable access to a borrowed tensor view");
-    LECA_DCHECK(dim() == 2, "rank-2 access on rank-", dim(), " tensor");
-    LECA_DCHECK(i >= 0 && i < _shape[0] && j >= 0 && j < _shape[1],
-                "index (", i, ", ", j, ") out of range");
+    LECA_CHECK(!_borrowed, "mutable access to a borrowed tensor view");
+    LECA_CHECK(dim() == 2, "rank-2 access on rank-", dim(), " tensor");
+    LECA_CHECK(i >= 0 && i < _shape[0] && j >= 0 && j < _shape[1],
+               "index (", i, ", ", j, ") out of range");
     return _data[static_cast<std::size_t>(i) * _shape[1] + j];
 }
 
 float
 Tensor::at(int i, int j) const
 {
-    LECA_DCHECK(dim() == 2, "rank-2 access on rank-", dim(), " tensor");
-    LECA_DCHECK(i >= 0 && i < _shape[0] && j >= 0 && j < _shape[1],
-                "index (", i, ", ", j, ") out of range");
+    LECA_CHECK(dim() == 2, "rank-2 access on rank-", dim(), " tensor");
+    LECA_CHECK(i >= 0 && i < _shape[0] && j >= 0 && j < _shape[1],
+               "index (", i, ", ", j, ") out of range");
     return data()[static_cast<std::size_t>(i) * _shape[1] + j];
 }
 
 float &
 Tensor::at(int i, int j, int k)
 {
-    LECA_DCHECK(!_borrowed, "mutable access to a borrowed tensor view");
-    LECA_DCHECK(dim() == 3, "rank-3 access on rank-", dim(), " tensor");
-    LECA_DCHECK(i >= 0 && i < _shape[0] && j >= 0 && j < _shape[1] && k >= 0
-                    && k < _shape[2],
-                "index (", i, ", ", j, ", ", k, ") out of range");
+    LECA_CHECK(!_borrowed, "mutable access to a borrowed tensor view");
+    LECA_CHECK(dim() == 3, "rank-3 access on rank-", dim(), " tensor");
+    LECA_CHECK(i >= 0 && i < _shape[0] && j >= 0 && j < _shape[1] && k >= 0
+                   && k < _shape[2],
+               "index (", i, ", ", j, ", ", k, ") out of range");
     return _data[(static_cast<std::size_t>(i) * _shape[1] + j) * _shape[2]
                  + k];
 }
@@ -360,10 +360,10 @@ Tensor::at(int i, int j, int k)
 float
 Tensor::at(int i, int j, int k) const
 {
-    LECA_DCHECK(dim() == 3, "rank-3 access on rank-", dim(), " tensor");
-    LECA_DCHECK(i >= 0 && i < _shape[0] && j >= 0 && j < _shape[1] && k >= 0
-                    && k < _shape[2],
-                "index (", i, ", ", j, ", ", k, ") out of range");
+    LECA_CHECK(dim() == 3, "rank-3 access on rank-", dim(), " tensor");
+    LECA_CHECK(i >= 0 && i < _shape[0] && j >= 0 && j < _shape[1] && k >= 0
+                   && k < _shape[2],
+               "index (", i, ", ", j, ", ", k, ") out of range");
     return data()[(static_cast<std::size_t>(i) * _shape[1] + j) * _shape[2]
                   + k];
 }
@@ -378,21 +378,21 @@ Tensor::flatIndex(int n, int c, int h, int w) const
 float &
 Tensor::at(int n, int c, int h, int w)
 {
-    LECA_DCHECK(!_borrowed, "mutable access to a borrowed tensor view");
-    LECA_DCHECK(dim() == 4, "rank-4 access on rank-", dim(), " tensor");
-    LECA_DCHECK(n >= 0 && n < _shape[0] && c >= 0 && c < _shape[1] && h >= 0
-                    && h < _shape[2] && w >= 0 && w < _shape[3],
-                "index (", n, ", ", c, ", ", h, ", ", w, ") out of range");
+    LECA_CHECK(!_borrowed, "mutable access to a borrowed tensor view");
+    LECA_CHECK(dim() == 4, "rank-4 access on rank-", dim(), " tensor");
+    LECA_CHECK(n >= 0 && n < _shape[0] && c >= 0 && c < _shape[1] && h >= 0
+                   && h < _shape[2] && w >= 0 && w < _shape[3],
+               "index (", n, ", ", c, ", ", h, ", ", w, ") out of range");
     return _data[flatIndex(n, c, h, w)];
 }
 
 float
 Tensor::at(int n, int c, int h, int w) const
 {
-    LECA_DCHECK(dim() == 4, "rank-4 access on rank-", dim(), " tensor");
-    LECA_DCHECK(n >= 0 && n < _shape[0] && c >= 0 && c < _shape[1] && h >= 0
-                    && h < _shape[2] && w >= 0 && w < _shape[3],
-                "index (", n, ", ", c, ", ", h, ", ", w, ") out of range");
+    LECA_CHECK(dim() == 4, "rank-4 access on rank-", dim(), " tensor");
+    LECA_CHECK(n >= 0 && n < _shape[0] && c >= 0 && c < _shape[1] && h >= 0
+                   && h < _shape[2] && w >= 0 && w < _shape[3],
+               "index (", n, ", ", c, ", ", h, ", ", w, ") out of range");
     return data()[flatIndex(n, c, h, w)];
 }
 

@@ -2,22 +2,13 @@
  * @file
  * Runtime contracts for the simulator.
  *
- * The repository distinguishes two failure channels:
- *
- *  - LECA_CHECK   always-on precondition/postcondition validation on
- *                 load-bearing interfaces (shape agreement, config
- *                 ranges, codec round-trip invariants). Violations
- *                 throw leca::CheckError so tests can assert on them
- *                 and callers can recover from bad configurations.
- *  - LECA_DCHECK  debug-only invariants on hot paths (per-element
- *                 bounds checks). Compiles to nothing under NDEBUG so
- *                 the -O3 -march=native Release kernels are unchanged;
- *                 the condition and message stay type-checked in every
- *                 build.
- *
- * The older panic()-based LECA_ASSERT (util/logging.hh) remains for
- * "impossible" states where unwinding is meaningless (corrupt internal
- * caches). New validation code should prefer the macros here.
+ * The library has one failure channel: LECA_CHECK. It validates
+ * preconditions and postconditions on interfaces (shape agreement,
+ * config ranges, codec round-trip invariants), per-element bounds on
+ * hot paths (Tensor::at, quantizer code ranges, LUT lookups) and I/O
+ * (a path that cannot be written). Every check is live in every build
+ * type; a violation throws leca::CheckError, so tests can assert on it
+ * and callers can recover from a bad configuration or a bad file.
  */
 
 #ifndef LECA_UTIL_CHECK_HH
@@ -108,23 +99,6 @@ throwCheckError(const char *condition, const char *file, int line,
                 ::leca::detail::checkConcat(__VA_ARGS__));                   \
         }                                                                    \
     } while (false)
-
-/**
- * Debug-only contract for hot paths. Identical to LECA_CHECK in Debug
- * builds; under NDEBUG the condition sits behind `if (false)` so the
- * optimizer removes it entirely while the expression (and any variables
- * it names) stays type-checked and odr-used.
- */
-#ifdef NDEBUG
-#define LECA_DCHECK(cond, ...)                                               \
-    do {                                                                     \
-        if (false) {                                                         \
-            LECA_CHECK(cond, ##__VA_ARGS__);                                 \
-        }                                                                    \
-    } while (false)
-#else
-#define LECA_DCHECK(cond, ...) LECA_CHECK(cond, ##__VA_ARGS__)
-#endif
 
 /** Check that a Tensor-like object has exactly the expected shape.
  *  Binds the expected shape by const reference: an lvalue vector

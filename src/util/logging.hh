@@ -1,10 +1,9 @@
 /**
  * @file
- * Status-message and error helpers in the spirit of gem5's logging.hh.
+ * Status messages in the spirit of gem5's logging.hh. Errors are not
+ * reported here: a violated contract throws leca::CheckError
+ * (util/check.hh).
  *
- * fatal()  - the simulation cannot continue because of a user error
- *            (bad configuration, invalid argument); exits with code 1.
- * panic()  - an internal invariant was violated (a bug); aborts.
  * warn()   - something works but not as well as it should.
  * inform() - normal operating status for the user.
  */
@@ -12,7 +11,6 @@
 #ifndef LECA_UTIL_LOGGING_HH
 #define LECA_UTIL_LOGGING_HH
 
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -51,35 +49,6 @@ warn(Args &&...args)
     std::cerr << "warn: " << detail::concat(std::forward<Args>(args)...)
               << "\n";
 }
-
-/** Terminate with exit(1) due to a user-caused error. */
-template <typename... Args>
-[[noreturn]] void
-fatal(Args &&...args)
-{
-    std::cerr << "fatal: " << detail::concat(std::forward<Args>(args)...)
-              << "\n";
-    std::exit(1);
-}
-
-/** Abort due to an internal bug (invariant violation). */
-template <typename... Args>
-[[noreturn]] void
-panic(Args &&...args)
-{
-    std::cerr << "panic: " << detail::concat(std::forward<Args>(args)...)
-              << "\n";
-    std::abort();
-}
-
-/** panic() unless a condition holds. */
-#define LECA_ASSERT(cond, ...)                                               \
-    do {                                                                     \
-        if (!(cond)) {                                                       \
-            ::leca::panic("assertion '", #cond, "' failed at ", __FILE__,    \
-                          ":", __LINE__, " ", ##__VA_ARGS__);                \
-        }                                                                    \
-    } while (0)
 
 } // namespace leca
 

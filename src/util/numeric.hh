@@ -6,7 +6,7 @@
  * and is UB when the value is out of range — exactly the silent-error
  * class the hardware models must not contain. All narrowing in src/
  * goes through these helpers (enforced by tools/leca_lint.py), which
- * name the rounding mode and bound the argument in Debug builds.
+ * name the rounding mode and bound the argument to the int range.
  */
 
 #ifndef LECA_UTIL_NUMERIC_HH
@@ -23,12 +23,12 @@ namespace detail {
 
 template <typename F>
 inline void
-dcheckIntRange([[maybe_unused]] F value)
+checkIntRange(F value)
 {
-    LECA_DCHECK(value >= static_cast<F>(std::numeric_limits<int>::min())
-                    && value <= static_cast<F>(
-                                    std::numeric_limits<int>::max()),
-                "value ", value, " out of int range");
+    LECA_CHECK(value >= static_cast<F>(std::numeric_limits<int>::min())
+                   && value <= static_cast<F>(
+                                   std::numeric_limits<int>::max()),
+               "value ", value, " out of int range");
 }
 
 } // namespace detail
@@ -39,7 +39,7 @@ inline int
 roundToInt(F value)
 {
     const F rounded = std::round(value);
-    detail::dcheckIntRange(rounded);
+    detail::checkIntRange(rounded);
     return static_cast<int>(rounded);
 }
 
@@ -49,7 +49,7 @@ inline int
 truncToInt(F value)
 {
     const F truncated = std::trunc(value);
-    detail::dcheckIntRange(truncated);
+    detail::checkIntRange(truncated);
     return static_cast<int>(truncated);
 }
 

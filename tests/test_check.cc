@@ -1,10 +1,9 @@
 /**
  * @file
  * Contract-macro semantics (util/check.hh, util/numeric.hh): what
- * LECA_CHECK throws and with which message, that LECA_DCHECK is inert
- * under NDEBUG, the shape-helper diagnostics, the rounding helpers,
- * and a determinism regression pinning bit-identical encoder output
- * for a fixed seed.
+ * LECA_CHECK throws and with which message, the shape-helper
+ * diagnostics, the rounding helpers, and a determinism regression
+ * pinning bit-identical encoder output for a fixed seed.
  */
 
 #include <gtest/gtest.h>
@@ -67,25 +66,6 @@ TEST(Check, NoContextArgumentsProducesBareMessage)
         EXPECT_NE(std::string(err.what()).find("check 'false' failed"),
                   std::string::npos);
     }
-}
-
-TEST(Dcheck, BuildModeSemantics)
-{
-    // Under NDEBUG the condition sits behind `if (false)` and must not
-    // be evaluated at all; in Debug it is an ordinary LECA_CHECK.
-    int evaluations = 0;
-    auto touch = [&evaluations]() {
-        ++evaluations;
-        return true;
-    };
-    LECA_DCHECK(touch(), "side effect probe");
-#ifdef NDEBUG
-    EXPECT_EQ(evaluations, 0) << "NDEBUG DCHECK evaluated its condition";
-    EXPECT_NO_THROW(LECA_DCHECK(false, "must be compiled out"));
-#else
-    EXPECT_EQ(evaluations, 1);
-    EXPECT_THROW(LECA_DCHECK(false, "live in Debug"), CheckError);
-#endif
 }
 
 TEST(CheckShape, AcceptsExactShapeRejectsOthers)

@@ -264,6 +264,38 @@ TEST(Serialize, RejectsShapeMismatch)
     std::remove(path.c_str());
 }
 
+TEST(Serialize, SaveToUnwritablePathThrows)
+{
+    // A save or an image write that cannot open its path, or whose
+    // bytes do not reach the file, throws a CheckError naming the path;
+    // the process keeps running.
+    Rng rng(7);
+    Linear fc(2, 2, rng);
+    const std::string blocker = "/tmp/leca_test_not_a_directory";
+    std::ofstream(blocker) << "a regular file";
+    const std::string path = blocker + "/params.bin";
+    for (const auto &save : {saveLayerState, saveQuantizedState}) {
+        try {
+            save(fc, path);
+            FAIL() << "expected CheckError";
+        } catch (const CheckError &err) {
+            EXPECT_NE(std::string(err.what()).find(path), std::string::npos)
+                << err.what();
+        }
+    }
+    EXPECT_THROW(writePpm(Tensor({3, 2, 2}), blocker + "/x.ppm"),
+                 CheckError);
+    EXPECT_THROW(writePgm(Tensor({2, 2}), blocker + "/x.pgm"), CheckError);
+    std::remove(blocker.c_str());
+
+    // /dev/full opens, then fails every write.
+    if (std::filesystem::exists("/dev/full")) {
+        EXPECT_THROW(saveLayerState(fc, "/dev/full"), CheckError);
+        EXPECT_THROW(writePpm(Tensor({3, 2, 2}), "/dev/full"), CheckError);
+        EXPECT_THROW(writePgm(Tensor({2, 2}), "/dev/full"), CheckError);
+    }
+}
+
 TEST(Serialize, MissingFileReturnsFalse)
 {
     Rng rng(7);

@@ -27,6 +27,17 @@ randomTensor(std::vector<int> shape, Rng &rng, double lo = -1.0,
     return t;
 }
 
+/** One [C,H,W] image unfolded by im2colRaw into (C*kh*kw) x (OH*OW). */
+Tensor
+unfold(const Tensor &image, int kh, int kw, int stride, int pad)
+{
+    const int c = image.size(0), h = image.size(1), w = image.size(2);
+    Tensor cols({c * kh * kw, convOutSize(h, kh, stride, pad)
+                                  * convOutSize(w, kw, stride, pad)});
+    im2colRaw(image.data(), c, h, w, kh, kw, stride, pad, cols.data());
+    return cols;
+}
+
 /** Direct O(N^2 * K^2) convolution reference. */
 Tensor
 naiveConv2d(const Tensor &x, const Tensor &w, const Tensor &b, int stride,
@@ -174,7 +185,7 @@ TEST(Ops, MatmulTransVariantsAgree)
 TEST(Ops, Im2colShape)
 {
     Tensor img({3, 8, 8});
-    auto cols = im2col(img, 2, 2, 2, 0);
+    auto cols = unfold(img, 2, 2, 2, 0);
     EXPECT_EQ(cols.size(0), 3 * 2 * 2);
     EXPECT_EQ(cols.size(1), 4 * 4);
 }
@@ -182,7 +193,7 @@ TEST(Ops, Im2colShape)
 TEST(Ops, Im2colValuesNoPad)
 {
     auto img = Tensor::fromData({1, 2, 2}, {1, 2, 3, 4});
-    auto cols = im2col(img, 2, 2, 2, 0);
+    auto cols = unfold(img, 2, 2, 2, 0);
     // Single output position containing the whole block.
     EXPECT_EQ(cols.size(1), 1);
     EXPECT_FLOAT_EQ(cols.at(0, 0), 1.0f);
@@ -194,7 +205,7 @@ TEST(Ops, Im2colValuesNoPad)
 TEST(Ops, Im2colZeroPadding)
 {
     auto img = Tensor::fromData({1, 1, 1}, {5});
-    auto cols = im2col(img, 3, 3, 1, 1);
+    auto cols = unfold(img, 3, 3, 1, 1);
     // 3x3 kernel over a padded 1x1 image: centre value 5, rest zero.
     EXPECT_EQ(cols.size(1), 1);
     float sum = 0.0f;
@@ -210,7 +221,7 @@ TEST(Ops, Col2imIsAdjointOfIm2col)
     Rng rng(9);
     auto x = randomTensor({2, 6, 6}, rng);
     const int k = 3, stride = 1, pad = 1;
-    auto ix = im2col(x, k, k, stride, pad);
+    auto ix = unfold(x, k, k, stride, pad);
     auto y = randomTensor(ix.shape(), rng);
     double lhs = 0.0;
     for (std::size_t i = 0; i < ix.numel(); ++i)

@@ -1,41 +1,44 @@
 #!/usr/bin/env python3
-"""Compare two leca-bench JSON reports entry by entry.
+"""Compare two leca-bench-v2 JSON reports entry by entry.
 
 Usage:
     tools/bench_compare.py OLD.json NEW.json [--threshold 0.10]
                            [--tolerances FILE] [--history FILE]
                            [--require NAME[:TOL] ...]
 
-Entries are matched by name. For every shared entry the tool prints the
-old and new wall time and the speedup factor (old / new, so > 1 means
-the new run is faster). Entries present in only one report are listed
-separately and never affect the exit status, except that every
---require NAME must exist in the NEW report — this keeps CI honest when
-a benchmark silently stops emitting an entry.
+A report is {"schema": "leca-bench-v2", "threads": N, "entries": [...]}
+and every entry is {name, value, unit, better}, where `better` is
+"lower" or "higher" (bench/json_report.hh writes them). Entries are
+matched by name, and one rule judges every shared entry: it regressed
+when it moved past its tolerance in its worse direction,
+
+    better == "lower":   new > old * (1 + tol)
+    better == "higher":  new < old * (1 - tol)
+
+Entries present in only one report are listed separately and never
+affect the exit status, except that every --require NAME must exist in
+the NEW report; this keeps CI honest when a benchmark silently stops
+emitting an entry.
 
 A required entry may carry its own tolerance as NAME:TOL (for example
-`--require serve.dispatch:0.05`), which overrides --threshold for that
-entry only. This lets CI hold a low-noise microbenchmark to a tight
-bound while leaving a jittery end-to-end benchmark at the default.
+`--require serve_quant_speedup:0.05`), which overrides --threshold for
+that entry only.
 
 --tolerances FILE loads per-entry tolerances from a JSON object mapping
-entry name -> slowdown fraction (bench/tolerances.json in this repo).
-A "default" key, when present, replaces --threshold for every entry the
+entry name -> fraction (bench/tolerances.json in this repo). A
+"default" key, when present, replaces --threshold for every entry the
 file does not name. Precedence per entry: --require NAME:TOL, then the
 file entry, then the file "default", then --threshold.
 
 --history FILE appends one JSON line per invocation (timestamp, report
-paths, per-entry times, regression names) so successive CI runs build a
-greppable performance log without any extra tooling.
+paths, per-entry old and new values, regression names) so successive
+CI runs build a greppable performance log without any extra tooling.
 
-Exit status is non-zero when any shared entry regressed past its
-tolerance: new_wall_ms > old_wall_ms * (1 + tol). The default
-threshold of 10% absorbs ordinary timer noise; raise it when comparing
-runs from different machines.
-
-Value-only entries (JsonReport::addValue — speedup factors like
-serve_quant_speedup) are higher-is-better and compared with the same
-per-entry tolerances, flipped: a regression is new < old * (1 - tol).
+Exit status: 0 when no shared entry regressed, 1 on a regression or a
+missing required entry, 2 when an input cannot be judged: a report in
+another schema, an entry without a value, unit or direction, a shared
+entry whose unit or direction differs between the two reports, or a
+malformed tolerance.
 """
 
 import argparse
@@ -43,42 +46,44 @@ import datetime
 import json
 import sys
 
+SCHEMA = "leca-bench-v2"
+DIRECTIONS = ("lower", "higher")
+
+
+def refuse(message):
+    """Report an input that cannot be judged and exit with status 2."""
+    print(f"bench_compare: {message}", file=sys.stderr)
+    sys.exit(2)
+
 
 def load_entries(path):
-    """Return ({name: wall_ms}, {name: value}) for a leca-bench-v1
-    report. Wall-time entries are lower-is-better; value-only entries
-    (JsonReport::addValue — speedup factors, ratios) are
-    higher-is-better and compared separately.
-    """
+    """Return {name: entry dict} for a leca-bench-v2 report."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    schema = doc.get("schema", "")
-    if not schema.startswith("leca-bench"):
-        sys.exit(f"{path}: unrecognised schema {schema!r}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA:
+        refuse(f"{path}: schema {schema!r}, expected {SCHEMA!r}")
     entries = {}
-    values = {}
     for entry in doc.get("entries", []):
-        name = entry.get("name")
-        wall = entry.get("wall_ms")
-        if name is not None and wall is None and "value" in entry:
-            if name in values:
-                sys.exit(f"{path}: duplicate value entry {name!r}")
-            values[name] = float(entry["value"])
-            continue
-        if name is None or wall is None:
-            sys.exit(f"{path}: entry without name/wall_ms: {entry!r}")
-        if name in entries:
-            sys.exit(f"{path}: duplicate entry {name!r}")
-        entries[name] = float(wall)
-    return entries, values
+        if not (isinstance(entry, dict)
+                and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("value"), (int, float))
+                and isinstance(entry.get("unit"), str) and entry["unit"]
+                and entry.get("better") in DIRECTIONS):
+            refuse(f"{path}: an entry needs name, value, unit and better "
+                   f"(lower or higher): {entry!r}")
+        if entry["name"] in entries:
+            refuse(f"{path}: duplicate entry {entry['name']!r}")
+        entries[entry["name"]] = entry
+    return entries
 
 
 def parse_requires(specs):
     """Split --require NAME[:TOL] specs into (names, {name: tol}).
 
-    The tolerance is a slowdown fraction like --threshold; a bare NAME
-    keeps the global threshold. The split is on the LAST colon so entry
-    names containing colons still parse when no tolerance is given.
+    The tolerance is a fraction like --threshold; a bare NAME keeps the
+    global threshold. The split is on the LAST colon so entry names
+    containing colons still parse when no tolerance is given.
     """
     names = []
     tolerances = {}
@@ -93,7 +98,7 @@ def parse_requires(specs):
                 names.append(spec)
                 continue
             if value < 0:
-                sys.exit(f"--require {spec}: tolerance must be >= 0")
+                refuse(f"--require {spec}: tolerance must be >= 0")
             names.append(name)
             tolerances[name] = value
         else:
@@ -106,15 +111,15 @@ def load_tolerances(path):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
-        sys.exit(f"{path}: tolerance file must be a JSON object")
+        refuse(f"{path}: tolerance file must be a JSON object")
     default = None
     per_entry = {}
     for name, tol in doc.items():
         if name.startswith("_"):
             continue  # comment keys
         if not isinstance(tol, (int, float)) or tol < 0:
-            sys.exit(f"{path}: tolerance for {name!r} must be a "
-                     f"non-negative number, got {tol!r}")
+            refuse(f"{path}: tolerance for {name!r} must be a "
+                   f"non-negative number, got {tol!r}")
         if name == "default":
             default = float(tol)
         else:
@@ -122,40 +127,29 @@ def load_tolerances(path):
     return default, per_entry
 
 
-def append_history(path, args, old, new, old_values, new_values,
-                   regressions):
-    """Append one JSON line describing this comparison to @p path."""
-    record = {
-        "time": datetime.datetime.now(datetime.timezone.utc)
-                        .isoformat(timespec="seconds"),
-        "old": args.old,
-        "new": args.new,
-        "entries": {name: {"old_ms": old[name], "new_ms": new[name]}
-                    for name in old if name in new},
-        "values": {name: {"old": old_values[name],
-                          "new": new_values[name]}
-                   for name in old_values if name in new_values},
-        "regressions": regressions,
-    }
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+def regressed(old, new, better, tol):
+    """The one rule: did @p new move past @p tol in its worse direction?"""
+    if better == "lower":
+        return new > old * (1.0 + tol)
+    return new < old * (1.0 - tol)
 
 
 def main():
     parser = argparse.ArgumentParser(
-        description="Diff two leca-bench JSON reports by entry name.")
+        description="Diff two leca-bench-v2 JSON reports by entry name.")
     parser.add_argument("old", help="baseline report")
     parser.add_argument("new", help="candidate report")
     parser.add_argument(
         "--threshold", type=float, default=0.10,
-        help="allowed slowdown fraction before failing (default 0.10)")
+        help="allowed fraction an entry may worsen before failing "
+             "(default 0.10)")
     parser.add_argument(
         "--tolerances", metavar="FILE",
-        help="JSON object of per-entry slowdown tolerances; a 'default' "
-             "key overrides --threshold for unnamed entries")
+        help="JSON object of per-entry tolerances; a 'default' key "
+             "overrides --threshold for unnamed entries")
     parser.add_argument(
         "--history", metavar="FILE",
-        help="append one JSON line (times, regressions) per run")
+        help="append one JSON line (values, regressions) per run")
     parser.add_argument(
         "--require", action="append", default=[], metavar="NAME[:TOL]",
         help="fail unless NAME is an entry of the NEW report; an "
@@ -172,69 +166,69 @@ def main():
         for name, tol in file_tols.items():
             tolerances.setdefault(name, tol)
 
-    old, old_values = load_entries(args.old)
-    new, new_values = load_entries(args.new)
+    old = load_entries(args.old)
+    new = load_entries(args.new)
 
-    missing = [name for name in required
-               if name not in new and name not in new_values]
+    shared = [name for name in old if name in new]
+    for name in shared:
+        for key in ("unit", "better"):
+            if old[name][key] != new[name][key]:
+                refuse(f"{name}: {key} is {old[name][key]!r} in "
+                       f"{args.old} but {new[name][key]!r} in {args.new}")
+
+    missing = [name for name in required if name not in new]
     if missing:
         print(f"{args.new}: missing required entr"
               f"{'y' if len(missing) == 1 else 'ies'}:"
               f" {', '.join(missing)}")
         return 1
 
-    shared = [name for name in old if name in new]
-    only_old = [name for name in old if name not in new]
-    only_new = [name for name in new if name not in old]
-
     regressions = []
     if shared:
         width = max(len(name) for name in shared)
-        print(f"{'entry':<{width}}  {'old ms':>10}  {'new ms':>10}  speedup")
+        print(f"{'entry':<{width}}  {'unit':>6}  {'better':>6}  "
+              f"{'old':>10}  {'new':>10}  new/old")
         for name in shared:
-            o, n = old[name], new[name]
-            speedup = o / n if n > 0 else float("inf")
+            o, n = old[name]["value"], new[name]["value"]
+            unit, better = new[name]["unit"], new[name]["better"]
             tol = tolerances.get(name, args.threshold)
             flag = ""
-            if n > o * (1.0 + tol):
+            if regressed(o, n, better, tol):
                 regressions.append(name)
                 flag = f"  REGRESSION (tol {tol * 100:.0f}%)"
-            print(f"{name:<{width}}  {o:>10.4f}  {n:>10.4f}  "
-                  f"{speedup:>6.2f}x{flag}")
+            ratio = n / o if o != 0 else float("inf")
+            print(f"{name:<{width}}  {unit:>6}  {better:>6}  {o:>10.4f}  "
+                  f"{n:>10.4f}  {ratio:>6.2f}x{flag}")
     else:
         print("no shared entries between the two reports")
 
-    # Value entries (speedup factors): higher is better, so the
-    # regression test is a relative DECREASE past the entry's
-    # tolerance: new < old * (1 - tol).
-    shared_values = [name for name in old_values if name in new_values]
-    if shared_values:
-        width = max(len(name) for name in shared_values)
-        print(f"{'value entry':<{width}}  {'old':>10}  {'new':>10}  ratio")
-        for name in shared_values:
-            o, n = old_values[name], new_values[name]
-            ratio = n / o if o > 0 else float("inf")
-            tol = tolerances.get(name, args.threshold)
-            flag = ""
-            if n < o * (1.0 - tol):
-                regressions.append(name)
-                flag = f"  REGRESSION (tol {tol * 100:.0f}%)"
-            print(f"{name:<{width}}  {o:>10.4f}  {n:>10.4f}  "
-                  f"{ratio:>6.2f}x{flag}")
-
-    for name in only_old:
-        print(f"only in {args.old}: {name}")
-    for name in only_new:
-        print(f"only in {args.new}: {name}")
+    for name in old:
+        if name not in new:
+            print(f"only in {args.old}: {name}")
+    for name in new:
+        if name not in old:
+            print(f"only in {args.new}: {name}")
 
     if args.history:
-        append_history(args.history, args, old, new, old_values,
-                       new_values, regressions)
+        record = {
+            "time": datetime.datetime.now(datetime.timezone.utc)
+                            .isoformat(timespec="seconds"),
+            "old": args.old,
+            "new": args.new,
+            "entries": {name: {"old": old[name]["value"],
+                               "new": new[name]["value"],
+                               "unit": new[name]["unit"],
+                               "better": new[name]["better"]}
+                        for name in shared},
+            "regressions": regressions,
+        }
+        with open(args.history, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     if regressions:
-        print(f"{len(regressions)} entr{'y' if len(regressions) == 1 else 'ies'}"
-              f" regressed past tolerance:"
-              f" {', '.join(regressions)}")
+        print(f"{len(regressions)} entr"
+              f"{'y' if len(regressions) == 1 else 'ies'}"
+              f" regressed past tolerance: {', '.join(regressions)}")
         return 1
     return 0
 

@@ -54,12 +54,9 @@ enclosing classes — to check cross-line invariants:
                        Tests are never roots: code only tests call is
                        dead unless kept.
 
-Engine: uses libclang (python clang.cindex) for the function index
-when available, and falls back to a hand-rolled lexer otherwise — the
-checks themselves are engine-independent, so the tool degrades
-gracefully on machines without a clang toolchain (prints which engine
-ran; never silently weakens). The class, macro and namespace-scope
-initializer indexes of the unreached check always come from the lexer.
+One engine: a hand-rolled lexer indexes functions, classes, macros
+and namespace-scope initializers, so a run needs nothing beyond the
+Python standard library and gives the same findings on every machine.
 
 Usage:
   tools/leca_analyze.py [DIR-or-FILE ...]       analyze (default: src)
@@ -77,10 +74,6 @@ Usage:
                                                 operators and keeps are
                                                 roots.
   --format text|json                            output format
-  --compile-commands PATH                       compile_commands.json,
-                                                used by the libclang
-                                                engine for flags
-  --engine auto|lexer|libclang                  engine selection
 
 Exits 0 when clean (or all fixtures behave), 1 on findings (or a
 fixture miss), 2 on usage errors.
@@ -213,7 +206,7 @@ def check_exempt(check: str, path: pathlib.Path) -> bool:
 
 
 # --------------------------------------------------------------------
-# Lexer engine: function extraction
+# Function extraction
 # --------------------------------------------------------------------
 
 # identifier( or operator@( ... with optional Class:: qualifier; the
@@ -262,7 +255,7 @@ def enclosing_classes(text: str) -> list[tuple[int, int, str]]:
     return spans
 
 
-def extract_functions_lexer(path: pathlib.Path,
+def extract_functions(path: pathlib.Path,
                             text: str) -> list[Function]:
     stripped = strip_noise(text)
     classes = enclosing_classes(stripped)
@@ -307,78 +300,6 @@ def extract_functions_lexer(path: pathlib.Path,
             (brace, body_end)))
         pos = body_end
     return functions
-
-
-# --------------------------------------------------------------------
-# Optional libclang engine (graceful fallback)
-# --------------------------------------------------------------------
-
-def extract_functions_libclang(path: pathlib.Path, text: str,
-                               compile_commands: pathlib.Path | None
-                               ) -> list[Function] | None:
-    """Function index via clang.cindex, or None when unavailable.
-
-    The bodies are still handed to the same textual checks — libclang
-    only improves function/boundary detection (macros, templates,
-    operator overloads), so both engines report through one code path.
-    """
-    try:
-        from clang import cindex  # type: ignore
-    except Exception:
-        return None
-    try:
-        args = ["-std=c++20", f"-I{REPO_ROOT / 'src'}"]
-        if compile_commands is not None and compile_commands.exists():
-            try:
-                db = cindex.CompilationDatabase.fromDirectory(
-                    str(compile_commands.parent))
-                cmds = db.getCompileCommands(str(path))
-                if cmds:
-                    args = [a for a in list(cmds[0].arguments)[1:]
-                            if a not in ("-c", "-o", str(path))]
-            except Exception:
-                pass
-        tu = cindex.Index.create().parse(
-            str(path), args=args,
-            options=cindex.TranslationUnit
-            .PARSE_DETAILED_PROCESSING_RECORD)
-        stripped = strip_noise(text)
-        functions: list[Function] = []
-        fn_kinds = {
-            cindex.CursorKind.FUNCTION_DECL,
-            cindex.CursorKind.CXX_METHOD,
-            cindex.CursorKind.CONSTRUCTOR,
-            cindex.CursorKind.DESTRUCTOR,
-            cindex.CursorKind.CONVERSION_FUNCTION,
-            cindex.CursorKind.FUNCTION_TEMPLATE,
-        }
-        for cursor in tu.cursor.walk_preorder():
-            if cursor.kind not in fn_kinds:
-                continue
-            if cursor.location.file is None \
-                    or cursor.location.file.name != str(path):
-                continue
-            if not cursor.is_definition():
-                continue
-            start = cursor.extent.start.offset
-            end = cursor.extent.end.offset
-            brace = stripped.find("{", start)
-            if brace < 0 or brace >= end:
-                continue
-            parent = cursor.semantic_parent
-            qualifier = parent.spelling if parent is not None \
-                and parent.kind in (cindex.CursorKind.CLASS_DECL,
-                                    cindex.CursorKind.STRUCT_DECL) \
-                else None
-            # Everything before the body except the function's own name.
-            refs = stripped[start:brace].replace(cursor.spelling, " ", 1)
-            functions.append(Function(
-                cursor.spelling.replace(" ", ""), qualifier, path,
-                cursor.location.line, stripped[brace:end],
-                line_of(stripped, brace), refs, (brace, end)))
-        return functions
-    except Exception:
-        return None  # any parse hiccup: fall back to the lexer
 
 
 # --------------------------------------------------------------------
@@ -909,47 +830,33 @@ def collect(targets: list[str]) -> list[pathlib.Path]:
     return files
 
 
-def index_file(path: pathlib.Path, engine: str,
-               compile_commands: pathlib.Path | None
-               ) -> tuple[list[Function], str, str, bool] | None:
-    """(functions, text, stripped text, libclang used) for one file."""
+def index_file(path: pathlib.Path
+               ) -> tuple[list[Function], str, str] | None:
+    """(functions, text, stripped text) for one file."""
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
     except OSError:
         return None
     stripped = strip_noise(text)
-    fns = None
-    if engine in ("auto", "libclang"):
-        fns = extract_functions_libclang(path, text, compile_commands)
-    used_libclang = fns is not None
-    if fns is None:
-        if engine == "libclang":
-            print(f"leca_analyze: libclang unavailable for {path}, "
-                  f"using lexer", file=sys.stderr)
-        fns = extract_functions_lexer(path, stripped)
-    return fns, text, stripped, used_libclang
+    return extract_functions(path, stripped), text, stripped
 
 
-def analyze(files: list[pathlib.Path], engine: str,
-            compile_commands: pathlib.Path | None, tree: bool = True
-            ) -> tuple[list[Finding], str, int]:
+def analyze(files: list[pathlib.Path], tree: bool = True
+            ) -> tuple[list[Finding], int]:
     """Run every check over @p files. In tree mode the unreached check
     also indexes src/ and the root directories and flags only src/
     definitions; otherwise (a fixture) the files stand alone.
-    Returns (findings, engine used, keep markers with a reason)."""
+    Returns (findings, keep markers with a reason)."""
     functions: list[Function] = []
     entries = set(DEFAULT_ENTRY_POINTS)
     findings: list[Finding] = []
     units: list[Unit] = []
-    engine_used = "lexer"
     for path in files:
-        indexed = index_file(path, engine, compile_commands)
+        indexed = index_file(path)
         if indexed is None:
             findings.append(Finding("io", path, 0, "cannot read"))
             continue
-        fns, text, stripped, used_libclang = indexed
-        if used_libclang:
-            engine_used = "libclang"
+        fns, text, stripped = indexed
         functions.extend(fns)
         units.append(Unit(path, fns, text, stripped))
 
@@ -976,7 +883,7 @@ def analyze(files: list[pathlib.Path], engine: str,
         for path in collect(["src", *ROOT_DIRS]):
             if path.resolve() in targets:
                 continue
-            indexed = index_file(path, engine, compile_commands)
+            indexed = index_file(path)
             if indexed is not None:
                 units.append(Unit(path, indexed[0], indexed[1],
                                   indexed[2]))
@@ -991,11 +898,10 @@ def analyze(files: list[pathlib.Path], engine: str,
     unreached, keeps = check_unreached(units, flagged, roots)
     findings.extend(unreached)
     findings.sort(key=lambda f: (str(f.path), f.line, f.check))
-    return findings, engine_used, keeps
+    return findings, keeps
 
 
-def run_fixtures(fixture_dir: pathlib.Path, engine: str,
-                 compile_commands: pathlib.Path | None) -> int:
+def run_fixtures(fixture_dir: pathlib.Path) -> int:
     files = collect([str(fixture_dir)])
     if not files:
         print(f"leca_analyze: no fixtures under {fixture_dir}",
@@ -1015,8 +921,7 @@ def run_fixtures(fixture_dir: pathlib.Path, engine: str,
                   file=sys.stderr)
             failures += 1
             continue
-        findings, _, _ = analyze([path], engine, compile_commands,
-                                 tree=False)
+        findings, _ = analyze([path], tree=False)
         found = {f.check for f in findings}
         at = {(f.check, f.line) for f in findings}
         missing = sorted(expected - found)
@@ -1053,26 +958,16 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--fixtures", metavar="DIR")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text")
-    parser.add_argument("--compile-commands", metavar="PATH")
-    parser.add_argument("--engine",
-                        choices=("auto", "lexer", "libclang"),
-                        default="auto")
     args = parser.parse_args(argv)
 
-    compile_commands = (pathlib.Path(args.compile_commands)
-                        if args.compile_commands else None)
-
     if args.fixtures:
-        return run_fixtures(pathlib.Path(args.fixtures), args.engine,
-                            compile_commands)
+        return run_fixtures(pathlib.Path(args.fixtures))
 
     targets = args.targets or ["src"]
     files = collect(targets)
-    findings, engine_used, keeps = analyze(files, args.engine,
-                                           compile_commands)
+    findings, keeps = analyze(files)
     if args.format == "json":
         print(json.dumps({
-            "engine": engine_used,
             "files": len(files),
             "keeps": keeps,
             "findings": [f.as_dict() for f in findings],
@@ -1082,7 +977,7 @@ def main(argv: list[str]) -> int:
             print(finding.text())
         status = f"{len(findings)} finding(s)" if findings else "OK"
         print(f"leca_analyze: {status} ({len(files)} files, "
-              f"engine: {engine_used}, {keeps} keep markers)",
+              f"{keeps} keep markers)",
               file=sys.stderr)
     return 1 if findings else 0
 
