@@ -54,10 +54,13 @@ makeHarness(Scale scale)
         scale == Scale::Proxy ? BackboneStyle::Proxy : BackboneStyle::Full,
         3, h.dataConfig.numClasses, rng);
 
+    // FAST and full runs train different backbones, so each mode keeps
+    // its own cache file.
     const std::string cache =
         cacheDir()
-        + (scale == Scale::Proxy ? "/leca_cache_proxy_backbone.bin"
-                                 : "/leca_cache_full_backbone.bin");
+        + (scale == Scale::Proxy ? "/leca_cache_proxy_backbone"
+                                 : "/leca_cache_full_backbone")
+        + (fast ? "_fast.bin" : ".bin");
     if (!loadLayerState(*h.backbone, cache)) {
         inform("pre-training ", scale == Scale::Proxy ? "proxy" : "full",
                " backbone (cached afterwards)...");

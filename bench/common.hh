@@ -55,7 +55,9 @@ std::string cacheDir();
 /**
  * Build (or load from cache) the harness for a scale. The backbone is
  * pre-trained on the train split and frozen; its weights are cached in
- * cacheDir()/leca_cache_<scale>_backbone.bin.
+ * cacheDir()/leca_cache_<scale>_backbone.bin, or in
+ * leca_cache_<scale>_backbone_fast.bin under LECA_BENCH_FAST, whose
+ * smaller training run gives a different backbone.
  */
 Harness makeHarness(Scale scale);
 

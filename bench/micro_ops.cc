@@ -104,8 +104,10 @@ struct Conv1x1Gemm
     {
         const QuantActivation act{1, static_cast<int>(k), 16, 16,
                                   qa.q.data(), qa.scales.data()};
-        convForwardResident(act, 1, 1, 1, 0, wq_hwc, ResidentEpilogue{},
-                            nullptr, nullptr, c, nullptr);
+        const ConvGeometry g{static_cast<int>(k), 16, 16, static_cast<int>(n),
+                             1, 1, 1, 0};
+        convForwardResident(act, g, wq_hwc, ResidentEpilogue{}, nullptr,
+                            nullptr, c, nullptr);
     }
 };
 
@@ -401,19 +403,19 @@ compareConvPaths(leca::bench::JsonReport &report)
             static_cast<std::size_t>(out_rows * quantBlocks(s.cout)));
         std::vector<float> ea(static_cast<std::size_t>(s.cout), 1.0f);
         const ResidentEpilogue epi{ea.data(), b.data(), true};
+        const ConvGeometry g{s.cin, s.hw, s.hw, s.cout, s.k, s.k, s.stride,
+                             s.pad};
         const double res_ms = timeWallMs([&] {
-            convForwardResident(act, s.k, s.k, s.stride, s.pad, wq_hwc,
-                                epi, o_q.data(), o_s.data(), nullptr,
-                                nullptr);
+            convForwardResident(act, g, wq_hwc, epi, o_q.data(), o_s.data(),
+                                nullptr, nullptr);
             sink(o_q.data());
         }, reps);
         // The same conv over the first image alone.
         const QuantActivation act1{1, s.cin, s.hw, s.hw, in_q.data(),
                                    in_s.data()};
         const double res_b1_ms = timeWallMs([&] {
-            convForwardResident(act1, s.k, s.k, s.stride, s.pad, wq_hwc,
-                                epi, o_q.data(), o_s.data(), nullptr,
-                                nullptr);
+            convForwardResident(act1, g, wq_hwc, epi, o_q.data(),
+                                o_s.data(), nullptr, nullptr);
             sink(o_q.data());
         }, reps * batch);
 

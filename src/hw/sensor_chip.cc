@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "sensor/bayer.hh"
@@ -69,6 +70,8 @@ LecaSensorChip::encodeFrame(const Tensor &rgb_scene, PeMode mode, Rng &rng,
     const int passes = (nch + 3) / 4;
 
     Tensor ofmap({nch, of_h, of_w});
+    float *ofmap_data = ofmap.data();
+    const std::int64_t of_plane = static_cast<std::int64_t>(of_h) * of_w;
     Rng *noise_rng = mode == PeMode::RealNoisy ? &rng : nullptr;
 
     const int pe_count = static_cast<int>(_pes.size());
@@ -114,11 +117,13 @@ LecaSensorChip::encodeFrame(const Tensor &rgb_scene, PeMode mode, Rng &rng,
                     }
                     const auto codes =
                         pe.readOfmap(kernel_count, mode, pe_rng);
-                    for (int k = 0; k < kernel_count; ++k) {
-                        ofmap.at(kernel_base + k, band, p) =
-                            static_cast<float>(
-                                codes[static_cast<std::size_t>(k)]);
-                    }
+                    float *out = ofmap_data
+                                 + static_cast<std::int64_t>(kernel_base)
+                                       * of_plane
+                                 + static_cast<std::int64_t>(band) * of_w + p;
+                    for (int k = 0; k < kernel_count; ++k)
+                        out[k * of_plane] = static_cast<float>(
+                            codes[static_cast<std::size_t>(k)]);
                 }
             });
         }
@@ -142,16 +147,18 @@ LecaSensorChip::normalModeCapture(const Tensor &rgb_scene, Rng &rng,
     _pixelArray.expose(raw, rng, sensor_noise);
     const int rows = _pixelArray.rows(), cols = _pixelArray.cols();
     Tensor out({rows, cols});
+    float *out_data = out.data();
     const SensorConfig &sc = _config.sensor;
     parallelFor(0, rows, 1, [&](std::int64_t r0, std::int64_t r1) {
         for (int r = static_cast<int>(r0); r < r1; ++r) {
             const auto voltages = _pixelArray.readRowVoltages(r);
+            float *row = out_data + static_cast<std::int64_t>(r) * cols;
             for (int c = 0; c < cols; ++c) {
                 const int code = quantizeCode(
                     static_cast<float>(sc.voltageToDigital(
                         voltages[static_cast<std::size_t>(c)])),
                     0.0f, 1.0f, 256);
-                out.at(r, c) = static_cast<float>(code) / 255.0f;
+                row[c] = static_cast<float>(code) / 255.0f;
             }
         }
     });

@@ -66,6 +66,14 @@ class Conv2d : public Layer
     int cout() const { return _cout; }
     bool quantized() const { return !_qweight.empty(); }
 
+    /** This conv's shape over [cin, h, w] inputs; the fp32 conv engine
+     *  and the resident int8 conv both take it. */
+    ConvGeometry
+    geometry(int h, int w) const
+    {
+        return {_cin, h, w, _cout, _k, _k, _stride, _pad};
+    }
+
     /**
      * The HWC-laid resident weight layout with its panel pack (empty
      * until prepareResident). Consumed by convForwardResident.
@@ -101,12 +109,6 @@ class Conv2d : public Layer
     frozen() const
     {
         return _weight.frozen && (!_hasBias || _bias.frozen);
-    }
-
-    ConvGeometry
-    geometry(int h, int w) const
-    {
-        return {_cin, h, w, _cout, _k, _k, _stride, _pad};
     }
 };
 

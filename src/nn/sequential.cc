@@ -7,11 +7,9 @@
 #include "nn/conv.hh"
 #include "nn/linear.hh"
 #include "nn/pool.hh"
-#include "tensor/isa.hh"
 #include "tensor/quant.hh"
 #include "util/arena.hh"
 #include "util/check.hh"
-#include "util/parallel.hh"
 
 namespace leca {
 
@@ -254,9 +252,7 @@ Sequential::forwardPlanned(const Tensor &x)
             const QuantActivation src =
                 resident ? qa : toResident(cur, ResidentEpilogue{});
             Conv2d &conv = *st.conv;
-            const int k = conv.kernel(), s = conv.stride(), p = conv.pad();
-            const int oh = (src.h + 2 * p - k) / s + 1;
-            const int ow = (src.w + 2 * p - k) / s + 1;
+            const ConvGeometry g = conv.geometry(src.h, src.w);
             const int cout = conv.cout();
             // Epilogue affines are recomputed from the live BN buffers
             // each forward (c floats — negligible), so a load() after
@@ -284,15 +280,15 @@ Sequential::forwardPlanned(const Tensor &x)
             }
             const ResidentEpilogue epi{ea, eb, st.relu};
             if (st.emitQuant) {
-                QuantActivation out = allocOut(src.n, cout, oh, ow);
-                convForwardResident(src, k, k, s, p, conv.qweightHwc(), epi,
-                                    out.q, out.scales, nullptr, nullptr);
+                QuantActivation out = allocOut(src.n, cout, g.oh(), g.ow());
+                convForwardResident(src, g, conv.qweightHwc(), epi, out.q,
+                                    out.scales, nullptr, nullptr);
                 qa = out;
                 resident = true;
             } else {
-                Tensor out({src.n, cout, oh, ow});
-                convForwardResident(src, k, k, s, p, conv.qweightHwc(), epi,
-                                    nullptr, nullptr, nullptr, out.data());
+                Tensor out({src.n, cout, g.oh(), g.ow()});
+                convForwardResident(src, g, conv.qweightHwc(), epi, nullptr,
+                                    nullptr, nullptr, out.data());
                 cur = std::move(out);
                 resident = false;
             }
@@ -436,14 +432,10 @@ ResidualBlock::forwardResident(const QuantActivation &in, std::int8_t *out_q,
                "ResidualBlock::forwardResident needs exactly one exit");
     Arena::Scope scope;
     Arena &arena = Arena::local();
-    const int k = _conv1->kernel();
-    const int stride = _conv1->stride();
-    int oh = 0, ow = 0;
-    outShape(in.h, in.w, oh, ow);
-    const int cout = _conv1->cout();
-    const std::int64_t rows = static_cast<std::int64_t>(in.n) * oh * ow;
-    const std::int64_t cpad = quantPadded(cout);
-    const std::int64_t nbc = quantBlocks(cout);
+    const ConvGeometry g1 = _conv1->geometry(in.h, in.w);
+    const int cout = g1.cout;
+    const std::int64_t rows =
+        static_cast<std::int64_t>(in.n) * g1.oh() * g1.ow();
 
     float *a1 = arena.alloc(static_cast<std::size_t>(cout));
     float *b1 = arena.alloc(static_cast<std::size_t>(cout));
@@ -456,78 +448,38 @@ ResidualBlock::forwardResident(const QuantActivation &in, std::int8_t *out_q,
     QuantActivation m1;
     m1.n = in.n;
     m1.c = cout;
-    m1.h = oh;
-    m1.w = ow;
-    m1.q = static_cast<std::int8_t *>(
-        arena.allocBytes(static_cast<std::size_t>(rows * cpad)));
-    m1.scales = arena.alloc(static_cast<std::size_t>(rows * nbc));
-    convForwardResident(in, k, k, stride, _conv1->pad(),
-                        _conv1->qweightHwc(), {a1, b1, true}, m1.q,
+    m1.h = g1.oh();
+    m1.w = g1.ow();
+    m1.q = static_cast<std::int8_t *>(arena.allocBytes(
+        static_cast<std::size_t>(rows * quantPadded(cout))));
+    m1.scales =
+        arena.alloc(static_cast<std::size_t>(rows * quantBlocks(cout)));
+    convForwardResident(in, g1, _conv1->qweightHwc(), {a1, b1, true}, m1.q,
                         m1.scales, nullptr, nullptr);
 
-    // conv2 (+bn2, no relu) -> fp32 pixel-major rows.
-    float *f2 = arena.alloc(static_cast<std::size_t>(rows * cout));
-    convForwardResident(m1, k, k, 1, _conv2->pad(), _conv2->qweightHwc(),
-                        {a2, b2, false}, nullptr, nullptr, f2, nullptr);
-
-    // Skip path: 1x1 projection (+bn) rows, or the exact value of the
-    // identity input rows (dequantized per pixel below).
-    float *skip = nullptr;
+    // Skip path, ready before conv2 so conv2's epilogue can finish the
+    // block: the 1x1 projection (+bn) as fp32 pixel-major rows, or the
+    // identity input itself, which the epilogue dequantizes exactly row
+    // by row (stride 1 and cin == cout, so its rows are the output's).
+    ResidentEpilogue exit{a2, b2, true};
     if (_hasProj) {
         float *ap = arena.alloc(static_cast<std::size_t>(cout));
         float *bp = arena.alloc(static_cast<std::size_t>(cout));
         _projBn->evalAffineInto(ap, bp);
-        skip = arena.alloc(static_cast<std::size_t>(rows * cout));
-        convForwardResident(in, 1, 1, stride, 0, _projConv->qweightHwc(),
-                            {ap, bp, false}, nullptr, nullptr, skip,
-                            nullptr);
+        float *skip = arena.alloc(static_cast<std::size_t>(rows * cout));
+        convForwardResident(in, _projConv->geometry(in.h, in.w),
+                            _projConv->qweightHwc(), {ap, bp, false},
+                            nullptr, nullptr, skip, nullptr);
+        exit.skipRows = skip;
+    } else {
+        exit.skipCodes = in;
     }
 
-    const simd::DequantizeRowFn dequant = activeKernels().dequantizeRow;
-    const simd::QuantizeRowFn quantize_row = activeKernels().quantizeRow;
-    const std::int64_t in_nbc = in.nbc();
-    const std::int64_t in_cpad = quantPadded(in.c);
-    const std::int64_t ohow = static_cast<std::int64_t>(oh) * ow;
-    const std::int64_t grain = std::max<std::int64_t>(
-        16, (1 << 13) / std::max(1, cout));
-    const bool has_proj = _hasProj;
-    const int in_c = in.c;
-    parallelFor(0, rows, grain, [&](std::int64_t p0, std::int64_t p1) {
-        Arena::Scope worker;
-        float *rowbuf =
-            has_proj ? nullptr
-                     : Arena::local().alloc(static_cast<std::size_t>(in_c));
-        for (std::int64_t p = p0; p < p1; ++p) {
-            float *f = f2 + p * cout;
-            if (has_proj) {
-                const float *sk = skip + p * cout;
-                for (int ch = 0; ch < cout; ++ch) {
-                    const float v = f[ch] + sk[ch];
-                    f[ch] = v > 0.0f ? v : 0.0f;
-                }
-            } else {
-                // Identity skip (stride 1, cin == cout): the exact fp32
-                // value of the resident input row.
-                // leca-lint: precision-boundary
-                dequant(in.q + p * in_cpad, in.scales + p * in_nbc, in_c,
-                        rowbuf);
-                for (int ch = 0; ch < cout; ++ch) {
-                    const float v = f[ch] + rowbuf[ch];
-                    f[ch] = v > 0.0f ? v : 0.0f;
-                }
-            }
-            if (out_q != nullptr) {
-                quantize_row(f, cout, out_q + p * nbc * kQuantBlock,
-                             out_s + p * nbc);
-            } else {
-                const std::int64_t img = p / ohow;
-                const std::int64_t rem = p - img * ohow;
-                float *base = out_planes + img * cout * ohow + rem;
-                for (int co = 0; co < cout; ++co)
-                    base[static_cast<std::int64_t>(co) * ohow] = f[co];
-            }
-        }
-    });
+    // conv2 (+bn2), the skip add and the final ReLU, in one epilogue
+    // that exits requantized or as fp32 planes.
+    convForwardResident(m1, _conv2->geometry(m1.h, m1.w),
+                        _conv2->qweightHwc(), exit, out_q, out_s, nullptr,
+                        out_planes);
 }
 
 Tensor

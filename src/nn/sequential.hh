@@ -145,12 +145,13 @@ class ResidualBlock : public Layer
 
     /**
      * Resident Eval forward: conv1(+bn1+relu) emits a resident
-     * activation; conv2(+bn2) and the projection emit fp32 pixel-major
-     * rows; skip-add + final ReLU run per pixel row, which then exits
-     * either requantized (@p out_q/@p out_s, resident semantics) or as
-     * fp32 NCHW planes (@p out_planes). Exactly one exit may be given.
-     * The identity skip is the exact dequantization of the resident
-     * input — the value the quantized chain actually carries.
+     * activation, and the projection (when there is one) emits fp32
+     * pixel-major rows. conv2's epilogue then finishes the block per
+     * output row: bn2, the skip add and the final ReLU, then either a
+     * requantized exit (@p out_q/@p out_s, resident semantics) or fp32
+     * NCHW planes (@p out_planes). Exactly one exit may be given. The
+     * identity skip is the exact dequantization of the resident input
+     * — the value the quantized chain actually carries.
      */
     void forwardResident(const QuantActivation &in, std::int8_t *out_q,
                          float *out_s, float *out_planes);

@@ -1,5 +1,7 @@
 #include "pixel_array.hh"
 
+#include <cstdint>
+
 #include "util/check.hh"
 #include "util/parallel.hh"
 
@@ -30,10 +32,12 @@ PixelArray::readRowVoltages(int row) const
     std::vector<double> voltages(static_cast<std::size_t>(_cols));
     // Column readout is embarrassingly parallel (disjoint writes); the
     // large grain keeps small arrays on the calling thread.
+    const float *frame_row =
+        _frame.data() + static_cast<std::int64_t>(row) * _cols;
     parallelFor(0, _cols, 4096, [&](std::int64_t x0, std::int64_t x1) {
         for (int x = static_cast<int>(x0); x < x1; ++x)
             voltages[static_cast<std::size_t>(x)] =
-                _config.digitalToVoltage(_frame.at(row, x));
+                _config.digitalToVoltage(frame_row[x]);
     });
     return voltages;
 }

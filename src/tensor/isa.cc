@@ -17,8 +17,9 @@ using namespace simd::detail;
 // peak the fp32 micro-kernel's fused chains (simd.hh) can reach: two
 // FMA instructions per cycle, two flops per lane each (scalar and NEON:
 // two 4-lane FMAs). i8MacsPerCycle assumes one widening int8 MAC
-// instruction per cycle (VPDPBUSD / SDOT where present); the int8
-// panel's per-block scaling does not change the MAC count.
+// instruction per cycle (VPDPBUSD / SDOT where present): a zmm
+// VPDPBUSD is 16 lanes × 4 MACs = 64. The int8 panel's per-block
+// scaling does not change the MAC count.
 const KernelSet kScalarSet = {
     "scalar", Isa::Scalar,
     microF32Scalar, dotQ8PanelScalar, quantizeRowScalar,
@@ -56,7 +57,7 @@ avx512Set()
 #if defined(LECA_HAVE_AVX512VNNI) && defined(__x86_64__)
         if (__builtin_cpu_supports("avx512vnni")) {
             s.dotQ8Panel = dotQ8PanelVnni;
-            s.i8MacsPerCycle = 128.0;
+            s.i8MacsPerCycle = 64.0;
         }
 #endif
         return s;

@@ -16,11 +16,12 @@
  * the lanes. Each 64-byte pack step is read as two 8-channel halves of
  * [8 ch × 4 k] (only the low half when a group has at most eight live
  * channels, as in the decoder's 3-channel head); a panel row's four
- * activation codes for that step are broadcast to every lane and
- * un-biased (XOR 0x80). |w| is the unsigned operand — computed once
- * per step for the whole tile — and sign(w)·a the signed one, so each
- * product is a·w. Quantization never produces -128, which bounds every
- * s16 pair sum by 2·127·127 < 32767 — VPMADDUBSW cannot saturate.
+ * signed activation codes for that step, read in place through the
+ * row's tap pointer, are broadcast to every lane. |w| is the unsigned
+ * operand — computed once per step for the whole tile — and sign(w)·a
+ * the signed one, so each product is a·w. Quantization never produces
+ * -128, which bounds every s16 pair sum by 2·127·127 < 32767 —
+ * VPMADDUBSW cannot saturate.
  * VPMADDWD against ones then yields exact int32 4-element sums, added
  * over the block's eight steps into one exact block dot per (row,
  * channel).
@@ -52,71 +53,78 @@ laneMask(int nr, int base)
     return _mm256_cmpgt_epi32(_mm256_set1_epi32(nr - base), idx);
 }
 
-/** Broadcast the four biased activation codes at @p p to every
- *  32-bit lane and un-bias them to signed codes. */
+/** The four signed activation codes at @p p in every 32-bit lane. */
 inline __m256i
-broadcastCodes(const std::uint8_t *p, __m256i bias)
+broadcastCodes(const std::int8_t *p)
 {
     std::int32_t v = 0;
     std::memcpy(&v, p, sizeof(v));
-    return _mm256_xor_si256(_mm256_set1_epi32(v), bias);
+    return _mm256_set1_epi32(v);
 }
 
 /**
  * MR panel rows × the first NH 8-channel halves of 16-channel group
- * @p g (NH = 1 when the group has at most eight live channels). Per
- * block, the int32 accumulators collect the exact block dots, then one
- * convert, one scale product and one fused multiply-add per lane
- * extend each output's chain.
+ * @p g (NH = 1 when the group has at most eight live channels). Row r's
+ * tap pointers are q[r·taps + t] and s[r·taps + t]. Per block, the
+ * int32 accumulators collect the exact block dots, then one convert,
+ * one scale product and one fused multiply-add per lane extend each
+ * output's chain.
  */
 template <int MR, int NH>
 inline void
-panelTileAvx2(const std::uint8_t *pa, const float *sa, const Q8PackView &w,
-              std::int64_t g, float *c, std::int64_t ldc, int live)
+panelTileAvx2(const std::int8_t *const *q, const float *const *s,
+              std::int64_t taps, const Q8PackView &w, std::int64_t g,
+              float *c, std::int64_t ldc, int live)
 {
     const std::int64_t nb = w.nb;
-    const std::int64_t row_bytes = nb * 32;
-    const __m256i bias = _mm256_set1_epi8(static_cast<char>(0x80));
+    const std::int64_t nbt = nb / taps;
     const __m256i ones = _mm256_set1_epi16(1);
-    const std::int8_t *wc = w.codes + g * nb * 512;
+    const std::int8_t *wb = w.codes + g * nb * 512;
     const float *ws = w.scales + g * nb * 16;
     __m256 acc[MR][NH];
     for (int r = 0; r < MR; ++r)
         for (int h = 0; h < NH; ++h)
             acc[r][h] = _mm256_setzero_ps();
-    for (std::int64_t b = 0; b < nb; ++b) {
-        __m256i d[MR][NH];
-        for (int r = 0; r < MR; ++r)
-            for (int h = 0; h < NH; ++h)
-                d[r][h] = _mm256_setzero_si256();
-        const std::int8_t *wb = wc + b * 512;
-        for (int s = 0; s < 8; ++s) {
-            // |w| is the unsigned operand and sign(w)·a the signed one:
-            // |w| serves every row of the tile.
-            __m256i wv[NH], wx[NH];
-            for (int h = 0; h < NH; ++h) {
-                wv[h] = _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(wb + s * 64 + 32 * h));
-                wx[h] = _mm256_abs_epi8(wv[h]);
-            }
-            for (int r = 0; r < MR; ++r) {
-                const __m256i a =
-                    broadcastCodes(pa + r * row_bytes + b * 32 + 4 * s, bias);
-                for (int h = 0; h < NH; ++h)
-                    d[r][h] = _mm256_add_epi32(
-                        d[r][h],
-                        _mm256_madd_epi16(
-                            _mm256_maddubs_epi16(wx[h],
-                                                 _mm256_sign_epi8(a, wv[h])),
-                            ones));
-            }
+    for (std::int64_t t = 0; t < taps; ++t) {
+        const std::int8_t *ab[MR];
+        const float *as[MR];
+        for (int r = 0; r < MR; ++r) {
+            ab[r] = q[r * taps + t];
+            as[r] = s[r * taps + t];
         }
-        for (int h = 0; h < NH; ++h) {
-            const __m256 sw = _mm256_loadu_ps(ws + b * 16 + 8 * h);
+        for (std::int64_t j = 0; j < nbt; ++j, wb += 512, ws += 16) {
+            __m256i d[MR][NH];
             for (int r = 0; r < MR; ++r)
-                acc[r][h] = _mm256_fmadd_ps(
-                    _mm256_mul_ps(_mm256_set1_ps(sa[r * nb + b]), sw),
-                    _mm256_cvtepi32_ps(d[r][h]), acc[r][h]);
+                for (int h = 0; h < NH; ++h)
+                    d[r][h] = _mm256_setzero_si256();
+            for (int st = 0; st < 8; ++st) {
+                // |w| is the unsigned operand and sign(w)·a the signed
+                // one: |w| serves every row of the tile.
+                __m256i wv[NH], wx[NH];
+                for (int h = 0; h < NH; ++h) {
+                    wv[h] = _mm256_loadu_si256(
+                        reinterpret_cast<const __m256i *>(wb + st * 64
+                                                          + 32 * h));
+                    wx[h] = _mm256_abs_epi8(wv[h]);
+                }
+                for (int r = 0; r < MR; ++r) {
+                    const __m256i a = broadcastCodes(ab[r] + j * 32 + 4 * st);
+                    for (int h = 0; h < NH; ++h)
+                        d[r][h] = _mm256_add_epi32(
+                            d[r][h],
+                            _mm256_madd_epi16(
+                                _mm256_maddubs_epi16(
+                                    wx[h], _mm256_sign_epi8(a, wv[h])),
+                                ones));
+                }
+            }
+            for (int h = 0; h < NH; ++h) {
+                const __m256 sw = _mm256_loadu_ps(ws + 8 * h);
+                for (int r = 0; r < MR; ++r)
+                    acc[r][h] = _mm256_fmadd_ps(
+                        _mm256_mul_ps(_mm256_set1_ps(as[r][j]), sw),
+                        _mm256_cvtepi32_ps(d[r][h]), acc[r][h]);
+            }
         }
     }
     for (int h = 0; h < NH; ++h) {
@@ -130,17 +138,16 @@ panelTileAvx2(const std::uint8_t *pa, const float *sa, const Q8PackView &w,
  *  then single rows. */
 template <int MR, int NH>
 inline void
-panelRowsAvx2(const std::uint8_t *pa, const float *sa, std::int64_t rows,
-              const Q8PackView &w, std::int64_t g, float *c,
-              std::int64_t ldc, int live)
+panelRowsAvx2(const std::int8_t *const *q, const float *const *s,
+              std::int64_t rows, std::int64_t taps, const Q8PackView &w,
+              std::int64_t g, float *c, std::int64_t ldc, int live)
 {
-    const std::int64_t nb = w.nb;
     std::int64_t r = 0;
     for (; r + MR <= rows; r += MR)
-        panelTileAvx2<MR, NH>(pa + r * nb * 32, sa + r * nb, w, g,
+        panelTileAvx2<MR, NH>(q + r * taps, s + r * taps, taps, w, g,
                               c + r * ldc, ldc, live);
     for (; r < rows; ++r)
-        panelTileAvx2<1, NH>(pa + r * nb * 32, sa + r * nb, w, g,
+        panelTileAvx2<1, NH>(q + r * taps, s + r * taps, taps, w, g,
                              c + r * ldc, ldc, live);
 }
 
@@ -209,16 +216,17 @@ microF32Avx2(std::int64_t kc, const float *ap, const float *bp, float *c,
 }
 
 void
-dotQ8PanelAvx2(const std::uint8_t *pa, const float *sa, std::int64_t rows,
-               const Q8PackView &w, float *c, std::int64_t ldc)
+dotQ8PanelAvx2(const std::int8_t *const *q, const float *const *s,
+               std::int64_t rows, std::int64_t taps, const Q8PackView &w,
+               float *c, std::int64_t ldc)
 {
     for (std::int64_t g = 0; g * 16 < w.cout; ++g) {
         const int live =
             static_cast<int>(w.cout - g * 16 < 16 ? w.cout - g * 16 : 16);
         if (live > 8)
-            panelRowsAvx2<2, 2>(pa, sa, rows, w, g, c, ldc, live);
+            panelRowsAvx2<2, 2>(q, s, rows, taps, w, g, c, ldc, live);
         else
-            panelRowsAvx2<4, 1>(pa, sa, rows, w, g, c, ldc, live);
+            panelRowsAvx2<4, 1>(q, s, rows, taps, w, g, c, ldc, live);
     }
 }
 

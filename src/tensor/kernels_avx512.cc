@@ -60,7 +60,11 @@ microTileAvx512(std::int64_t kc, const float *ap, const float *bp, float *c,
 
 } // namespace
 
-void
+// Starts on a 64-byte boundary, so where its FMA loops fall within the
+// instruction fetch blocks does not depend on the size of the code
+// linked ahead of this TU: a 32-byte shift mod 64 of this function
+// alone has moved train_analog's p50 by about 10%.
+__attribute__((aligned(64))) void
 microF32Avx512(std::int64_t kc, const float *ap, const float *bp, float *c,
                std::int64_t ldc, int mr, int nr, bool first)
 {

@@ -10,9 +10,10 @@
  * of sixteen outputs — no horizontal reduction anywhere, and every
  * weight byte loaded once per tile serves MR rows.
  *
- * VPDPBUSD multiplies unsigned by signed bytes. The panel gather stores
- * activation codes biased by +128 (code XOR 0x80; a padding pixel is
- * 0x80 with scale 0), which makes them the unsigned operand:
+ * VPDPBUSD multiplies unsigned by signed bytes. The activation codes
+ * are read in place through the row's tap pointers (signed, as the
+ * resident plane holds them), and each broadcast is biased by +128
+ * (code XOR 0x80) in its register, which makes it the unsigned operand:
  *     dpbusd(a + 128, w) = Σ a·w + 128·Σ w,
  * and the correction depends on the weights alone. The pack stores
  * −128·Σ w per (channel, block), and each block's int32 accumulators
@@ -47,60 +48,91 @@ namespace leca::simd::detail {
 
 namespace {
 
-/** The four biased activation codes at @p p in every 32-bit lane. */
+/** The four activation codes at @p p in every 32-bit lane, biased by
+ *  +128 (XOR 0x80) into VPDPBUSD's unsigned operand. */
 inline __m512i
-broadcastCodes(const std::uint8_t *p)
+broadcastCodes(const std::int8_t *p, __m512i bias)
 {
     std::int32_t v = 0;
     std::memcpy(&v, p, sizeof(v));
-    return _mm512_set1_epi32(v);
+    return _mm512_xor_si512(_mm512_set1_epi32(v), bias);
+}
+
+/**
+ * One block of MR rows × NR groups: the eight VPDPBUSD steps from the
+ * pack's compensation, then the fold into the float accumulators.
+ * ab[r] points at row r's 32 codes, sa[r] is its scale.
+ */
+template <int MR, int NR>
+inline void
+panelBlock(const std::int8_t *const *ab, const float *sa, const std::int8_t *wc,
+           const std::int32_t *wcomp, const float *wsc, std::int64_t gstride,
+           __m512i bias, __m512 (&acc)[MR][NR])
+{
+    __m512i d[MR][NR];
+    for (int j = 0; j < NR; ++j) {
+        const __m512i comp = _mm512_loadu_si512(wcomp + j * gstride);
+        for (int r = 0; r < MR; ++r)
+            d[r][j] = comp;
+    }
+#pragma GCC unroll 8
+    for (int st = 0; st < 8; ++st) {
+        __m512i wv[NR];
+        for (int j = 0; j < NR; ++j)
+            wv[j] = _mm512_loadu_si512(wc + j * gstride * 32 + st * 64);
+        for (int r = 0; r < MR; ++r) {
+            const __m512i av = broadcastCodes(ab[r] + 4 * st, bias);
+            for (int j = 0; j < NR; ++j)
+                d[r][j] = _mm512_dpbusd_epi32(d[r][j], av, wv[j]);
+        }
+    }
+    __m512 sw[NR];
+    for (int j = 0; j < NR; ++j)
+        sw[j] = _mm512_loadu_ps(wsc + j * gstride);
+    for (int r = 0; r < MR; ++r) {
+        const __m512 sar = _mm512_set1_ps(sa[r]);
+        for (int j = 0; j < NR; ++j)
+            acc[r][j] = _mm512_fmadd_ps(_mm512_mul_ps(sar, sw[j]),
+                                        _mm512_cvtepi32_ps(d[r][j]),
+                                        acc[r][j]);
+    }
 }
 
 /**
  * MR panel rows × NR consecutive 16-channel groups starting at group
- * @p g. @p live is the number of live channels in the last group of
- * the whole pack; only that group is stored under a mask.
+ * @p g; row r's tap pointers are q[r·taps + t] and s[r·taps + t], each
+ * tap NBT blocks (NBT = 0: read it from the pack). @p live is the
+ * number of live channels in the last group of the whole pack; only
+ * that group is stored under a mask.
  */
-template <int MR, int NR>
+template <int MR, int NR, int NBT>
 inline void
-panelTile(const std::uint8_t *pa, const float *sa, const Q8PackView &w,
-          std::int64_t g, float *c, std::int64_t ldc, int live)
+panelTile(const std::int8_t *const *q, const float *const *s,
+          std::int64_t taps, const Q8PackView &w, std::int64_t g, float *c,
+          std::int64_t ldc, int live)
 {
     const std::int64_t nb = w.nb;
-    const std::int64_t row_bytes = nb * 32;
+    const std::int64_t nbt = NBT > 0 ? NBT : nb / taps;
+    const __m512i bias = _mm512_set1_epi8(static_cast<char>(0x80));
+    // Group j's pack runs at a fixed distance past group 0's.
+    const std::int8_t *wc = w.codes + g * nb * 512;
+    const std::int32_t *wcomp = w.comp + g * nb * 16;
+    const float *wsc = w.scales + g * nb * 16;
+    const std::int64_t gstride = nb * 16;
     __m512 acc[MR][NR];
     for (int r = 0; r < MR; ++r)
         for (int j = 0; j < NR; ++j)
             acc[r][j] = _mm512_setzero_ps();
-    for (std::int64_t b = 0; b < nb; ++b) {
-        __m512i d[MR][NR];
-        for (int j = 0; j < NR; ++j) {
-            const __m512i comp =
-                _mm512_loadu_si512(w.comp + ((g + j) * nb + b) * 16);
-            for (int r = 0; r < MR; ++r)
-                d[r][j] = comp;
-        }
-        const std::uint8_t *ab = pa + b * 32;
-        for (int s = 0; s < 8; ++s) {
-            __m512i wv[NR];
-            for (int j = 0; j < NR; ++j)
-                wv[j] = _mm512_loadu_si512(
-                    w.codes + (((g + j) * nb + b) * 8 + s) * 64);
+    for (std::int64_t t = 0; t < taps; ++t) {
+        const std::int8_t *ab[MR];
+        float sa[MR];
+        for (std::int64_t k = 0; k < nbt;
+             ++k, wc += 512, wcomp += 16, wsc += 16) {
             for (int r = 0; r < MR; ++r) {
-                const __m512i av = broadcastCodes(ab + r * row_bytes + 4 * s);
-                for (int j = 0; j < NR; ++j)
-                    d[r][j] = _mm512_dpbusd_epi32(d[r][j], av, wv[j]);
+                ab[r] = q[r * taps + t] + k * 32;
+                sa[r] = s[r * taps + t][k];
             }
-        }
-        __m512 sw[NR];
-        for (int j = 0; j < NR; ++j)
-            sw[j] = _mm512_loadu_ps(w.scales + ((g + j) * nb + b) * 16);
-        for (int r = 0; r < MR; ++r) {
-            const __m512 sar = _mm512_set1_ps(sa[r * nb + b]);
-            for (int j = 0; j < NR; ++j)
-                acc[r][j] = _mm512_fmadd_ps(_mm512_mul_ps(sar, sw[j]),
-                                            _mm512_cvtepi32_ps(d[r][j]),
-                                            acc[r][j]);
+            panelBlock<MR, NR>(ab, sa, wc, wcomp, wsc, gstride, bias, acc);
         }
     }
     const std::int64_t groups = (w.cout + 15) / 16;
@@ -115,35 +147,50 @@ panelTile(const std::uint8_t *pa, const float *sa, const Q8PackView &w,
 
 /** Every row of the panel against NR groups starting at @p g, in
  *  tiles of MR rows and then single rows. */
-template <int MR, int NR>
+template <int MR, int NR, int NBT>
 inline void
-panelRows(const std::uint8_t *pa, const float *sa, std::int64_t rows,
-          const Q8PackView &w, std::int64_t g, float *c, std::int64_t ldc,
-          int live)
+panelRows(const std::int8_t *const *q, const float *const *s,
+          std::int64_t rows, std::int64_t taps, const Q8PackView &w,
+          std::int64_t g, float *c, std::int64_t ldc, int live)
 {
-    const std::int64_t nb = w.nb;
     std::int64_t r = 0;
     for (; r + MR <= rows; r += MR)
-        panelTile<MR, NR>(pa + r * nb * 32, sa + r * nb, w, g, c + r * ldc,
-                          ldc, live);
+        panelTile<MR, NR, NBT>(q + r * taps, s + r * taps, taps, w, g,
+                               c + r * ldc, ldc, live);
     for (; r < rows; ++r)
-        panelTile<1, NR>(pa + r * nb * 32, sa + r * nb, w, g, c + r * ldc,
-                         ldc, live);
+        panelTile<1, NR, NBT>(q + r * taps, s + r * taps, taps, w, g,
+                              c + r * ldc, ldc, live);
 }
 
-} // namespace
-
-void
-dotQ8PanelVnni(const std::uint8_t *pa, const float *sa, std::int64_t rows,
-               const Q8PackView &w, float *c, std::int64_t ldc)
+/** The panel with each tap's block count fixed at NBT. */
+template <int NBT>
+inline void
+panelAll(const std::int8_t *const *q, const float *const *s,
+         std::int64_t rows, std::int64_t taps, const Q8PackView &w, float *c,
+         std::int64_t ldc)
 {
     const std::int64_t groups = (w.cout + 15) / 16;
     const int live = static_cast<int>(w.cout - (groups - 1) * 16);
     std::int64_t g = 0;
     for (; g + 2 <= groups; g += 2)
-        panelRows<4, 2>(pa, sa, rows, w, g, c, ldc, live);
+        panelRows<4, 2, NBT>(q, s, rows, taps, w, g, c, ldc, live);
     if (g < groups)
-        panelRows<8, 1>(pa, sa, rows, w, g, c, ldc, live);
+        panelRows<8, 1, NBT>(q, s, rows, taps, w, g, c, ldc, live);
+}
+
+} // namespace
+
+void
+dotQ8PanelVnni(const std::int8_t *const *q, const float *const *s,
+               std::int64_t rows, std::int64_t taps, const Q8PackView &w,
+               float *c, std::int64_t ldc)
+{
+    switch (w.nb / taps) {
+      case 1: panelAll<1>(q, s, rows, taps, w, c, ldc); break;
+      case 2: panelAll<2>(q, s, rows, taps, w, c, ldc); break;
+      case 4: panelAll<4>(q, s, rows, taps, w, c, ldc); break;
+      default: panelAll<0>(q, s, rows, taps, w, c, ldc); break;
+    }
 }
 
 } // namespace leca::simd::detail

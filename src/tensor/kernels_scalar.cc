@@ -89,11 +89,12 @@ microF32Scalar(std::int64_t kc, const float *ap, const float *bp, float *c,
 }
 
 void
-dotQ8PanelScalar(const std::uint8_t *pa, const float *sa, std::int64_t rows,
-                 const Q8PackView &w, float *c, std::int64_t ldc)
+dotQ8PanelScalar(const std::int8_t *const *q, const float *const *s,
+                 std::int64_t rows, std::int64_t taps, const Q8PackView &w,
+                 float *c, std::int64_t ldc)
 {
     const std::int64_t nb = w.nb;
-    const std::int64_t row_bytes = nb * 32;
+    const std::int64_t nbt = nb / taps;
     for (std::int64_t g = 0; g * 16 < w.cout; ++g) {
         const std::int64_t co0 = g * 16;
         const int live = static_cast<int>(w.cout - co0 < 16 ? w.cout - co0
@@ -109,27 +110,25 @@ dotQ8PanelScalar(const std::uint8_t *pa, const float *sa, std::int64_t rows,
             // Channel-major copy of the block: wt[l] is channel l's 32
             // codes in element order.
             std::int8_t wt[16][32];
-            for (int s = 0; s < 8; ++s)
+            for (int st = 0; st < 8; ++st)
                 for (int l = 0; l < 16; ++l)
                     for (int k = 0; k < 4; ++k)
-                        wt[l][4 * s + k] = wp[s * 64 + l * 4 + k];
+                        wt[l][4 * st + k] = wp[st * 64 + l * 4 + k];
+            const std::int64_t t = b / nbt;
+            const std::int64_t j = b - t * nbt;
             for (std::int64_t r = 0; r < rows; ++r) {
-                // Un-bias to signed codes and take the dot as Σ s8·s8.
-                // Do not fold the bias into the product as
-                // ((int)u8 - 128)·s8: GCC 12 at -O3 with AVX-512 VNNI
-                // vectorises that form into VPDPBUSD and returns wrong
-                // sums.
-                const std::uint8_t *ab = pa + r * row_bytes + b * 32;
-                std::int8_t as[32];
-                for (int j = 0; j < 32; ++j)
-                    as[j] = static_cast<std::int8_t>(ab[j] ^ 0x80u);
-                const float sar = sa[r * nb + b];
+                // The dot is Σ s8·s8 over the signed codes. Do not
+                // rewrite it over biased codes as ((int)u8 - 128)·s8:
+                // GCC 12 at -O3 with AVX-512 VNNI vectorises that form
+                // into VPDPBUSD and returns wrong sums.
+                const std::int8_t *as = q[r * taps + t] + j * 32;
+                const float sar = s[r * taps + t][j];
                 float *crow = c + r * ldc + co0;
                 for (int l = 0; l < live; ++l) {
                     std::int32_t d = 0;
-                    for (int j = 0; j < 32; ++j)
-                        d += static_cast<std::int32_t>(as[j])
-                             * static_cast<std::int32_t>(wt[l][j]);
+                    for (int k = 0; k < 32; ++k)
+                        d += static_cast<std::int32_t>(as[k])
+                             * static_cast<std::int32_t>(wt[l][k]);
                     // Fused by contract (simd.hh): fmaf is correctly
                     // rounded, matching the SIMD variants' VFMADD.
                     crow[l] = std::fmaf(sar * sw[l], static_cast<float>(d),

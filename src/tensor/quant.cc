@@ -39,22 +39,20 @@ chunkRowsQ8(std::int64_t n, std::int64_t nb)
 }
 
 /**
- * Copy a code span into the panel biased by +128 (code XOR 0x80), the
- * unsigned operand layout of the panel kernel. Every span is a whole
- * number of 32-code blocks. The panel gather issues a handful of
- * ~100-byte copies per patch; libc memcpy's call + size dispatch costs
- * more than the copy itself at that size, so this compiles to a short
- * chain of fixed-width vector loads, XORs and stores instead.
+ * Tap pointers of a window that lies inside the image: tap t is the
+ * window's top-left pixel plus off_q[t] codes and off_s[t] scales.
+ * No restrict qualifiers: GCC then keeps this loop scalar, which timed
+ * faster for a nine-tap window than its vectorized form with the
+ * remainder handling.
  */
 inline void
-biasCodeSpan(std::uint8_t *dst, const std::int8_t *src, std::int64_t bytes)
+windowTaps(const std::int8_t *q0, const float *s0, const std::int64_t *off_q,
+           const std::int64_t *off_s, std::int64_t taps,
+           const std::int8_t **rq, const float **rs)
 {
-    for (std::int64_t i = 0; i < bytes; i += 32) {
-        std::uint8_t t[32];
-        std::memcpy(t, src + i, 32);
-        for (int j = 0; j < 32; ++j)
-            t[j] ^= 0x80u;
-        std::memcpy(dst + i, t, 32);
+    for (std::int64_t t = 0; t < taps; ++t) {
+        rq[t] = q0 + off_q[t];
+        rs[t] = s0 + off_s[t];
     }
 }
 
@@ -64,14 +62,6 @@ biasCodeSpan(std::uint8_t *dst, const std::int8_t *src, std::int64_t bytes)
  * L1/L2-resident while keeping every plane access a contiguous run.
  */
 constexpr std::int64_t kTransposeTilePixels = 64;
-
-/** Inline copy of a short scale span (a few floats per patch row). */
-inline void
-copyScaleSpan(float *dst, const float *src, std::int64_t count)
-{
-    for (std::int64_t i = 0; i < count; ++i)
-        dst[i] = src[i];
-}
 
 } // namespace
 
@@ -225,6 +215,8 @@ quantizeActivationNchw(const float *x, int n, int c, int h, int w,
 {
     LECA_CHECK(epi.a == nullptr || epi.b != nullptr,
                "quantizeActivationNchw: affine epilogue needs both a and b");
+    LECA_CHECK(!epi.hasSkip(),
+               "quantizeActivationNchw: the entry takes no residual add");
     const std::int64_t hw = static_cast<std::int64_t>(h) * w;
     const std::int64_t nbc = quantBlocks(c);
     const std::int64_t cpad = nbc * kQuantBlock;
@@ -318,25 +310,28 @@ dequantizeActivationNchw(const QuantActivation &act, float *dst)
 
 // leca-analyze: entry
 void
-convForwardResident(const QuantActivation &in, int kh, int kw, int stride,
-                    int pad, const QuantTensor &wq_hwc,
-                    const ResidentEpilogue &epi, std::int8_t *out_q,
-                    float *out_s, float *out_rows, float *out_planes)
+convForwardResident(const QuantActivation &in, const ConvGeometry &g,
+                    const QuantTensor &wq_hwc, const ResidentEpilogue &epi,
+                    std::int8_t *out_q, float *out_s, float *out_rows,
+                    float *out_planes)
 {
-    const int c = in.c, h = in.h, w = in.w;
-    const int oh = (h + 2 * pad - kh) / stride + 1;
-    const int ow = (w + 2 * pad - kw) / stride + 1;
+    LECA_CHECK(g.cin == in.c && g.h == in.h && g.w == in.w
+                   && g.cout == wq_hwc.rows,
+               "convForwardResident: geometry ", g.cin, "x", g.h, "x", g.w,
+               " -> ", g.cout, " vs input ", in.c, "x", in.h, "x", in.w,
+               " and ", wq_hwc.rows, " weight rows");
+    const int h = g.h, w = g.w;
+    const int oh = g.oh(), ow = g.ow();
     LECA_CHECK(oh > 0 && ow > 0, "convForwardResident output ", oh, "x", ow,
-               " for input ", h, "x", w, " kernel ", kh, "x", kw);
-    const std::int64_t nbc = quantBlocks(c);
+               " for input ", h, "x", w, " kernel ", g.kh, "x", g.kw);
+    const std::int64_t nbc = in.nbc();
     const std::int64_t cpad = nbc * kQuantBlock;
-    const std::int64_t row_blocks = static_cast<std::int64_t>(kh) * kw * nbc;
-    const std::int64_t row_bytes = row_blocks * kQuantBlock;
-    LECA_CHECK(wq_hwc.cols == static_cast<std::int64_t>(kh) * kw * cpad,
+    const std::int64_t taps = static_cast<std::int64_t>(g.kh) * g.kw;
+    const std::int64_t row_blocks = taps * nbc;
+    LECA_CHECK(wq_hwc.cols == taps * cpad,
                "convForwardResident: weight cols ", wq_hwc.cols,
-               " vs HWC patch length ",
-               static_cast<std::int64_t>(kh) * kw * cpad);
-    const std::int64_t cout = wq_hwc.rows;
+               " vs HWC patch length ", taps * cpad);
+    const std::int64_t cout = g.cout;
     const std::int64_t onbc = quantBlocks(cout);
     const std::int64_t hw = static_cast<std::int64_t>(h) * w;
     const std::int64_t ohow = static_cast<std::int64_t>(oh) * ow;
@@ -349,6 +344,14 @@ convForwardResident(const QuantActivation &in, int kh, int kw, int stride,
                "convForwardResident: quantized exit needs scale storage");
     LECA_CHECK(epi.a == nullptr || epi.b != nullptr,
                "convForwardResident: affine epilogue needs both a and b");
+    LECA_CHECK(epi.skipRows == nullptr || epi.skipCodes.empty(),
+               "convForwardResident: at most one residual add");
+    LECA_CHECK(epi.skipCodes.empty()
+                   || (epi.skipCodes.c == cout
+                       && epi.skipCodes.rows() == total),
+               "convForwardResident: identity skip ", epi.skipCodes.c,
+               " channels x ", epi.skipCodes.rows(), " rows vs output ",
+               cout, " x ", total);
 
     LECA_CHECK(!wq_hwc.pack.empty() && wq_hwc.pack.nb == row_blocks,
                "convForwardResident: weights carry no panel pack for ",
@@ -363,18 +366,47 @@ convForwardResident(const QuantActivation &in, int kh, int kw, int stride,
     // Kernel snapshot before the parallel region, like every hot path.
     const simd::DotQ8PanelFn panel = activeKernels().dotQ8Panel;
     const simd::QuantizeRowFn quantize_row = activeKernels().quantizeRow;
+    const simd::DequantizeRowFn dequant = activeKernels().dequantizeRow;
     const simd::AffineReluRowFn affine = activeKernels().affineReluRow;
     const simd::Q8PackView wp = wq_hwc.pack.view();
+    const bool skip = epi.hasSkip();
+    // With a residual add the ReLU follows the add, so the affine runs
+    // without it.
+    const bool affine_relu = epi.relu && !skip;
+    const QuantActivation &sc = epi.skipCodes;
+    const std::int64_t sc_cpad = quantPadded(sc.c);
+    const std::int64_t sc_nbc = sc.nbc();
 
     parallelFor(0, total, chunk, [&](std::int64_t p0, std::int64_t p1) {
         Arena::Scope scope;
         Arena &arena = Arena::local();
-        std::uint8_t *pq = static_cast<std::uint8_t *>(arena.allocBytes(
-            static_cast<std::size_t>(kPanelRowsQ8 * row_bytes)));
-        float *ps = arena.alloc(
-            static_cast<std::size_t>(kPanelRowsQ8 * row_blocks));
+        // Tap pointers of one panel: row r's tap t (kernel position
+        // ky·kw + kx) points at that input pixel's codes and scales in
+        // the resident plane, or at the shared zero tap (codes 0,
+        // scales 0) when it falls in the padding.
+        const auto ntaps = static_cast<std::size_t>(kPanelRowsQ8 * taps);
+        const std::int8_t **tq = arena.allocArray<const std::int8_t *>(ntaps);
+        const float **ts = arena.allocArray<const float *>(ntaps);
+        std::int8_t *zq =
+            arena.allocArray<std::int8_t>(static_cast<std::size_t>(cpad));
+        float *zs = arena.alloc(static_cast<std::size_t>(nbc));
+        std::memset(zq, 0, static_cast<std::size_t>(cpad));
+        std::memset(zs, 0, static_cast<std::size_t>(nbc) * sizeof(float));
         float *pc =
             arena.alloc(static_cast<std::size_t>(kPanelRowsQ8 * cout));
+        float *sk_row =
+            sc.empty() ? nullptr
+                       : arena.alloc(static_cast<std::size_t>(cout));
+        // Offsets of each tap's pixel from the window's top-left pixel,
+        // in codes and in scales.
+        std::int64_t *off_q = arena.allocArray<std::int64_t>(
+            static_cast<std::size_t>(2 * taps));
+        std::int64_t *off_s = off_q + taps;
+        for (int ky = 0, t = 0; ky < g.kh; ++ky)
+            for (int kx = 0; kx < g.kw; ++kx, ++t) {
+                off_q[t] = (static_cast<std::int64_t>(ky) * w + kx) * cpad;
+                off_s[t] = (static_cast<std::int64_t>(ky) * w + kx) * nbc;
+            }
         // Output pixel (img, oy, ox) of patch row p, stepped one pixel
         // per row rather than divided out of p for every row.
         std::int64_t img = p0 / ohow;
@@ -382,50 +414,29 @@ convForwardResident(const QuantActivation &in, int kh, int kw, int stride,
         int ox = static_cast<int>((p0 - img * ohow) % ow);
         for (std::int64_t pp = p0; pp < p1; pp += kPanelRowsQ8) {
             const std::int64_t pe = std::min(p1, pp + kPanelRowsQ8);
-            // Gather: each patch row is kh·kw span copies of codes and
-            // scales straight from the resident input — the gather IS
-            // the panel packing; nothing touches fp32 here.
             for (std::int64_t p = pp; p < pe; ++p) {
-                const int y0 = oy * stride - pad;
-                const int x0 = ox * stride - pad;
-                std::uint8_t *dq = pq + (p - pp) * row_bytes;
-                float *ds = ps + (p - pp) * row_blocks;
-                for (int ky = 0; ky < kh; ++ky) {
-                    const int iy = y0 + ky;
-                    const bool row_ok = iy >= 0 && iy < h;
-                    if (row_ok && x0 >= 0 && x0 + kw <= w) {
-                        // Interior kernel row: the kw pixels are
-                        // contiguous in pixel-major layout, so codes
-                        // and scales each collapse to one span copy —
-                        // same bytes as the per-pixel walk below.
-                        const std::int64_t src =
-                            img * hw
-                            + static_cast<std::int64_t>(iy) * w + x0;
-                        biasCodeSpan(
-                            dq + static_cast<std::int64_t>(ky) * kw * cpad,
-                            in.q + src * cpad, kw * cpad);
-                        copyScaleSpan(
-                            ds + static_cast<std::int64_t>(ky) * kw * nbc,
-                            in.scales + src * nbc, kw * nbc);
-                        continue;
-                    }
-                    for (int kx = 0; kx < kw; ++kx) {
-                        const int kpos = ky * kw + kx;
-                        std::uint8_t *q_dst = dq + kpos * cpad;
-                        float *s_dst = ds + kpos * nbc;
-                        const int ix = x0 + kx;
-                        if (row_ok && ix >= 0 && ix < w) {
-                            const std::int64_t src = img * hw + iy * w + ix;
-                            biasCodeSpan(q_dst, in.q + src * cpad, cpad);
-                            copyScaleSpan(s_dst, in.scales + src * nbc,
-                                          nbc);
-                        } else {
-                            // Zero padding: biased code 0 is 0x80.
-                            std::memset(q_dst, 0x80,
-                                        static_cast<std::size_t>(cpad));
-                            std::memset(s_dst, 0,
-                                        static_cast<std::size_t>(nbc)
-                                            * sizeof(float));
+                const int y0 = oy * g.stride - g.pad;
+                const int x0 = ox * g.stride - g.pad;
+                const std::int8_t **rq = tq + (p - pp) * taps;
+                const float **rs = ts + (p - pp) * taps;
+                if (y0 >= 0 && y0 + g.kh <= h && x0 >= 0 && x0 + g.kw <= w) {
+                    // The whole window is inside the image.
+                    const std::int64_t src =
+                        img * hw + static_cast<std::int64_t>(y0) * w + x0;
+                    windowTaps(in.q + src * cpad, in.scales + src * nbc,
+                               off_q, off_s, taps, rq, rs);
+                } else {
+                    for (int ky = 0, t = 0; ky < g.kh; ++ky) {
+                        const int iy = y0 + ky;
+                        for (int kx = 0; kx < g.kw; ++kx, ++t) {
+                            const int ix = x0 + kx;
+                            const bool inside =
+                                iy >= 0 && iy < h && ix >= 0 && ix < w;
+                            const std::int64_t src =
+                                img * hw + static_cast<std::int64_t>(iy) * w
+                                + ix;
+                            rq[t] = inside ? in.q + src * cpad : zq;
+                            rs[t] = inside ? in.scales + src * nbc : zs;
                         }
                     }
                 }
@@ -437,17 +448,32 @@ convForwardResident(const QuantActivation &in, int kh, int kw, int stride,
                     }
                 }
             }
-            panel(pq, ps, pe - pp, wp, pc, cout);
+            panel(tq, ts, pe - pp, taps, wp, pc, cout);
             // Epilogue + exit while each output row is still panel-hot.
             for (std::int64_t p = pp; p < pe; ++p) {
                 float *row = pc + (p - pp) * cout;
                 if (epi.a != nullptr)
-                    affine(row, epi.a, epi.b, cout, epi.relu, row);
-                else if (epi.relu)
+                    affine(row, epi.a, epi.b, cout, affine_relu, row);
+                else if (affine_relu)
                     // Common-TU code, one compiled form — deterministic
                     // without routing through the kernel set.
                     for (std::int64_t ch = 0; ch < cout; ++ch)
                         row[ch] = row[ch] > 0.0f ? row[ch] : 0.0f;
+                if (skip) {
+                    // Residual add, then the ReLU: a projection row, or
+                    // the exact value of the identity input row.
+                    const float *sk = epi.skipRows + p * cout;
+                    if (sk_row != nullptr) {
+                        // leca-lint: precision-boundary
+                        dequant(sc.q + p * sc_cpad, sc.scales + p * sc_nbc,
+                                sc.c, sk_row);
+                        sk = sk_row;
+                    }
+                    for (std::int64_t ch = 0; ch < cout; ++ch) {
+                        const float v = row[ch] + sk[ch];
+                        row[ch] = epi.relu ? (v > 0.0f ? v : 0.0f) : v;
+                    }
+                }
                 if (out_q != nullptr) {
                     quantize_row(row, cout, out_q + p * onbc * kQuantBlock,
                                  out_s + p * onbc);
@@ -456,9 +482,9 @@ convForwardResident(const QuantActivation &in, int kh, int kw, int stride,
                                 static_cast<std::size_t>(cout)
                                     * sizeof(float));
                 } else {
-                    const std::int64_t img = p / ohow;
-                    const std::int64_t rem = p - img * ohow;
-                    float *base = out_planes + img * cout * ohow + rem;
+                    const std::int64_t pimg = p / ohow;
+                    const std::int64_t rem = p - pimg * ohow;
+                    float *base = out_planes + pimg * cout * ohow + rem;
                     for (std::int64_t co = 0; co < cout; ++co)
                         base[co * ohow] = row[co];
                 }
@@ -520,18 +546,24 @@ linearForwardQuant(const float *x, std::int64_t m, const QuantTensor &wq,
         Arena::Scope scope;
         Arena &arena = Arena::local();
         const std::int64_t row_bytes = nb * kQuantBlock;
-        std::int8_t *qx = static_cast<std::int8_t *>(arena.allocBytes(
-            static_cast<std::size_t>(kPanelRowsQ8 * row_bytes)));
+        std::int8_t *qx = arena.allocArray<std::int8_t>(
+            static_cast<std::size_t>(kPanelRowsQ8 * row_bytes));
         float *sx = arena.alloc(static_cast<std::size_t>(kPanelRowsQ8 * nb));
-        std::uint8_t *px = reinterpret_cast<std::uint8_t *>(qx);
+        // Each quantized input row is one tap of all nb blocks.
+        const std::int8_t **tq =
+            arena.allocArray<const std::int8_t *>(kPanelRowsQ8);
+        const float **ts = arena.allocArray<const float *>(kPanelRowsQ8);
+        for (std::int64_t r = 0; r < kPanelRowsQ8; ++r) {
+            tq[r] = qx + r * row_bytes;
+            ts[r] = sx + r * nb;
+        }
         for (std::int64_t i = i0; i < i1; i += kPanelRowsQ8) {
             const std::int64_t rows = std::min(kPanelRowsQ8, i1 - i);
             for (std::int64_t r = 0; r < rows; ++r)
                 quantize_row(x + (i + r) * in, in, qx + r * row_bytes,
                              sx + r * nb);
-            biasCodeSpan(px, qx, rows * row_bytes);
             float *yrow = y + i * out;
-            panel(px, sx, rows, wp, yrow, out);
+            panel(tq, ts, rows, 1, wp, yrow, out);
             if (bias)
                 for (std::int64_t r = 0; r < rows; ++r)
                     for (std::int64_t j = 0; j < out; ++j)

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "tensor/kernels.hh"
 #include "tensor/simd.hh"
 #include "tensor/tensor.hh"
 
@@ -153,10 +154,11 @@ void linearForwardQuant(const float *x, std::int64_t m, const QuantTensor &wq,
 //
 // A feature map kept in int8 codes BETWEEN layers: pixel-major layout
 // ([n·h·w] rows of one channel vector each, padded to whole blocks), so
-// a consuming conv's im2col patch is a concatenation of kh·kw already-
-// quantized pixel rows — the patch gather is a byte copy of codes and
-// scales, and nothing is re-quantized. The producing layer quantizes
-// each pixel row exactly once on exit (requantize-once semantics).
+// a consuming conv's im2col patch is kh·kw already-quantized pixel rows
+// — the int8 panel reads them in place through one tap pointer each,
+// nothing is copied and nothing is re-quantized. The producing layer
+// quantizes each pixel row exactly once on exit (requantize-once
+// semantics).
 
 /** Channel extent padded to whole quantization blocks. */
 inline constexpr std::int64_t
@@ -193,8 +195,8 @@ struct QuantActivation
  * cout, cols = kh·kw·quantPadded(cin), column (kpos, ci) holding the
  * weight for patch position kpos and input channel ci, zero in the
  * padded lanes. Every 32-block then spans exactly one patch position
- * and one 32-channel group — the alignment that lets a patch gathered
- * from per-pixel quantized codes dot against it block for block.
+ * and one 32-channel group — the alignment that lets a patch read in
+ * place, one tap per input pixel, dot against it block for block.
  *
  * Derived from the CHW CODES (dequantize, permute, requantize), not
  * from the fp32 weights, so quantize() and loadQuantized() produce
@@ -223,14 +225,26 @@ void dequantizeActivationNchw(const QuantActivation &act, float *dst);
  * Per-channel epilogue a resident conv applies to each output pixel
  * row while it is still in registers/L1, before the row leaves the
  * panel: y = a[ch]·x + b[ch] (folded eval-mode BatchNorm and/or conv
- * bias), then optional ReLU. a == nullptr means no affine (then b is
- * ignored); relu may be set either way.
+ * bias), then an optional residual add, then an optional ReLU. a ==
+ * nullptr means no affine (then b is ignored); relu may be set either
+ * way.
+ *
+ * The residual add (a ResidualBlock's exit, DESIGN.md §13) is at most
+ * one of: @c skipRows, fp32 pixel-major rows of cout floats (a
+ * projection's out_rows exit), row p added to output row p; or
+ * @c skipCodes, a resident activation of cout channels and one row per
+ * output pixel (the identity skip), whose row p is added as its exact
+ * dequantized value.
  */
 struct ResidentEpilogue
 {
     const float *a = nullptr;
     const float *b = nullptr;
     bool relu = false;
+    const float *skipRows = nullptr;
+    QuantActivation skipCodes{};
+
+    bool hasSkip() const { return skipRows != nullptr || !skipCodes.empty(); }
 };
 
 /**
@@ -247,19 +261,20 @@ void quantizeActivationNchw(const float *x, int n, int c, int h, int w,
                             float *scales);
 
 /**
- * The resident quantized conv (DESIGN.md §13): im2col over the input's
- * int8 codes — each patch row is kh·kw code/scale span copies gathered
- * straight into a 16-row panel, the codes biased to the panel kernel's
- * unsigned operand on the way (the gather IS the panel packing; no
- * fp32 materialisation, no requantization) — run through the
- * dispatched dotQ8Panel against the pack of @p wq_hwc, then the
- * epilogue and ONE of three exits per output pixel row while it is
- * still panel-hot:
+ * The resident quantized conv (DESIGN.md §13) of geometry @p g over the
+ * resident input @p in (g.cin, g.h, g.w must match it): every patch row
+ * is read in place — the panel takes one tap pointer per kernel
+ * position into the input's codes and scales, and a position in the
+ * padding points at one shared zero tap (codes 0, scale 0), so no code
+ * or scale is copied and nothing touches fp32. The dispatched dotQ8Panel
+ * runs each 16-row panel against the pack of @p wq_hwc (g.cout rows),
+ * then the epilogue and ONE of three exits per output pixel row while
+ * it is still panel-hot:
  *
  *   - out_q/out_s: quantize once into a resident activation
- *     (rows = n·oh·ow, channel extent = wq_hwc.rows);
+ *     (rows = n·oh·ow, channel extent = g.cout);
  *   - out_rows:    fp32 pixel-major rows (n·oh·ow × cout), for fused
- *     consumers like the residual skip-add;
+ *     consumers like the residual projection;
  *   - out_planes:  fp32 NCHW planes (precision-boundary exit).
  *
  * Work decomposition depends only on the problem shape and every
@@ -267,8 +282,8 @@ void quantizeActivationNchw(const float *x, int n, int c, int h, int w,
  * results are bit-identical across LECA_THREADS, batch composition and
  * ISA variants.
  */
-void convForwardResident(const QuantActivation &in, int kh, int kw,
-                         int stride, int pad, const QuantTensor &wq_hwc,
+void convForwardResident(const QuantActivation &in, const ConvGeometry &g,
+                         const QuantTensor &wq_hwc,
                          const ResidentEpilogue &epi, std::int8_t *out_q,
                          float *out_s, float *out_rows, float *out_planes);
 

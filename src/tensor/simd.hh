@@ -69,7 +69,8 @@ using MicroF32Fn = void (*)(std::int64_t kc, const float *ap,
  *          one VPDPBUSD operand, or two 8-channel AVX2 halves;
  *   scales [group][block][16] fp32: the (channel, block) weight scale;
  *   comp   [group][block][16] int32: −128 · Σ codes of that (channel,
- *          block), which turns Σ (a + 128)·w into Σ a·w.
+ *          block), which turns Σ (a + 128)·w into Σ a·w for a body
+ *          that biases the activation codes into an unsigned operand.
  */
 struct Q8PackView
 {
@@ -82,10 +83,15 @@ struct Q8PackView
 
 /**
  * One panel of the block-quantized GEMM with output channels on the
- * vector lanes: c[r·ldc + co] for r < rows and co < w.cout. Panel row r
- * holds w.nb blocks of 32 activation codes at pa + r·nb·32, each code
- * biased by +128 (code XOR 0x80, the unsigned operand of VPDPBUSD),
- * and their scales at sa + r·nb. A code of 0x80 with scale 0 is a
+ * vector lanes: c[r·ldc + co] for r < rows and co < w.cout. The panel
+ * rows are read in place through tap pointers: panel row r is `taps`
+ * spans of nbt = w.nb / taps blocks each, and tap t's 32-code blocks
+ * start at q[r·taps + t] and its nbt scales at s[r·taps + t]. Row
+ * block b is block b mod nbt of tap b / nbt. A resident conv's tap is
+ * one input pixel's channel vector (DESIGN.md §13); a Linear row is one
+ * tap of all w.nb blocks. Codes are signed, as quantizeRow writes them;
+ * a body that needs another operand form (VPDPBUSD's unsigned one)
+ * converts them in registers. A tap of zero codes with scale 0 is a
  * zero-padding pixel.
  *
  * Pinned evaluation structure (identical in every variant): each
@@ -96,10 +102,12 @@ struct Q8PackView
  * float(d) is exact) and sa·sw is one rounded product. FMA is
  * correctly rounded, so std::fmaf, VFMADD and FMLA produce the same
  * bits on every ISA, and since nothing couples two outputs, results do
- * not depend on the panel height, the tiling or the thread count.
+ * not depend on the panel height, the tiling, the tap split or the
+ * thread count.
  */
-using DotQ8PanelFn = void (*)(const std::uint8_t *pa, const float *sa,
-                              std::int64_t rows, const Q8PackView &w,
+using DotQ8PanelFn = void (*)(const std::int8_t *const *q,
+                              const float *const *s, std::int64_t rows,
+                              std::int64_t taps, const Q8PackView &w,
                               float *c, std::int64_t ldc);
 
 /**
@@ -142,9 +150,9 @@ namespace detail {
 void microF32Scalar(std::int64_t kc, const float *ap, const float *bp,
                     float *c, std::int64_t ldc, int mr, int nr,
                     bool first);
-void dotQ8PanelScalar(const std::uint8_t *pa, const float *sa,
-                      std::int64_t rows, const Q8PackView &w, float *c,
-                      std::int64_t ldc);
+void dotQ8PanelScalar(const std::int8_t *const *q, const float *const *s,
+                      std::int64_t rows, std::int64_t taps,
+                      const Q8PackView &w, float *c, std::int64_t ldc);
 void quantizeRowScalar(const float *src, std::int64_t k, std::int8_t *q,
                        float *scales);
 void dequantizeRowScalar(const std::int8_t *q, const float *scales,
@@ -157,9 +165,9 @@ void affineReluRowScalar(const float *src, const float *a, const float *b,
 // saturation point).
 void microF32Avx2(std::int64_t kc, const float *ap, const float *bp,
                   float *c, std::int64_t ldc, int mr, int nr, bool first);
-void dotQ8PanelAvx2(const std::uint8_t *pa, const float *sa,
-                    std::int64_t rows, const Q8PackView &w, float *c,
-                    std::int64_t ldc);
+void dotQ8PanelAvx2(const std::int8_t *const *q, const float *const *s,
+                    std::int64_t rows, std::int64_t taps,
+                    const Q8PackView &w, float *c, std::int64_t ldc);
 void quantizeRowAvx2(const float *src, std::int64_t k, std::int8_t *q,
                      float *scales);
 void dequantizeRowAvx2(const std::int8_t *q, const float *scales,
@@ -179,11 +187,11 @@ void dequantizeRowAvx512(const std::int8_t *q, const float *scales,
 void affineReluRowAvx512(const float *src, const float *a, const float *b,
                          std::int64_t k, bool relu, float *dst);
 
-// AVX-512 VNNI (kernels_avx512vnni.cc): VPDPBUSD over the biased
-// activations, accumulators seeded with the pack's compensation.
-void dotQ8PanelVnni(const std::uint8_t *pa, const float *sa,
-                    std::int64_t rows, const Q8PackView &w, float *c,
-                    std::int64_t ldc);
+// AVX-512 VNNI (kernels_avx512vnni.cc): VPDPBUSD over the activations
+// biased in registers, accumulators seeded with the pack's compensation.
+void dotQ8PanelVnni(const std::int8_t *const *q, const float *const *s,
+                    std::int64_t rows, std::int64_t taps,
+                    const Q8PackView &w, float *c, std::int64_t ldc);
 
 // NEON / AArch64 (kernels_neon.cc); its microF32 and int8 panel slots
 // run the scalar references.

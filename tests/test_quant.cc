@@ -94,16 +94,6 @@ quantPair(const QuantGemmShape &s, std::vector<std::int8_t> &qa,
     quantizeRowsInto(b.data(), s.n, s.k, qb.data(), sb.data());
 }
 
-/** Codes biased by +128: the panel kernel's activation operand. */
-std::vector<std::uint8_t>
-biased(const std::vector<std::int8_t> &q)
-{
-    std::vector<std::uint8_t> u(q.size());
-    for (std::size_t i = 0; i < q.size(); ++i)
-        u[i] = static_cast<std::uint8_t>(q[i]) ^ 0x80u;
-    return u;
-}
-
 /** A QuantTensor over rows × nb blocks of codes and scales, packed. */
 QuantTensor
 packed(std::int64_t rows, std::int64_t nb, const std::vector<std::int8_t> &q,
@@ -122,7 +112,8 @@ packed(std::int64_t rows, std::int64_t nb, const std::vector<std::int8_t> &q,
 
 /**
  * C (m×n) = Aq · Bqᵀ through the active dotQ8Panel, the m rows fed in
- * panels of @p panel_rows.
+ * panels of @p panel_rows, each row one tap of all nb blocks (the
+ * Linear driver's form).
  */
 std::vector<float>
 dotRows(const QuantGemmShape &s, std::int64_t nb,
@@ -130,12 +121,16 @@ dotRows(const QuantGemmShape &s, std::int64_t nb,
         const QuantTensor &wb, std::int64_t panel_rows)
 {
     const simd::DotQ8PanelFn panel = activeKernels().dotQ8Panel;
-    const std::vector<std::uint8_t> ua = biased(qa);
+    std::vector<const std::int8_t *> tq(static_cast<std::size_t>(s.m));
+    std::vector<const float *> ts(static_cast<std::size_t>(s.m));
+    for (std::int64_t r = 0; r < s.m; ++r) {
+        tq[static_cast<std::size_t>(r)] = qa.data() + r * nb * kQuantBlock;
+        ts[static_cast<std::size_t>(r)] = sa.data() + r * nb;
+    }
     std::vector<float> c(static_cast<std::size_t>(s.m * s.n), -1.0f);
     for (std::int64_t i = 0; i < s.m; i += panel_rows)
-        panel(ua.data() + i * nb * kQuantBlock, sa.data() + i * nb,
-              std::min(panel_rows, s.m - i), wb.pack.view(),
-              c.data() + i * s.n, s.n);
+        panel(tq.data() + i, ts.data() + i, std::min(panel_rows, s.m - i), 1,
+              wb.pack.view(), c.data() + i * s.n, s.n);
     return c;
 }
 
@@ -263,10 +258,14 @@ TEST_F(QuantTest, PanelKernelKnownAnswersEveryKernelSet)
 {
     // Hand-built blocks: all +127 against all -127 (the largest block
     // dot, 32·127·127), alternating signs, single-lane spikes, and
-    // zero-scale pad pixels (biased code 0x80, scale 0). The expected
-    // outputs come from int64 block sums and the same fmaf fold the
-    // slot pins, so a kernel that miscomputes one block dot, drops a
-    // block, reorders the fold or leaks a lane fails the memcmp.
+    // zero-scale pad pixels (code 0, scale 0). The expected outputs
+    // come from int64 block sums and the same fmaf fold the slot pins,
+    // so a kernel that miscomputes one block dot, drops a block,
+    // reorders the fold or leaks a lane fails the memcmp. Each row is
+    // read as every whole split into taps (one tap of nb blocks, ...,
+    // nb taps of one block), each tap in its own allocation, so a
+    // kernel that walks a row as one contiguous span or mixes up two
+    // taps fails it too.
     for (const std::int64_t nb : {1, 2, 3, 4}) {
         for (const std::int64_t cout : {1, 3, 8, 16, 17, 33}) {
             std::vector<std::int8_t> wq(
@@ -315,17 +314,39 @@ TEST_F(QuantTest, PanelKernelKnownAnswersEveryKernelSet)
                         }
                         want[static_cast<std::size_t>(r * cout + co)] = acc;
                     }
-                const std::vector<std::uint8_t> ua = biased(aq);
-                for (const KernelSet *set : compiledKernelSets()) {
-                    if (!hostSupportsKernelSet(*set))
+                for (std::int64_t taps = 1; taps <= nb; ++taps) {
+                    if (nb % taps != 0)
                         continue;
-                    std::vector<float> got(want.size(), -1.0f);
-                    set->dotQ8Panel(ua.data(), as.data(), rows, w.pack.view(),
-                                    got.data(), cout);
-                    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
-                                             want.size() * sizeof(float)))
-                        << set->name << " nb=" << nb << " cout=" << cout
-                        << " rows=" << rows;
+                    const std::int64_t nbt = nb / taps;
+                    std::vector<std::vector<std::int8_t>> tap_q;
+                    std::vector<std::vector<float>> tap_s;
+                    std::vector<const std::int8_t *> tq;
+                    std::vector<const float *> ts;
+                    for (std::int64_t r = 0; r < rows; ++r)
+                        for (std::int64_t t = 0; t < taps; ++t) {
+                            const std::int64_t b0 = r * nb + t * nbt;
+                            tap_q.emplace_back(
+                                aq.begin() + b0 * kQuantBlock,
+                                aq.begin() + (b0 + nbt) * kQuantBlock);
+                            tap_s.emplace_back(as.begin() + b0,
+                                               as.begin() + b0 + nbt);
+                        }
+                    for (std::size_t i = 0; i < tap_q.size(); ++i) {
+                        tq.push_back(tap_q[i].data());
+                        ts.push_back(tap_s[i].data());
+                    }
+                    for (const KernelSet *set : compiledKernelSets()) {
+                        if (!hostSupportsKernelSet(*set))
+                            continue;
+                        std::vector<float> got(want.size(), -1.0f);
+                        set->dotQ8Panel(tq.data(), ts.data(), rows, taps,
+                                        w.pack.view(), got.data(), cout);
+                        EXPECT_EQ(0,
+                                  std::memcmp(got.data(), want.data(),
+                                              want.size() * sizeof(float)))
+                            << set->name << " nb=" << nb << " taps=" << taps
+                            << " cout=" << cout << " rows=" << rows;
+                    }
                 }
             }
         }

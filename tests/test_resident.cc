@@ -17,6 +17,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.hh"
@@ -138,8 +140,10 @@ runResidentConv(const QuantActivation &in, const QuantTensor &wq_hwc,
                   static_cast<int>(cout))),
               0);
     os.assign(static_cast<std::size_t>(rows * quantBlocks(cout)), 0.0f);
-    convForwardResident(in, k, k, stride, pad, wq_hwc, epi, oq.data(),
-                        os.data(), nullptr, nullptr);
+    const ConvGeometry g{in.c, in.h, in.w, static_cast<int>(cout), k, k,
+                         stride, pad};
+    convForwardResident(in, g, wq_hwc, epi, oq.data(), os.data(), nullptr,
+                        nullptr);
 }
 
 TEST_F(ResidentTest, ResidentConvTracksFp32Conv)
@@ -161,8 +165,9 @@ TEST_F(ResidentTest, ResidentConvTracksFp32Conv)
     std::vector<float> ones(static_cast<std::size_t>(cout), 1.0f);
     const ResidentEpilogue bias_epi{ones.data(), conv.bias().value.data(),
                                     false};
-    convForwardResident(rb.act, k, k, stride, pad, conv.qweightHwc(),
-                        bias_epi, nullptr, nullptr, nullptr, y8.data());
+    convForwardResident(rb.act, conv.geometry(rb.act.h, rb.act.w),
+                        conv.qweightHwc(), bias_epi, nullptr, nullptr, nullptr,
+                        y8.data());
     ASSERT_EQ(y8.numel(), y32.numel());
     // Both weights AND activations carry code error here, so the band
     // is wider than a quantized conv's own forward needs (fp32 over the
@@ -184,9 +189,9 @@ TEST_F(ResidentTest, ResidentConvTracksFp32Conv)
     gemm.prepareResident();
     const ResidentBuffers ra = makeResident(a);
     Tensor g8({2, 40, 3, 4});
-    convForwardResident(ra.act, 1, 1, 1, 0, gemm.qweightHwc(),
-                        ResidentEpilogue{}, nullptr, nullptr, nullptr,
-                        g8.data());
+    convForwardResident(ra.act, gemm.geometry(ra.act.h, ra.act.w),
+                        gemm.qweightHwc(), ResidentEpilogue{}, nullptr,
+                        nullptr, nullptr, g8.data());
     for (std::size_t i = 0; i < g8.numel(); ++i)
         EXPECT_NEAR(g8[i], g32[i], 0.08) << "1x1 element " << i;
 }
@@ -265,7 +270,7 @@ TEST_F(ResidentTest, ResidentConvEveryCompiledKernelSetMatchesScalar)
         const ResidentBuffers rb = makeResident(x);
         runResidentConv(rb.act, conv.qweightHwc(), k, 1, 1, epi, want_q,
                         want_s);
-        convForwardResident(rb.act, k, k, 1, 1, conv.qweightHwc(),
+        convForwardResident(rb.act, conv.geometry(10, 9), conv.qweightHwc(),
                             ResidentEpilogue{}, nullptr, nullptr, nullptr,
                             want_f.data());
     }
@@ -289,12 +294,372 @@ TEST_F(ResidentTest, ResidentConvEveryCompiledKernelSetMatchesScalar)
                               want_s.size() * sizeof(float)))
             << set->name << " resident scales diverge from scalar";
         std::vector<float> got_f(want_f.size(), -1.0f);
-        convForwardResident(rb.act, k, k, 1, 1, conv.qweightHwc(),
+        convForwardResident(rb.act, conv.geometry(10, 9), conv.qweightHwc(),
                             ResidentEpilogue{}, nullptr, nullptr, nullptr,
                             got_f.data());
         EXPECT_EQ(0, std::memcmp(got_f.data(), want_f.data(),
                                  want_f.size() * sizeof(float)))
             << set->name << " resident fp32 exit diverges from scalar";
+    }
+}
+
+/**
+ * The resident conv as it ran before it read patches in place, kept as
+ * a test reference: every patch row is gathered into a contiguous
+ * panel row — an interior kernel row as one span of kw pixels, a
+ * border pixel alone, a padding pixel as code 0 with scale 0 — and the
+ * panel runs each gathered row as one tap of all its blocks. Writes
+ * the epilogued fp32 pixel-major rows (n·oh·ow × cout); the exits are
+ * derived from them by exitsFromRows.
+ */
+std::vector<float>
+gatherConvReference(const QuantActivation &in, const ConvGeometry &g,
+                    const QuantTensor &wq_hwc, const ResidentEpilogue &epi)
+{
+    const std::int64_t nbc = in.nbc();
+    const std::int64_t cpad = nbc * kQuantBlock;
+    const std::int64_t taps = static_cast<std::int64_t>(g.kh) * g.kw;
+    const std::int64_t row_blocks = taps * nbc;
+    const std::int64_t cout = g.cout;
+    const std::int64_t ohow = static_cast<std::int64_t>(g.oh()) * g.ow();
+    const std::int64_t total = in.n * ohow;
+    const std::int64_t hw = static_cast<std::int64_t>(in.h) * in.w;
+    std::vector<std::int8_t> pq(static_cast<std::size_t>(total * taps * cpad),
+                                0);
+    std::vector<float> ps(static_cast<std::size_t>(total * row_blocks), 0.0f);
+    for (std::int64_t p = 0; p < total; ++p) {
+        const std::int64_t img = p / ohow;
+        const int oy = static_cast<int>((p % ohow) / g.ow());
+        const int ox = static_cast<int>(p % g.ow());
+        const int y0 = oy * g.stride - g.pad;
+        const int x0 = ox * g.stride - g.pad;
+        std::int8_t *dq = pq.data() + p * taps * cpad;
+        float *ds = ps.data() + p * row_blocks;
+        for (int ky = 0; ky < g.kh; ++ky) {
+            const int iy = y0 + ky;
+            const bool row_ok = iy >= 0 && iy < in.h;
+            if (row_ok && x0 >= 0 && x0 + g.kw <= in.w) {
+                const std::int64_t src = img * hw + iy * in.w + x0;
+                std::memcpy(dq + ky * g.kw * cpad, in.q + src * cpad,
+                            static_cast<std::size_t>(g.kw * cpad));
+                std::memcpy(ds + ky * g.kw * nbc, in.scales + src * nbc,
+                            static_cast<std::size_t>(g.kw * nbc)
+                                * sizeof(float));
+                continue;
+            }
+            for (int kx = 0; kx < g.kw; ++kx) {
+                const int ix = x0 + kx;
+                if (!row_ok || ix < 0 || ix >= in.w)
+                    continue; // padding: the zeros already there
+                const std::int64_t src = img * hw + iy * in.w + ix;
+                const int kpos = ky * g.kw + kx;
+                std::memcpy(dq + kpos * cpad, in.q + src * cpad,
+                            static_cast<std::size_t>(cpad));
+                std::memcpy(ds + kpos * nbc, in.scales + src * nbc,
+                            static_cast<std::size_t>(nbc) * sizeof(float));
+            }
+        }
+    }
+    std::vector<const std::int8_t *> tq;
+    std::vector<const float *> ts;
+    for (std::int64_t p = 0; p < total; ++p) {
+        tq.push_back(pq.data() + p * taps * cpad);
+        ts.push_back(ps.data() + p * row_blocks);
+    }
+    std::vector<float> rows(static_cast<std::size_t>(total * cout));
+    const KernelSet &k = activeKernels();
+    for (std::int64_t p = 0; p < total; p += 16)
+        k.dotQ8Panel(tq.data() + p, ts.data() + p,
+                     std::min<std::int64_t>(16, total - p), 1,
+                     wq_hwc.pack.view(), rows.data() + p * cout, cout);
+    for (std::int64_t p = 0; p < total; ++p) {
+        float *row = rows.data() + p * cout;
+        if (epi.a != nullptr)
+            k.affineReluRow(row, epi.a, epi.b, cout, epi.relu, row);
+        else if (epi.relu)
+            for (std::int64_t ch = 0; ch < cout; ++ch)
+                row[ch] = row[ch] > 0.0f ? row[ch] : 0.0f;
+    }
+    return rows;
+}
+
+/** The three resident-conv exits, computed from fp32 pixel rows. */
+struct ResidentExits
+{
+    std::vector<std::int8_t> q;
+    std::vector<float> s;
+    std::vector<float> rows;
+    std::vector<float> planes;
+};
+
+ResidentExits
+exitsFromRows(const std::vector<float> &rows, int n, int cout, int oh,
+              int ow)
+{
+    ResidentExits e;
+    const std::int64_t ohow = static_cast<std::int64_t>(oh) * ow;
+    const std::int64_t total = n * ohow;
+    e.q.assign(static_cast<std::size_t>(total * quantPadded(cout)), 0);
+    e.s.assign(static_cast<std::size_t>(total * quantBlocks(cout)), 0.0f);
+    quantizeRowsInto(rows.data(), total, cout, e.q.data(), e.s.data());
+    e.rows = rows;
+    e.planes.assign(rows.size(), 0.0f);
+    for (std::int64_t p = 0; p < total; ++p)
+        for (int co = 0; co < cout; ++co)
+            e.planes[static_cast<std::size_t>(
+                ((p / ohow) * cout + co) * ohow + p % ohow)] =
+                rows[static_cast<std::size_t>(p * cout + co)];
+    return e;
+}
+
+/** convForwardResident through each of its three exits. */
+ResidentExits
+inPlaceExits(const QuantActivation &in, const ConvGeometry &g,
+             const QuantTensor &wq_hwc, const ResidentEpilogue &epi)
+{
+    ResidentExits e;
+    const std::int64_t total =
+        static_cast<std::int64_t>(in.n) * g.oh() * g.ow();
+    e.q.assign(static_cast<std::size_t>(total * quantPadded(g.cout)), 0);
+    e.s.assign(static_cast<std::size_t>(total * quantBlocks(g.cout)), 0.0f);
+    e.rows.assign(static_cast<std::size_t>(total * g.cout), -1.0f);
+    e.planes.assign(e.rows.size(), -1.0f);
+    convForwardResident(in, g, wq_hwc, epi, e.q.data(), e.s.data(), nullptr,
+                        nullptr);
+    convForwardResident(in, g, wq_hwc, epi, nullptr, nullptr, e.rows.data(),
+                        nullptr);
+    convForwardResident(in, g, wq_hwc, epi, nullptr, nullptr, nullptr,
+                        e.planes.data());
+    return e;
+}
+
+/** Empty when @p got is bit-identical to @p want, else what differs. */
+std::string
+exitDiff(const ResidentExits &got, const ResidentExits &want)
+{
+    std::string diff;
+    const auto same = [](const auto &a, const auto &b) {
+        return a.size() == b.size()
+               && std::memcmp(a.data(), b.data(),
+                              a.size() * sizeof(a[0]))
+                      == 0;
+    };
+    if (!same(got.q, want.q))
+        diff += " codes";
+    if (!same(got.s, want.s))
+        diff += " scales";
+    if (!same(got.rows, want.rows))
+        diff += " rows";
+    if (!same(got.planes, want.planes))
+        diff += " planes";
+    return diff;
+}
+
+TEST_F(ResidentTest, InPlaceConvMatchesGatherReferenceEveryKernelSet)
+{
+    // Odd extents, both strides and pads, 1x1 and 3x3 kernels (a 1x1
+    // conv with pad 1 reads a ring of pure padding taps), one to four
+    // channel blocks against narrow, odd and two-group outputs, and
+    // batches of 1, 3 and 8 images. The gather reference runs on the
+    // scalar set; every host-runnable set must reproduce it bit for bit
+    // through every exit.
+    const KernelSet *scalar = kernelSetByName("scalar");
+    ASSERT_NE(scalar, nullptr);
+    struct Case
+    {
+        int h, w, stride, pad, k, cin, cout, n;
+    };
+    std::vector<Case> cases;
+    const int batches[] = {1, 3, 8};
+    for (const auto &hw : {std::pair{7, 5}, std::pair{9, 9}})
+        for (const int stride : {1, 2})
+            for (const int pad : {0, 1})
+                for (const int k : {1, 3})
+                    for (const int cin : {16, 48, 96, 128})
+                        for (const int cout : {3, 17, 64})
+                            cases.push_back({hw.first, hw.second, stride, pad,
+                                             k, cin, cout,
+                                             batches[cases.size() % 3]});
+    Rng rng(197);
+    std::uint64_t seed = 199;
+    for (const Case &c : cases) {
+        Conv2d conv(c.cin, c.cout, c.k, c.stride, c.pad, false, rng);
+        std::vector<QuantStat> stats;
+        conv.quantizeWeights(stats);
+        conv.prepareResident();
+        Tensor x = Tensor::fromData(
+            {c.n, c.cin, c.h, c.w},
+            randomVec(static_cast<std::size_t>(c.n) * c.cin * c.h * c.w,
+                      seed++));
+        const ResidentBuffers rb = makeResident(x);
+        const std::vector<float> ea =
+            randomVec(static_cast<std::size_t>(c.cout), seed++);
+        const std::vector<float> eb =
+            randomVec(static_cast<std::size_t>(c.cout), seed++);
+        const ResidentEpilogue epi{ea.data(), eb.data(), seed % 2 == 0};
+        const ConvGeometry g = conv.geometry(c.h, c.w);
+        ResidentExits want;
+        {
+            ScopedKernelOverride force(*scalar);
+            want = exitsFromRows(
+                gatherConvReference(rb.act, g, conv.qweightHwc(), epi), c.n,
+                c.cout, g.oh(), g.ow());
+        }
+        for (const KernelSet *set : compiledKernelSets()) {
+            if (!hostSupportsKernelSet(*set))
+                continue;
+            ScopedKernelOverride force(*set);
+            const ResidentExits got =
+                inPlaceExits(rb.act, g, conv.qweightHwc(), epi);
+            EXPECT_EQ(exitDiff(got, want), "")
+                << set->name << " in-place conv diverges from the gather at "
+                << c.h << "x" << c.w << " n=" << c.n << " cin=" << c.cin
+                << " cout=" << c.cout << " k=" << c.k
+                << " stride=" << c.stride << " pad=" << c.pad;
+        }
+    }
+}
+
+/** Random values for every Param and state tensor of @p layer (BN
+ *  running variances kept positive), in enumeration order. */
+void
+randomizeLayer(Layer &layer, std::uint64_t seed)
+{
+    for (Param *p : layer.params()) {
+        const std::vector<float> v = randomVec(p->value.numel(), seed++);
+        std::copy(v.begin(), v.end(), p->value.data());
+    }
+    const std::vector<Tensor *> st = layer.state();
+    for (std::size_t i = 0; i < st.size(); ++i) {
+        const std::vector<float> v = randomVec(st[i]->numel(), seed++);
+        for (std::size_t j = 0; j < v.size(); ++j)
+            // state() lists (mean, var) per BatchNorm.
+            st[i]->data()[j] = i % 2 == 0 ? 0.2f * v[j] : 1.0f + 0.5f * v[j];
+    }
+}
+
+/** Copy every Param and state tensor of @p from into @p to, which must
+ *  enumerate the same tensors in the same order. */
+void
+copyLayerValues(Layer &from, const std::vector<Layer *> &to)
+{
+    std::vector<Param *> dst_p;
+    std::vector<Tensor *> dst_s;
+    for (Layer *l : to) {
+        for (Param *p : l->params())
+            dst_p.push_back(p);
+        for (Tensor *t : l->state())
+            dst_s.push_back(t);
+    }
+    const std::vector<Param *> src_p = from.params();
+    const std::vector<Tensor *> src_s = from.state();
+    ASSERT_EQ(src_p.size(), dst_p.size());
+    ASSERT_EQ(src_s.size(), dst_s.size());
+    const auto copy = [](const Tensor &a, Tensor &b) {
+        ASSERT_EQ(a.numel(), b.numel());
+        std::copy(a.data(), a.data() + a.numel(), b.data());
+    };
+    for (std::size_t i = 0; i < src_p.size(); ++i)
+        copy(src_p[i]->value, dst_p[i]->value);
+    for (std::size_t i = 0; i < src_s.size(); ++i)
+        copy(*src_s[i], *dst_s[i]);
+}
+
+TEST_F(ResidentTest, FusedResidualExitMatchesSeparateSkipPass)
+{
+    // ResidualBlock::forwardResident finishes in conv2's epilogue. The
+    // reference runs the block as it ran before: conv2 (+bn2) to fp32
+    // rows, then a separate pass adding the projection row or the
+    // exact dequantized input row, the final ReLU, and the exit.
+    struct Case
+    {
+        int cin, cout, stride;
+    };
+    for (const Case c : {Case{32, 32, 1}, Case{24, 40, 2}}) {
+        SCOPED_TRACE(c.cin == c.cout ? "identity block" : "projection block");
+        Rng rng(211);
+        ResidualBlock block(c.cin, c.cout, c.stride, rng);
+        randomizeLayer(block, 223);
+        Conv2d conv1(c.cin, c.cout, 3, c.stride, 1, false, rng);
+        BatchNorm2d bn1(c.cout);
+        Conv2d conv2(c.cout, c.cout, 3, 1, 1, false, rng);
+        BatchNorm2d bn2(c.cout);
+        Conv2d proj(c.cin, c.cout, 1, c.stride, 0, false, rng);
+        BatchNorm2d proj_bn(c.cout);
+        const bool has_proj = c.cin != c.cout || c.stride != 1;
+        std::vector<Layer *> parts = {&conv1, &bn1, &conv2, &bn2};
+        if (has_proj) {
+            parts.push_back(&proj);
+            parts.push_back(&proj_bn);
+        }
+        copyLayerValues(block, parts);
+        std::vector<QuantStat> stats;
+        block.quantizeWeights(stats);
+        ASSERT_TRUE(block.planResident());
+        for (Conv2d *conv : {&conv1, &conv2, &proj}) {
+            conv->quantizeWeights(stats);
+            conv->prepareResident();
+        }
+
+        const int n = 3, h = 9, w = 7;
+        Tensor x = Tensor::fromData(
+            {n, c.cin, h, w},
+            randomVec(static_cast<std::size_t>(n) * c.cin * h * w, 227));
+        const ResidentBuffers rb = makeResident(x);
+        const QuantActivation &in = rb.act;
+
+        // Reference: conv1 -> codes, conv2 -> rows, projection -> rows.
+        const auto affine = [](const BatchNorm2d &bn) {
+            std::vector<float> ab(2 * static_cast<std::size_t>(bn.channels()));
+            bn.evalAffineInto(ab.data(), ab.data() + bn.channels());
+            return ab;
+        };
+        const std::vector<float> ab1 = affine(bn1), ab2 = affine(bn2),
+                                 abp = affine(proj_bn);
+        const ConvGeometry g1 = conv1.geometry(h, w);
+        const std::int64_t rows =
+            static_cast<std::int64_t>(n) * g1.oh() * g1.ow();
+        std::vector<std::int8_t> m1q(
+            static_cast<std::size_t>(rows * quantPadded(c.cout)));
+        std::vector<float> m1s(
+            static_cast<std::size_t>(rows * quantBlocks(c.cout)));
+        convForwardResident(in, g1, conv1.qweightHwc(),
+                            {ab1.data(), ab1.data() + c.cout, true},
+                            m1q.data(), m1s.data(), nullptr, nullptr);
+        const QuantActivation m1{n, c.cout, g1.oh(), g1.ow(), m1q.data(),
+                                 m1s.data()};
+        std::vector<float> f2(static_cast<std::size_t>(rows * c.cout));
+        convForwardResident(m1, conv2.geometry(m1.h, m1.w),
+                            conv2.qweightHwc(),
+                            {ab2.data(), ab2.data() + c.cout, false},
+                            nullptr, nullptr, f2.data(), nullptr);
+        std::vector<float> skip(f2.size());
+        if (has_proj) {
+            convForwardResident(in, proj.geometry(h, w), proj.qweightHwc(),
+                                {abp.data(), abp.data() + c.cout, false},
+                                nullptr, nullptr, skip.data(), nullptr);
+        } else {
+            for (std::int64_t p = 0; p < rows; ++p)
+                activeKernels().dequantizeRow(
+                    in.q + p * quantPadded(in.c),
+                    in.scales + p * in.nbc(), in.c,
+                    skip.data() + p * c.cout);
+        }
+        for (std::size_t i = 0; i < f2.size(); ++i) {
+            const float v = f2[i] + skip[i];
+            f2[i] = v > 0.0f ? v : 0.0f;
+        }
+        const ResidentExits want =
+            exitsFromRows(f2, n, c.cout, g1.oh(), g1.ow());
+
+        ResidentExits got;
+        got.q.assign(want.q.size(), 0);
+        got.s.assign(want.s.size(), 0.0f);
+        got.planes.assign(want.planes.size(), -1.0f);
+        block.forwardResident(in, got.q.data(), got.s.data(), nullptr);
+        block.forwardResident(in, nullptr, nullptr, got.planes.data());
+        got.rows = want.rows; // the block has no rows exit
+        EXPECT_EQ(exitDiff(got, want), "");
     }
 }
 
