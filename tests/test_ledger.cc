@@ -15,6 +15,9 @@
  *   eval_int8_b8 — logits of the quantize()d pipeline's Eval forward;
  *   wire — every frame's bytes from the serve wire encoder of the
  *     quantized pipeline;
+ *   ckpt_fp32 / ckpt_int8 — the bytes LecaPipeline::save writes, and
+ *     those saveQuantized writes after quantize(); they pin the order
+ *     of params(), state() and quantTensors() over the layer tree;
  *   <method>_process / <method>_wire — for each compression baseline
  *     (cnv, sd, lr, dct, ms, cs, jpeg, agt, learned), its process()
  *     reconstruction of the ledger frames and its wireSymbols() stream
@@ -37,6 +40,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -84,6 +89,8 @@ const Family kLedger[] = {
     {"eval_fp32_b8", 0xaa5ada09bf5f8631ULL},
     {"eval_int8_b8", 0x74b3f5b8c5149e7aULL},
     {"wire", 0xc1e5747aa3492158ULL},
+    {"ckpt_fp32", 0x61541c85748d59feULL},
+    {"ckpt_int8", 0x8d2477a8e9597cedULL},
     {"cnv_process", 0x82a37dd6df3b1fb3ULL},
     {"cnv_wire", 0x0a8317b5c081f97aULL},
     {"sd_process", 0x79f0f1b8cac810f4ULL},
@@ -273,6 +280,31 @@ TEST(Ledger, QuantizedForwardAndWireBytes)
         h.update(bytes.data(), bytes.size());
     }
     expectFamily("wire", h.digest());
+}
+
+/** The digest of the file at @p path. */
+std::uint64_t
+digestOfFile(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    const std::vector<char> bytes{std::istreambuf_iterator<char>(is),
+                                  std::istreambuf_iterator<char>()};
+    EXPECT_FALSE(bytes.empty()) << path;
+    Fnv1a h;
+    h.update(bytes.data(), bytes.size());
+    return h.digest();
+}
+
+TEST(Ledger, CheckpointBytes)
+{
+    auto pipeline = makeLedgerPipeline();
+    const std::string path = ::testing::TempDir() + "/leca_ledger.ckpt";
+    pipeline->save(path);
+    expectFamily("ckpt_fp32", digestOfFile(path));
+    pipeline->quantize();
+    pipeline->saveQuantized(path);
+    expectFamily("ckpt_int8", digestOfFile(path));
+    std::remove(path.c_str());
 }
 
 /** Assert @p method's <key>_process and <key>_wire families. */
