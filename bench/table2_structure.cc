@@ -53,11 +53,14 @@ printStructure(const LecaConfig &cfg, int w, int h, const char *title)
     table.print(std::cout);
 
     Rng rng(1);
-    LecaDecoder decoder(cfg, rng);
+    const auto decoder = makeDecoder(cfg, rng);
+    std::size_t dec_params = 0;
+    for (const Param *p : decoder->params())
+        dec_params += p->value.numel();
     const std::size_t enc_params =
         static_cast<std::size_t>(nch) * c * k * k;
     std::cout << "encoder parameters: " << enc_params
-              << ", decoder parameters: " << decoder.parameterCount()
+              << ", decoder parameters: " << dec_params
               << ", CR (Eq. 1): " << Table::num(cfg.compressionRatio(), 2)
               << "x\n";
 }

@@ -88,7 +88,7 @@ main()
     // Curriculum as in classification (Sec. 3.4): soft pre-training,
     // then hardware-model fine-tuning.
     encoder.setModality(EncoderModality::Soft);
-    LecaDecoder decoder(cfg, init);
+    const auto decoder = makeDecoder(cfg, init);
     Sequential head;
     head.emplace<Conv2d>(3, 8, 3, 2, 1, true, init);
     head.emplace<Relu>();
@@ -96,7 +96,7 @@ main()
     head.emplace<Linear>(8 * (hw / 2) * (hw / 2), 2, init);
 
     std::vector<Param *> params = encoder.params();
-    for (Param *p : decoder.params())
+    for (Param *p : decoder->params())
         params.push_back(p);
     for (Param *p : head.params())
         params.push_back(p);
@@ -105,7 +105,7 @@ main()
 
     auto val_error = [&]() {
         const Tensor features = encoder.forward(val_x, Mode::Eval);
-        const Tensor decoded = decoder.forward(features, Mode::Eval);
+        const Tensor decoded = decoder->forward(features, Mode::Eval);
         const Tensor pred = head.forward(decoded, Mode::Eval);
         double err = 0.0;
         for (int i = 0; i < n_val; ++i)
@@ -138,11 +138,11 @@ main()
                       train_y.data() + (begin + batch) * 2, yb.data());
             adam.zeroGrad();
             const Tensor features = encoder.forward(xb, Mode::Train);
-            const Tensor decoded = decoder.forward(features, Mode::Train);
+            const Tensor decoded = decoder->forward(features, Mode::Train);
             const Tensor pred = head.forward(decoded, Mode::Train);
             epoch_loss += loss.forward(pred, yb);
             const Tensor d_decoded = head.backward(loss.backward());
-            const Tensor d_features = decoder.backward(d_decoded);
+            const Tensor d_features = decoder->backward(d_decoded);
             encoder.backward(d_features);
             adam.step();
         }

@@ -7,7 +7,8 @@
 
 namespace leca {
 
-LecaDecoder::LecaDecoder(const LecaConfig &config, Rng &init_rng)
+std::unique_ptr<Sequential>
+makeDecoder(const LecaConfig &config, Rng &init_rng)
 {
     config.validate();
     const int c = config.inChannels;
@@ -15,40 +16,21 @@ LecaDecoder::LecaDecoder(const LecaConfig &config, Rng &init_rng)
     const int kd = config.decoderKernel;
     const int pad = kd / 2;
 
+    auto net = std::make_unique<Sequential>();
     // Upsample the ofmap back to the image extent (Table 2, row 1).
-    _net.emplace<ConvTranspose2d>(config.nch, c, config.kernel,
+    net->emplace<ConvTranspose2d>(config.nch, c, config.kernel,
                                   config.kernel, true, init_rng);
     // M DnCNN-style denoising blocks (Table 2, row 2).
     for (int m = 0; m < config.decoderDncnnLayers; ++m) {
-        _net.emplace<Conv2d>(c, c, kd, 1, pad, true, init_rng);
-        _net.emplace<Relu>();
+        net->emplace<Conv2d>(c, c, kd, 1, pad, true, init_rng);
+        net->emplace<Relu>();
     }
     // Filtered head (Table 2, rows 3-4).
-    _net.emplace<Conv2d>(c, f, kd, 1, pad, false, init_rng);
-    _net.emplace<BatchNorm2d>(f);
-    _net.emplace<Relu>();
-    _net.emplace<Conv2d>(f, c, kd, 1, pad, true, init_rng);
-}
-
-Tensor
-LecaDecoder::forward(const Tensor &x, Mode mode)
-{
-    return _net.forward(x, mode);
-}
-
-Tensor
-LecaDecoder::backward(const Tensor &grad_out)
-{
-    return _net.backward(grad_out);
-}
-
-std::size_t
-LecaDecoder::parameterCount()
-{
-    std::size_t count = 0;
-    for (Param *p : params())
-        count += p->value.numel();
-    return count;
+    net->emplace<Conv2d>(c, f, kd, 1, pad, false, init_rng);
+    net->emplace<BatchNorm2d>(f);
+    net->emplace<Relu>();
+    net->emplace<Conv2d>(f, c, kd, 1, pad, true, init_rng);
+    return net;
 }
 
 } // namespace leca

@@ -10,50 +10,17 @@
 #ifndef LECA_CORE_DECODER_HH
 #define LECA_CORE_DECODER_HH
 
+#include <memory>
+
 #include "core/leca_config.hh"
 #include "nn/sequential.hh"
 #include "util/rng.hh"
 
 namespace leca {
 
-/** Decoder network; a thin wrapper around a Sequential stack. */
-class LecaDecoder : public Layer
-{
-  public:
-    LecaDecoder(const LecaConfig &config, Rng &init_rng);
-
-    Tensor forward(const Tensor &x, Mode mode) override;
-    Tensor backward(const Tensor &grad_out) override;
-    std::vector<Param *> params() override { return _net.params(); }
-    std::vector<Tensor *> state() override { return _net.state(); }
-    void
-    setStatsRefresh(bool enable) override
-    {
-        _net.setStatsRefresh(enable);
-    }
-    void
-    quantizeWeights(std::vector<QuantStat> &stats) override
-    {
-        _net.quantizeWeights(stats);
-    }
-    std::vector<QuantTensor *> quantTensors() override
-    {
-        return _net.quantTensors();
-    }
-
-    /**
-     * The decoder stack. Restores that bypass quantizeWeights
-     * (Pipeline::loadQuantized) rebuild its quantized execution plan
-     * through it (DESIGN.md §13).
-     */
-    Sequential &net() { return _net; }
-
-    /** Total parameter count (for the Table 2 size discussion). */
-    std::size_t parameterCount();
-
-  private:
-    Sequential _net;
-};
+/** The decoder network for @p config, initialised from @p init_rng. */
+std::unique_ptr<Sequential> makeDecoder(const LecaConfig &config,
+                                        Rng &init_rng);
 
 } // namespace leca
 

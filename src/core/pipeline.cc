@@ -1,6 +1,7 @@
 #include "pipeline.hh"
 
 #include "analog/mismatch.hh"
+#include "core/decoder.hh"
 #include "data/serialize.hh"
 #include "util/check.hh"
 
@@ -17,7 +18,7 @@ LecaPipeline::LecaPipeline(const Options &options,
     Rng init(options.seed);
     _encoder = std::make_unique<LecaEncoder>(options.leca, options.circuit,
                                              options.sensor, init);
-    _decoder = std::make_unique<LecaDecoder>(options.leca, init);
+    _decoder = makeDecoder(options.leca, init);
     LECA_CHECK(_backbone != nullptr, "pipeline needs a backbone");
     _backbone->freeze(true);
 
@@ -69,59 +70,6 @@ LecaPipeline::backward(const Tensor &grad_logits)
     return _encoder->backward(g_features);
 }
 
-namespace {
-
-/** @p get of each of @p children, concatenated in order. */
-template <typename Get>
-auto
-concat(const std::array<Layer *, 3> &children, Get get)
-{
-    decltype(get(*children[0])) out;
-    for (Layer *child : children) {
-        const auto more = get(*child);
-        out.insert(out.end(), more.begin(), more.end());
-    }
-    return out;
-}
-
-} // namespace
-
-// leca-analyze: cold — parameter enumeration (checkpoint/optimizer setup)
-std::vector<Param *>
-LecaPipeline::params()
-{
-    return concat(children(), [](Layer &l) { return l.params(); });
-}
-
-// leca-analyze: cold — state enumeration (checkpoint setup)
-std::vector<Tensor *>
-LecaPipeline::state()
-{
-    return concat(children(), [](Layer &l) { return l.state(); });
-}
-
-// leca-analyze: cold — quantized-tensor enumeration (checkpoint setup)
-std::vector<QuantTensor *>
-LecaPipeline::quantTensors()
-{
-    return concat(children(), [](Layer &l) { return l.quantTensors(); });
-}
-
-void
-LecaPipeline::setStatsRefresh(bool enable)
-{
-    for (Layer *child : children())
-        child->setStatsRefresh(enable);
-}
-
-// leca-analyze: cold — one-shot weight conversion (setup)
-void
-LecaPipeline::quantizeWeights(std::vector<QuantStat> &stats)
-{
-    for (Layer *child : children())
-        child->quantizeWeights(stats);
-}
-
 void
 LecaPipeline::setBackboneFrozen(bool frozen)
 {
@@ -160,6 +108,7 @@ LecaPipeline::quantize()
 {
     QuantizationReport report;
     quantizeWeights(report.layers);
+    planQuantized(*this);
     _quantized = true;
     return report;
 }
@@ -191,11 +140,10 @@ LecaPipeline::loadQuantized(const std::string &path)
 {
     if (!loadQuantizedState(*this, path))
         return false;
-    // Restores bypass quantizeWeights, so build the resident execution
-    // plans here; the HWC layouts derive from the restored CODES, so
-    // this inference is bit-identical to a quantize()d pipeline's.
-    _decoder->net().planQuantized();
-    _backbone->planQuantized();
+    // The same planning pass quantize() ends in: the HWC layouts and
+    // packs derive from the restored CODES, so this inference is
+    // bit-identical to a quantize()d pipeline's.
+    planQuantized(*this);
     _quantized = true;
     return true;
 }

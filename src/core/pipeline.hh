@@ -8,11 +8,9 @@
 #ifndef LECA_CORE_PIPELINE_HH
 #define LECA_CORE_PIPELINE_HH
 
-#include <array>
 #include <memory>
 #include <string>
 
-#include "core/decoder.hh"
 #include "core/encoder.hh"
 #include "nn/sequential.hh"
 #include "sensor/noise.hh"
@@ -44,7 +42,7 @@ class LecaPipeline : public Layer
                  std::unique_ptr<Sequential> backbone);
 
     LecaEncoder &encoder() { return *_encoder; }
-    LecaDecoder &decoder() { return *_decoder; }
+    Sequential &decoder() { return *_decoder; }
     Sequential &backbone() { return *_backbone; }
 
     /** Switch the encoder modality (soft / hard / noisy). */
@@ -63,15 +61,18 @@ class LecaPipeline : public Layer
     /** Backpropagate through the whole stack; returns dL/d image. */
     Tensor backward(const Tensor &grad_logits) override;
 
-    /** Encoder, decoder, backbone params (the backbone's start frozen). */
-    std::vector<Param *> params() override;
+    /**
+     * Encoder, decoder, backbone: the order of every enumeration, so
+     * params() lists the encoder's, the decoder's and then the
+     * backbone's (which start frozen), and state() the decoder's and
+     * then the backbone's batch-norm running statistics.
+     */
+    std::vector<Layer *>
+    children() override
+    {
+        return {_encoder.get(), _decoder.get(), _backbone.get()};
+    }
     std::vector<Param *> allParams() { return params(); }
-
-    /** Decoder then backbone batch-norm running statistics. */
-    std::vector<Tensor *> state() override;
-    void setStatsRefresh(bool enable) override;
-    void quantizeWeights(std::vector<QuantStat> &stats) override;
-    std::vector<QuantTensor *> quantTensors() override;
 
     /** Unfreeze/refreeze the backbone (Sec. 6.4 ablation). */
     void setBackboneFrozen(bool frozen);
@@ -127,18 +128,11 @@ class LecaPipeline : public Layer
 
   private:
     std::unique_ptr<LecaEncoder> _encoder;
-    std::unique_ptr<LecaDecoder> _decoder;
+    std::unique_ptr<Sequential> _decoder;
     std::unique_ptr<Sequential> _backbone;
     PixelNoiseModel _pixelNoise;
     Rng _noiseRng;
     bool _quantized = false;
-
-    /** Encoder, decoder, backbone: the order of every enumeration. */
-    std::array<Layer *, 3>
-    children()
-    {
-        return {_encoder.get(), _decoder.get(), _backbone.get()};
-    }
 };
 
 } // namespace leca

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "data/augment.hh"
+#include "nn/batchnorm.hh"
 #include "nn/loss.hh"
 #include "nn/optimizer.hh"
 #include "util/check.hh"
@@ -230,14 +231,20 @@ refreshBatchNormStats(Layer &net, const Dataset &ds, int batch_size)
     const int c = ds.images.size(1), h = ds.images.size(2);
     const int w = ds.images.size(3);
     const std::size_t img_sz = static_cast<std::size_t>(c) * h * w;
-    net.setStatsRefresh(true);
+    const auto setRefresh = [&net](bool enable) {
+        forEachLayer(net, [enable](Layer &layer) {
+            if (auto *bn = dynamic_cast<BatchNorm2d *>(&layer))
+                bn->setStatsRefresh(enable);
+        });
+    };
+    setRefresh(true);
     for (int begin = 0; begin < ds.count(); begin += batch_size) {
         const int count = std::min(batch_size, ds.count() - begin);
         const Tensor batch = Tensor::borrow(
             {count, c, h, w}, ds.images.data() + begin * img_sz);
         net.forward(batch, Mode::Train);
     }
-    net.setStatsRefresh(false);
+    setRefresh(false);
 }
 
 } // namespace leca

@@ -90,9 +90,10 @@ class BatchPipeline
 };
 
 /**
- * Recompute every batch-norm layer's running statistics as the exact
- * average over @p ds (forward-only pass in training mode). Called after
- * short trainings so evaluation matches the final activations.
+ * Recompute the running statistics of every BatchNorm2d in @p net's
+ * layer tree as the exact average over @p ds (forward-only pass in
+ * training mode). Called after short trainings so evaluation matches
+ * the final activations.
  */
 void refreshBatchNormStats(Layer &net, const Dataset &ds,
                            int batch_size = 32);

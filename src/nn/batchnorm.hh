@@ -31,7 +31,13 @@ class BatchNorm2d : public Layer
         return {&_runningMean, &_runningVar};
     }
 
-    void setStatsRefresh(bool enable) override;
+    /**
+     * Toggle the statistics refresh: while enabled, training-mode
+     * forward passes recompute the running statistics as an exact
+     * cumulative average instead of an exponential one
+     * (refreshBatchNormStats, data/trainloop.hh).
+     */
+    void setStatsRefresh(bool enable);
 
     /**
      * The eval-mode normalisation as one per-channel affine y = a·x + b

@@ -60,39 +60,43 @@ class Layer
      */
     virtual Tensor backward(const Tensor &grad_out) = 0;
 
+    /**
+     * The layers this one is made of, in the fixed order every walk of
+     * the tree below keeps (and the checkpoint byte layout depends on).
+     * Empty for a leaf; a container lists its children and inherits
+     * every enumeration.
+     */
+    virtual std::vector<Layer *> children() { return {}; }
+
     /** All trainable parameters of this layer (and its children). */
-    virtual std::vector<Param *> params() { return {}; }
+    virtual std::vector<Param *> params() { return gather(&Layer::params); }
 
     /**
      * Non-trainable persistent state (e.g. batch-norm running
      * statistics) that must be serialized alongside the parameters.
      */
-    virtual std::vector<Tensor *> state() { return {}; }
-
-    /**
-     * Toggle batch-norm statistics refresh: while enabled, training-
-     * mode forward passes recompute the running statistics as an exact
-     * cumulative average instead of an exponential one. Used after
-     * short trainings so evaluation-mode normalisation matches the
-     * final activation distribution.
-     */
-    virtual void setStatsRefresh(bool enable) { (void)enable; }
+    virtual std::vector<Tensor *> state() { return gather(&Layer::state); }
 
     /**
      * Convert this layer's GEMM/conv weights to block-quantized int8
      * (tensor/quant.hh), appending one QuantStat per converted tensor.
-     * After conversion, evaluation-mode forwards compute with the
-     * quantized weights — Linear through the int8 kernels, Conv2d
-     * through the fp32 conv over its dequantized codes unless a
-     * planned Sequential runs it resident (DESIGN.md §13); training-
-     * mode forwards are a checked error (the fp32 weights are
-     * retained for checkpointing, but gradients would no longer match
-     * what inference computes). Layers without dense weights (ReLU,
-     * batch-norm, pooling) keep the default no-op.
+     * Conversion builds no execution plan: planQuantized()
+     * (nn/sequential.hh) runs once over the converted tree. After both,
+     * evaluation-mode forwards compute with the quantized weights —
+     * Linear through the int8 kernels, Conv2d through the fp32 conv
+     * over its dequantized codes unless a planned Sequential runs it
+     * resident (DESIGN.md §13); training-mode forwards are a checked
+     * error (the fp32 weights are retained for checkpointing, but
+     * gradients would no longer match what inference computes). Layers
+     * without dense weights (ReLU, batch-norm, pooling) convert
+     * nothing.
      */
-    virtual void quantizeWeights(std::vector<QuantStat> &stats)
+    // leca-analyze: cold — one-shot weight conversion (setup)
+    virtual void
+    quantizeWeights(std::vector<QuantStat> &stats)
     {
-        (void)stats;
+        for (Layer *child : children())
+            child->quantizeWeights(stats);
     }
 
     /**
@@ -101,7 +105,11 @@ class Layer
      * Quantized checkpoints (data/serialize.hh, container kind 5) walk
      * this list.
      */
-    virtual std::vector<QuantTensor *> quantTensors() { return {}; }
+    virtual std::vector<QuantTensor *>
+    quantTensors()
+    {
+        return gather(&Layer::quantTensors);
+    }
 
     /** Mark every parameter as frozen (or unfrozen). */
     void
@@ -110,7 +118,33 @@ class Layer
         for (Param *p : params())
             p->frozen = frozen;
     }
+
+  private:
+    /** @p get of every child, concatenated in children() order. */
+    // leca-analyze: cold — tree enumeration (setup)
+    template <typename T>
+    std::vector<T *>
+    gather(std::vector<T *> (Layer::*get)())
+    {
+        std::vector<T *> out;
+        for (Layer *child : children()) {
+            const std::vector<T *> more = (child->*get)();
+            out.insert(out.end(), more.begin(), more.end());
+        }
+        return out;
+    }
 };
+
+/** Call @p visit on @p layer, then on every layer below it in tree order. */
+// leca-analyze: cold — tree walk (setup)
+template <typename Visit>
+void
+forEachLayer(Layer &layer, Visit &&visit)
+{
+    visit(layer);
+    for (Layer *child : layer.children())
+        forEachLayer(*child, visit);
+}
 
 using LayerPtr = std::unique_ptr<Layer>;
 

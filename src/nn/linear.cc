@@ -82,7 +82,6 @@ void
 Linear::quantizeWeights(std::vector<QuantStat> &stats)
 {
     _qweight = quantizeRowMajor(_weight.value, _out, _in);
-    _qweight.buildPack();
     stats.push_back({"Linear " + std::to_string(_in) + "->"
                          + std::to_string(_out),
                      _qweight.fp32Bytes(), _qweight.quantBytes(),

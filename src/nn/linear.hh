@@ -33,9 +33,8 @@ class Linear : public Layer
 
     /**
      * (Re)build the int8 panel kernel's weight pack from the codes.
-     * quantizeWeights() builds it; call again after a restore replaced
-     * the codes (Sequential::planQuantized does, for both quantize()
-     * and loadQuantized()).
+     * planQuantized (nn/sequential.hh) calls it after quantizeWeights()
+     * or a restore replaced the codes; a quantized forward needs it.
      */
     void preparePack();
 

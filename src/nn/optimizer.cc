@@ -7,24 +7,24 @@
 
 namespace leca {
 
-void
-Optimizer::zeroGrad()
-{
-    for (Param *p : _params)
-        p->zeroGrad();
-}
-
 Adam::Adam(std::vector<Param *> params, double lr, double beta1,
            double beta2, double eps)
-    : Optimizer(std::move(params)), _beta1(beta1), _beta2(beta2), _eps(eps)
+    : _params(std::move(params)), _lr(lr), _beta1(beta1), _beta2(beta2),
+      _eps(eps)
 {
-    _lr = lr;
     _m.reserve(_params.size());
     _v.reserve(_params.size());
     for (Param *p : _params) {
         _m.emplace_back(Tensor::zeros(p->value.shape()));
         _v.emplace_back(Tensor::zeros(p->value.shape()));
     }
+}
+
+void
+Adam::zeroGrad()
+{
+    for (Param *p : _params)
+        p->zeroGrad();
 }
 
 void

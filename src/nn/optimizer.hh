@@ -1,7 +1,7 @@
 /**
  * @file
- * Optimizers. The paper trains LeCA with Adam (Sec. 5.2), and so does
- * every trainer here, backbone pre-training included.
+ * The optimizer. The paper trains LeCA with Adam (Sec. 5.2), and so
+ * does every trainer here, backbone pre-training included.
  *
  * Adam honours Param::frozen: frozen parameters are never updated. Their
  * layers still pass gradients through to upstream layers (so those can
@@ -19,18 +19,15 @@
 
 namespace leca {
 
-/** Common optimizer interface over a parameter set. */
-class Optimizer
+/** Adam (Kingma & Ba) with bias correction. */
+class Adam
 {
   public:
-    explicit Optimizer(std::vector<Param *> params)
-        : _params(std::move(params))
-    {
-    }
-    virtual ~Optimizer() = default;
+    Adam(std::vector<Param *> params, double lr, double beta1 = 0.9,
+         double beta2 = 0.999, double eps = 1e-8);
 
     /** Apply one update from the accumulated gradients. */
-    virtual void step() = 0;
+    void step();
 
     /** Clear all gradient accumulators. */
     void zeroGrad();
@@ -39,21 +36,9 @@ class Optimizer
     void setLearningRate(double lr) { _lr = lr; }
     double learningRate() const { return _lr; }
 
-  protected:
-    std::vector<Param *> _params;
-    double _lr = 1e-3;
-};
-
-/** Adam (Kingma & Ba) with bias correction. */
-class Adam : public Optimizer
-{
-  public:
-    Adam(std::vector<Param *> params, double lr, double beta1 = 0.9,
-         double beta2 = 0.999, double eps = 1e-8);
-
-    void step() override;
-
   private:
+    std::vector<Param *> _params;
+    double _lr;
     double _beta1, _beta2, _eps;
     long _t = 0;
     std::vector<Tensor> _m;

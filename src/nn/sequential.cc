@@ -41,48 +41,33 @@ Sequential::backward(const Tensor &grad_out)
     return cur;
 }
 
-std::vector<Param *>
-Sequential::params()
+// leca-analyze: cold — tree enumeration (setup)
+std::vector<Layer *>
+Sequential::children()
 {
-    std::vector<Param *> out;
-    for (auto &layer : _layers) {
-        auto child = layer->params();
-        out.insert(out.end(), child.begin(), child.end());
-    }
-    return out;
-}
-
-std::vector<Tensor *>
-Sequential::state()
-{
-    std::vector<Tensor *> out;
-    for (auto &layer : _layers) {
-        auto child = layer->state();
-        out.insert(out.end(), child.begin(), child.end());
-    }
-    return out;
-}
-
-void
-Sequential::setStatsRefresh(bool enable)
-{
+    std::vector<Layer *> out;
+    out.reserve(_layers.size());
     for (auto &layer : _layers)
-        layer->setStatsRefresh(enable);
-}
-
-// leca-analyze: cold — one-shot weight conversion (setup)
-void
-Sequential::quantizeWeights(std::vector<QuantStat> &stats)
-{
-    for (auto &layer : _layers)
-        layer->quantizeWeights(stats);
-    // Boundaries are decided here, once — never per forward.
-    planQuantized();
+        out.push_back(layer.get());
+    return out;
 }
 
 // leca-analyze: cold — quantized execution planning (quantize/load time)
 void
-Sequential::planQuantized()
+planQuantized(Layer &root)
+{
+    forEachLayer(root, [](Layer &layer) {
+        if (auto *seq = dynamic_cast<Sequential *>(&layer))
+            seq->planSteps();
+        else if (auto *fc = dynamic_cast<Linear *>(&layer);
+                 fc != nullptr && fc->quantized())
+            fc->preparePack();
+    });
+}
+
+// leca-analyze: cold — quantized execution planning (quantize/load time)
+void
+Sequential::planSteps()
 {
     _plan.clear();
     std::vector<QuantStep> steps;
@@ -112,9 +97,6 @@ Sequential::planQuantized()
             i = j;
             continue;
         }
-        if (auto *fc = dynamic_cast<Linear *>(l);
-            fc != nullptr && fc->quantized())
-            fc->preparePack();
         if (auto *rb = dynamic_cast<ResidualBlock *>(l);
             rb != nullptr && rb->planResident()) {
             QuantStep st;
@@ -355,18 +337,6 @@ Sequential::forwardPlanned(const Tensor &x)
     return cur;
 }
 
-// leca-analyze: cold — quantized-tensor enumeration (checkpoint setup)
-std::vector<QuantTensor *>
-Sequential::quantTensors()
-{
-    std::vector<QuantTensor *> out;
-    for (auto &layer : _layers) {
-        auto child = layer->quantTensors();
-        out.insert(out.end(), child.begin(), child.end());
-    }
-    return out;
-}
-
 ResidualBlock::ResidualBlock(int cin, int cout, int stride, Rng &rng)
     : _hasProj(stride != 1 || cin != cout)
 {
@@ -383,28 +353,18 @@ ResidualBlock::ResidualBlock(int cin, int cout, int stride, Rng &rng)
     _finalRelu = std::make_unique<Relu>();
 }
 
-// leca-analyze: cold — resident eligibility + weight re-layout (plan time)
+// leca-analyze: cold — resident eligibility (plan time)
 bool
 ResidualBlock::planResident()
 {
-    // Plan the children first, whatever the block decides: a block
-    // that does not run resident forwards through them, and on the
-    // loadQuantized path this is their only planner.
-    _main.planQuantized();
-    _proj.planQuantized();
-    _resident = false;
-    if (!_conv1->quantized() || !_conv2->quantized())
-        return false;
-    if (_hasProj && !_projConv->quantized())
-        return false;
-    if (_conv1->cin() < kResidentMinCin)
-        return false;
-    _conv1->prepareResident();
-    _conv2->prepareResident();
-    if (_hasProj)
-        _projConv->prepareResident();
+    // A conv reading fewer than kResidentMinCin channels runs plain in
+    // its path's plan, which then never builds its resident layout.
     _resident = true;
-    return true;
+    for (const Conv2d *conv : {_conv1, _conv2, _projConv})
+        if (conv != nullptr
+            && !(conv->quantized() && conv->cin() >= kResidentMinCin))
+            _resident = false;
+    return _resident;
 }
 
 int
@@ -503,51 +463,6 @@ ResidualBlock::backward(const Tensor &grad_out)
         dx += d_sum;
     }
     return dx;
-}
-
-// leca-analyze: cold — parameter enumeration (setup)
-std::vector<Param *>
-ResidualBlock::params()
-{
-    std::vector<Param *> out = _main.params();
-    auto proj = _proj.params();
-    out.insert(out.end(), proj.begin(), proj.end());
-    return out;
-}
-
-// leca-analyze: cold — state enumeration (setup)
-std::vector<Tensor *>
-ResidualBlock::state()
-{
-    std::vector<Tensor *> out = _main.state();
-    auto proj = _proj.state();
-    out.insert(out.end(), proj.begin(), proj.end());
-    return out;
-}
-
-void
-ResidualBlock::setStatsRefresh(bool enable)
-{
-    _main.setStatsRefresh(enable);
-    _proj.setStatsRefresh(enable);
-}
-
-// leca-analyze: cold — one-shot weight conversion (setup)
-void
-ResidualBlock::quantizeWeights(std::vector<QuantStat> &stats)
-{
-    _main.quantizeWeights(stats);
-    _proj.quantizeWeights(stats);
-}
-
-// leca-analyze: cold — quantized-tensor enumeration (checkpoint setup)
-std::vector<QuantTensor *>
-ResidualBlock::quantTensors()
-{
-    std::vector<QuantTensor *> out = _main.quantTensors();
-    auto proj = _proj.quantTensors();
-    out.insert(out.end(), proj.begin(), proj.end());
-    return out;
 }
 
 } // namespace leca

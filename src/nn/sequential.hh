@@ -59,6 +59,22 @@ struct QuantStep
     bool emitQuant = false;    //!< output stays resident int8
 };
 
+/**
+ * Build the quantized execution plan of every Sequential in @p root's
+ * tree and the int8 pack of every quantized Linear in it: the one
+ * planning pass, run once after the weights were converted
+ * (quantizeWeights) or restored (LecaPipeline::quantize and
+ * loadQuantized both end in it). Each Sequential classifies its own
+ * children as resident or plain steps, folds conv→BN→ReLU runs,
+ * builds the HWC weight layouts of the convs it runs resident, and
+ * decides the precision boundaries (which steps hand codes to the
+ * next); a residual block's convs are prepared by the plans of its own
+ * paths. So each resident conv's layout is built once per pass. A
+ * Sequential with no resident-capable child keeps an empty plan, and
+ * its forward() is unchanged.
+ */
+void planQuantized(Layer &root);
+
 /** Runs child layers in order; backward runs them in reverse. */
 class Sequential : public Layer
 {
@@ -81,31 +97,19 @@ class Sequential : public Layer
 
     Tensor forward(const Tensor &x, Mode mode) override;
     Tensor backward(const Tensor &grad_out) override;
-    std::vector<Param *> params() override;
-    std::vector<Tensor *> state() override;
-    void setStatsRefresh(bool enable) override;
-    void quantizeWeights(std::vector<QuantStat> &stats) override;
-    std::vector<QuantTensor *> quantTensors() override;
+    std::vector<Layer *> children() override;
 
     std::size_t size() const { return _layers.size(); }
     Layer &at(std::size_t i) { return *_layers[i]; }
-
-    /**
-     * (Re)build the quantized execution plan: classify every child as a
-     * resident step or a plain one, fold conv→BN→ReLU runs, build the
-     * resident convs' HWC weight packs and the quantized Linears' packs,
-     * and decide the precision boundaries (which steps hand codes to
-     * the next). Called automatically at the end of
-     * quantizeWeights(); call explicitly after loadQuantized-style
-     * restores where quantizeWeights never runs. With no resident-
-     * capable child the plan stays empty and forward() is unchanged.
-     */
-    void planQuantized();
 
     // leca-analyze: keep: test hook — the planner tests read the plan
     const std::vector<QuantStep> &quantPlan() const { return _plan; }
 
   private:
+    friend void planQuantized(Layer &root);
+
+    /** (Re)build this Sequential's own plan (see planQuantized). */
+    void planSteps();
     Tensor forwardPlanned(const Tensor &x);
 
     std::vector<LayerPtr> _layers;
@@ -124,18 +128,20 @@ class ResidualBlock : public Layer
 
     Tensor forward(const Tensor &x, Mode mode) override;
     Tensor backward(const Tensor &grad_out) override;
-    std::vector<Param *> params() override;
-    std::vector<Tensor *> state() override;
-    void setStatsRefresh(bool enable) override;
-    void quantizeWeights(std::vector<QuantStat> &stats) override;
-    std::vector<QuantTensor *> quantTensors() override;
+    /** The main path, the projection (empty for an identity skip),
+     *  then the final ReLU. */
+    std::vector<Layer *>
+    children() override
+    {
+        return {&_main, &_proj, _finalRelu.get()};
+    }
 
     /**
-     * Prepare the block's resident execution (DESIGN.md §13): checks
-     * every conv is quantized and wide enough (kResidentMinCin), builds
-     * the HWC weight layouts, and re-plans the child Sequentials.
-     * Returns whether the block will run resident; idempotent, called
-     * from the owning Sequential's planQuantized().
+     * Decide whether the block runs resident (DESIGN.md §13): every
+     * conv is quantized and reads at least kResidentMinCin channels,
+     * so the plans of the block's own paths, which planQuantized builds
+     * too, prepare each one's HWC layout. Called from the owning
+     * Sequential's plan; builds nothing.
      */
     bool planResident();
     bool resident() const { return _resident; }

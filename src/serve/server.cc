@@ -302,7 +302,7 @@ Server::dispatchLoop()
             }
         }
 
-        const auto forward_start = Clock::now();
+        Clock::time_point forward_start;
         Tensor logits;
         try {
             // Wire payloads are per-frame pure functions of the staged
@@ -325,6 +325,9 @@ Server::dispatchLoop()
             // (documented contract), so exempt the forward from any
             // enclosing DenyAllocScope.
             AllowAllocScope allow_backend;
+            // batchNanos times the backend alone; the wire encode above
+            // counts only in each frame's totalNanos.
+            forward_start = Clock::now();
             logits = _backend(batch);
         } catch (...) {
             for (int i = 0; i < count; ++i) {

@@ -397,10 +397,13 @@ TEST(Decoder, RestoresImageShape)
 {
     Rng rng(31);
     LecaConfig cfg = tinyConfig(4, 3.0);
-    LecaDecoder dec(cfg, rng);
-    const Tensor out = dec.forward(Tensor({2, 4, 8, 8}), Mode::Eval);
+    const auto dec = makeDecoder(cfg, rng);
+    const Tensor out = dec->forward(Tensor({2, 4, 8, 8}), Mode::Eval);
     EXPECT_EQ(out.shape(), (std::vector<int>{2, 3, 16, 16}));
-    EXPECT_GT(dec.parameterCount(), 100u);
+    std::size_t count = 0;
+    for (const Param *p : dec->params())
+        count += p->value.numel();
+    EXPECT_GT(count, 100u);
 }
 
 class PipelineTest : public ::testing::Test

@@ -25,6 +25,7 @@
 #include "data/serialize.hh"
 #include "nn/conv.hh"
 #include "nn/linear.hh"
+#include "nn/sequential.hh"
 #include "tensor/isa.hh"
 #include "tensor/quant.hh"
 #include "tensor/simd.hh"
@@ -476,6 +477,7 @@ TEST_F(QuantTest, QuantizedLinearForwardTracksFp32)
     const Tensor y32 = fc.forward(x, Mode::Eval);
     std::vector<QuantStat> stats;
     fc.quantizeWeights(stats);
+    planQuantized(fc);
     const Tensor y8 = fc.forward(x, Mode::Eval);
     ASSERT_EQ(y8.numel(), y32.numel());
     for (std::size_t i = 0; i < y8.numel(); ++i)
@@ -556,6 +558,7 @@ TEST_F(QuantTest, WarmQuantizedForwardRunsUnderDenyAllocScope)
     std::vector<QuantStat> stats;
     conv.quantizeWeights(stats);
     fc.quantizeWeights(stats);
+    planQuantized(fc);
     Tensor xc = Tensor::fromData(
         {2, 8, 12, 12},
         randomVec(static_cast<std::size_t>(2) * 8 * 12 * 12, 61));

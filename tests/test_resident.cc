@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/decoder.hh"
 #include "core/pipeline.hh"
 #include "data/backbone.hh"
 #include "nn/activation.hh"
@@ -595,6 +596,7 @@ TEST_F(ResidentTest, FusedResidualExitMatchesSeparateSkipPass)
         copyLayerValues(block, parts);
         std::vector<QuantStat> stats;
         block.quantizeWeights(stats);
+        planQuantized(block); // the block's paths prepare its convs
         ASSERT_TRUE(block.planResident());
         for (Conv2d *conv : {&conv1, &conv2, &proj}) {
             conv->quantizeWeights(stats);
@@ -690,7 +692,8 @@ TEST_F(ResidentTest, PlannerPlacesPrecisionBoundariesAtConsumerChanges)
     net.emplace<GlobalAvgPool>();
     net.emplace<Linear>(32, 5, rng);
     std::vector<QuantStat> stats;
-    net.quantizeWeights(stats); // plans implicitly
+    net.quantizeWeights(stats);
+    planQuantized(net);
 
     const auto &plan = net.quantPlan();
     // conv+bn+relu fold to one step; conv, gap, linear follow.
@@ -719,6 +722,7 @@ TEST_F(ResidentTest, PoolWithoutResidentProducerStaysPlain)
     net.emplace<GlobalAvgPool>();
     std::vector<QuantStat> stats;
     net.quantizeWeights(stats);
+    planQuantized(net);
     const auto &plan = net.quantPlan();
     ASSERT_EQ(plan.size(), 3u);
     EXPECT_EQ(plan[0].kind, QuantStep::Kind::ConvResident);
@@ -750,7 +754,7 @@ TEST_F(ResidentTest, MixedChainTracksFp32Network)
     // Quantize only the convs: the linear stays fp32 (mixed chain).
     std::vector<QuantStat> stats;
     static_cast<Conv2d &>(net.at(0)).quantizeWeights(stats);
-    net.planQuantized();
+    planQuantized(net);
     const auto &plan = net.quantPlan();
     // Conv+ReLU fold into one resident step that exits fp32; BN not
     // right after the conv runs Plain on fp32, and so do GAP (its
@@ -792,6 +796,7 @@ TEST_F(ResidentTest, FusedEntryFoldsBnReluIntoBoundary)
 
     std::vector<QuantStat> stats;
     net.quantizeWeights(stats);
+    planQuantized(net);
     ASSERT_FALSE(net.quantPlan().empty());
     const auto &plan = net.quantPlan();
     ASSERT_EQ(plan.size(), 4u);
@@ -854,6 +859,7 @@ TEST_F(ResidentTest, RealModelPlansMatchGolden)
         auto bb = makeBackbone(style, 3, 10, rng);
         std::vector<QuantStat> stats;
         bb->quantizeWeights(stats);
+        planQuantized(*bb);
         EXPECT_EQ(planGolden(*bb),
                   style == BackboneStyle::Proxy
                       ? "plain entry+bn+relu>q res>q res>q res>q gap plain"
@@ -862,10 +868,11 @@ TEST_F(ResidentTest, RealModelPlansMatchGolden)
     }
     LecaConfig cfg;
     Rng rng(11);
-    LecaDecoder decoder(cfg, rng);
+    const auto decoder = makeDecoder(cfg, rng);
     std::vector<QuantStat> stats;
-    decoder.quantizeWeights(stats);
-    EXPECT_EQ(planGolden(decoder.net()),
+    decoder->quantizeWeights(stats);
+    planQuantized(*decoder);
+    EXPECT_EQ(planGolden(*decoder),
               "plain plain plain plain plain plain plain plain "
               "entry+bn+relu>q conv");
 }
@@ -882,6 +889,7 @@ TEST_F(ResidentTest, PlannedForwardBitIdenticalAcrossThreadCounts)
     net.emplace<Linear>(32, 6, rng);
     std::vector<QuantStat> stats;
     net.quantizeWeights(stats);
+    planQuantized(net);
     ASSERT_FALSE(net.quantPlan().empty());
     Tensor x = Tensor::fromData(
         {3, 16, 12, 12},
@@ -970,6 +978,7 @@ TEST_F(ResidentTest, WarmPlannedForwardRunsUnderDenyAllocScope)
     net.emplace<GlobalAvgPool>();
     std::vector<QuantStat> stats;
     net.quantizeWeights(stats);
+    planQuantized(net);
     ASSERT_FALSE(net.quantPlan().empty());
     Tensor x = Tensor::fromData(
         {2, 16, 12, 12},

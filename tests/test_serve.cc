@@ -785,6 +785,37 @@ TEST(Serve, MetricsCoverEveryServedFrame)
     EXPECT_LE(m.batchSize.maxValue, options.maxBatch);
 }
 
+TEST(Serve, BatchNanosTimesTheBackendOnly)
+{
+    // A wire encode that takes 50 ms per frame and a backend that
+    // returns at once: the batch time excludes the encode, the
+    // frame's total time includes it.
+    static constexpr std::int64_t kWireNanos = 50'000'000;
+    ServerOptions options;
+    options.maxBatch = 1;
+    options.maxWaitMicros = 0;
+    options.wirePayload = true;
+    Server server(
+        [](const Tensor &batch) { return Tensor({batch.size(0), 2}); },
+        {3, kHw, kHw}, options,
+        [](const Tensor &, std::vector<std::uint8_t> &out) {
+            std::this_thread::sleep_for(
+                std::chrono::nanoseconds(kWireNanos));
+            out.push_back(1);
+        });
+    Session session = server.openSession();
+    FrameTicket ticket;
+    server.submit(session, makeFrame(0, 0), ticket);
+    const FrameResult &r = ticket.wait();
+    ASSERT_EQ(r.status, ServeStatus::Ok);
+    EXPECT_LT(r.batchNanos, kWireNanos);
+    EXPECT_GE(r.totalNanos, kWireNanos);
+    server.stop();
+    const MetricsSnapshot m = server.metrics();
+    ASSERT_EQ(m.batchNanos.count, 1u);
+    EXPECT_LT(m.batchNanos.maxValue, kWireNanos);
+}
+
 TEST(Serve, SteadyStateDispatchRunsUnderDenyAllocScope)
 {
     // The serve layer's memory-model promise (server.hh header comment)

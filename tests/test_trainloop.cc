@@ -5,7 +5,8 @@
  * recompute-based conv/conv-transpose backward passes against retained
  * naive references, the arena zero-allocation guarantee on warm train
  * steps (backbone alone and the whole LeCA pipeline in every encoder
- * modality), and the borrowed-slab evaluation path.
+ * modality), the batch-norm statistics refresh, and the borrowed-slab
+ * evaluation path.
  */
 
 #include <gtest/gtest.h>
@@ -503,6 +504,49 @@ TEST_F(TrainLoopTest, WarmPipelineStepRunsUnderDenyAllocScope)
             << "warm modality " << static_cast<int>(m)
             << " pipeline step allocated on the heap";
     }
+}
+
+// ---------------------------------------------------------------------
+// Batch-norm statistics refresh
+// ---------------------------------------------------------------------
+
+TEST_F(TrainLoopTest, BatchNormRefreshReachesEveryBatchNorm)
+{
+    // The decoder head holds one BN; the Proxy backbone holds the
+    // stem's, each block's bn1 and bn2, and the two projection BNs.
+    setThreadCount(2);
+    Rng init(5);
+    LecaPipeline::Options options;
+    options.leca.nch = 4;
+    options.leca.decoderDncnnLayers = 1;
+    options.leca.decoderFilters = 8;
+    LecaPipeline pipe(options, makeBackbone(BackboneStyle::Proxy, 3, 3, init));
+    const std::vector<Tensor *> stats = pipe.state();
+    ASSERT_EQ(stats.size(), 2u * 10u) << "a running mean and var per BN";
+    const Dataset ds = makeDataset(6, 16, 3, 8);
+
+    refreshBatchNormStats(pipe, ds, ds.count());
+    for (std::size_t i = 0; i < stats.size(); ++i) {
+        const float initial = i % 2 == 0 ? 0.0f : 1.0f;
+        for (std::size_t ch = 0; ch < stats[i]->numel(); ++ch)
+            EXPECT_NE((*stats[i])[ch], initial)
+                << "BN " << i / 2 << (i % 2 == 0 ? " mean" : " var")
+                << " channel " << ch;
+    }
+    const auto snapshot = [&stats] {
+        std::vector<float> out;
+        for (const Tensor *t : stats)
+            out.insert(out.end(), t->data(), t->data() + t->numel());
+        return out;
+    };
+    // A one-batch refresh sets the statistics to that batch's exactly,
+    // so a second one repeats them; a BN the refresh missed would fold
+    // the batch in with its momentum instead.
+    const std::vector<float> first = snapshot();
+    refreshBatchNormStats(pipe, ds, ds.count());
+    const std::vector<float> second = snapshot();
+    EXPECT_EQ(0, std::memcmp(first.data(), second.data(),
+                             first.size() * sizeof(float)));
 }
 
 // ---------------------------------------------------------------------
